@@ -9,9 +9,10 @@ checks both halves:
   or gate choices within a message class;
 * payload mixedness: averaged over the one-time pad protecting it, each
   transmitted wire must be exactly maximally mixed at the moment it
-  crosses the channel.  The exhaustive mode replays the protocol four
-  times per pad label (the twirl is then exact, tolerance 1e-10); the
-  sampled mode averages fresh-seed runs and uses a 3/sqrt(N) tolerance.
+  crosses the channel.  The exhaustive mode averages the protocol run
+  under all four values of each pad label (the twirl is then exact,
+  tolerance 1e-10); the sampled mode averages fresh-seed runs and uses a
+  3/sqrt(N) tolerance.
 
 A negative control reruns the protocol with pads disabled and requires
 some transmitted wire to sit far from maximally mixed, guarding against
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec as sv
 from .angles import precision_bits
 from .circuits import Circuit
-from .protocol import run_protocol
-from .session import CLIENT_TO_SERVER, Transcript
+from .protocol import ProtocolResult, run_protocol
+from .session import CLIENT_TO_SERVER, KeySource, Transcript
 from .statevec import Gate
 
 AUDIT_VERSION = 1
@@ -138,12 +138,6 @@ def _outbound(transcript: Transcript):
             if m.direction == CLIENT_TO_SERVER]
 
 
-def _wire_density(snapshot: np.ndarray, wire: int) -> np.ndarray:
-    n = int(snapshot.size).bit_length() - 1
-    state = sv.Statevector(n, snapshot)
-    return sv.reduced_density(state, [wire]).mat
-
-
 def _dist_from_mixed(rho: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(rho - np.eye(2) / 2)
     return float(0.5 * np.sum(np.abs(eigs)))
@@ -155,10 +149,18 @@ def _subseed(seed: int, t: int) -> int:
 
 
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
-                      mode: str = "exhaustive",
-                      samples: int = 400) -> MixednessResult:
-    """Check every transmitted wire is maximally mixed on the channel."""
-    baseline = run_protocol(circuit, epsilon, seed)
+                      mode: str = "exhaustive", samples: int = 400,
+                      baseline: ProtocolResult | None = None,
+                      ) -> MixednessResult:
+    """Check every transmitted wire is maximally mixed on the channel.
+
+    ``baseline`` is the unmodified run for ``seed`` when the caller already
+    has it.  Keys are label-addressed, so the exhaustive replay that pins a
+    label to the pair the seed draws anyway is the baseline itself and is
+    not run again.
+    """
+    if baseline is None:
+        baseline = run_protocol(circuit, epsilon, seed)
     outbound = _outbound(baseline.transcript)
 
     uncovered = []
@@ -175,19 +177,22 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
 
     if mode == "exhaustive":
         tolerance = EXHAUSTIVE_TOLERANCE
+        own_keys = KeySource(seed)
         for i, msg in outbound:
             for wire, label in msg.pad_labels:
+                own = own_keys.pad_pair(label)
                 replays = [
+                    baseline if pair == own else
                     run_protocol(circuit, epsilon, seed,
                                  overrides={label: pair})
                     for pair in ALL_PAIRS
                 ]
                 avg_out = sum(
-                    _wire_density(r.transcript.messages[i].snapshot, wire)
+                    r.transcript.messages[i].wire_density(wire)
                     for r in replays
                 ) / 4.0
                 avg_in = sum(
-                    _wire_density(r.transcript.messages[i + 1].snapshot, wire)
+                    r.transcript.messages[i + 1].wire_density(wire)
                     for r in replays
                 ) / 4.0
                 n_checks += 1
@@ -206,11 +211,11 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
         for i, msg in outbound:
             for wire in msg.transmitted:
                 avg_out = sum(
-                    _wire_density(r.transcript.messages[i].snapshot, wire)
+                    r.transcript.messages[i].wire_density(wire)
                     for r in replays
                 ) / samples
                 avg_in = sum(
-                    _wire_density(r.transcript.messages[i + 1].snapshot, wire)
+                    r.transcript.messages[i + 1].wire_density(wire)
                     for r in replays
                 ) / samples
                 n_checks += 1
@@ -243,7 +248,7 @@ def negative_control(circuit: Circuit, epsilon: float, seed: int) -> float:
     worst = 0.0
     for _, msg in _outbound(bare.transcript):
         for wire in msg.transmitted:
-            rho = _wire_density(msg.snapshot, wire)
+            rho = msg.wire_density(wire)
             worst = max(worst, _dist_from_mixed(rho))
     return worst
 
@@ -284,7 +289,7 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
     result = run_protocol(circuit, epsilon, seed)
     view = classical_view(result.transcript)
     mixed = payload_mixedness(circuit, epsilon, seed, mode=mode,
-                              samples=samples)
+                              samples=samples, baseline=result)
     control = negative_control(circuit, epsilon, seed)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)

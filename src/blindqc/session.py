@@ -6,10 +6,12 @@ independent generator per draw, so the value bound to a label never depends
 on draw order.  That is what lets the blindness auditor override a single
 pad and re-run the protocol with every other draw unchanged.
 
-The channel is in-process: a round trip snapshots the register, applies
-the server's gates to the shared buffer, and snapshots again.  Snapshots
-are simulation artifacts (a real channel would carry the qubits themselves)
-kept so transcripts can be audited after the fact.
+The channel is in-process: a round trip records the register, applies the
+server's gates to the shared buffer, and records it again.  A record keeps
+the reduced density of the transmitted wires, which is what the channel
+carries and all the audit reads, and feeds the whole register into a
+running hash, so the digest still covers every amplitude at every message
+while memory stays flat in the number of round trips.
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import statevec as sv
-from .statevec import GateOp, Statevector
+from .statevec import Statevector
 
 CLIENT_TO_SERVER = "client->server"
 SERVER_TO_CLIENT = "server->client"
+
+
+# canonical tag encoding, built once: json.dumps would rebuild it per call
+_TAG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class ProtocolError(Exception):
@@ -38,7 +45,6 @@ class KeySource:
         self.seed = int(seed)
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
         self.disable_pads = disable_pads
-        self.log: list[tuple[str, object]] = []
 
     def _rng(self, label: str) -> np.random.Generator:
         raw = hashlib.blake2b(
@@ -55,40 +61,42 @@ class KeySource:
         else:
             bits = self._rng("pad/" + label).integers(0, 2, size=2)
             pair = (int(bits[0]), int(bits[1]))
-        self.log.append((label, pair))
         return pair
 
     def measure_u(self, label: str) -> float:
         """Uniform draw in [0, 1) for a measurement; never disabled."""
-        u = float(self._rng("u/" + label).random())
-        self.log.append((label, u))
-        return u
+        return float(self._rng("u/" + label).random())
 
 
-@dataclass(frozen=True)
-class Message:
-    """One direction of one round trip.
+class Message(NamedTuple):
+    """One direction of one round trip (an immutable record).
 
-    ``snapshot`` is the full register at transmission time; ``transmitted``
-    lists the wires actually on the channel.  ``pad_labels`` maps each
-    transmitted wire to the key label currently protecting it (outbound
-    only; used by the mixedness audit).
+    ``transmitted`` lists the wires actually on the channel.  ``density``
+    is their joint reduced state at transmission time, with the lowest
+    transmitted wire as the least significant bit, and ``wire_densities``
+    holds each transmitted wire's own 2x2 state in ``transmitted`` order;
+    all are read-only.  ``pad_labels`` maps each transmitted wire to the
+    key label currently protecting it (outbound only; used by the
+    mixedness audit).
     """
 
     direction: str
     tag: dict | None
     transmitted: tuple[int, ...]
-    snapshot: np.ndarray = field(repr=False)
+    density: np.ndarray
+    wire_densities: tuple[np.ndarray, ...]
     pad_labels: tuple[tuple[int, str], ...] = ()
 
     def tag_json(self) -> str:
-        return json.dumps(self.tag, sort_keys=True, separators=(",", ":"))
+        return _TAG_ENCODER.encode(self.tag)
 
     def payload_density(self) -> sv.DensityMatrix:
         """Reduced state of the transmitted wires (what the channel carries)."""
-        n = int(self.snapshot.size).bit_length() - 1
-        state = Statevector(n, self.snapshot)
-        return sv.reduced_density(state, self.transmitted)
+        return sv.DensityMatrix(len(self.density), self.density)
+
+    def wire_density(self, wire: int) -> np.ndarray:
+        """2x2 reduced state of one transmitted wire."""
+        return self.wire_densities[self.transmitted.index(wire)]
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,27 @@ class Transcript:
     client_op_kinds: list[str] = field(default_factory=list)
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
+    # running hash of the full register at every recorded message
+    _stream: object = field(default_factory=hashlib.sha256, init=False,
+                            repr=False, compare=False)
+
+    def record(self, direction: str, tag: dict | None, transmitted,
+               amps: np.ndarray, pad_labels=()) -> None:
+        """Append one message read off the live register ``amps``."""
+        self._stream.update(amps)
+        if len(transmitted) == 1:
+            density = sv._partial_trace(amps, transmitted)
+            wires = (density,)
+        else:
+            density = sv._partial_trace(amps, tuple(sorted(transmitted)))
+            # traced from the register itself, not from ``density``, so each
+            # wire's state is bit-for-bit what a direct reduction gives
+            wires = tuple(sv._partial_trace(amps, (w,)) for w in transmitted)
+            for rho in wires:
+                rho.setflags(write=False)
+        density.setflags(write=False)
+        self.messages.append(Message(direction, tag, transmitted, density,
+                                     wires, pad_labels))
 
     def round_trips(self) -> int:
         return sum(1 for m in self.messages if m.direction == CLIENT_TO_SERVER)
@@ -120,11 +149,11 @@ class Transcript:
         h = hashlib.sha256()
         head = f"{self.seed}|{self.epsilon!r}|{self.n_qubits}|{self.complete}"
         h.update(head.encode())
-        for m in self.messages:
-            h.update(m.direction.encode())
-            h.update(m.tag_json().encode())
-            h.update(repr(m.transmitted).encode())
-            h.update(m.snapshot.tobytes())
+        h.update("".join(
+            f"{m.direction}{m.tag_json()}{m.transmitted!r}"
+            for m in self.messages
+        ).encode())
+        h.update(self._stream.digest())
         for mk in self.markers:
             h.update(
                 f"{mk.gate_index}:{mk.kind}:{mk.message_start}:{mk.message_end}".encode()
@@ -165,11 +194,7 @@ class Session:
     def client_measure(self, wire: int, label: str) -> int:
         if not 0 <= wire < self.n_qubits:
             raise ProtocolError(f"wire {wire} out of range")
-        u = self.keys.measure_u(label)
-        state, outcome = sv.measure_qubit(
-            Statevector(self.n_qubits, self.amps.copy()), wire, u=u
-        )
-        self.amps = state.amps.copy()
+        outcome = sv._measure(self.amps, wire, self.keys.measure_u(label))
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
@@ -177,16 +202,12 @@ class Session:
                    pad_labels=()) -> None:
         """Send ``transmitted`` wires with ``tag``; server applies its gates."""
         transmitted = tuple(transmitted)
-        self.transcript.messages.append(Message(
-            CLIENT_TO_SERVER, dict(tag), transmitted, self.amps.copy(),
-            tuple(pad_labels),
-        ))
+        self.transcript.record(CLIENT_TO_SERVER, dict(tag), transmitted,
+                               self.amps, tuple(pad_labels))
         for op in server_ops:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(op.kind.value)
-        self.transcript.messages.append(Message(
-            SERVER_TO_CLIENT, None, transmitted, self.amps.copy(),
-        ))
+        self.transcript.record(SERVER_TO_CLIENT, None, transmitted, self.amps)
 
     def mark_gate(self, gate_index: int, kind: str, message_start: int) -> None:
         self.transcript.markers.append(GateMarker(

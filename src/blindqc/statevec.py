@@ -165,7 +165,8 @@ class Statevector:
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        a = np.asarray(self.amps, dtype=complex)
+        # freeze a view, so the caller's own array stays writable
+        a = np.asarray(self.amps, dtype=complex).view()
         if a.shape != (2**self.n_qubits,):
             raise ValueError("amplitude length does not match qubit count")
         object.__setattr__(self, "amps", a)
@@ -183,7 +184,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.asarray(self.mat, dtype=complex).view()
         if m.shape != (self.dim, self.dim):
             raise ValueError("density matrix shape does not match dim")
         object.__setattr__(self, "mat", m)
@@ -232,7 +233,9 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> None:
 
 def _apply_x(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
-    view[:, [0, 1], :] = view[:, [1, 0], :]
+    lo = view[:, 0, :].copy()
+    view[:, 0, :] = view[:, 1, :]
+    view[:, 1, :] = lo
 
 
 def _apply_z(amps: np.ndarray, q: int) -> None:
@@ -261,9 +264,9 @@ def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
 
 
 def _apply_cz(amps: np.ndarray, a: int, b: int) -> None:
-    idx = np.arange(amps.size)
-    sel = ((idx >> a) & 1 == 1) & ((idx >> b) & 1 == 1)
-    amps[sel] *= -1.0
+    lo, hi = sorted((a, b))
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view[:, 1, :, 1, :] *= -1.0
 
 
 def _apply_ccx(amps: np.ndarray, c1: int, c2: int, target: int) -> None:
@@ -273,11 +276,46 @@ def _apply_ccx(amps: np.ndarray, c1: int, c2: int, target: int) -> None:
 
 
 def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
-    idx = np.arange(amps.size)
-    sel = ((idx >> a) & 1 == 1) & ((idx >> b) & 1 == 0)
-    i0 = idx[sel]
-    i1 = (i0 & ~(1 << a)) | (1 << b)
-    amps[i0], amps[i1] = amps[i1], amps[i0]
+    lo, hi = sorted((a, b))
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    one_zero = view[:, 1, :, 0, :].copy()
+    view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
+    view[:, 0, :, 1, :] = one_zero
+
+
+def _measure(amps: np.ndarray, q: int, u: float) -> int:
+    """Collapse qubit ``q`` in place (outcome 1 iff ``u < p1``); renormalize."""
+    view = amps.reshape(-1, 2, 1 << q)
+    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
+    outcome = 1 if u < p1 else 0
+    view[:, 1 - outcome, :] = 0.0
+    amps /= np.linalg.norm(amps)
+    return outcome
+
+
+def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrix of the distinct ascending wires ``keep``.
+
+    Qubit ``keep[j]`` is bit j of the row index.  The kept amplitudes are
+    gathered into rows and multiplied once by their adjoint.  Top wires
+    already sit in row order and a single wire needs only a three-axis
+    transpose; both shortcuts build the same rows as the general transpose,
+    so the result is bit-for-bit the same.
+    """
+    n = amps.size.bit_length() - 1
+    k = len(keep)
+    if keep[0] == n - k:
+        moved = amps.reshape(1 << k, -1)
+    elif k == 1:
+        moved = amps.reshape(-1, 2, 1 << keep[0]).transpose(1, 0, 2)
+        moved = moved.reshape(2, -1)
+    else:
+        # axis n-1-q corresponds to qubit q after reshape
+        keep_axes = [n - 1 - q for q in reversed(keep)]
+        other_axes = [ax for ax in range(n) if ax not in keep_axes]
+        moved = np.transpose(amps.reshape([2] * n),
+                             keep_axes + other_axes).reshape(1 << k, -1)
+    return moved @ moved.conj().T
 
 
 def _apply_op(amps: np.ndarray, op: GateOp) -> None:
@@ -341,13 +379,8 @@ def measure_qubit(
         if rng is None:
             raise ValueError("measure_qubit needs either u or rng")
         u = float(rng.random())
-    view = state.amps.reshape(-1, 2, 1 << q)
-    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-    outcome = 1 if u < p1 else 0
     amps = state.amps.copy()
-    out_view = amps.reshape(-1, 2, 1 << q)
-    out_view[:, 1 - outcome, :] = 0.0
-    amps /= np.linalg.norm(amps)
+    outcome = _measure(amps, q, u)
     return Statevector(state.n_qubits, amps), outcome
 
 
@@ -394,14 +427,7 @@ def reduced_density(state: Statevector, keep) -> DensityMatrix:
         raise ValueError("keep set out of range")
     if not keep:
         raise ValueError("keep set is empty")
-    # axis n-1-q corresponds to qubit q after reshape
-    tensor = state.amps.reshape([2] * n)
-    keep_axes = [n - 1 - q for q in reversed(keep)]
-    other_axes = [ax for ax in range(n) if ax not in keep_axes]
-    perm = keep_axes + other_axes
-    moved = np.transpose(tensor, perm).reshape(2 ** len(keep), -1)
-    rho = moved @ moved.conj().T
-    return DensityMatrix(2 ** len(keep), rho)
+    return DensityMatrix(2 ** len(keep), _partial_trace(state.amps, tuple(keep)))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blindqc import audit
 from blindqc import statevec as sv
 from blindqc.audit import (
     SkeletonMismatch,
@@ -21,6 +22,7 @@ from blindqc.audit import (
 )
 from blindqc.circuits import Circuit
 from blindqc.protocol import run_protocol
+from blindqc.session import KeySource
 
 PI = math.pi
 EPS_M2 = PI / 4  # two digit blocks keep exhaustive replays quick
@@ -129,6 +131,46 @@ class TestMixedness:
         with pytest.raises(ValueError):
             payload_mixedness(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
                               mode="full")
+
+
+class TestReplayReuse:
+    CIRC = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
+
+    def test_pinning_a_label_to_its_own_draw_reproduces_the_baseline(self):
+        base = run_protocol(self.CIRC, EPS_M2, seed=4)
+        keys = KeySource(4)
+        labels = [label for msg in base.transcript.messages
+                  for _, label in msg.pad_labels]
+        # three blocks, the rz block (three dummies and the transit), and
+        # the two single-wire rounds of the m=2 digit block
+        assert len(labels) == 4 * 4 + 2
+        for label in labels:
+            pinned = run_protocol(self.CIRC, EPS_M2, seed=4,
+                                  overrides={label: keys.pad_pair(label)})
+            assert pinned.transcript.digest() == base.transcript.digest()
+
+    def test_exhaustive_report_matches_all_four_replays(self, monkeypatch):
+        runs = []
+
+        def counting_run(*args, **kwargs):
+            runs.append(kwargs)
+            return run_protocol(*args, **kwargs)
+
+        class NoOwnPair(KeySource):
+            def pad_pair(self, label):
+                return None
+
+        monkeypatch.setattr(audit, "run_protocol", counting_run)
+        reused = audit_circuit(self.CIRC, EPS_M2, seed=4)
+        reused_replays = sum(1 for kw in runs if kw.get("overrides"))
+        runs.clear()
+        monkeypatch.setattr(audit, "KeySource", NoOwnPair)
+        full = audit_circuit(self.CIRC, EPS_M2, seed=4)
+        full_replays = sum(1 for kw in runs if kw.get("overrides"))
+        n_labels = reused["mixedness"]["n_checks"]
+        assert (reused_replays, full_replays) == (3 * n_labels, 4 * n_labels)
+        assert json.dumps(full, sort_keys=True) == json.dumps(
+            reused, sort_keys=True)
 
 
 class TestNegativeControl:

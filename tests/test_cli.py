@@ -51,7 +51,7 @@ class TestRun:
                      "--seed", "5"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("blindqc run report v1\n")
+        assert out.startswith("blindqc run report v2\n")
         # h and cz cost one trip each, rz costs M(M+1)/2 = 6 at M = 3
         assert "round-trips: 8" in out
         assert "transcript-digest: " in out

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from blindqc import statevec as sv
+from blindqc.circuits import Circuit
+from blindqc.protocol import run_protocol
 from blindqc.session import (
     CLIENT_TO_SERVER,
     SERVER_TO_CLIENT,
@@ -60,13 +62,33 @@ class TestSession:
         assert t.messages[1].tag is None
         assert t.round_trips() == 1
 
-    def test_snapshots_are_frozen_copies(self):
-        sess = Session(1, seed=0)
-        sess.round_trip((0,), {"kind": "rotate", "angle": 0.5},
-                        [sv.rz(0.5, 0)])
-        before = sess.transcript.messages[0].snapshot.copy()
-        sess.client_apply([sv.x(0)])
-        assert np.array_equal(sess.transcript.messages[0].snapshot, before)
+    def test_stored_densities_are_frozen_copies(self):
+        sess = Session(2, seed=0)
+        sess.client_apply([sv.h(0), sv.cx(0, 1)])
+        sess.round_trip((0, 1), {"kind": "rotate", "angle": 0.5},
+                        [sv.rz(0.5, 1)])
+        msg = sess.transcript.messages[0]
+        stored = (msg.density, *msg.wire_densities)
+        before = [rho.copy() for rho in stored]
+        for rho in stored:
+            with pytest.raises(ValueError):
+                rho[0, 0] = 0.0
+        sess.client_apply([sv.x(0), sv.h(1)])
+        sess.client_measure(0, "m0")
+        for rho, old in zip(stored, before):
+            assert np.array_equal(rho, old)
+        assert sess.amps.flags.writeable
+
+    def test_client_measure_collapses_like_measure_qubit(self):
+        state = sv.random_state(3, np.random.default_rng(8))
+        for wire in range(3):
+            sess = Session(3, seed=2)
+            sess.load_state(state)
+            outcome = sess.client_measure(wire, "r")
+            expect, bit = sv.measure_qubit(state, wire,
+                                           u=sess.keys.measure_u("r"))
+            assert outcome == bit
+            assert np.array_equal(sess.amps, expect.amps)
 
     def test_tag_json_is_canonical(self):
         sess = Session(1, seed=0)
@@ -104,6 +126,50 @@ class TestSession:
         sess.round_trip((1,), {"kind": "rotate", "angle": 0.0}, [])
         rho = sess.transcript.messages[0].payload_density()
         assert np.abs(rho.mat - np.eye(2) / 2).max() < 1e-12
+
+    def test_payload_density_of_lower_wires_is_their_reduced_state(self):
+        # wires below the top of the register take the transposing path
+        state = sv.random_state(3, np.random.default_rng(5))
+        tensor = state.amps.reshape(2, 2, 2)  # axes: qubit 2, 1, 0
+        sess = Session(3, seed=0)
+        sess.load_state(state)
+        sess.round_trip((1,), {"kind": "rotate", "angle": 0.0}, [])
+        sess.round_trip((0, 2), {"kind": "rotate", "angle": 0.0}, [])
+        one, _, two, _ = sess.transcript.messages
+        rho_1 = np.einsum("aib,ajb->ij", tensor, tensor.conj())
+        assert np.allclose(one.payload_density().mat, rho_1, atol=1e-12)
+        assert np.allclose(one.wire_density(1), rho_1, atol=1e-12)
+        # qubit 0 is the low bit of the joint index, qubit 2 the high bit
+        rho_02 = np.einsum("ixj,kxl->ijkl", tensor, tensor.conj())
+        assert np.allclose(two.payload_density().mat, rho_02.reshape(4, 4),
+                           atol=1e-12)
+        for wire in (0, 2):
+            assert np.array_equal(two.wire_density(wire),
+                                  sv.reduced_density(state, [wire]).mat)
+
+    def test_digest_covers_wires_off_the_channel(self):
+        def run(working):
+            sess = Session(3, seed=0)
+            sess.load_state(working)
+            sess.round_trip((2,), {"kind": "rotate", "angle": 0.3},
+                            [sv.rz(0.3, 2)])
+            return sess.finish()
+
+        a = run(sv.new_state(3))
+        b = run(sv.apply(sv.new_state(3), sv.x(0)))
+        for ma, mb in zip(a.messages, b.messages):
+            assert np.array_equal(ma.density, mb.density)
+        assert a.digest() != b.digest()
+
+    def test_full_register_run_keeps_no_register_sized_arrays(self):
+        circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))
+        t = run_protocol(circ, 1e-2, seed=1).transcript
+        assert t.n_qubits == sv.MAX_QUBITS
+        for msg in t.messages:
+            for value in msg:
+                for item in (value if isinstance(value, tuple) else (value,)):
+                    if isinstance(item, np.ndarray):
+                        assert item.size <= 16 * 16
 
     def test_gate_markers_track_message_spans(self):
         sess = Session(1, seed=0)

@@ -92,6 +92,13 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             st.amps[0] = 0.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1.0, 0.0], dtype=complex)
+        st = sv.Statevector(1, a)
+        assert a.flags.writeable
+        assert not st.amps.flags.writeable
+        a[0] = 0.0
+
     def test_random_state_normalized(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 5):
@@ -115,6 +122,28 @@ def test_two_qubit_gates_match_kron_truth_tables():
     )
     assert np.allclose(sv.ops_unitary(2, [sv.swap(0, 1)]), swap_mat)
     assert np.allclose(sv.ops_unitary(2, [sv.swap(1, 0)]), swap_mat)
+
+
+def test_permutation_kernels_match_index_reference():
+    # x, swap and cz only move or negate amplitudes: results are exact
+    n = 4
+    amps = sv.random_state(n, np.random.default_rng(3)).amps
+    idx = np.arange(2**n)
+    for a in range(n):
+        got = amps.copy()
+        sv._apply_x(got, a)
+        assert np.array_equal(got, amps[idx ^ (1 << a)])
+        for b in range(n):
+            if a == b:
+                continue
+            differ = ((idx >> a) ^ (idx >> b)) & 1
+            got = amps.copy()
+            sv._apply_swap(got, a, b)
+            assert np.array_equal(got, amps[idx ^ (differ << a | differ << b)])
+            got = amps.copy()
+            sv._apply_cz(got, a, b)
+            both = (idx >> a) & (idx >> b) & 1
+            assert np.array_equal(got, np.where(both == 1, -amps, amps))
 
 
 def test_ccx_truth_table():
@@ -211,6 +240,19 @@ class TestDensity:
         assert np.allclose(rho.mat, np.eye(2) / 2)
         with pytest.raises(ValueError):
             sv.ensemble_density([zero, one], [0.9, 0.9])
+
+    def test_partial_trace_shortcuts_match_the_general_transpose(self):
+        # top wires and single wires skip the n-axis transpose; the rows
+        # they build must be the same, so results agree bit for bit
+        n = 5
+        amps = sv.random_state(n, np.random.default_rng(12)).amps
+        for keep in [(q,) for q in range(n)] + [(3, 4), (2, 3, 4), (0, 2)]:
+            keep_axes = [n - 1 - q for q in reversed(keep)]
+            rest = [ax for ax in range(n) if ax not in keep_axes]
+            rows = np.transpose(amps.reshape([2] * n), keep_axes + rest)
+            rows = rows.reshape(2 ** len(keep), -1)
+            assert np.array_equal(sv._partial_trace(amps, keep),
+                                  rows @ rows.conj().T)
 
     def test_reduced_density_keeps_requested_order(self):
         st = sv.apply(sv.new_state(2), sv.x(1))
