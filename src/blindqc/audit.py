@@ -28,7 +28,7 @@ import numpy as np
 
 from .angles import precision_bits
 from .circuits import Circuit
-from .protocol import ProtocolResult, run_protocol
+from .protocol import CheckpointedRun, run_protocol
 from .session import CLIENT_TO_SERVER, KeySource, Transcript
 from .statevec import Gate
 
@@ -150,18 +150,20 @@ def _subseed(seed: int, t: int) -> int:
 
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
                       mode: str = "exhaustive", samples: int = 400,
-                      baseline: ProtocolResult | None = None,
+                      baseline: CheckpointedRun | None = None,
                       ) -> MixednessResult:
     """Check every transmitted wire is maximally mixed on the channel.
 
-    ``baseline`` is the unmodified run for ``seed`` when the caller already
-    has it.  Keys are label-addressed, so the exhaustive replay that pins a
-    label to the pair the seed draws anyway is the baseline itself and is
-    not run again.
+    ``baseline`` is the checkpointed run for ``seed`` when the caller
+    already has it.  Exhaustive replays fork it where their label is drawn
+    and stop at the reply to the message the label pads.  Keys are
+    label-addressed, so the replay that pins a label to the pair the seed
+    draws anyway is the baseline itself and is not run again.
     """
     if baseline is None:
-        baseline = run_protocol(circuit, epsilon, seed)
-    outbound = _outbound(baseline.transcript)
+        baseline = CheckpointedRun(circuit, epsilon, seed)
+    base_messages = baseline.result.transcript.messages
+    outbound = _outbound(baseline.result.transcript)
 
     uncovered = []
     for i, msg in outbound:
@@ -182,19 +184,13 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
             for wire, label in msg.pad_labels:
                 own = own_keys.pad_pair(label)
                 replays = [
-                    baseline if pair == own else
-                    run_protocol(circuit, epsilon, seed,
-                                 overrides={label: pair})
+                    base_messages if pair == own else
+                    baseline.replay(i, label, pair)
                     for pair in ALL_PAIRS
                 ]
-                avg_out = sum(
-                    r.transcript.messages[i].wire_density(wire)
-                    for r in replays
-                ) / 4.0
-                avg_in = sum(
-                    r.transcript.messages[i + 1].wire_density(wire)
-                    for r in replays
-                ) / 4.0
+                avg_out = sum(r[i].wire_density(wire) for r in replays) / 4.0
+                avg_in = sum(r[i + 1].wire_density(wire)
+                             for r in replays) / 4.0
                 n_checks += 1
                 dist = _dist_from_mixed(avg_out)
                 if dist > worst:
@@ -286,10 +282,11 @@ def capability_confinement(transcript: Transcript) -> dict:
 def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
                   mode: str = "exhaustive", samples: int = 400) -> dict:
     """Full audit report as a JSON-ready dict; deterministic per seed."""
-    result = run_protocol(circuit, epsilon, seed)
+    baseline = CheckpointedRun(circuit, epsilon, seed)
+    result = baseline.result
     view = classical_view(result.transcript)
     mixed = payload_mixedness(circuit, epsilon, seed, mode=mode,
-                              samples=samples, baseline=result)
+                              samples=samples, baseline=baseline)
     control = negative_control(circuit, epsilon, seed)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)

@@ -22,7 +22,11 @@ performed locally by the client and never delegated.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from . import paulis
 from . import statevec as sv
@@ -35,7 +39,7 @@ from .rzprotocol import (
     round_pad_ops,
     round_unpad_ops,
 )
-from .session import ProtocolError, Session, Transcript
+from .session import ForkDone, Message, ProtocolError, Session, Transcript
 from .statevec import Gate, GateOp
 
 N_SLOTS = 4
@@ -91,22 +95,43 @@ class ProtocolResult:
     outcomes: dict[int, int] = field(default_factory=dict)
 
 
-class _Run:
-    def __init__(self, circuit: Circuit, epsilon: float, seed: int,
-                 extractor: str, overrides, disable_pads: bool):
-        self.n = circuit.n_qubits
-        if self.n + N_SLOTS > sv.MAX_QUBITS:
-            raise RegisterCapacityError(
-                f"{self.n} working qubits need {self.n + N_SLOTS} wires; "
-                f"the cap is {sv.MAX_QUBITS}"
+class _Checkpoint(NamedTuple):
+    """The register where a gate, or a digit block of an rz gate, draws pads."""
+
+    gate_index: int
+    block: int  # digit block the gate resumes at; 1 for h and cz
+    n_messages: int  # messages recorded before the draw
+    amps: np.ndarray
+
+
+def _open_session(circuit: Circuit, epsilon: float, seed: int,
+                  overrides=None, disable_pads: bool = False) -> Session:
+    for op in circuit.ops:
+        if op.kind not in DELEGABLE and op.kind is not Gate.MEASURE:
+            raise UnsupportedGateError(
+                f"'{op.kind.value}' is not delegable; lower the circuit first"
             )
+    n = circuit.n_qubits
+    if n + N_SLOTS > sv.MAX_QUBITS:
+        raise RegisterCapacityError(
+            f"{n} working qubits need {n + N_SLOTS} wires; "
+            f"the cap is {sv.MAX_QUBITS}"
+        )
+    return Session(n + N_SLOTS, seed, epsilon=epsilon, overrides=overrides,
+                   disable_pads=disable_pads)
+
+
+class _Run:
+    def __init__(self, circuit: Circuit, epsilon: float, session: Session,
+                 extractor: str = "floor", checkpoints: list | None = None):
+        self.circuit = circuit
+        self.n = circuit.n_qubits
         self.n_digits = precision_bits(epsilon)
         self.slots = tuple(range(self.n, self.n + N_SLOTS))
         self.extractor = extractor
-        self.session = Session(self.n + N_SLOTS, seed, epsilon=epsilon,
-                               overrides=overrides,
-                               disable_pads=disable_pads)
+        self.session = session
         self.server = BlindServer(self.n, self.n_digits)
+        self.checkpoints = checkpoints
         self.digits: dict[int, AngleDigits] = {}
         self.outcomes: dict[int, int] = {}
 
@@ -131,9 +156,17 @@ class _Run:
 
     # -- gate delegation --------------------------------------------------
 
+    def _draw_point(self, gate_index: int, block: int) -> None:
+        if self.checkpoints is not None:
+            self.checkpoints.append(_Checkpoint(
+                gate_index, block, len(self.session.transcript.messages),
+                self.session.amps.copy(),
+            ))
+
     def _delegate_block_gate(self, gate_index: int, swap_map: dict) -> None:
         """h and cz: ride the uniform block, one round trip."""
         sess = self.session
+        self._draw_point(gate_index, 1)
         for q, slot in swap_map.items():
             sess.client_apply([sv.swap(q, slot)])
         key, labels = self._dummy_slot_key(gate_index, self.slots)
@@ -147,15 +180,17 @@ class _Run:
             sess.client_apply([sv.swap(q, slot)])
         self._reset_slots(gate_index)
 
-    def _delegate_rz(self, gate_index: int, op: GateOp) -> None:
+    def _delegate_rz(self, gate_index: int, op: GateOp,
+                     first_block: int = 1) -> None:
         sess = self.session
         q = op.qubits[0]
         transit = self.slots[3]
         d = digitize(op.angle, self.n_digits, self.extractor)
         self.digits[gate_index] = d
-        if d.parity:
-            sess.client_apply([sv.z(q)])
-        for m in range(1, self.n_digits + 1):
+        for m in range(first_block, self.n_digits + 1):
+            self._draw_point(gate_index, m)
+            if m == 1 and d.parity:
+                sess.client_apply([sv.z(q)])
             s_m = d.nonzero_flags[m - 1]
             q_m = d.negative_flags[m - 1]
             round_label = {
@@ -199,30 +234,26 @@ class _Run:
                     sess.client_apply([sv.swap(transit, q)])
         self._reset_slots(gate_index)
 
+    def _delegate(self, gate_index: int, op: GateOp, block: int = 1) -> None:
+        """Delegate one h, cz or rz gate; an rz gate starts at digit ``block``."""
+        if op.kind is Gate.RZ:
+            self._delegate_rz(gate_index, op, block)
+        else:
+            slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
+            self._delegate_block_gate(gate_index, dict(zip(op.qubits, slots)))
+
     # -- driver -----------------------------------------------------------
 
-    def run(self, circuit: Circuit) -> ProtocolResult:
-        s1, s2, s3, _ = self.slots
-        for j, op in enumerate(circuit.ops):
+    def run(self) -> ProtocolResult:
+        for j, op in enumerate(self.circuit.ops):
             start = len(self.session.transcript.messages)
             if op.kind is Gate.MEASURE:
                 wire = op.qubits[0]
                 self.outcomes[j] = self.session.client_measure(
                     wire, f"gate{j}:measure:q{wire}"
                 )
-            elif op.kind is Gate.H:
-                self._delegate_block_gate(j, {op.qubits[0]: s1})
-            elif op.kind is Gate.CZ:
-                self._delegate_block_gate(
-                    j, {op.qubits[0]: s2, op.qubits[1]: s3}
-                )
-            elif op.kind is Gate.RZ:
-                self._delegate_rz(j, op)
             else:
-                raise UnsupportedGateError(
-                    f"'{op.kind.value}' is not delegable; "
-                    "lower the circuit first"
-                )
+                self._delegate(j, op)
             self.session.mark_gate(j, op.kind.value, start)
         state = self.session.state()
         working = state
@@ -242,10 +273,46 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
     ``disable_pads`` turns every pad off (negative control); neither
     affects the working-register result.
     """
-    for op in circuit.ops:
-        if op.kind not in DELEGABLE and op.kind is not Gate.MEASURE:
-            raise UnsupportedGateError(
-                f"'{op.kind.value}' is not delegable; lower the circuit first"
-            )
-    return _Run(circuit, epsilon, seed, extractor, overrides,
-                disable_pads).run(circuit)
+    session = _open_session(circuit, epsilon, seed, overrides, disable_pads)
+    return _Run(circuit, epsilon, session, extractor).run()
+
+
+class CheckpointedRun:
+    """A seeded run that keeps the register wherever it draws pads, so one
+    pad label can be replayed from its draw point instead of from |0...0>.
+
+    Draw points are the start of each h or cz gate (before the slot swaps),
+    the start of each rz gate (before the parity Z: digit block 1 draws its
+    dummies and its round pad there) and the start of each later digit
+    block.  A label's pair changes nothing before its own pad is applied:
+    rounds m..k+1 of a digit block read neither the pad of round k nor its
+    swap bit.  So a fork resumed at the draw point with the label pinned
+    runs the same delegation code on the same register as a whole-circuit
+    replay, bit for bit, and can stop at the reply to the message the label
+    protects.
+    """
+
+    def __init__(self, circuit: Circuit, epsilon: float, seed: int):
+        self._circuit = circuit
+        self._epsilon = epsilon
+        self._session = _open_session(circuit, epsilon, seed)
+        self._checkpoints: list[_Checkpoint] = []
+        self.result = _Run(circuit, epsilon, self._session,
+                           checkpoints=self._checkpoints).run()
+        self._starts = [cp.n_messages for cp in self._checkpoints]
+
+    def replay(self, message: int, label: str, pair) -> list[Message]:
+        """Messages of this run with ``label`` pinned to ``pair``, up to the
+        reply to outbound ``message``, which ``label`` must pad."""
+        pads = self.result.transcript.messages[message].pad_labels
+        if label not in [lbl for _, lbl in pads]:
+            raise ValueError(f"'{label}' does not pad message {message}")
+        cp = self._checkpoints[bisect.bisect_right(self._starts, message) - 1]
+        fork = self._session.fork(cp.amps, cp.n_messages, label, pair,
+                                  stop=message + 2)
+        try:
+            _Run(self._circuit, self._epsilon, fork)._delegate(
+                cp.gate_index, self._circuit.ops[cp.gate_index], cp.block)
+        except ForkDone:
+            pass
+        return fork.transcript.messages

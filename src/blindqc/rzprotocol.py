@@ -149,7 +149,6 @@ def swap_schedule(nonzero: int, negative: int, keys: RoundKeys) -> SwapSchedule:
         steps.append(SwapStep(k, exponent,
                               f"s={s} match(a_{k})={match} carry={carry}"))
         carry *= a_k ^ q
-    a_1 = keys.pairs[0][0] if m >= 1 else 0
     steps.append(SwapStep(1, s * carry, f"s={s} match(a_1)=n/a carry={carry}"))
     return SwapSchedule(s, tuple(steps))
 

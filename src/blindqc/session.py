@@ -4,7 +4,10 @@ client/server message channel, and the replayable transcript.
 Randomness is label-addressed: ``KeySource`` hashes (seed, label) into an
 independent generator per draw, so the value bound to a label never depends
 on draw order.  That is what lets the blindness auditor override a single
-pad and re-run the protocol with every other draw unchanged.
+pad and re-run the protocol with every other draw unchanged.  Such a
+replay need not start from scratch: ``Session.fork`` resumes a run from a
+saved register with one more override and stops once the replay has
+recorded the messages it is for.
 
 The channel is in-process: a round trip records the register, applies the
 server's gates to the shared buffer, and records it again.  A record keeps
@@ -36,6 +39,10 @@ _TAG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 class ProtocolError(Exception):
     """A message or request outside the protocol's fixed vocabulary."""
+
+
+class ForkDone(Exception):
+    """A forked session has recorded every message it was forked for."""
 
 
 class KeySource:
@@ -209,6 +216,26 @@ class Session:
             self.transcript.server_op_kinds.append(op.kind.value)
         self.transcript.record(SERVER_TO_CLIENT, None, transmitted, self.amps)
 
+    def fork(self, amps: np.ndarray, n_messages: int, label: str, pair,
+             stop: int) -> Session:
+        """This run resumed from ``amps``, the register after ``n_messages``
+        messages, with ``label`` pinned to ``pair``.
+
+        The fork starts from this transcript's first ``n_messages`` messages
+        (a list slice: the stored densities are shared, not copied) and
+        raises ``ForkDone`` once it holds ``stop`` messages.  Its digest
+        covers only the fork's own messages, not the shared prefix.
+        """
+        keys = self.keys
+        fork = _Fork(self.n_qubits, keys.seed,
+                     epsilon=self.transcript.epsilon,
+                     overrides={**keys.overrides, label: pair},
+                     disable_pads=keys.disable_pads)
+        fork.amps[:] = amps
+        fork.transcript.messages = self.transcript.messages[:n_messages]
+        fork.stop = stop
+        return fork
+
     def mark_gate(self, gate_index: int, kind: str, message_start: int) -> None:
         self.transcript.markers.append(GateMarker(
             gate_index, kind, message_start, len(self.transcript.messages)
@@ -217,3 +244,14 @@ class Session:
     def finish(self) -> Transcript:
         self.transcript.complete = True
         return self.transcript
+
+
+class _Fork(Session):
+    """A session made by ``Session.fork``; stops at ``stop`` messages."""
+
+    stop: int
+
+    def round_trip(self, *args, **kwargs) -> None:
+        super().round_trip(*args, **kwargs)
+        if len(self.transcript.messages) >= self.stop:
+            raise ForkDone

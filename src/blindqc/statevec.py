@@ -249,30 +249,26 @@ def _apply_rz(amps: np.ndarray, theta: float, q: int) -> None:
     view[:, 1, :] *= np.exp(0.5j * theta)
 
 
-def _pair_indices(dim: int, on_bits: tuple[int, ...], off_bit: int) -> np.ndarray:
-    idx = np.arange(dim)
-    sel = (idx >> off_bit) & 1 == 0
-    for b in on_bits:
-        sel &= (idx >> b) & 1 == 1
-    return idx[sel]
-
-
-def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
-    i0 = _pair_indices(amps.size, (control,), target)
-    i1 = i0 | (1 << target)
-    amps[i0], amps[i1] = amps[i1], amps[i0]
+def _apply_cx(amps: np.ndarray, controls: tuple[int, ...], target: int) -> None:
+    """Flip qubit ``target`` where every qubit in ``controls`` is 1."""
+    n = amps.size.bit_length() - 1
+    view = amps.reshape([2] * n)
+    # axis n-1-q corresponds to qubit q after reshape
+    lo = [slice(None)] * n
+    for c in controls:
+        lo[n - 1 - c] = 1
+    hi = list(lo)
+    lo[n - 1 - target], hi[n - 1 - target] = 0, 1
+    lo, hi = tuple(lo), tuple(hi)
+    flipped = view[hi].copy()
+    view[hi] = view[lo]
+    view[lo] = flipped
 
 
 def _apply_cz(amps: np.ndarray, a: int, b: int) -> None:
     lo, hi = sorted((a, b))
     view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     view[:, 1, :, 1, :] *= -1.0
-
-
-def _apply_ccx(amps: np.ndarray, c1: int, c2: int, target: int) -> None:
-    i0 = _pair_indices(amps.size, (c1, c2), target)
-    i1 = i0 | (1 << target)
-    amps[i0], amps[i1] = amps[i1], amps[i0]
 
 
 def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
@@ -330,14 +326,12 @@ def _apply_op(amps: np.ndarray, op: GateOp) -> None:
         _apply_1q(amps, _FIXED_1Q[kind], op.qubits[0])
     elif kind is Gate.U:
         _apply_1q(amps, op.matrix, op.qubits[0])
-    elif kind is Gate.CX:
-        _apply_cx(amps, op.qubits[0], op.qubits[1])
+    elif kind is Gate.CX or kind is Gate.CCX:
+        _apply_cx(amps, op.qubits[:-1], op.qubits[-1])
     elif kind is Gate.CZ:
         _apply_cz(amps, op.qubits[0], op.qubits[1])
     elif kind is Gate.SWAP:
         _apply_swap(amps, op.qubits[0], op.qubits[1])
-    elif kind is Gate.CCX:
-        _apply_ccx(amps, op.qubits[0], op.qubits[1], op.qubits[2])
     else:
         raise ValueError(f"cannot apply {kind.value} as a unitary; use measure_qubit")
 

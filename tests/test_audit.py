@@ -8,7 +8,10 @@ import pytest
 
 from blindqc import audit
 from blindqc import statevec as sv
+from blindqc.angles import precision_bits
 from blindqc.audit import (
+    ALL_PAIRS,
+    MixednessResult,
     SkeletonMismatch,
     ViewMismatch,
     audit_circuit,
@@ -18,11 +21,12 @@ from blindqc.audit import (
     count_rounds,
     negative_control,
     payload_mixedness,
+    view_digest,
     view_invariance,
 )
 from blindqc.circuits import Circuit
-from blindqc.protocol import run_protocol
-from blindqc.session import KeySource
+from blindqc.protocol import CheckpointedRun, run_protocol
+from blindqc.session import CLIENT_TO_SERVER, KeySource, Session
 
 PI = math.pi
 EPS_M2 = PI / 4  # two digit blocks keep exhaustive replays quick
@@ -150,27 +154,154 @@ class TestReplayReuse:
             assert pinned.transcript.digest() == base.transcript.digest()
 
     def test_exhaustive_report_matches_all_four_replays(self, monkeypatch):
-        runs = []
+        forks = []
+        fork = Session.fork
 
-        def counting_run(*args, **kwargs):
-            runs.append(kwargs)
-            return run_protocol(*args, **kwargs)
+        def counting_fork(self, *args, **kwargs):
+            forks.append(args)
+            return fork(self, *args, **kwargs)
 
-        class NoOwnPair(KeySource):
-            def pad_pair(self, label):
-                return None
+        monkeypatch.setattr(Session, "fork", counting_fork)
+        report = audit_circuit(self.CIRC, EPS_M2, seed=4)
+        # the seed's own pair is the baseline: three forks per label
+        assert len(forks) == 3 * report["mixedness"]["n_checks"]
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            reference_audit(self.CIRC, EPS_M2, seed=4), sort_keys=True)
 
-        monkeypatch.setattr(audit, "run_protocol", counting_run)
-        reused = audit_circuit(self.CIRC, EPS_M2, seed=4)
-        reused_replays = sum(1 for kw in runs if kw.get("overrides"))
-        runs.clear()
-        monkeypatch.setattr(audit, "KeySource", NoOwnPair)
-        full = audit_circuit(self.CIRC, EPS_M2, seed=4)
-        full_replays = sum(1 for kw in runs if kw.get("overrides"))
-        n_labels = reused["mixedness"]["n_checks"]
-        assert (reused_replays, full_replays) == (3 * n_labels, 4 * n_labels)
-        assert json.dumps(full, sort_keys=True) == json.dumps(
-            reused, sort_keys=True)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-2])
+    @pytest.mark.parametrize("circ", [
+        Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(-0.9, 0))),
+        Circuit(1, (sv.rz(1.234, 0), sv.rz(-2.5, 0))),
+        Circuit(2, (sv.h(0), sv.rz(1.1, 1), sv.measure(0), sv.h(0))),
+    ], ids=["h-cz-rz", "two-rz", "mid-measure"])
+    def test_report_matches_reference_audit(self, circ, epsilon, seed):
+        assert json.dumps(audit_circuit(circ, epsilon, seed),
+                          sort_keys=True) == json.dumps(
+            reference_audit(circ, epsilon, seed), sort_keys=True)
+
+    def test_forks_record_what_whole_circuit_replays_record(self):
+        # rz(-0.9) has odd half-turn parity and swaps its working qubit,
+        # here in |+>, into transit in digit block 1: a checkpoint taken
+        # on the wrong side of the parity Z shows in the densities
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(-0.9, 1),
+                           sv.rz(2.2, 0)))
+        base = CheckpointedRun(circ, EPS_M2, seed=4)
+        for i, msg in enumerate(base.result.transcript.messages):
+            for _, label in msg.pad_labels:
+                for pair in ALL_PAIRS:
+                    got = base.replay(i, label, pair)
+                    want = run_protocol(circ, EPS_M2, seed=4,
+                                        overrides={label: pair})
+                    assert len(got) == i + 2
+                    for a, b in zip(got, want.transcript.messages):
+                        assert (a.tag, a.transmitted, a.pad_labels) == (
+                            b.tag, b.transmitted, b.pad_labels)
+                        assert np.array_equal(a.density, b.density)
+                        for x, y in zip(a.wire_densities, b.wire_densities):
+                            assert np.array_equal(x, y)
+
+    def test_replay_refuses_a_label_that_does_not_pad_the_message(self):
+        base = CheckpointedRun(self.CIRC, EPS_M2, seed=4)
+        with pytest.raises(ValueError):
+            base.replay(0, "gate3:m2:k1", (1, 1))
+        with pytest.raises(ValueError):
+            base.replay(1, "gate0:slot1", (1, 1))
+
+
+def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
+    """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
+
+    The baseline and the negative control each run M(M+1)/2 rounds per rz.
+    Each label is forked for three pairs.  Digit block 1 pads three dummy
+    slots and its round (one round each); round k of block m >= 2 resumes at
+    the block start and stops after its own reply, m - k + 1 rounds.
+    """
+    m_bits = precision_bits(epsilon)
+    run = m_bits * (m_bits + 1) // 2
+    fork_rounds = 3 + sum(m - k + 1 for m in range(1, m_bits + 1)
+                          for k in range(1, m + 1))
+    return n_rz * (2 * run + 3 * fork_rounds)
+
+
+class TestAuditCost:
+    @pytest.mark.parametrize("n_rz", [1, 2, 4, 8])
+    def test_round_trips_grow_linearly(self, monkeypatch, n_rz):
+        calls = []
+        round_trip = Session.round_trip
+
+        def counting_round_trip(self, *args, **kwargs):
+            calls.append(1)
+            return round_trip(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "round_trip", counting_round_trip)
+        circ = Circuit(1, tuple(sv.rz(0.3 + 0.7 * g, 0) for g in range(n_rz)))
+        report = audit_circuit(circ, 1e-1, seed=2)
+        assert report["pass"] is True
+        assert len(calls) == rz_audit_round_trips(n_rz, 1e-1)
+
+    def test_full_register_audit_passes(self):
+        # 8 working qubits and the four slots fill all 12 wires
+        circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(1.3, 7), sv.h(5)))
+        report = audit_circuit(circ, 1e-1, seed=3)
+        assert report["pass"] is True
+        assert report["mixedness"]["worst_distance"] < 1e-10
+
+
+def reference_audit(circuit, epsilon, seed):
+    """The exhaustive audit report from whole-circuit replays.
+
+    Every pad label is replayed from |0...0> under all four pairs, with no
+    fork and no reuse of the baseline, and the two stored wire densities
+    are averaged in pair order.
+    """
+    base = run_protocol(circuit, epsilon, seed)
+    outbound = [(i, m) for i, m in enumerate(base.transcript.messages)
+                if m.direction == CLIENT_TO_SERVER]
+    worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
+    for i, msg in outbound:
+        for wire, label in msg.pad_labels:
+            replays = [run_protocol(circuit, epsilon, seed,
+                                    overrides={label: pair}).transcript
+                       for pair in ALL_PAIRS]
+            avg_out = sum(r.messages[i].wire_density(wire)
+                          for r in replays) / 4.0
+            avg_in = sum(r.messages[i + 1].wire_density(wire)
+                         for r in replays) / 4.0
+            n_checks += 1
+            dist = audit._dist_from_mixed(avg_out)
+            if dist > worst:
+                worst, worst_label = dist, label
+            inbound_worst = max(inbound_worst,
+                                audit._dist_from_mixed(avg_in))
+    mixed = MixednessResult(
+        mode="exhaustive", n_messages=len(outbound), n_checks=n_checks,
+        worst_distance=worst, worst_label=worst_label,
+        inbound_worst_distance=inbound_worst,
+        tolerance=audit.EXHAUSTIVE_TOLERANCE, uncovered=())
+    control = negative_control(circuit, epsilon, seed)
+    caps = capability_confinement(base.transcript)
+    view = classical_view(base.transcript)
+    control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD
+    return {
+        "version": 1,
+        "epsilon": epsilon,
+        "seed": seed,
+        "precision_bits": precision_bits(epsilon),
+        "n_gates": len(circuit.ops),
+        "round_trips": base.transcript.round_trips(),
+        "rounds_per_gate": count_rounds(base.transcript),
+        "classical_view_digest": view_digest(view),
+        "classical_view": list(view),
+        "capabilities": caps,
+        "mixedness": mixed.as_dict(),
+        "negative_control": {
+            "max_distance": control,
+            "threshold": audit.NEGATIVE_CONTROL_THRESHOLD,
+            "pass": control_ok,
+        },
+        "pass": mixed.passed and control_ok and caps["pass"],
+    }
 
 
 class TestNegativeControl:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,23 @@ def test_permutation_kernels_match_index_reference():
             sv._apply_cz(got, a, b)
             both = (idx >> a) & (idx >> b) & 1
             assert np.array_equal(got, np.where(both == 1, -amps, amps))
+
+
+def test_controlled_x_matches_index_reference():
+    # cx and ccx share one slice kernel; it only moves amplitudes: exact
+    n = 4
+    amps = sv.random_state(n, np.random.default_rng(4)).amps
+    idx = np.arange(2**n)
+    for target in range(n):
+        others = [q for q in range(n) if q != target]
+        for controls in [(c,) for c in others] + list(
+                itertools.permutations(others, 2)):
+            fire = np.ones_like(idx)
+            for c in controls:
+                fire &= idx >> c
+            got = amps.copy()
+            sv._apply_cx(got, controls, target)
+            assert np.array_equal(got, amps[idx ^ ((fire & 1) << target)])
 
 
 def test_ccx_truth_table():
