@@ -29,10 +29,10 @@ import numpy as np
 from .angles import precision_bits
 from .circuits import Circuit
 from .protocol import CheckpointedRun, run_protocol
-from .session import CLIENT_TO_SERVER, KeySource, Transcript
+from .session import CLIENT_TO_SERVER, KeySource, Transcript, label_digest
 from .statevec import Gate
 
-AUDIT_VERSION = 1
+AUDIT_VERSION = 2
 NEGATIVE_CONTROL_THRESHOLD = 0.4
 EXHAUSTIVE_TOLERANCE = 1e-10
 
@@ -144,8 +144,7 @@ def _dist_from_mixed(rho: np.ndarray) -> float:
 
 
 def _subseed(seed: int, t: int) -> int:
-    digest = hashlib.blake2b(f"{seed}/sample/{t}".encode(), digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
+    return label_digest(seed, f"sample/{t}", 8)
 
 
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,

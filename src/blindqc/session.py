@@ -1,13 +1,13 @@
 """Session plumbing shared by every interactive run: key material, the
 client/server message channel, and the replayable transcript.
 
-Randomness is label-addressed: ``KeySource`` hashes (seed, label) into an
-independent generator per draw, so the value bound to a label never depends
-on draw order.  That is what lets the blindness auditor override a single
-pad and re-run the protocol with every other draw unchanged.  Such a
-replay need not start from scratch: ``Session.fork`` resumes a run from a
-saved register with one more override and stops once the replay has
-recorded the messages it is for.
+Randomness is label-addressed: ``KeySource`` reads each draw straight off
+one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
+label never depends on draw order.  That is what lets the blindness
+auditor override a single pad and re-run the protocol with every other
+draw unchanged.  Such a replay need not start from scratch:
+``Session.fork`` resumes a run from a saved register with one more
+override and stops once the replay has recorded the messages it is for.
 
 The channel is in-process: a round trip records the register, applies the
 server's gates to the shared buffer, and records it again.  A record keeps
@@ -45,34 +45,40 @@ class ForkDone(Exception):
     """A forked session has recorded every message it was forked for."""
 
 
+def label_digest(seed: int, label: str, size: int) -> int:
+    """The ``size``-byte BLAKE2b digest of ``"{seed}/{label}"``, read as a
+    little-endian integer: the one hash recipe behind every keyed draw."""
+    return int.from_bytes(
+        hashlib.blake2b(f"{seed}/{label}".encode(), digest_size=size).digest(),
+        "little")
+
+
 class KeySource:
-    """Deterministic per-label bits, overridable one label at a time."""
+    """Deterministic per-label bits, overridable one label at a time.
+
+    A pad draw is the low two bits of the one-byte digest of
+    ``"{seed}/pad/{label}"``: bit 0 is the x bit and bit 1 the z bit.  A
+    measurement draw is the top 53 bits of the eight-byte digest of
+    ``"{seed}/u/{label}"``, scaled into [0, 1).
+    """
 
     def __init__(self, seed: int, overrides=None, disable_pads: bool = False):
         self.seed = int(seed)
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
         self.disable_pads = disable_pads
 
-    def _rng(self, label: str) -> np.random.Generator:
-        raw = hashlib.blake2b(
-            f"{self.seed}/{label}".encode(), digest_size=8
-        ).digest()
-        return np.random.default_rng(int.from_bytes(raw, "little"))
-
     def pad_pair(self, label: str) -> tuple[int, int]:
         """One (x_bit, z_bit) pad draw; zeroed when pads are disabled."""
         if label in self.overrides:
-            pair = self.overrides[label]
-        elif self.disable_pads:
-            pair = (0, 0)
-        else:
-            bits = self._rng("pad/" + label).integers(0, 2, size=2)
-            pair = (int(bits[0]), int(bits[1]))
-        return pair
+            return self.overrides[label]
+        if self.disable_pads:
+            return (0, 0)
+        b = label_digest(self.seed, "pad/" + label, 1)
+        return (b & 1, (b >> 1) & 1)
 
     def measure_u(self, label: str) -> float:
         """Uniform draw in [0, 1) for a measurement; never disabled."""
-        return float(self._rng("u/" + label).random())
+        return (label_digest(self.seed, "u/" + label, 8) >> 11) * 2.0**-53
 
 
 class Message(NamedTuple):

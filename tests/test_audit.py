@@ -126,6 +126,10 @@ class TestMixedness:
         assert res.worst_distance <= res.tolerance
         assert res.passed
 
+    def test_sampled_subseeds_are_pinned(self):
+        # sampled audits stay reproducible only while these seeds hold
+        assert audit._subseed(7, 3) == 16006896925768813596
+
     def test_sampled_mode_needs_enough_runs(self):
         with pytest.raises(ValueError):
             payload_mixedness(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
@@ -284,7 +288,7 @@ def reference_audit(circuit, epsilon, seed):
     view = classical_view(base.transcript)
     control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD
     return {
-        "version": 1,
+        "version": 2,
         "epsilon": epsilon,
         "seed": seed,
         "precision_bits": precision_bits(epsilon),
@@ -320,7 +324,7 @@ class TestReport:
         b = audit_circuit(circ, EPS_M2, seed=9)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["pass"] is True
-        assert a["version"] == 1
+        assert a["version"] == 2
 
     def test_round_accounting(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.3, 0),
@@ -331,6 +335,29 @@ class TestReport:
             ("h", 1), ("cz", 1), ("rz", 6), ("measure", 0)]
         report = audit_circuit(circ, EPS_M3, seed=10)
         assert report["round_trips"] == 8
+
+    def test_classical_fields_match_the_version_1_report(self):
+        # pads and outcomes changed in version 2; what the server sees and
+        # the round counts did not.  Literals are the version 1 report's.
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 0),
+                           sv.rz(-1.3, 1), sv.measure(0)))
+        report = audit_circuit(circ, EPS_M3, seed=3)
+        ladder = ['{"k":1,"kind":"block"}', '{"k":2,"kind":"round"}',
+                  '{"k":1,"kind":"round"}', '{"k":3,"kind":"round"}',
+                  '{"k":2,"kind":"round"}', '{"k":1,"kind":"round"}']
+        assert report["classical_view"] == [
+            '{"kind":"block"}', '{"kind":"block"}', *ladder, *ladder]
+        assert report["classical_view_digest"] == (
+            "36e1d3c3c07df6d4560cf541da444cb38130b9d9676240b5023c6a1625a1da9e")
+        assert report["round_trips"] == 14
+        assert report["rounds_per_gate"] == [
+            {"gate": 0, "kind": "h", "rounds": 1},
+            {"gate": 1, "kind": "cz", "rounds": 1},
+            {"gate": 2, "kind": "rz", "rounds": 6},
+            {"gate": 3, "kind": "rz", "rounds": 6},
+            {"gate": 4, "kind": "measure", "rounds": 0},
+        ]
+        assert report["pass"] is True
 
     def test_report_flags_disable_pads_failure_mode(self):
         # sampled mixedness on unpadded traffic must fail; we emulate by

@@ -51,7 +51,7 @@ class TestRun:
                      "--seed", "5"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("blindqc run report v2\n")
+        assert out.startswith("blindqc run report v3\n")
         # h and cz cost one trip each, rz costs M(M+1)/2 = 6 at M = 3
         assert "round-trips: 8" in out
         assert "transcript-digest: " in out
@@ -100,7 +100,7 @@ class TestAudit:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert report["mixedness"]["worst_distance"] < 1e-10
 
     def test_audit_is_deterministic(self, lowered_path, capsys):

@@ -1,5 +1,7 @@
 """Key sourcing, transcripts, and channel bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,45 @@ class TestKeySource:
         src = KeySource(11)
         bits = np.array([src.pad_pair(f"p{i}") for i in range(2000)])
         assert abs(bits.mean() - 0.5) < 0.05
+
+
+class TestKeyDerivation:
+    """The draw recipe itself, restated here with hashlib."""
+
+    SEEDS = (0, 1, 7, 2**40 + 3)
+    LABELS = ("g0/slot1", "gate3:m3:k3", "gate2:m1:k1", "m0", "")
+
+    def test_pad_pair_known_answer(self):
+        for seed in self.SEEDS:
+            for label in self.LABELS:
+                b = hashlib.blake2b(f"{seed}/pad/{label}".encode(),
+                                    digest_size=1).digest()[0]
+                assert KeySource(seed).pad_pair(label) == (b & 1, (b >> 1) & 1)
+
+    def test_measure_u_known_answer(self):
+        for seed in self.SEEDS:
+            for label in self.LABELS:
+                raw = hashlib.blake2b(f"{seed}/u/{label}".encode(),
+                                      digest_size=8).digest()
+                u = (int.from_bytes(raw, "little") >> 11) * 2.0**-53
+                assert KeySource(seed).measure_u(label) == u
+
+    def test_pad_pairs_are_uniform(self):
+        src = KeySource(2024)
+        n = 4096
+        counts = {pair: 0 for pair in ((0, 0), (0, 1), (1, 0), (1, 1))}
+        for i in range(n):
+            counts[src.pad_pair(f"lbl{i}")] += 1
+        expected = n / 4
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        # chi-squared with 3 degrees of freedom, p = 0.001
+        assert chi2 < 16.3
+
+    def test_measure_u_is_in_unit_interval_and_distinct(self):
+        src = KeySource(5)
+        us = [src.measure_u(f"m{i}") for i in range(2048)]
+        assert all(0.0 <= u < 1.0 for u in us)
+        assert len(set(us)) == len(us)
 
 
 class TestSession:
