@@ -27,8 +27,12 @@ def precision_bits(epsilon: float) -> int:
     """Smallest M with pi / 2^M <= epsilon (at least 1 digit)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    ratio = PI / epsilon
+    if math.isinf(ratio):
+        raise ValueError(f"epsilon {epsilon!r} is too small: pi/epsilon "
+                         "overflows a float")
     # guard against ulp noise pushing an exact power-of-two boundary up
-    return max(1, math.ceil(math.log2(PI / epsilon) - 1e-12))
+    return max(1, math.ceil(math.log2(ratio) - 1e-12))
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,6 @@ class RoundKeys:
     def rounds(self) -> int:
         return len(self.pairs)
 
-    @classmethod
-    def draw(cls, m: int, rng: np.random.Generator) -> "RoundKeys":
-        bits = rng.integers(0, 2, size=(m, 2))
-        return cls(tuple((int(a), int(b)) for a, b in bits))
-
 
 @dataclass(frozen=True)
 class SwapStep:

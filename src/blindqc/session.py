@@ -12,9 +12,12 @@ override and stops once the replay has recorded the messages it is for.
 The channel is in-process: a round trip records the register, applies the
 server's gates to the shared buffer, and records it again.  A record keeps
 the reduced density of the transmitted wires, which is what the channel
-carries and all the audit reads, and feeds the whole register into a
-running hash, so the digest still covers every amplitude at every message
-while memory stays flat in the number of round trips.
+carries and all the audit reads, and feeds that density into a running
+hash.  The whole register enters the hash at every gate boundary and at
+the end of the run, so the digest covers every transmitted density at
+every message and every amplitude at every gate boundary, while memory
+stays flat in the number of round trips.  Off-channel amplitudes between
+two messages of one gate are not hashed.
 """
 
 from __future__ import annotations
@@ -132,14 +135,14 @@ class Transcript:
     client_op_kinds: list[str] = field(default_factory=list)
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
-    # running hash of the full register at every recorded message
+    # running hash of each message's joint density and of the full register
+    # at every gate boundary; None in a fork, whose digest nothing reads
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
 
     def record(self, direction: str, tag: dict | None, transmitted,
                amps: np.ndarray, pad_labels=()) -> None:
         """Append one message read off the live register ``amps``."""
-        self._stream.update(amps)
         if len(transmitted) == 1:
             density = sv._partial_trace(amps, transmitted)
             wires = (density,)
@@ -151,14 +154,25 @@ class Transcript:
             for rho in wires:
                 rho.setflags(write=False)
         density.setflags(write=False)
+        if self._stream is not None:
+            # bytes, not the array: exporting its buffer would pin numpy's
+            # buffer-info cache on every stored density
+            self._stream.update(density.tobytes())
         self.messages.append(Message(direction, tag, transmitted, density,
                                      wires, pad_labels))
+
+    def hash_register(self, amps: np.ndarray) -> None:
+        """Feed the whole register into the running hash."""
+        self._stream.update(amps)
 
     def round_trips(self) -> int:
         return sum(1 for m in self.messages if m.direction == CLIENT_TO_SERVER)
 
     def digest(self) -> str:
         """Canonical sha256 of the whole exchange; replays must match it."""
+        if self._stream is None:
+            raise ProtocolError("a forked transcript keeps no running hash, "
+                                "so it has no digest")
         h = hashlib.sha256()
         head = f"{self.seed}|{self.epsilon!r}|{self.n_qubits}|{self.complete}"
         h.update(head.encode())
@@ -229,8 +243,8 @@ class Session:
 
         The fork starts from this transcript's first ``n_messages`` messages
         (a list slice: the stored densities are shared, not copied) and
-        raises ``ForkDone`` once it holds ``stop`` messages.  Its digest
-        covers only the fork's own messages, not the shared prefix.
+        raises ``ForkDone`` once it holds ``stop`` messages.  A fork keeps no
+        running hash, so its transcript has no digest.
         """
         keys = self.keys
         fork = _Fork(self.n_qubits, keys.seed,
@@ -239,6 +253,7 @@ class Session:
                      disable_pads=keys.disable_pads)
         fork.amps[:] = amps
         fork.transcript.messages = self.transcript.messages[:n_messages]
+        fork.transcript._stream = None
         fork.stop = stop
         return fork
 
@@ -246,8 +261,10 @@ class Session:
         self.transcript.markers.append(GateMarker(
             gate_index, kind, message_start, len(self.transcript.messages)
         ))
+        self.transcript.hash_register(self.amps)
 
     def finish(self) -> Transcript:
+        self.transcript.hash_register(self.amps)
         self.transcript.complete = True
         return self.transcript
 

@@ -25,6 +25,10 @@ class TestPrecisionBits:
         with pytest.raises(ValueError):
             angles.precision_bits(0.0)
 
+    def test_rejects_epsilon_whose_ratio_overflows(self):
+        with pytest.raises(ValueError, match="too small"):
+            angles.precision_bits(5e-324)
+
 
 class TestFloorExtractor:
     def test_reference_digits_for_one_radian(self):

@@ -1,6 +1,10 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +55,7 @@ class TestRun:
                      "--seed", "5"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("blindqc run report v3\n")
+        assert out.startswith("blindqc run report v4\n")
         # h and cz cost one trip each, rz costs M(M+1)/2 = 6 at M = 3
         assert "round-trips: 8" in out
         assert "transcript-digest: " in out
@@ -93,6 +97,11 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.bqc")]) == EXIT_BAD_INPUT
 
+    def test_epsilon_too_small_for_a_float_ratio(self, lowered_path, capsys):
+        code = main(["run", lowered_path, "--epsilon", "5e-324"])
+        assert code == EXIT_BAD_INPUT
+        assert "too small" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_exhaustive_audit_passes(self, lowered_path, capsys):
@@ -118,6 +127,11 @@ class TestAudit:
         report = json.loads(capsys.readouterr().out)
         assert report["mixedness"]["mode"] == "sampled"
         assert report["mixedness"]["tolerance"] == pytest.approx(0.75)
+
+    def test_epsilon_too_small_for_a_float_ratio(self, lowered_path, capsys):
+        code = main(["audit", lowered_path, "--epsilon", "5e-324"])
+        assert code == EXIT_BAD_INPUT
+        assert "too small" in capsys.readouterr().err
 
     def test_bad_mode_string(self, lowered_path):
         with pytest.raises(SystemExit) as exc:
@@ -151,3 +165,12 @@ class TestCost:
         p = tmp_path / "empty.bqc"
         p.write_text("version 1\nqubits 1\nmeasure 0\n")
         assert main(["cost", str(p)]) == EXIT_BAD_INPUT
+
+
+def test_python_dash_m_runs_the_cli(small_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "blindqc", "cost", small_path],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("blindqc cost report v1\n")

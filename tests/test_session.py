@@ -7,7 +7,7 @@ import pytest
 
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
-from blindqc.protocol import run_protocol
+from blindqc.protocol import CheckpointedRun, run_protocol
 from blindqc.session import (
     CLIENT_TO_SERVER,
     SERVER_TO_CLIENT,
@@ -201,6 +201,52 @@ class TestSession:
         for ma, mb in zip(a.messages, b.messages):
             assert np.array_equal(ma.density, mb.density)
         assert a.digest() != b.digest()
+
+    def test_digest_covers_off_channel_changes_inside_a_gate(self):
+        # the x lands between two messages of one gate and is undone after
+        # the gate, so tags, op kinds, densities and final register all agree
+        def run(wire):
+            sess = Session(3, seed=0)
+            tag = {"kind": "rotate", "angle": 0.3}
+            sess.round_trip((2,), tag, [sv.rz(0.3, 2)])
+            sess.client_apply([sv.x(wire)])
+            sess.round_trip((2,), tag, [sv.rz(0.3, 2)])
+            sess.mark_gate(0, "rz", 0)
+            sess.client_apply([sv.x(wire)])
+            return sess
+
+        a, b = run(0), run(1)
+        assert np.array_equal(a.amps, b.amps)
+        for ma, mb in zip(a.transcript.messages, b.transcript.messages):
+            assert np.array_equal(ma.density, mb.density)
+        assert a.finish().digest() != b.finish().digest()
+
+    def test_digest_covers_transmitted_densities(self):
+        # same tags, op kinds and final register; only the channel differs
+        def run(wire):
+            sess = Session(2, seed=0)
+            sess.client_apply([sv.x(wire)])
+            sess.round_trip((0,), {"kind": "rotate", "angle": 0.0}, [])
+            sess.client_apply([sv.x(wire)])
+            return sess
+
+        a, b = run(0), run(1)
+        assert np.array_equal(a.amps, b.amps)
+        assert not np.array_equal(a.transcript.messages[0].density,
+                                  b.transcript.messages[0].density)
+        assert a.finish().digest() != b.finish().digest()
+
+    def test_checkpointed_run_digest_matches_plain_run(self):
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1),
+                           sv.measure(0)))
+        plain = run_protocol(circ, 0.1, seed=6).transcript.digest()
+        assert CheckpointedRun(circ, 0.1, 6).result.transcript.digest() == plain
+
+    def test_fork_has_no_digest(self):
+        sess = Session(1, seed=0)
+        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0), stop=2)
+        with pytest.raises(ProtocolError, match="no digest"):
+            fork.transcript.digest()
 
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))
