@@ -5,33 +5,16 @@ and an interactive rotation protocol; this package simulates both state
 machines exactly (statevectors up to 12 wires), verifies the key
 algebra, audits what the server's view reveals, and evaluates the
 communication-cost crossover against compile-first baselines.
+
+The names below are the entry points behind the command line; the
+building blocks stay in their submodules (``blindqc.statevec``,
+``blindqc.paulis``, ``blindqc.angles``, ``blindqc.session``, ...).
 """
 
-from .angles import (
-    AngleDigits,
-    delegation_angle,
-    digitize,
-    impurity,
-    precision_bits,
-    reconstruct,
-    remainder,
-)
-from .audit import (
-    MixednessResult,
-    SkeletonMismatch,
-    ViewMismatch,
-    audit_circuit,
-    capability_confinement,
-    circuit_skeleton,
-    classical_view,
-    count_rounds,
-    negative_control,
-    payload_mixedness,
-    view_invariance,
-)
-from .circuits import Circuit, CircuitParseError, dumps, load, parse, save
+from .angles import precision_bits
+from .audit import audit_circuit, view_invariance
+from .circuits import Circuit, CircuitParseError, dumps, parse
 from .costs import (
-    SK_EXPONENT,
     baseline_rounds,
     cost_parametric_baseline,
     cost_proposed,
@@ -43,85 +26,18 @@ from .costs import (
     sweep,
     sweep_csv,
 )
-from .lowering import check_equivalent, euler_zxz, is_lowered, lower
-from .paulis import (
-    KeyUpdate,
-    PauliKey,
-    TGadgetUpdate,
-    all_keys,
-    decrypt,
-    encrypt,
-    key_update,
-    key_update_circuit,
-    one_time_pad_density,
-    run_t_gadget,
-    t_gadget_key_update,
-    verify_key_update,
-)
-from .protocol import (
-    BlindServer,
-    ProtocolResult,
-    RegisterCapacityError,
-    UnsupportedGateError,
-    run_protocol,
-)
-from .rzprotocol import (
-    BlockPlan,
-    RoundKeys,
-    blind_rz,
-    block_rotation,
-    digit_block_plan,
-    half_blind_rz,
-    sign_split_residual,
-    swap_schedule,
-)
-from .session import KeySource, Message, ProtocolError, Session, Transcript
-from .statevec import (
-    MAX_QUBITS,
-    DensityMatrix,
-    Gate,
-    GateOp,
-    Statevector,
-    apply,
-    apply_all,
-    equal_up_to_global_phase,
-    fidelity,
-    maximally_mixed,
-    measure_qubit,
-    new_state,
-    phase_aligned_distance,
-    random_state,
-    reduced_density,
-    trace_distance,
-)
+from .lowering import lower
+from .protocol import RegisterCapacityError, UnsupportedGateError, run_protocol
+from .statevec import MAX_QUBITS
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleDigits", "delegation_angle", "digitize", "impurity",
-    "precision_bits", "reconstruct", "remainder",
-    "MixednessResult", "SkeletonMismatch", "ViewMismatch", "audit_circuit",
-    "capability_confinement",
-    "circuit_skeleton", "classical_view", "count_rounds", "negative_control",
-    "payload_mixedness", "view_invariance",
-    "Circuit", "CircuitParseError", "dumps", "load", "parse", "save",
-    "SK_EXPONENT", "baseline_rounds", "cost_parametric_baseline",
-    "cost_proposed", "critical_ratio", "crossover_holds", "gate_census",
-    "interactive_rounds", "measured_rounds", "sweep", "sweep_csv",
-    "check_equivalent", "euler_zxz", "is_lowered", "lower",
-    "KeyUpdate", "PauliKey", "TGadgetUpdate", "all_keys", "decrypt",
-    "encrypt", "key_update", "key_update_circuit", "one_time_pad_density",
-    "run_t_gadget", "t_gadget_key_update", "verify_key_update",
-    "BlindServer", "ProtocolResult", "RegisterCapacityError",
-    "UnsupportedGateError", "run_protocol",
-    "BlockPlan", "RoundKeys", "blind_rz", "block_rotation",
-    "digit_block_plan", "half_blind_rz", "sign_split_residual",
-    "swap_schedule",
-    "KeySource", "Message", "ProtocolError", "Session", "Transcript",
-    "MAX_QUBITS", "DensityMatrix", "Gate", "GateOp", "Statevector",
-    "apply", "apply_all", "equal_up_to_global_phase", "fidelity",
-    "maximally_mixed", "measure_qubit", "new_state",
-    "phase_aligned_distance", "random_state", "reduced_density",
-    "trace_distance",
-    "__version__",
+    "Circuit", "CircuitParseError", "parse", "dumps", "lower",
+    "run_protocol", "audit_circuit", "view_invariance",
+    "gate_census", "baseline_rounds", "interactive_rounds",
+    "measured_rounds", "cost_parametric_baseline", "cost_proposed",
+    "critical_ratio", "crossover_holds", "sweep", "sweep_csv",
+    "precision_bits", "MAX_QUBITS",
+    "UnsupportedGateError", "RegisterCapacityError",
 ]

@@ -167,13 +167,3 @@ def dumps(circuit: Circuit) -> str:
             parts.append(repr(float(op.angle)))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def load(path) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def save(circuit: Circuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(circuit))

@@ -33,7 +33,7 @@ from .costs import (
     sweep_csv,
 )
 from .angles import precision_bits
-from .lowering import is_lowered, lower
+from .lowering import first_undelegable, lower
 from .protocol import (
     RegisterCapacityError,
     UnsupportedGateError,
@@ -62,13 +62,12 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _prepare(circuit: Circuit, strict: bool) -> Circuit:
-    if is_lowered(circuit):
+    bad = first_undelegable(circuit)
+    if bad is None:
         return circuit
     if strict:
-        bad = next(op.kind.value for op in circuit.ops
-                   if op.kind.value not in ("h", "cz", "rz", "measure"))
         raise UnsupportedGateError(
-            f"'{bad}' is not delegable and --strict disables lowering"
+            f"'{bad.kind.value}' is not delegable and --strict disables lowering"
         )
     return lower(circuit)
 

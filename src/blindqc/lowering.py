@@ -20,15 +20,19 @@ from .statevec import Gate, GateOp
 
 PI = math.pi
 
-# gates the server knows how to apply
+# gates the server knows how to apply; measurements stay with the client
 SERVER_KINDS = frozenset({Gate.H, Gate.CZ, Gate.RZ})
 
 
+def first_undelegable(circuit: Circuit) -> GateOp | None:
+    """The first op that is neither a server gate nor a measurement."""
+    return next((op for op in circuit.ops
+                 if op.kind not in SERVER_KINDS and op.kind is not Gate.MEASURE),
+                None)
+
+
 def is_lowered(circuit: Circuit) -> bool:
-    return all(
-        op.kind in SERVER_KINDS or op.kind is Gate.MEASURE
-        for op in circuit.ops
-    )
+    return first_undelegable(circuit) is None
 
 
 def euler_zxz(matrix: np.ndarray) -> tuple[float, float, float]:

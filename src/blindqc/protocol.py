@@ -18,11 +18,25 @@ maximally mixed to the server.  After each gate the client decrypts the
 slots through the composed key update, measures them back to |0>, and
 the slots are ready for the next gate.  Measurements in the circuit are
 performed locally by the client and never delegated.
+
+An rz gate runs one digit block per precision level m = 1..M.  In block
+m the server only rotates the transit wire by the fixed ladder pi/2^k,
+k = m..1.  The client keeps the working qubit on its own wire and swaps
+it into transit under a key-conditioned schedule (``digit_block_plan``),
+so for the block's digit (nonzero flag s, sign flag q) and fresh pads
+(a_k, b_k) the working qubit turns by exactly Rz((-1)^q * s * pi/2^m) up
+to a global phase.  The swap exponents are the ones that survive
+exhaustive numerical validation; they differ from a naive transcription
+of the published schedule in three places (the parked-wire condition is
+a_k == q rather than a_k != q, the carry product runs over rounds already
+executed, i.e. i > k, and the final round's unpad needs an extra Z when
+the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,20 +46,76 @@ from . import paulis
 from . import statevec as sv
 from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
-from .rzprotocol import (
-    PI,
-    RoundKeys,
-    digit_block_plan,
-    round_pad_ops,
-    round_unpad_ops,
-)
+from .lowering import first_undelegable
 from .session import ForkDone, Message, ProtocolError, Session, Transcript
 from .statevec import Gate, GateOp
 
+PI = math.pi
 N_SLOTS = 4
+# 2**M and pi / 2**M must stay finite floats
+MAX_DIGITS = 1023
 
-# gates the protocol can delegate (measure is handled client-side)
-DELEGABLE = frozenset({Gate.H, Gate.CZ, Gate.RZ})
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """Client actions around one server rotation Rz(pi/2^index) on transit."""
+
+    index: int
+    pair: tuple[int, int]
+    unpad_z: int
+    swap_after: int
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    nonzero: int
+    negative: int
+    initial_swap: int
+    rounds: tuple[RoundPlan, ...]
+
+
+def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
+    """Full client plan for delegating one digit; ``pairs[k-1]`` pads round k.
+
+    Rounds run k = m..1.  The working qubit must sit in transit for round k
+    exactly when every later-executed pad bit disagreed with the sign flag
+    (carry = 1); it parks for good on the first agreement.  The final
+    round's swap returns it to the parked wire when it is still in transit,
+    and its unpad folds in the base-case correction.
+    """
+    if nonzero not in (0, 1) or negative not in (0, 1):
+        raise ValueError("digit flags must be bits")
+    if nonzero == 0 and negative == 1:
+        raise ValueError("a zero digit cannot be negative")
+    s, q = nonzero, negative
+    rounds = []
+    carry = 1  # prod over i in (k, m] of (a_i xor q); empty product is 1
+    for k in range(len(pairs), 1, -1):
+        a, b = pairs[k - 1]
+        rounds.append(RoundPlan(k, (a, b), b, s * int(a == q) * carry))
+        carry *= a ^ q
+    a, b = pairs[0]
+    rounds.append(RoundPlan(1, (a, b), b ^ a ^ q, s * carry))
+    return BlockPlan(s, q, s, tuple(rounds))
+
+
+def round_pad_ops(r: RoundPlan, transit: int) -> list[GateOp]:
+    a, b = r.pair
+    ops = []
+    if b:
+        ops.append(sv.z(transit))
+    if a:
+        ops.append(sv.x(transit))
+    return ops
+
+
+def round_unpad_ops(r: RoundPlan, transit: int) -> list[GateOp]:
+    ops = []
+    if r.pair[0]:
+        ops.append(sv.x(transit))
+    if r.unpad_z:
+        ops.append(sv.z(transit))
+    return ops
 
 
 class UnsupportedGateError(ProtocolError):
@@ -106,17 +176,21 @@ class _Checkpoint(NamedTuple):
 
 def _open_session(circuit: Circuit, epsilon: float, seed: int,
                   overrides=None, disable_pads: bool = False) -> Session:
-    for op in circuit.ops:
-        if op.kind not in DELEGABLE and op.kind is not Gate.MEASURE:
-            raise UnsupportedGateError(
-                f"'{op.kind.value}' is not delegable; lower the circuit first"
-            )
+    bad = first_undelegable(circuit)
+    if bad is not None:
+        raise UnsupportedGateError(
+            f"'{bad.kind.value}' is not delegable; lower the circuit first"
+        )
     n = circuit.n_qubits
     if n + N_SLOTS > sv.MAX_QUBITS:
         raise RegisterCapacityError(
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
+    n_digits = precision_bits(epsilon)
+    if n_digits > MAX_DIGITS:
+        raise ValueError(f"epsilon {epsilon!r} needs {n_digits} digit blocks; "
+                         f"at most {MAX_DIGITS} fit a float")
     return Session(n + N_SLOTS, seed, epsilon=epsilon, overrides=overrides,
                    disable_pads=disable_pads)
 
@@ -163,22 +237,26 @@ class _Run:
                 self.session.amps.copy(),
             ))
 
-    def _delegate_block_gate(self, gate_index: int, swap_map: dict) -> None:
-        """h and cz: ride the uniform block, one round trip."""
+    def _block_trip(self, gate_index: int, padded, tag: dict,
+                    carried: tuple[RoundPlan, str] | None = None) -> None:
+        """Send the uniform block with the ``padded`` slots under their gate
+        pads, then decrypt them through the block's key update.  ``carried``
+        is (round, label) when a digit round rides the transit slot."""
         sess = self.session
-        self._draw_point(gate_index, 1)
-        for q, slot in swap_map.items():
-            sess.client_apply([sv.swap(q, slot)])
-        key, labels = self._dummy_slot_key(gate_index, self.slots)
-        sess.client_apply(paulis.pad_ops(key, qubits=self.slots))
-        tag = {"kind": "block"}
+        transit = self.slots[3]
+        key, labels = self._dummy_slot_key(gate_index, padded)
+        pad_labels = tuple(zip(padded, labels))
+        sess.client_apply(paulis.pad_ops(key, qubits=padded))
+        if carried:
+            r, label = carried
+            sess.client_apply(round_pad_ops(r, transit))
+            pad_labels += ((transit, label),)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
-                        pad_labels=tuple(zip(self.slots, labels)))
+                        pad_labels=pad_labels)
+        if carried:
+            sess.client_apply(round_unpad_ops(r, transit))
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
-        sess.client_apply(paulis.unpad_ops(upd.new_key, qubits=self.slots))
-        for q, slot in swap_map.items():
-            sess.client_apply([sv.swap(q, slot)])
-        self._reset_slots(gate_index)
+        sess.client_apply(paulis.unpad_ops(upd.new_key, qubits=padded))
 
     def _delegate_rz(self, gate_index: int, op: GateOp,
                      first_block: int = 1) -> None:
@@ -191,44 +269,24 @@ class _Run:
             self._draw_point(gate_index, m)
             if m == 1 and d.parity:
                 sess.client_apply([sv.z(q)])
-            s_m = d.nonzero_flags[m - 1]
-            q_m = d.negative_flags[m - 1]
-            round_label = {
-                k: f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)
-            }
-            keys = RoundKeys(tuple(
-                sess.keys.pad_pair(round_label[k]) for k in range(1, m + 1)
-            ))
-            plan = digit_block_plan(s_m, q_m, keys)
+            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
+            plan = digit_block_plan(
+                d.nonzero_flags[m - 1], d.negative_flags[m - 1],
+                tuple(sess.keys.pad_pair(label) for label in labels),
+            )
             if plan.initial_swap:
                 sess.client_apply([sv.swap(transit, q)])
             for r in plan.rounds:
+                label = labels[r.index - 1]
                 if m == 1:
                     # the opening round rides the uniform block message
-                    dummies = self.slots[:3]
-                    key, labels = self._dummy_slot_key(gate_index, dummies)
-                    sess.client_apply(paulis.pad_ops(key, qubits=dummies))
-                    sess.client_apply(round_pad_ops(r, transit))
-                    tag = {"kind": "block", "k": 1}
-                    sess.round_trip(
-                        self.slots, tag, self.server.ops_for(tag),
-                        pad_labels=tuple(zip(dummies, labels))
-                        + ((transit, round_label[1]),),
-                    )
-                    sess.client_apply(round_unpad_ops(r, transit))
-                    upd = paulis.key_update_circuit(
-                        [sv.h(0), sv.cz(1, 2)], key
-                    )
-                    sess.client_apply(
-                        paulis.unpad_ops(upd.new_key, qubits=dummies)
-                    )
+                    self._block_trip(gate_index, self.slots[:3],
+                                     {"kind": "block", "k": 1}, (r, label))
                 else:
                     sess.client_apply(round_pad_ops(r, transit))
                     tag = {"kind": "round", "k": r.index}
-                    sess.round_trip(
-                        (transit,), tag, self.server.ops_for(tag),
-                        pad_labels=((transit, round_label[r.index]),),
-                    )
+                    sess.round_trip((transit,), tag, self.server.ops_for(tag),
+                                    pad_labels=((transit, label),))
                     sess.client_apply(round_unpad_ops(r, transit))
                 if r.swap_after:
                     sess.client_apply([sv.swap(transit, q)])
@@ -238,9 +296,15 @@ class _Run:
         """Delegate one h, cz or rz gate; an rz gate starts at digit ``block``."""
         if op.kind is Gate.RZ:
             self._delegate_rz(gate_index, op, block)
-        else:
-            slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
-            self._delegate_block_gate(gate_index, dict(zip(op.qubits, slots)))
+            return
+        # h rides slot 1, cz slots 2 and 3
+        slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
+        swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
+        self._draw_point(gate_index, 1)
+        self.session.client_apply(swaps)
+        self._block_trip(gate_index, self.slots, {"kind": "block"})
+        self.session.client_apply(swaps)
+        self._reset_slots(gate_index)
 
     # -- driver -----------------------------------------------------------
 

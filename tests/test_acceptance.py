@@ -27,17 +27,15 @@ from blindqc.audit import (
 from blindqc.circuits import Circuit
 from blindqc.cli import main as cli_main
 from blindqc.costs import critical_ratio
-from blindqc.protocol import run_protocol
-from blindqc.rzprotocol import (
-    RoundKeys,
+from blindqc.protocol import digit_block_plan, run_protocol
+from blindqc.statevec import Gate
+from block_oracles import (
     block_rotation,
     block_unitary,
-    digit_block_plan,
     sign_split_residual,
     swap_free_working_unitary,
     working_wire_action,
 )
-from blindqc.statevec import Gate
 from conftest import digitized_reference, random_lowered_circuit, rz_error_budget
 
 PI = math.pi
@@ -155,7 +153,7 @@ def test_criterion_05_digit_block_equals_single_rotation():
     for m in range(1, 5):
         for s, q in ((0, 0), (1, 0), (1, 1)):
             for bits in itertools.product(ALL_PAIRS, repeat=m):
-                plan = digit_block_plan(s, q, RoundKeys(bits))
+                plan = digit_block_plan(s, q, bits)
                 expected = sv.rz_matrix(block_rotation(plan))
                 assert block_rotation(plan) == (-1) ** q * s * PI / 2**m
                 for w in (swap_free_working_unitary(plan),

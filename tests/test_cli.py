@@ -102,6 +102,14 @@ class TestRun:
         assert code == EXIT_BAD_INPUT
         assert "too small" in capsys.readouterr().err
 
+    def test_epsilon_needing_more_digits_than_a_float_holds(self, lowered_path,
+                                                            capsys):
+        # pi/2e-308 fits a float but needs M = 1024 digit blocks
+        code = main(["run", lowered_path, "--epsilon", "2e-308"])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "1024 digit blocks" in err and "Traceback" not in err
+
 
 class TestAudit:
     def test_exhaustive_audit_passes(self, lowered_path, capsys):
@@ -132,6 +140,14 @@ class TestAudit:
         code = main(["audit", lowered_path, "--epsilon", "5e-324"])
         assert code == EXIT_BAD_INPUT
         assert "too small" in capsys.readouterr().err
+
+    def test_epsilon_needing_more_digits_than_a_float_holds(self, lowered_path,
+                                                            capsys):
+        # pi/2e-308 fits a float but needs M = 1024 digit blocks
+        code = main(["audit", lowered_path, "--epsilon", "2e-308"])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "1024 digit blocks" in err and "Traceback" not in err
 
     def test_bad_mode_string(self, lowered_path):
         with pytest.raises(SystemExit) as exc:

@@ -145,6 +145,15 @@ class TestErrors:
         with pytest.raises(RegisterCapacityError):
             run_protocol(Circuit(9, (sv.h(0),)), EPS_M3, seed=0)
 
+    def test_digit_count_stops_at_the_float_exponent_range(self):
+        circ = Circuit(1, (sv.h(0),))
+        assert precision_bits(PI / 2**1023) == 1023
+        res = run_protocol(circ, PI / 2**1023, seed=0)
+        assert res.transcript.round_trips() == 1
+        # refused when the session opens, before any round
+        with pytest.raises(ValueError, match="1024 digit blocks"):
+            run_protocol(circ, 2e-308, seed=0)
+
     def test_server_rejects_unknown_tags(self):
         server = BlindServer(2, 3)
         with pytest.raises(ProtocolError):

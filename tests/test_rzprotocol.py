@@ -1,4 +1,4 @@
-"""Digit blocks, swap schedules, and interactive rotation delegation."""
+"""Digit blocks, swap schedules, and rz delegation through the executor."""
 
 import itertools
 import math
@@ -8,24 +8,19 @@ import pytest
 
 from blindqc import statevec as sv
 from blindqc.angles import digitize, precision_bits, reconstruct, remainder
-from blindqc.rzprotocol import (
+from blindqc.circuits import Circuit
+from blindqc.protocol import digit_block_plan, run_protocol
+from block_oracles import (
     PI,
-    RoundKeys,
-    blind_rz,
     block_ops,
     block_rotation,
     block_unitary,
-    decrypt_rz_pi2,
-    digit_block_plan,
-    half_blind_rz,
-    half_pi_key_update,
     rz_conjugation_exponent,
     sign_split_residual,
     swap_free_working_unitary,
-    swap_schedule,
     working_wire_action,
 )
-from blindqc.session import Session
+from conftest import digitized_reference
 
 ALL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -34,6 +29,10 @@ def mat_phase_dist(a: np.ndarray, b: np.ndarray) -> float:
     ip = np.trace(b.conj().T @ a)
     phase = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
     return float(np.abs(a - phase * b).max())
+
+
+def direct(*ops) -> sv.Statevector:
+    return sv.apply_all(sv.new_state(1), ops)
 
 
 class TestSignSplit:
@@ -50,58 +49,52 @@ class TestSignSplit:
 
 class TestBaseCase:
     def test_decrypt_recovers_rotation_with_tracked_phase(self):
-        rng = np.random.default_rng(5)
-        for negative in (0, 1):
-            angle = -PI / 2 if negative else PI / 2
-            for pair in ALL_PAIRS:
-                for _ in range(5):
-                    psi = sv.random_state(1, rng)
-                    padded = psi
-                    if pair[1]:
-                        padded = sv.apply(padded, sv.z(0))
-                    if pair[0]:
-                        padded = sv.apply(padded, sv.x(0))
-                    transit = sv.apply(padded, sv.rz(angle, 0))
-                    got, phase = decrypt_rz_pi2(transit, 0, pair, negative)
-                    want = sv.apply(psi, sv.rz(angle, 0))
-                    diff = got.amps - 1j**phase * want.amps
-                    assert np.abs(diff).max() < 1e-12
+        # through the executor: the m = 1 round rides the block message
+        circ = Circuit(1, (sv.h(0), sv.rz(PI / 2, 0)))
+        want = direct(*circ.ops)
+        for pair in ALL_PAIRS:
+            res = run_protocol(circ, PI / 2, seed=0,
+                               overrides={"gate1:m1:k1": pair})
+            assert sv.phase_aligned_distance(res.working_state, want) < 1e-12
 
     def test_key_update_values(self):
-        assert half_pi_key_update((1, 0)) == ((1, 1), 1)
-        assert half_pi_key_update((1, 1), negative=1) == ((1, 0), 3)
-        assert half_pi_key_update((0, 1)) == ((0, 1), 0)
+        # the last round's unpad folds Rz(pi/2) X^a Z^b = X^a Z^(a^b) Rz(pi/2)
+        # and, for a negative digit, the extra Z
+        def last_unpad_z(q, pairs):
+            return digit_block_plan(1, q, pairs).rounds[-1].unpad_z
+        assert last_unpad_z(0, ((1, 0),)) == 1
+        assert last_unpad_z(1, ((1, 1),)) == 1
+        assert last_unpad_z(0, ((0, 1),)) == 1
+        assert last_unpad_z(0, ((1, 1),)) == 0
+        plan = digit_block_plan(1, 1, ((0, 0), (1, 1)))
+        assert [r.unpad_z for r in plan.rounds] == [1, 1]
 
 
 class TestSwapSchedule:
     def test_zero_digit_never_moves_the_working_qubit(self):
-        keys = RoundKeys(((1, 0), (0, 1), (1, 1)))
-        sched = swap_schedule(0, 0, keys)
-        assert sched.initial_exponent == 0
-        assert all(s.exponent == 0 for s in sched.steps)
+        plan = digit_block_plan(0, 0, ((1, 0), (0, 1), (1, 1)))
+        assert plan.initial_swap == 0
+        assert all(r.swap_after == 0 for r in plan.rounds)
 
     def test_all_mismatched_pads_keep_working_in_transit_until_the_end(self):
         # q=0 and every a_k=1: only the initial and final swaps fire
-        keys = RoundKeys(((1, 0), (1, 1), (1, 0)))
-        sched = swap_schedule(1, 0, keys)
-        assert sched.initial_exponent == 1
-        assert [s.exponent for s in sched.steps] == [0, 0, 1]
+        plan = digit_block_plan(1, 0, ((1, 0), (1, 1), (1, 0)))
+        assert plan.initial_swap == 1
+        assert [r.swap_after for r in plan.rounds] == [0, 0, 1]
 
     def test_first_matching_pad_parks_for_good(self):
         # q=0, a_3=0 matches immediately; no later swap may fire
-        keys = RoundKeys(((1, 1), (1, 0), (0, 0)))
-        sched = swap_schedule(1, 0, keys)
-        assert sched.initial_exponent == 1
-        assert [s.exponent for s in sched.steps] == [1, 0, 0]
+        plan = digit_block_plan(1, 0, ((1, 1), (1, 0), (0, 0)))
+        assert plan.initial_swap == 1
+        assert [r.swap_after for r in plan.rounds] == [1, 0, 0]
 
     def test_rounds_are_ordered_high_k_first(self):
-        keys = RoundKeys(tuple((0, 0) for _ in range(4)))
-        plan = digit_block_plan(1, 0, keys)
+        plan = digit_block_plan(1, 0, tuple((0, 0) for _ in range(4)))
         assert [r.index for r in plan.rounds] == [4, 3, 2, 1]
 
     def test_zero_digit_rejects_negative_flag(self):
         with pytest.raises(ValueError):
-            digit_block_plan(0, 1, RoundKeys(((0, 0),)))
+            digit_block_plan(0, 1, ((0, 0),))
 
 
 class TestDigitBlock:
@@ -110,7 +103,7 @@ class TestDigitBlock:
         for m in range(1, 5):
             for s, q in ((0, 0), (1, 0), (1, 1)):
                 for bits in itertools.product(ALL_PAIRS, repeat=m):
-                    plan = digit_block_plan(s, q, RoundKeys(bits))
+                    plan = digit_block_plan(s, q, bits)
                     expected = sv.rz_matrix(block_rotation(plan))
                     w_sim = working_wire_action(block_unitary(plan))
                     w_free = swap_free_working_unitary(plan)
@@ -119,135 +112,90 @@ class TestDigitBlock:
                     assert mat_phase_dist(w_sim, w_free) < 1e-10
 
     def test_block_rotation_magnitude_set_by_round_count(self):
-        keys = RoundKeys(tuple((0, 1) for _ in range(3)))
+        keys = tuple((0, 1) for _ in range(3))
         assert block_rotation(digit_block_plan(1, 0, keys)) == PI / 8
         assert block_rotation(digit_block_plan(1, 1, keys)) == -PI / 8
         assert block_rotation(digit_block_plan(0, 0, keys)) == 0.0
 
     def test_server_sees_only_the_fixed_ladder(self):
-        keys = RoundKeys(((1, 0), (0, 1), (1, 1)))
+        keys = ((1, 0), (0, 1), (1, 1))
         ops = block_ops(digit_block_plan(1, 1, keys), 0, 1)
         angles = [op.angle for op in ops if op.kind is sv.Gate.RZ]
         assert angles == [PI / 8, PI / 4, PI / 2]
 
 
-def embed_working(psi: sv.Statevector) -> sv.Statevector:
-    """|psi> on wire 0, |0> on wire 1 (little-endian kron)."""
-    return sv.new_state(2, np.kron(np.array([1.0, 0.0]), psi.amps))
-
-
-def working_fidelity(session: Session, target: sv.Statevector) -> float:
-    rho = sv.reduced_density(session.state(), [0])
-    v = target.amps
-    return float(np.real(v.conj() @ rho.mat @ v))
-
-
-class TestHalfBlind:
-    def test_single_round_is_the_base_case(self):
-        rng = np.random.default_rng(7)
-        psi = sv.random_state(1, rng)
-        sess = Session(2, seed=3)
-        sess.load_state(embed_working(psi))
-        half_blind_rz(sess, 0, 1, 1)
-        target = sv.apply(psi, sv.rz(PI / 2, 0))
-        assert working_fidelity(sess, target) > 1 - 1e-12
-
-    def test_exhaustive_pads_m2_both_signs(self):
-        rng = np.random.default_rng(8)
-        psi = sv.random_state(1, rng)
-        for negative in (False, True):
-            angle = (-1 if negative else 1) * PI / 4
-            target = sv.apply(psi, sv.rz(angle, 0))
-            for k1 in ALL_PAIRS:
-                for k2 in ALL_PAIRS:
-                    sess = Session(2, seed=0, overrides={
-                        "halfblind/k1": k1, "halfblind/k2": k2})
-                    sess.load_state(embed_working(psi))
-                    half_blind_rz(sess, 0, 1, 2, negative=negative)
-                    assert working_fidelity(sess, target) > 1 - 1e-12
-
-    def test_m3_across_seeds(self):
-        rng = np.random.default_rng(9)
-        for seed in range(10):
-            psi = sv.random_state(1, rng)
-            sess = Session(2, seed=seed)
-            sess.load_state(embed_working(psi))
-            half_blind_rz(sess, 0, 1, 3, negative=bool(seed % 2))
-            angle = -PI / 8 if seed % 2 else PI / 8
-            target = sv.apply(psi, sv.rz(angle, 0))
-            assert working_fidelity(sess, target) > 1 - 1e-10
-
-    def test_angles_travel_in_the_clear_doubling_upward(self):
-        sess = Session(2, seed=1)
-        half_blind_rz(sess, 0, 1, 3)
-        t = sess.finish()
-        outbound = [m.tag for m in t.messages if m.tag is not None]
-        assert [m["angle"] for m in outbound] == [PI / 8, PI / 4, PI / 2]
-        assert t.round_trips() == 3
-
-
 class TestBlindRz:
+    """One rz gate through run_protocol on a single working qubit.
+
+    ``precision_bits(pi / 2**M) == M``, so ``PI / 8`` runs three digit
+    blocks.  A leading h makes the rotation visible on the working state.
+    """
+
     def test_dyadic_angle_is_exact(self):
-        rng = np.random.default_rng(10)
-        psi = sv.random_state(1, rng)
-        sess = Session(2, seed=2)
-        sess.load_state(embed_working(psi))
-        d = blind_rz(sess, 0, 1, PI / 2, 3)
-        assert reconstruct(d) == pytest.approx(PI / 2, abs=1e-15)
-        target = sv.apply(psi, sv.rz(PI / 2, 0))
-        assert working_fidelity(sess, target) > 1 - 1e-12
+        circ = Circuit(1, (sv.h(0), sv.rz(PI / 2, 0)))
+        res = run_protocol(circ, PI / 8, seed=2)
+        assert reconstruct(res.digits[1]) == pytest.approx(PI / 2, abs=1e-15)
+        assert sv.fidelity(res.working_state, direct(*circ.ops)) > 1 - 1e-12
 
     def test_round_count_and_tag_schedule_are_angle_independent(self):
         for theta in (0.0, 1.0, -2.6, PI / 2):
-            sess = Session(2, seed=4)
-            blind_rz(sess, 0, 1, theta, 3)
-            t = sess.finish()
+            res = run_protocol(Circuit(1, (sv.rz(theta, 0),)), PI / 8, seed=4)
+            t = res.transcript
             assert t.round_trips() == 6
-            ks = [m.tag["k"] for m in t.messages if m.tag is not None]
-            assert ks == [1, 2, 1, 3, 2, 1]
+            tags = [(m.tag["kind"], m.tag["k"])
+                    for m in t.messages if m.tag is not None]
+            assert tags == [("block", 1), ("round", 2), ("round", 1),
+                            ("round", 3), ("round", 2), ("round", 1)]
 
     def test_reaches_requested_precision(self):
         bits = precision_bits(1e-2)
         assert bits == 9
-        rng = np.random.default_rng(11)
-        psi = sv.random_state(1, rng)
-        sess = Session(2, seed=5)
-        sess.load_state(embed_working(psi))
-        d = blind_rz(sess, 0, 1, 1.0, bits)
-        assert sess.transcript.round_trips() == bits * (bits + 1) // 2
-        exact = sv.apply(psi, sv.rz(1.0, 0))
-        infid = 1 - working_fidelity(sess, exact)
+        circ = Circuit(1, (sv.h(0), sv.rz(1.0, 0)))
+        res = run_protocol(circ, 1e-2, seed=5)
+        d = res.digits[1]
+        assert res.transcript.round_trips() == 1 + bits * (bits + 1) // 2
+        infid = 1 - sv.fidelity(res.working_state, direct(*circ.ops))
         assert infid <= math.sin(remainder(d) / 2) ** 2 + 1e-12
-        approx = sv.apply(psi, sv.rz(reconstruct(d), 0))
-        assert working_fidelity(sess, approx) > 1 - 1e-10
+        approx = direct(sv.h(0), sv.rz(reconstruct(d), 0))
+        assert sv.fidelity(res.working_state, approx) > 1 - 1e-10
 
     def test_zero_angle_runs_the_full_schedule_and_does_nothing(self):
-        rng = np.random.default_rng(12)
-        psi = sv.random_state(1, rng)
-        sess = Session(2, seed=6)
-        sess.load_state(embed_working(psi))
-        blind_rz(sess, 0, 1, 0.0, 4)
-        assert sess.transcript.round_trips() == 10
-        assert working_fidelity(sess, psi) > 1 - 1e-12
+        res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.0, 0))), PI / 16,
+                           seed=6)
+        assert res.transcript.round_trips() == 1 + 10
+        assert sv.fidelity(res.working_state, direct(sv.h(0))) > 1 - 1e-12
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     def test_random_angles_match_their_digitization(self, extractor):
         rng = np.random.default_rng(13)
         for i in range(10):
             theta = float(rng.uniform(-2 * PI, 2 * PI))
-            psi = sv.random_state(1, rng)
-            sess = Session(2, seed=100 + i)
-            sess.load_state(embed_working(psi))
-            d = blind_rz(sess, 0, 1, theta, 4, extractor=extractor)
-            approx = sv.apply(psi, sv.rz(reconstruct(d), 0))
-            assert working_fidelity(sess, approx) > 1 - 1e-10
+            prep = float(rng.uniform(-PI, PI))
+            circ = Circuit(1, (sv.h(0), sv.rz(prep, 0), sv.h(0),
+                               sv.rz(theta, 0)))
+            res = run_protocol(circ, PI / 16, seed=100 + i,
+                               extractor=extractor)
+            assert res.digits[3] == digitize(theta, 4, extractor)
+            want = digitized_reference(circ, 4, extractor)
+            assert sv.fidelity(res.working_state, want) > 1 - 1e-10
 
     def test_negative_angle_uses_the_parity_correction(self):
-        rng = np.random.default_rng(14)
-        psi = sv.random_state(1, rng)
-        sess = Session(2, seed=7)
-        sess.load_state(embed_working(psi))
-        d = blind_rz(sess, 0, 1, -2.6, 5)
+        circ = Circuit(1, (sv.h(0), sv.rz(-2.6, 0)))
+        res = run_protocol(circ, PI / 32, seed=7)
+        d = res.digits[1]
         assert d.half_turns == -1 and d.parity == 1
-        approx = sv.apply(psi, sv.rz(reconstruct(d), 0))
-        assert working_fidelity(sess, approx) > 1 - 1e-10
+        approx = direct(sv.h(0), sv.rz(reconstruct(d), 0))
+        assert sv.fidelity(res.working_state, approx) > 1 - 1e-10
+
+    @pytest.mark.parametrize("extractor", ["floor", "balanced"])
+    def test_every_pad_of_a_digit_block_gives_its_digit(self, extractor):
+        # pi/4 at M = 2: floor digits (0, 1), balanced (1, -1), so block 2
+        # rotates by +pi/4 or -pi/4 in bare round messages
+        circ = Circuit(1, (sv.h(0), sv.rz(PI / 4, 0)))
+        want = digitized_reference(circ, 2, extractor)
+        for k1, k2 in itertools.product(ALL_PAIRS, repeat=2):
+            res = run_protocol(circ, PI / 4, seed=0, extractor=extractor,
+                               overrides={"gate1:m2:k1": k1,
+                                          "gate1:m2:k2": k2})
+            assert res.digits[1].negative_flags[1] == (extractor == "balanced")
+            assert sv.phase_aligned_distance(res.working_state, want) < 1e-12
