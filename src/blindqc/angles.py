@@ -24,7 +24,7 @@ PI = math.pi
 
 
 def precision_bits(epsilon: float) -> int:
-    """Smallest M with pi / 2^M <= epsilon (at least 1 digit)."""
+    """Smallest M with pi / 2^M <= epsilon; 1 <= M <= 1023."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     ratio = PI / epsilon
@@ -32,7 +32,11 @@ def precision_bits(epsilon: float) -> int:
         raise ValueError(f"epsilon {epsilon!r} is too small: pi/epsilon "
                          "overflows a float")
     # guard against ulp noise pushing an exact power-of-two boundary up
-    return max(1, math.ceil(math.log2(ratio) - 1e-12))
+    m = max(1, math.ceil(math.log2(ratio) - 1e-12))
+    if m > 1023:  # 2**M and pi / 2**M must stay finite floats
+        raise ValueError(f"epsilon {epsilon!r} needs {m} digit blocks; "
+                         "at most 1023 fit a float")
+    return m
 
 
 @dataclass(frozen=True)

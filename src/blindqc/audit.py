@@ -28,6 +28,7 @@ import numpy as np
 
 from .angles import precision_bits
 from .circuits import Circuit
+from .lowering import SERVER_KINDS
 from .protocol import CheckpointedRun, run_protocol
 from .session import CLIENT_TO_SERVER, KeySource, Transcript, label_digest
 from .statevec import Gate
@@ -61,11 +62,9 @@ def circuit_skeleton(circuit: Circuit) -> tuple[str, ...]:
 
 
 def classical_view(transcript: Transcript) -> tuple[str, ...]:
-    """Everything classical the server sees, in order, canonically encoded."""
-    return tuple(
-        m.tag_json() for m in transcript.messages
-        if m.direction == CLIENT_TO_SERVER
-    )
+    """Everything classical the server sees: its tags, in order."""
+    return tuple(m.tag for m in transcript.messages
+                 if m.direction == CLIENT_TO_SERVER)
 
 
 def view_digest(view: tuple[str, ...]) -> str:
@@ -147,6 +146,21 @@ def _subseed(seed: int, t: int) -> int:
     return label_digest(seed, f"sample/{t}", 8)
 
 
+def _exhaustive_checks(baseline: CheckpointedRun, seed: int, outbound):
+    """(message, wire, label, runs) per pad label, where the four runs pin
+    the label to each pair; the seed's own pair is the baseline itself."""
+    own_keys = KeySource(seed)
+    base_messages = baseline.result.transcript.messages
+    for i, msg in outbound:
+        for wire, label in msg.pad_labels:
+            own = own_keys.pad_pair(label)
+            yield i, wire, label, [
+                base_messages if pair == own else
+                baseline.replay(i, label, pair)
+                for pair in ALL_PAIRS
+            ]
+
+
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
                       mode: str = "exhaustive", samples: int = 400,
                       baseline: CheckpointedRun | None = None,
@@ -161,7 +175,6 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
     """
     if baseline is None:
         baseline = CheckpointedRun(circuit, epsilon, seed)
-    base_messages = baseline.result.transcript.messages
     outbound = _outbound(baseline.result.transcript)
 
     uncovered = []
@@ -171,55 +184,33 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
             if wire not in padded_wires:
                 uncovered.append(f"message {i} wire {wire}")
 
-    worst = 0.0
-    worst_label = None
-    inbound_worst = 0.0
-    n_checks = 0
-
     if mode == "exhaustive":
         tolerance = EXHAUSTIVE_TOLERANCE
-        own_keys = KeySource(seed)
-        for i, msg in outbound:
-            for wire, label in msg.pad_labels:
-                own = own_keys.pad_pair(label)
-                replays = [
-                    base_messages if pair == own else
-                    baseline.replay(i, label, pair)
-                    for pair in ALL_PAIRS
-                ]
-                avg_out = sum(r[i].wire_density(wire) for r in replays) / 4.0
-                avg_in = sum(r[i + 1].wire_density(wire)
-                             for r in replays) / 4.0
-                n_checks += 1
-                dist = _dist_from_mixed(avg_out)
-                if dist > worst:
-                    worst, worst_label = dist, label
-                inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
+        checks = _exhaustive_checks(baseline, seed, outbound)
     elif mode == "sampled":
         if samples < 4:
             raise ValueError("sampled mode needs at least 4 runs")
         tolerance = 3.0 / np.sqrt(samples)
-        replays = [
-            run_protocol(circuit, epsilon, _subseed(seed, t))
-            for t in range(samples)
-        ]
-        for i, msg in outbound:
-            for wire in msg.transmitted:
-                avg_out = sum(
-                    r.transcript.messages[i].wire_density(wire)
-                    for r in replays
-                ) / samples
-                avg_in = sum(
-                    r.transcript.messages[i + 1].wire_density(wire)
-                    for r in replays
-                ) / samples
-                n_checks += 1
-                dist = _dist_from_mixed(avg_out)
-                if dist > worst:
-                    worst, worst_label = dist, f"message {i} wire {wire}"
-                inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
+        runs = [run_protocol(circuit, epsilon, _subseed(seed, t))
+                .transcript.messages for t in range(samples)]
+        checks = ((i, wire, f"message {i} wire {wire}", runs)
+                  for i, msg in outbound for wire in msg.transmitted)
     else:
         raise ValueError(f"unknown mixedness mode '{mode}'")
+
+    worst = 0.0
+    worst_label = None
+    inbound_worst = 0.0
+    n_checks = 0
+    for i, wire, label, runs in checks:
+        # the wire's state averaged over the runs, on its way out and back
+        avg_out, avg_in = (sum(r[j].wire_density(wire) for r in runs)
+                           / len(runs) for j in (i, i + 1))
+        n_checks += 1
+        dist = _dist_from_mixed(avg_out)
+        if dist > worst:
+            worst, worst_label = dist, label
+        inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
 
     return MixednessResult(
         mode=mode,
@@ -262,7 +253,7 @@ def count_rounds(transcript: Transcript) -> list[dict]:
 
 # a well-formed run confines each party to its half of the gate set
 CLIENT_OP_KINDS = frozenset({"x", "z", "swap", "measure"})
-SERVER_OP_KINDS = frozenset({"h", "cz", "rz"})
+SERVER_OP_KINDS = frozenset(kind.value for kind in SERVER_KINDS)
 
 
 def capability_confinement(transcript: Transcript) -> dict:

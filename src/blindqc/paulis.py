@@ -66,12 +66,12 @@ def all_keys(n: int):
         yield PauliKey(tuple((bits[2 * i], bits[2 * i + 1]) for i in range(n)))
 
 
-def pad_ops(key: PauliKey, qubits=None) -> list[GateOp]:
-    """Gate list realizing the pad: per qubit, Z^b then X^a."""
+def pad_ops(pairs, qubits=None) -> list[GateOp]:
+    """Pad for (x, z) ``pairs``: per qubit, Z^z then X^x."""
     if qubits is None:
-        qubits = range(key.n_qubits)
+        qubits = range(len(pairs))
     ops: list[GateOp] = []
-    for (a, b), q in zip(key.pairs, qubits):
+    for (a, b), q in zip(pairs, qubits):
         if b:
             ops.append(sv.z(q))
         if a:
@@ -79,12 +79,12 @@ def pad_ops(key: PauliKey, qubits=None) -> list[GateOp]:
     return ops
 
 
-def unpad_ops(key: PauliKey, qubits=None) -> list[GateOp]:
-    """Inverse pad: per qubit, X^a then Z^b."""
+def unpad_ops(pairs, qubits=None) -> list[GateOp]:
+    """Inverse pad: per qubit, X^x then Z^z."""
     if qubits is None:
-        qubits = range(key.n_qubits)
+        qubits = range(len(pairs))
     ops: list[GateOp] = []
-    for (a, b), q in zip(key.pairs, qubits):
+    for (a, b), q in zip(pairs, qubits):
         if a:
             ops.append(sv.x(q))
         if b:
@@ -93,11 +93,11 @@ def unpad_ops(key: PauliKey, qubits=None) -> list[GateOp]:
 
 
 def encrypt(state: Statevector, key: PauliKey, qubits=None) -> Statevector:
-    return sv.apply_all(state, pad_ops(key, qubits))
+    return sv.apply_all(state, pad_ops(key.pairs, qubits))
 
 
 def decrypt(state: Statevector, key: PauliKey, qubits=None) -> Statevector:
-    return sv.apply_all(state, unpad_ops(key, qubits))
+    return sv.apply_all(state, unpad_ops(key.pairs, qubits))
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,6 @@ class KeyUpdate:
     new_key: PauliKey
     phase_exponent: int
     corrections: tuple[GateOp, ...] = ()
-
-
-SUPPORTED_UPDATES = (Gate.H, Gate.S, Gate.CX, Gate.CZ, Gate.CCX)
 
 
 def key_update(op: GateOp, key: PauliKey) -> KeyUpdate:

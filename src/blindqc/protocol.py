@@ -52,8 +52,16 @@ from .statevec import Gate, GateOp
 
 PI = math.pi
 N_SLOTS = 4
-# 2**M and pi / 2**M must stay finite floats
-MAX_DIGITS = 1023
+
+# The server's whole classical vocabulary, spelled as the canonical JSON
+# (sorted keys, no spaces) that crosses the channel.
+BLOCK_TAG = '{"kind":"block"}'
+OPENING_TAG = '{"k":1,"kind":"block"}'
+
+
+def round_tag(k: int) -> str:
+    """Tag of the single-wire round that rotates transit by pi/2^k."""
+    return f'{{"k":{k},"kind":"round"}}'
 
 
 @dataclass(frozen=True)
@@ -99,25 +107,6 @@ def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
     return BlockPlan(s, q, s, tuple(rounds))
 
 
-def round_pad_ops(r: RoundPlan, transit: int) -> list[GateOp]:
-    a, b = r.pair
-    ops = []
-    if b:
-        ops.append(sv.z(transit))
-    if a:
-        ops.append(sv.x(transit))
-    return ops
-
-
-def round_unpad_ops(r: RoundPlan, transit: int) -> list[GateOp]:
-    ops = []
-    if r.pair[0]:
-        ops.append(sv.x(transit))
-    if r.unpad_z:
-        ops.append(sv.z(transit))
-    return ops
-
-
 class UnsupportedGateError(ProtocolError):
     """Circuit contains a gate outside {h, cz, rz, measure}."""
 
@@ -127,33 +116,31 @@ class RegisterCapacityError(ProtocolError):
 
 
 class BlindServer:
-    """The fixed tag dispatch; these are the only gates the server runs."""
+    """The fixed tag dispatch; these are the only gates the server runs.
+
+    A tag is the canonical string that crossed the channel: ``BLOCK_TAG``,
+    ``OPENING_TAG`` or ``round_tag(k)`` for k = 1..n_digits.  Any other
+    string, a different spelling of a valid tag included, is refused.
+    """
 
     def __init__(self, n_working: int, n_digits: int):
         self.slot_wires = tuple(range(n_working, n_working + N_SLOTS))
         self.n_digits = n_digits
+        self._rounds = {round_tag(k): k for k in range(1, n_digits + 1)}
 
-    def ops_for(self, tag: dict) -> list[GateOp]:
+    def ops_for(self, tag: str) -> list[GateOp]:
         s1, s2, s3, s4 = self.slot_wires
-        kind = tag.get("kind")
-        if kind == "block":
-            k = tag.get("k")
-            if k is None:
-                # one-shot rotation covering the whole ladder budget
-                angle = PI - PI / 2**self.n_digits
-            elif int(k) == 1:
-                angle = PI / 2
-            else:
-                raise ProtocolError(f"block message cannot carry round {k}")
-            return [sv.h(s1), sv.cz(s2, s3), sv.rz(angle, s4)]
-        if kind == "round":
-            k = int(tag.get("k", 0))
-            if not 1 <= k <= self.n_digits:
-                raise ProtocolError(
-                    f"round index {k} outside 1..{self.n_digits}"
-                )
+        k = self._rounds.get(tag)
+        if k is not None:
             return [sv.rz(PI / 2**k, s4)]
-        raise ProtocolError(f"server cannot satisfy tag {tag}")
+        if tag == BLOCK_TAG:
+            # one-shot rotation covering the whole ladder budget
+            angle = PI - PI / 2**self.n_digits
+        elif tag == OPENING_TAG:
+            angle = PI / 2
+        else:
+            raise ProtocolError(f"server cannot satisfy tag {tag!r}")
+        return [sv.h(s1), sv.cz(s2, s3), sv.rz(angle, s4)]
 
 
 @dataclass(frozen=True)
@@ -187,10 +174,6 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int,
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
-    n_digits = precision_bits(epsilon)
-    if n_digits > MAX_DIGITS:
-        raise ValueError(f"epsilon {epsilon!r} needs {n_digits} digit blocks; "
-                         f"at most {MAX_DIGITS} fit a float")
     return Session(n + N_SLOTS, seed, epsilon=epsilon, overrides=overrides,
                    disable_pads=disable_pads)
 
@@ -237,7 +220,7 @@ class _Run:
                 self.session.amps.copy(),
             ))
 
-    def _block_trip(self, gate_index: int, padded, tag: dict,
+    def _block_trip(self, gate_index: int, padded, tag: str,
                     carried: tuple[RoundPlan, str] | None = None) -> None:
         """Send the uniform block with the ``padded`` slots under their gate
         pads, then decrypt them through the block's key update.  ``carried``
@@ -246,17 +229,18 @@ class _Run:
         transit = self.slots[3]
         key, labels = self._dummy_slot_key(gate_index, padded)
         pad_labels = tuple(zip(padded, labels))
-        sess.client_apply(paulis.pad_ops(key, qubits=padded))
+        sess.client_apply(paulis.pad_ops(key.pairs, qubits=padded))
         if carried:
             r, label = carried
-            sess.client_apply(round_pad_ops(r, transit))
+            sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
             pad_labels += ((transit, label),)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
         if carried:
-            sess.client_apply(round_unpad_ops(r, transit))
+            sess.client_apply(
+                paulis.unpad_ops(((r.pair[0], r.unpad_z),), (transit,)))
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
-        sess.client_apply(paulis.unpad_ops(upd.new_key, qubits=padded))
+        sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
 
     def _delegate_rz(self, gate_index: int, op: GateOp,
                      first_block: int = 1) -> None:
@@ -280,14 +264,15 @@ class _Run:
                 label = labels[r.index - 1]
                 if m == 1:
                     # the opening round rides the uniform block message
-                    self._block_trip(gate_index, self.slots[:3],
-                                     {"kind": "block", "k": 1}, (r, label))
+                    self._block_trip(gate_index, self.slots[:3], OPENING_TAG,
+                                     (r, label))
                 else:
-                    sess.client_apply(round_pad_ops(r, transit))
-                    tag = {"kind": "round", "k": r.index}
+                    sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
+                    tag = round_tag(r.index)
                     sess.round_trip((transit,), tag, self.server.ops_for(tag),
                                     pad_labels=((transit, label),))
-                    sess.client_apply(round_unpad_ops(r, transit))
+                    sess.client_apply(paulis.unpad_ops(
+                        ((r.pair[0], r.unpad_z),), (transit,)))
                 if r.swap_after:
                     sess.client_apply([sv.swap(transit, q)])
         self._reset_slots(gate_index)
@@ -302,7 +287,7 @@ class _Run:
         swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
         self._draw_point(gate_index, 1)
         self.session.client_apply(swaps)
-        self._block_trip(gate_index, self.slots, {"kind": "block"})
+        self._block_trip(gate_index, self.slots, BLOCK_TAG)
         self.session.client_apply(swaps)
         self._reset_slots(gate_index)
 

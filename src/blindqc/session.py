@@ -23,7 +23,6 @@ two messages of one gate are not hashed.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,10 +33,6 @@ from .statevec import Statevector
 
 CLIENT_TO_SERVER = "client->server"
 SERVER_TO_CLIENT = "server->client"
-
-
-# canonical tag encoding, built once: json.dumps would rebuild it per call
-_TAG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class ProtocolError(Exception):
@@ -87,24 +82,22 @@ class KeySource:
 class Message(NamedTuple):
     """One direction of one round trip (an immutable record).
 
-    ``transmitted`` lists the wires actually on the channel.  ``density``
-    is their joint reduced state at transmission time, with the lowest
-    transmitted wire as the least significant bit, and ``wire_densities``
-    holds each transmitted wire's own 2x2 state in ``transmitted`` order;
-    all are read-only.  ``pad_labels`` maps each transmitted wire to the
-    key label currently protecting it (outbound only; used by the
-    mixedness audit).
+    ``tag`` is the classical tag exactly as it crossed the channel, a
+    canonical JSON string (``None`` on a reply).  ``transmitted`` lists the
+    wires actually on the channel.  ``density`` is their joint reduced state
+    at transmission time, with the lowest transmitted wire as the least
+    significant bit, and ``wire_densities`` holds each transmitted wire's
+    own 2x2 state in ``transmitted`` order; all are read-only.
+    ``pad_labels`` maps each transmitted wire to the key label currently
+    protecting it (outbound only; used by the mixedness audit).
     """
 
     direction: str
-    tag: dict | None
+    tag: str | None
     transmitted: tuple[int, ...]
     density: np.ndarray
     wire_densities: tuple[np.ndarray, ...]
     pad_labels: tuple[tuple[int, str], ...] = ()
-
-    def tag_json(self) -> str:
-        return _TAG_ENCODER.encode(self.tag)
 
     def payload_density(self) -> sv.DensityMatrix:
         """Reduced state of the transmitted wires (what the channel carries)."""
@@ -140,7 +133,7 @@ class Transcript:
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
 
-    def record(self, direction: str, tag: dict | None, transmitted,
+    def record(self, direction: str, tag: str | None, transmitted,
                amps: np.ndarray, pad_labels=()) -> None:
         """Append one message read off the live register ``amps``."""
         if len(transmitted) == 1:
@@ -177,8 +170,8 @@ class Transcript:
         head = f"{self.seed}|{self.epsilon!r}|{self.n_qubits}|{self.complete}"
         h.update(head.encode())
         h.update("".join(
-            f"{m.direction}{m.tag_json()}{m.transmitted!r}"
-            for m in self.messages
+            f"{m.direction}{'null' if m.tag is None else m.tag}"
+            f"{m.transmitted!r}" for m in self.messages
         ).encode())
         h.update(self._stream.digest())
         for mk in self.markers:
@@ -225,11 +218,11 @@ class Session:
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
-    def round_trip(self, transmitted, tag: dict, server_ops,
+    def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
         """Send ``transmitted`` wires with ``tag``; server applies its gates."""
         transmitted = tuple(transmitted)
-        self.transcript.record(CLIENT_TO_SERVER, dict(tag), transmitted,
+        self.transcript.record(CLIENT_TO_SERVER, tag, transmitted,
                                self.amps, tuple(pad_labels))
         for op in server_ops:
             sv._apply_op(self.amps, op)

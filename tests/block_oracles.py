@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from blindqc import statevec as sv
-from blindqc.protocol import BlockPlan, round_pad_ops, round_unpad_ops
+from blindqc.paulis import pad_ops, unpad_ops
+from blindqc.protocol import BlockPlan
 from blindqc.statevec import GateOp
 
 PI = math.pi
@@ -66,9 +67,9 @@ def block_ops(plan: BlockPlan, transit: int, parked: int) -> list[GateOp]:
     if plan.initial_swap:
         ops.append(sv.swap(transit, parked))
     for r in plan.rounds:
-        ops += round_pad_ops(r, transit)
+        ops += pad_ops((r.pair,), (transit,))
         ops.append(sv.rz(PI / 2**r.index, transit))
-        ops += round_unpad_ops(r, transit)
+        ops += unpad_ops(((r.pair[0], r.unpad_z),), (transit,))
         if r.swap_after:
             ops.append(sv.swap(transit, parked))
     return ops

@@ -177,6 +177,16 @@ class TestCost:
         assert main(["cost", small_path, "--epsilon", "0.9"]) == EXIT_BAD_INPUT
         assert "1/e" in capsys.readouterr().err
 
+    def test_epsilon_needing_more_digits_than_a_float_holds(self, small_path,
+                                                            capsys):
+        # the same cap run and audit apply: M = 1024 is refused
+        code = main(["cost", small_path, "--epsilon", "2e-308"])
+        assert code == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1024 digit blocks" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_empty_circuit_cannot_be_costed(self, tmp_path):
         p = tmp_path / "empty.bqc"
         p.write_text("version 1\nqubits 1\nmeasure 0\n")

@@ -1,5 +1,6 @@
 """Full delegated execution against direct simulation."""
 
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.circuits import Circuit
 from blindqc.protocol import (
+    BLOCK_TAG,
+    OPENING_TAG,
     BlindServer,
     RegisterCapacityError,
     UnsupportedGateError,
+    round_tag,
     run_protocol,
 )
 from blindqc.session import ProtocolError
@@ -54,10 +58,10 @@ class TestSingleGates:
         # h costs one trip, rz costs M(M+1)/2 = 6
         assert res.transcript.round_trips() == 7
         tags = [m.tag for m in res.transcript.messages if m.tag is not None]
-        assert tags[0] == {"kind": "block"}
-        assert tags[1] == {"kind": "block", "k": 1}
-        assert [t["k"] for t in tags[2:]] == [2, 1, 3, 2, 1]
-        assert all(t["kind"] == "round" for t in tags[2:])
+        assert tags[0] == '{"kind":"block"}'
+        assert tags[1] == '{"k":1,"kind":"block"}'
+        assert tags[2:] == [f'{{"k":{k},"kind":"round"}}'
+                            for k in (2, 1, 3, 2, 1)]
         assert sv.phase_aligned_distance(
             res.working_state,
             digitized_reference(circ, 3)) < 1e-10
@@ -150,23 +154,36 @@ class TestErrors:
         assert precision_bits(PI / 2**1023) == 1023
         res = run_protocol(circ, PI / 2**1023, seed=0)
         assert res.transcript.round_trips() == 1
-        # refused when the session opens, before any round
+        # refused before any round
         with pytest.raises(ValueError, match="1024 digit blocks"):
             run_protocol(circ, 2e-308, seed=0)
 
     def test_server_rejects_unknown_tags(self):
         server = BlindServer(2, 3)
-        with pytest.raises(ProtocolError):
-            server.ops_for({"kind": "teleport"})
-        with pytest.raises(ProtocolError):
-            server.ops_for({"kind": "round", "k": 9})
-        with pytest.raises(ProtocolError):
-            server.ops_for({"kind": "block", "k": 2})
+        for tag in ('{"kind":"teleport"}', round_tag(0), round_tag(4),
+                    round_tag(9), '{"k":2,"kind":"block"}',
+                    # valid tags spelled any way but the canonical one
+                    '{"kind":"round","k":2}', '{"k": 2, "kind": "round"}',
+                    '{"k":"2","kind":"round"}', '{"kind": "block"}'):
+            with pytest.raises(ProtocolError):
+                server.ops_for(tag)
+        assert server.ops_for(round_tag(3))[0].angle == pytest.approx(PI / 8)
 
     def test_server_block_angles(self):
         server = BlindServer(1, 3)
-        plain = server.ops_for({"kind": "block"})
-        first = server.ops_for({"kind": "block", "k": 1})
+        plain = server.ops_for(BLOCK_TAG)
+        first = server.ops_for(OPENING_TAG)
         assert [op.kind.value for op in plain] == ["h", "cz", "rz"]
         assert plain[2].angle == pytest.approx(PI - PI / 8)
         assert first[2].angle == pytest.approx(PI / 2)
+
+
+class TestTags:
+    def test_tags_are_canonical_json(self):
+        def canonical(tag):
+            return json.dumps(tag, sort_keys=True, separators=(",", ":"))
+
+        assert BLOCK_TAG == canonical({"kind": "block"})
+        assert OPENING_TAG == canonical({"kind": "block", "k": 1})
+        for k in range(1, 1024):
+            assert round_tag(k) == canonical({"kind": "round", "k": k})

@@ -1,11 +1,15 @@
-"""The package's top-level names are exactly the entry points the README lists."""
+"""The package's top-level names are exactly the entry points the README
+lists, and every name the benchmark traces still exists."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import blindqc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def documented_names() -> list[str]:
@@ -31,3 +35,18 @@ def test_star_import_exposes_nothing_else():
     exec("from blindqc import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(blindqc.__all__)
+
+
+def test_traced_boundaries_resolve():
+    # the benchmark wraps these names from outside; a rename must fail here
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BOUNDARIES
+    for _, module, attr in tracing.BOUNDARIES:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{module}:{attr} is gone"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}:{attr} is not callable"

@@ -9,7 +9,12 @@ import pytest
 from blindqc import statevec as sv
 from blindqc.angles import digitize, precision_bits, reconstruct, remainder
 from blindqc.circuits import Circuit
-from blindqc.protocol import digit_block_plan, run_protocol
+from blindqc.protocol import (
+    OPENING_TAG,
+    digit_block_plan,
+    round_tag,
+    run_protocol,
+)
 from block_oracles import (
     PI,
     block_ops,
@@ -142,10 +147,9 @@ class TestBlindRz:
             res = run_protocol(Circuit(1, (sv.rz(theta, 0),)), PI / 8, seed=4)
             t = res.transcript
             assert t.round_trips() == 6
-            tags = [(m.tag["kind"], m.tag["k"])
-                    for m in t.messages if m.tag is not None]
-            assert tags == [("block", 1), ("round", 2), ("round", 1),
-                            ("round", 3), ("round", 2), ("round", 1)]
+            tags = [m.tag for m in t.messages if m.tag is not None]
+            assert tags == [OPENING_TAG] + [round_tag(k)
+                                            for k in (2, 1, 3, 2, 1)]
 
     def test_reaches_requested_precision(self):
         bits = precision_bits(1e-2)
