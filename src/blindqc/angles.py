@@ -25,8 +25,9 @@ PI = math.pi
 
 def precision_bits(epsilon: float) -> int:
     """Smallest M with pi / 2^M <= epsilon; 1 <= M <= 1023."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also refuses nan
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
     ratio = PI / epsilon
     if math.isinf(ratio):
         raise ValueError(f"epsilon {epsilon!r} is too small: pi/epsilon "

@@ -9,10 +9,9 @@ checks both halves:
   or gate choices within a message class;
 * payload mixedness: averaged over the one-time pad protecting it, each
   transmitted wire must be exactly maximally mixed at the moment it
-  crosses the channel.  The exhaustive mode averages the protocol run
-  under all four values of each pad label (the twirl is then exact,
-  tolerance 1e-10); the sampled mode averages fresh-seed runs and uses a
-  3/sqrt(N) tolerance.
+  crosses the channel.  The audit averages the protocol run under all
+  four values of each pad label, so the twirl is exact (tolerance 1e-10)
+  and its cost is linear in round trips.
 
 A negative control reruns the protocol with pads disabled and requires
 some transmitted wire to sit far from maximally mixed, guarding against
@@ -30,7 +29,7 @@ from .angles import precision_bits
 from .circuits import Circuit
 from .lowering import SERVER_KINDS
 from .protocol import CheckpointedRun, run_protocol
-from .session import CLIENT_TO_SERVER, KeySource, Transcript, label_digest
+from .session import CLIENT_TO_SERVER, KeySource, Transcript
 from .statevec import Gate
 
 AUDIT_VERSION = 2
@@ -142,84 +141,55 @@ def _dist_from_mixed(rho: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-def _subseed(seed: int, t: int) -> int:
-    return label_digest(seed, f"sample/{t}", 8)
-
-
-def _exhaustive_checks(baseline: CheckpointedRun, seed: int, outbound):
-    """(message, wire, label, runs) per pad label, where the four runs pin
-    the label to each pair; the seed's own pair is the baseline itself."""
-    own_keys = KeySource(seed)
-    base_messages = baseline.result.transcript.messages
-    for i, msg in outbound:
-        for wire, label in msg.pad_labels:
-            own = own_keys.pad_pair(label)
-            yield i, wire, label, [
-                base_messages if pair == own else
-                baseline.replay(i, label, pair)
-                for pair in ALL_PAIRS
-            ]
-
-
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
-                      mode: str = "exhaustive", samples: int = 400,
                       baseline: CheckpointedRun | None = None,
                       ) -> MixednessResult:
     """Check every transmitted wire is maximally mixed on the channel.
 
-    ``baseline`` is the checkpointed run for ``seed`` when the caller
-    already has it.  Exhaustive replays fork it where their label is drawn
+    Each pad label is pinned to all four pairs and the wire's densities on
+    its way out and back are averaged in ``ALL_PAIRS`` order: an exact
+    Pauli twirl.  ``baseline`` is the checkpointed run for ``seed`` when
+    the caller already has it.  Replays fork it where their label is drawn
     and stop at the reply to the message the label pads.  Keys are
     label-addressed, so the replay that pins a label to the pair the seed
     draws anyway is the baseline itself and is not run again.
     """
     if baseline is None:
         baseline = CheckpointedRun(circuit, epsilon, seed)
+    own_keys = KeySource(seed)
+    base_messages = baseline.result.transcript.messages
     outbound = _outbound(baseline.result.transcript)
 
     uncovered = []
-    for i, msg in outbound:
-        padded_wires = {w for w, _ in msg.pad_labels}
-        for wire in msg.transmitted:
-            if wire not in padded_wires:
-                uncovered.append(f"message {i} wire {wire}")
-
-    if mode == "exhaustive":
-        tolerance = EXHAUSTIVE_TOLERANCE
-        checks = _exhaustive_checks(baseline, seed, outbound)
-    elif mode == "sampled":
-        if samples < 4:
-            raise ValueError("sampled mode needs at least 4 runs")
-        tolerance = 3.0 / np.sqrt(samples)
-        runs = [run_protocol(circuit, epsilon, _subseed(seed, t))
-                .transcript.messages for t in range(samples)]
-        checks = ((i, wire, f"message {i} wire {wire}", runs)
-                  for i, msg in outbound for wire in msg.transmitted)
-    else:
-        raise ValueError(f"unknown mixedness mode '{mode}'")
-
     worst = 0.0
     worst_label = None
     inbound_worst = 0.0
     n_checks = 0
-    for i, wire, label, runs in checks:
-        # the wire's state averaged over the runs, on its way out and back
-        avg_out, avg_in = (sum(r[j].wire_density(wire) for r in runs)
-                           / len(runs) for j in (i, i + 1))
-        n_checks += 1
-        dist = _dist_from_mixed(avg_out)
-        if dist > worst:
-            worst, worst_label = dist, label
-        inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
+    for i, msg in outbound:
+        padded_wires = {w for w, _ in msg.pad_labels}
+        uncovered += [f"message {i} wire {wire}" for wire in msg.transmitted
+                      if wire not in padded_wires]
+        for wire, label in msg.pad_labels:
+            own = own_keys.pad_pair(label)
+            runs = [base_messages if pair == own else
+                    baseline.replay(i, label, pair) for pair in ALL_PAIRS]
+            # the wire's state averaged over the pairs, on its way out and back
+            avg_out, avg_in = (sum(r[j].wire_density(wire) for r in runs) / 4
+                               for j in (i, i + 1))
+            n_checks += 1
+            dist = _dist_from_mixed(avg_out)
+            if dist > worst:
+                worst, worst_label = dist, label
+            inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
 
     return MixednessResult(
-        mode=mode,
+        mode="exhaustive",
         n_messages=len(outbound),
         n_checks=n_checks,
         worst_distance=worst,
         worst_label=worst_label,
         inbound_worst_distance=inbound_worst,
-        tolerance=tolerance,
+        tolerance=EXHAUSTIVE_TOLERANCE,
         uncovered=tuple(uncovered),
     )
 
@@ -270,13 +240,17 @@ def capability_confinement(transcript: Transcript) -> dict:
 
 
 def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
-                  mode: str = "exhaustive", samples: int = 400) -> dict:
-    """Full audit report as a JSON-ready dict; deterministic per seed."""
+                  mode: str = "exhaustive") -> dict:
+    """Full audit report as a JSON-ready dict; deterministic per seed.
+
+    ``mode`` names the mixedness check; ``"exhaustive"`` is the only one.
+    """
+    if mode != "exhaustive":
+        raise ValueError(f"unknown mixedness mode {mode!r}")
     baseline = CheckpointedRun(circuit, epsilon, seed)
     result = baseline.result
     view = classical_view(result.transcript)
-    mixed = payload_mixedness(circuit, epsilon, seed, mode=mode,
-                              samples=samples, baseline=baseline)
+    mixed = payload_mixedness(circuit, epsilon, seed, baseline=baseline)
     control = negative_control(circuit, epsilon, seed)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)

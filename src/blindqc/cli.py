@@ -2,9 +2,9 @@
 
 Subcommands: ``lower`` rewrites a circuit into the delegable gate set,
 ``run`` executes a circuit through the delegation protocol, ``audit``
-produces the blindness report, and ``cost`` evaluates the communication
-cost model.  All reports are versioned and deterministic: same inputs
-and seed, same bytes.
+produces the blindness report from exhaustive pad replays, and ``cost``
+evaluates the communication cost model.  All reports are versioned and
+deterministic: same inputs and seed, same bytes.
 
 Exit codes: 0 success, 1 audit failure, 2 unreadable or malformed
 input, 3 gate outside the delegable set under --strict, 4 register
@@ -72,22 +72,6 @@ def _prepare(circuit: Circuit, strict: bool) -> Circuit:
     return lower(circuit)
 
 
-def _parse_mode(text: str) -> tuple[str, int]:
-    if text == "exhaustive":
-        return "exhaustive", 0
-    if text.startswith("sampled:"):
-        try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad sample count in '{text}'"
-            ) from None
-        return "sampled", n
-    raise argparse.ArgumentTypeError(
-        f"mode must be 'exhaustive' or 'sampled:<runs>', got '{text}'"
-    )
-
-
 def cmd_lower(args) -> int:
     circuit = _read_circuit(args.circuit)
     _emit(args.out, dumps(lower(circuit)))
@@ -125,9 +109,7 @@ def cmd_run(args) -> int:
 def cmd_audit(args) -> int:
     circuit = _read_circuit(args.circuit)
     lowered = _prepare(circuit, args.strict)
-    mode, samples = args.mode
-    report = audit_circuit(lowered, args.epsilon, args.seed, mode=mode,
-                           samples=samples or 400)
+    report = audit_circuit(lowered, args.epsilon, args.seed, mode=args.mode)
     _emit(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report["pass"] else EXIT_AUDIT_FAILED
 
@@ -190,9 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("circuit")
     p_audit.add_argument("--epsilon", type=float, default=1e-2)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--mode", type=_parse_mode,
-                         default=("exhaustive", 0),
-                         help="exhaustive or sampled:<runs>")
+    p_audit.add_argument("--mode", choices=("exhaustive",),
+                         default="exhaustive",
+                         help="mixedness check: every pad label under all "
+                              "four pairs")
     p_audit.add_argument("--strict", action="store_true")
     p_audit.add_argument("--out")
     p_audit.set_defaults(func=cmd_audit)

@@ -36,6 +36,7 @@ the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -192,6 +193,13 @@ class _Run:
         self.digits: dict[int, AngleDigits] = {}
         self.outcomes: dict[int, int] = {}
 
+    def on(self, session: Session) -> "_Run":
+        """This run's circuit, slots and server, driving ``session``."""
+        run = copy.copy(self)
+        run.session, run.checkpoints = session, None
+        run.digits, run.outcomes = {}, {}
+        return run
+
     # -- slot plumbing ----------------------------------------------------
 
     def _dummy_slot_key(self, gate_index: int, slots):
@@ -342,12 +350,11 @@ class CheckpointedRun:
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
-        self._circuit = circuit
-        self._epsilon = epsilon
         self._session = _open_session(circuit, epsilon, seed)
         self._checkpoints: list[_Checkpoint] = []
-        self.result = _Run(circuit, epsilon, self._session,
-                           checkpoints=self._checkpoints).run()
+        self._run = _Run(circuit, epsilon, self._session,
+                         checkpoints=self._checkpoints)
+        self.result = self._run.run()
         self._starts = [cp.n_messages for cp in self._checkpoints]
 
     def replay(self, message: int, label: str, pair) -> list[Message]:
@@ -360,8 +367,9 @@ class CheckpointedRun:
         fork = self._session.fork(cp.amps, cp.n_messages, label, pair,
                                   stop=message + 2)
         try:
-            _Run(self._circuit, self._epsilon, fork)._delegate(
-                cp.gate_index, self._circuit.ops[cp.gate_index], cp.block)
+            # every fork reuses the baseline's server and its tag table
+            self._run.on(fork)._delegate(
+                cp.gate_index, self._run.circuit.ops[cp.gate_index], cp.block)
         except ForkDone:
             pass
         return fork.transcript.messages

@@ -25,6 +25,11 @@ class TestPrecisionBits:
         with pytest.raises(ValueError):
             angles.precision_bits(0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, epsilon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            angles.precision_bits(epsilon)
+
     def test_rejects_epsilon_whose_ratio_overflows(self):
         with pytest.raises(ValueError, match="too small"):
             angles.precision_bits(5e-324)

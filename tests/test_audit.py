@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blindqc import audit
+from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import (
@@ -118,27 +118,11 @@ class TestMixedness:
         res = payload_mixedness(circ, EPS_M2, seed=5)
         assert res.passed and res.worst_distance < 1e-10
 
-    def test_sampled_mode_converges(self):
-        circ = Circuit(1, (sv.h(0), sv.rz(0.4, 0)))
-        res = payload_mixedness(circ, EPS_M2, seed=6, mode="sampled",
-                                samples=64)
-        assert res.tolerance == pytest.approx(3 / 8)
-        assert res.worst_distance <= res.tolerance
-        assert res.passed
-
-    def test_sampled_subseeds_are_pinned(self):
-        # sampled audits stay reproducible only while these seeds hold
-        assert audit._subseed(7, 3) == 16006896925768813596
-
-    def test_sampled_mode_needs_enough_runs(self):
-        with pytest.raises(ValueError):
-            payload_mixedness(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
-                              mode="sampled", samples=2)
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            payload_mixedness(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
-                              mode="full")
+        for mode in ("sampled", "full"):
+            with pytest.raises(ValueError, match="mode"):
+                audit_circuit(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
+                              mode=mode)
 
 
 class TestReplayReuse:
@@ -204,6 +188,20 @@ class TestReplayReuse:
                         assert np.array_equal(a.density, b.density)
                         for x, y in zip(a.wire_densities, b.wire_densities):
                             assert np.array_equal(x, y)
+
+    def test_one_server_per_protocol_run(self, monkeypatch):
+        built = []
+        server = protocol.BlindServer
+
+        def counting_server(*args, **kwargs):
+            built.append(args)
+            return server(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "BlindServer", counting_server)
+        report = audit_circuit(self.CIRC, EPS_M2, seed=4)
+        assert report["mixedness"]["n_checks"] == 18
+        # the baseline's server serves every fork; the control builds its own
+        assert len(built) == 2
 
     def test_replay_refuses_a_label_that_does_not_pad_the_message(self):
         base = CheckpointedRun(self.CIRC, EPS_M2, seed=4)
@@ -360,8 +358,8 @@ class TestReport:
         assert report["pass"] is True
 
     def test_report_flags_disable_pads_failure_mode(self):
-        # sampled mixedness on unpadded traffic must fail; we emulate by
-        # checking the negative-control figure exceeds the pass threshold
+        # pads disabled, the traffic is far from mixed: the negative
+        # control's distance must clear the threshold the report gates on
         circ = Circuit(1, (sv.h(0),))
         report = audit_circuit(circ, EPS_M2, seed=11)
         assert report["negative_control"]["max_distance"] >= 0.4

@@ -97,6 +97,13 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.bqc")]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e400"])
+    def test_non_finite_epsilon(self, lowered_path, capsys, epsilon):
+        code = main(["run", lowered_path, "--epsilon", epsilon])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "epsilon must be positive and finite" in err
+
     def test_epsilon_too_small_for_a_float_ratio(self, lowered_path, capsys):
         code = main(["run", lowered_path, "--epsilon", "5e-324"])
         assert code == EXIT_BAD_INPUT
@@ -126,15 +133,17 @@ class TestAudit:
         main(["audit", lowered_path, "--epsilon", "0.4"])
         assert capsys.readouterr().out == first
 
-    def test_sampled_mode(self, tmp_path, capsys):
-        p = tmp_path / "one.bqc"
-        p.write_text("version 1\nqubits 1\nh 0\n")
-        code = main(["audit", str(p), "--epsilon", "0.4",
-                     "--mode", "sampled:16"])
-        assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert report["mixedness"]["mode"] == "sampled"
-        assert report["mixedness"]["tolerance"] == pytest.approx(0.75)
+    def test_sampled_mode_is_gone(self, lowered_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", lowered_path, "--mode", "sampled:16"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e400"])
+    def test_non_finite_epsilon(self, lowered_path, capsys, epsilon):
+        code = main(["audit", lowered_path, "--epsilon", epsilon])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "epsilon must be positive and finite" in err
 
     def test_epsilon_too_small_for_a_float_ratio(self, lowered_path, capsys):
         code = main(["audit", lowered_path, "--epsilon", "5e-324"])
