@@ -121,6 +121,8 @@ def cmd_cost(args) -> int:
     if total == 0:
         raise CircuitParseError("circuit has no gates to cost")
     ratio = n_p / total
+    # first, so an epsilon no run accepts gets the message run and audit give
+    per_rotation = measured_rounds(args.epsilon)
     lines = [
         f"blindqc cost report v{COST_REPORT_VERSION}",
         f"circuit: {circuit.n_qubits} qubits, {len(circuit.ops)} gates",
@@ -134,7 +136,7 @@ def cmd_cost(args) -> int:
         f"interactive-total: {cost_proposed(n_p, n_np, args.epsilon):.6g}",
         f"critical-ratio: {critical_ratio(args.epsilon):.6g}",
         f"interactive-wins: {'yes' if crossover_holds(ratio, args.epsilon) else 'no'}",
-        f"measured-rounds-per-rotation: {measured_rounds(args.epsilon)}",
+        f"measured-rounds-per-rotation: {per_rotation}",
     ]
     text = "\n".join(lines) + "\n"
     if args.sweep:
@@ -192,8 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may start with "-" ("-inf", "-1e-3,0.1")
+_NUMERIC_OPTIONS = ("--epsilon", "--sweep")
+
+
+def _glue_numeric_values(argv: list[str]) -> list[str]:
+    """``--epsilon VALUE`` as ``--epsilon=VALUE``, likewise ``--sweep``.
+    argparse reads only plain negative decimals as values, so ``-inf`` or
+    ``-1e-3`` would be taken for an option instead of reaching the range
+    check."""
+    out: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in _NUMERIC_OPTIONS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_numeric_values(argv))
     try:
         return args.func(args)
     except (CircuitParseError, OSError, ValueError) as exc:

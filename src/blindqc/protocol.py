@@ -65,8 +65,7 @@ def round_tag(k: int) -> str:
     return f'{{"k":{k},"kind":"round"}}'
 
 
-@dataclass(frozen=True)
-class RoundPlan:
+class RoundPlan(NamedTuple):
     """Client actions around one server rotation Rz(pi/2^index) on transit."""
 
     index: int
@@ -75,8 +74,7 @@ class RoundPlan:
     swap_after: int
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     nonzero: int
     negative: int
     initial_swap: int
@@ -120,28 +118,30 @@ class BlindServer:
     """The fixed tag dispatch; these are the only gates the server runs.
 
     A tag is the canonical string that crossed the channel: ``BLOCK_TAG``,
-    ``OPENING_TAG`` or ``round_tag(k)`` for k = 1..n_digits.  Any other
-    string, a different spelling of a valid tag included, is refused.
+    ``OPENING_TAG`` or ``round_tag(k)`` for k = 1..n_digits.  The server
+    builds its whole tag -> ops table once, so ``ops_for`` hands out the
+    same tuple of frozen ops for a tag on every call.  Any other string, a
+    different spelling of a valid tag included, is refused.
     """
 
     def __init__(self, n_working: int, n_digits: int):
-        self.slot_wires = tuple(range(n_working, n_working + N_SLOTS))
+        self.slot_wires = s1, s2, s3, s4 = tuple(
+            range(n_working, n_working + N_SLOTS))
         self.n_digits = n_digits
-        self._rounds = {round_tag(k): k for k in range(1, n_digits + 1)}
+        # round_tags[k - 1] is round_tag(k)
+        self.round_tags = tuple(round_tag(k) for k in range(1, n_digits + 1))
+        self._ops = {tag: (sv.rz(PI / 2**k, s4),)
+                     for k, tag in enumerate(self.round_tags, start=1)}
+        block = (sv.h(s1), sv.cz(s2, s3))
+        # one-shot rotation covering the whole ladder budget
+        self._ops[BLOCK_TAG] = block + (sv.rz(PI - PI / 2**n_digits, s4),)
+        self._ops[OPENING_TAG] = block + (sv.rz(PI / 2, s4),)
 
-    def ops_for(self, tag: str) -> list[GateOp]:
-        s1, s2, s3, s4 = self.slot_wires
-        k = self._rounds.get(tag)
-        if k is not None:
-            return [sv.rz(PI / 2**k, s4)]
-        if tag == BLOCK_TAG:
-            # one-shot rotation covering the whole ladder budget
-            angle = PI - PI / 2**self.n_digits
-        elif tag == OPENING_TAG:
-            angle = PI / 2
-        else:
-            raise ProtocolError(f"server cannot satisfy tag {tag!r}")
-        return [sv.h(s1), sv.cz(s2, s3), sv.rz(angle, s4)]
+    def ops_for(self, tag: str) -> tuple[GateOp, ...]:
+        try:
+            return self._ops[tag]
+        except KeyError:
+            raise ProtocolError(f"server cannot satisfy tag {tag!r}") from None
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ class _Run:
                                      (r, label))
                 else:
                     sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
-                    tag = round_tag(r.index)
+                    tag = self.server.round_tags[r.index - 1]
                     sess.round_trip((transit,), tag, self.server.ops_for(tag),
                                     pad_labels=((transit, label),))
                     sess.client_apply(paulis.unpad_ops(

@@ -31,6 +31,9 @@ import numpy as np
 from . import statevec as sv
 from .statevec import Statevector
 
+# the transcript's name of each gate kind, read without the Enum descriptor
+_KIND_NAMES = {kind: kind.value for kind in sv.Gate}
+
 CLIENT_TO_SERVER = "client->server"
 SERVER_TO_CLIENT = "server->client"
 
@@ -209,7 +212,7 @@ class Session:
     def client_apply(self, ops) -> None:
         for op in ops:
             sv._apply_op(self.amps, op)
-            self.transcript.client_op_kinds.append(op.kind.value)
+            self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
         if not 0 <= wire < self.n_qubits:
@@ -226,7 +229,7 @@ class Session:
                                self.amps, tuple(pad_labels))
         for op in server_ops:
             sv._apply_op(self.amps, op)
-            self.transcript.server_op_kinds.append(op.kind.value)
+            self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
         self.transcript.record(SERVER_TO_CLIENT, None, transmitted, self.amps)
 
     def fork(self, amps: np.ndarray, n_messages: int, label: str, pair,

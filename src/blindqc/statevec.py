@@ -9,12 +9,17 @@ Conventions used across the package:
 * registers are capped at ``MAX_QUBITS`` qubits.
 
 States are value objects: ``apply`` returns a fresh ``Statevector`` and never
-mutates its input.  The in-place ``_apply_*`` kernels are shared with the
+mutates its input.  Ops are too: a ``GateOp`` is frozen, and the ``x``,
+``z``, ``h``, ``cz`` and ``swap`` factories return one shared op per qubit
+tuple (qubits normalised to plain ``int``), so the protocol's round loop
+builds no op twice.  The in-place ``_apply_*`` kernels are shared with the
 protocol engine, which owns a private buffer.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -107,16 +112,24 @@ class GateOp:
 
 
 # Small factories; tests and the lowering pass read much better with these.
+# bounded, yet above the 300 distinct ops these factories can make on
+# MAX_QUBITS wires, so the register's own ops stay cached
+@functools.lru_cache(maxsize=1024)
+def _shared(kind: str, *qubits: int) -> GateOp:
+    """The one ``GateOp`` of ``kind`` on ``qubits``, built on first use."""
+    return GateOp(Gate(kind), qubits)
+
+
 def x(q: int) -> GateOp:
-    return GateOp(Gate.X, (q,))
+    return _shared("x", operator.index(q))
 
 
 def z(q: int) -> GateOp:
-    return GateOp(Gate.Z, (q,))
+    return _shared("z", operator.index(q))
 
 
 def h(q: int) -> GateOp:
-    return GateOp(Gate.H, (q,))
+    return _shared("h", operator.index(q))
 
 
 def s(q: int) -> GateOp:
@@ -132,7 +145,7 @@ def cx(control: int, target: int) -> GateOp:
 
 
 def cz(a: int, b: int) -> GateOp:
-    return GateOp(Gate.CZ, (a, b))
+    return _shared("cz", operator.index(a), operator.index(b))
 
 
 def ccx(c1: int, c2: int, target: int) -> GateOp:
@@ -144,7 +157,7 @@ def rz(theta: float, q: int) -> GateOp:
 
 
 def swap(a: int, b: int) -> GateOp:
-    return GateOp(Gate.SWAP, (a, b))
+    return _shared("swap", operator.index(a), operator.index(b))
 
 
 def measure(q: int) -> GateOp:

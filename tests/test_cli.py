@@ -202,6 +202,25 @@ class TestCost:
         assert main(["cost", str(p)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("command", ["run", "audit", "cost"])
+@pytest.mark.parametrize("epsilon", ["-inf", "-1e-3"])
+@pytest.mark.parametrize("glued", [False, True])
+def test_negative_epsilon_reaches_the_range_check(lowered_path, capsys,
+                                                  command, epsilon, glued):
+    # argparse alone reads "-inf" and "-1e-3" as options, not as values
+    flag = [f"--epsilon={epsilon}"] if glued else ["--epsilon", epsilon]
+    assert main([command, lowered_path, *flag]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"epsilon must be positive and finite, got {float(epsilon)!r}"
+            in captured.err)
+
+
+def test_negative_sweep_value_reaches_the_range_check(small_path, capsys):
+    assert main(["cost", small_path, "--sweep", "-1e-3,0.1"]) == EXIT_BAD_INPUT
+    assert "epsilon must be" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli(small_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

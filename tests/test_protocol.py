@@ -1,5 +1,6 @@
 """Full delegated execution against direct simulation."""
 
+import dataclasses
 import json
 import math
 
@@ -176,6 +177,51 @@ class TestErrors:
         assert [op.kind.value for op in plain] == ["h", "cz", "rz"]
         assert plain[2].angle == pytest.approx(PI - PI / 8)
         assert first[2].angle == pytest.approx(PI / 2)
+
+
+class TestSharedOps:
+    """The round loop reuses prebuilt ops instead of building new ones."""
+
+    @staticmethod
+    def _constructions(monkeypatch, circuit, epsilon) -> int:
+        built = []
+        check = sv.GateOp.__post_init__
+
+        def counting(op):
+            built.append(op)
+            check(op)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sv.GateOp, "__post_init__", counting)
+            run_protocol(circuit, epsilon, seed=3)
+        return len(built)
+
+    def test_op_constructions_do_not_grow_with_round_trips(self, monkeypatch):
+        circ = Circuit(1, (sv.h(0), sv.rz(0.7, 0)))
+        eps = {m: PI / 2**m for m in (4, 8)}
+        for m in (4, 8):
+            # 1 + 10 and 1 + 36 round trips
+            res = run_protocol(circ, eps[m], seed=3)
+            assert res.transcript.round_trips() == 1 + m * (m + 1) // 2
+        built = {m: self._constructions(monkeypatch, circ, eps[m])
+                 for m in (4, 8)}
+        # only the server's table: one rz per round tag plus two block rz
+        assert built == {4: 4 + 2, 8: 8 + 2}
+
+    def test_server_table_is_built_once(self):
+        server = BlindServer(2, 3)
+        for tag in (BLOCK_TAG, OPENING_TAG, round_tag(1), round_tag(3)):
+            assert server.ops_for(tag) is server.ops_for(tag)
+        assert server.round_tags == tuple(round_tag(k) for k in (1, 2, 3))
+
+    def test_shared_ops_are_frozen_plain_int_ops(self):
+        op = sv.x(np.int64(5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.qubits = (6,)
+        assert sv.x(5) is op
+        assert type(sv.x(5).qubits[0]) is int
+        assert sv.swap(np.int64(2), 7) is sv.swap(2, 7)
+        assert sv.cz(1, 2) is not sv.cz(2, 1)
 
 
 class TestTags:
