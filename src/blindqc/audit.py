@@ -32,7 +32,7 @@ from .protocol import CheckpointedRun, run_protocol
 from .session import CLIENT_TO_SERVER, KeySource, Transcript
 from .statevec import Gate
 
-AUDIT_VERSION = 2
+AUDIT_VERSION = 3
 NEGATIVE_CONTROL_THRESHOLD = 0.4
 EXHAUSTIVE_TOLERANCE = 1e-10
 

@@ -46,7 +46,7 @@ EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED_GATE = 3
 EXIT_REGISTER_CAP = 4
 
-RUN_REPORT_VERSION = 4
+RUN_REPORT_VERSION = 5
 COST_REPORT_VERSION = 1
 
 

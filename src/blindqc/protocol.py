@@ -31,6 +31,13 @@ of the published schedule in three places (the parked-wire condition is
 a_k == q rather than a_k != q, the carry product runs over rounds already
 executed, i.e. i > k, and the final round's unpad needs an extra Z when
 the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
+
+Blocks m >= 2 touch only the working wire and transit, so the engine
+splits that pair off the register at block 2, runs the ladder on its 4x4
+reduced density (``statevec.WirePair``) and applies the ladder's net op
+to the register once, after block M.  That is exact, product state or
+not: unitaries on two wires act on their reduced density by conjugation,
+and the other wires see no gate until the pair is joined back.
 """
 
 from __future__ import annotations
@@ -154,12 +161,13 @@ class ProtocolResult:
 
 
 class _Checkpoint(NamedTuple):
-    """The register where a gate, or a digit block of an rz gate, draws pads."""
+    """The state where a gate, or a digit block of an rz gate, draws pads."""
 
     gate_index: int
     block: int  # digit block the gate resumes at; 1 for h and cz
     n_messages: int  # messages recorded before the draw
-    amps: np.ndarray
+    amps: np.ndarray  # blocks m >= 3 share block 2's register
+    wire_pair: sv.WirePair | None  # a copy, in blocks m >= 3
 
 
 def _open_session(circuit: Circuit, epsilon: float, seed: int,
@@ -223,9 +231,13 @@ class _Run:
 
     def _draw_point(self, gate_index: int, block: int) -> None:
         if self.checkpoints is not None:
+            sess = self.session
+            # a split pair leaves the register as the last checkpoint saved it
+            amps = (sess.amps.copy() if sess.wire_pair is None
+                    else self.checkpoints[-1].amps)
             self.checkpoints.append(_Checkpoint(
-                gate_index, block, len(self.session.transcript.messages),
-                self.session.amps.copy(),
+                gate_index, block, len(sess.transcript.messages), amps,
+                copy.copy(sess.wire_pair),
             ))
 
     def _block_trip(self, gate_index: int, padded, tag: str,
@@ -261,6 +273,9 @@ class _Run:
             self._draw_point(gate_index, m)
             if m == 1 and d.parity:
                 sess.client_apply([sv.z(q)])
+            if m == 2:
+                # later blocks touch only q and transit
+                sess.split_pair(q, transit)
             labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
             plan = digit_block_plan(
                 d.nonzero_flags[m - 1], d.negative_flags[m - 1],
@@ -283,6 +298,8 @@ class _Run:
                         ((r.pair[0], r.unpad_z),), (transit,)))
                 if r.swap_after:
                     sess.client_apply([sv.swap(transit, q)])
+        if sess.wire_pair is not None:
+            sess.join_pair()
         self._reset_slots(gate_index)
 
     def _delegate(self, gate_index: int, op: GateOp, block: int = 1) -> None:
@@ -335,18 +352,19 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
 
 
 class CheckpointedRun:
-    """A seeded run that keeps the register wherever it draws pads, so one
-    pad label can be replayed from its draw point instead of from |0...0>.
+    """A seeded run that keeps its state wherever it draws pads, so one pad
+    label can be replayed from its draw point instead of from |0...0>.
 
     Draw points are the start of each h or cz gate (before the slot swaps),
     the start of each rz gate (before the parity Z: digit block 1 draws its
     dummies and its round pad there) and the start of each later digit
-    block.  A label's pair changes nothing before its own pad is applied:
-    rounds m..k+1 of a digit block read neither the pad of round k nor its
-    swap bit.  So a fork resumed at the draw point with the label pinned
-    runs the same delegation code on the same register as a whole-circuit
-    replay, bit for bit, and can stop at the reply to the message the label
-    protects.
+    block.  Blocks m >= 3 keep a copy of the split wire pair and share the
+    register copy of block 2, so an rz gate keeps at most two.  A label's
+    pair changes nothing before its own pad is applied: rounds m..k+1 of a
+    digit block read neither the pad of round k nor its swap bit.  So a
+    fork resumed at the draw point with the label pinned runs the same
+    delegation code on the same state as a whole-circuit replay, bit for
+    bit, and can stop at the reply to the message the label protects.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
@@ -365,7 +383,7 @@ class CheckpointedRun:
             raise ValueError(f"'{label}' does not pad message {message}")
         cp = self._checkpoints[bisect.bisect_right(self._starts, message) - 1]
         fork = self._session.fork(cp.amps, cp.n_messages, label, pair,
-                                  stop=message + 2)
+                                  stop=message + 2, wire_pair=cp.wire_pair)
         try:
             # every fork reuses the baseline's server and its tag table
             self._run.on(fork)._delegate(

@@ -6,22 +6,27 @@ one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
 label never depends on draw order.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
 draw unchanged.  Such a replay need not start from scratch:
-``Session.fork`` resumes a run from a saved register with one more
-override and stops once the replay has recorded the messages it is for.
+``Session.fork`` resumes a run from a saved register (and wire pair) with
+one more override and stops once the replay has recorded the messages it
+is for.
 
-The channel is in-process: a round trip records the register, applies the
-server's gates to the shared buffer, and records it again.  A record keeps
-the reduced density of the transmitted wires, which is what the channel
-carries and all the audit reads, and feeds that density into a running
-hash.  The whole register enters the hash at every gate boundary and at
-the end of the run, so the digest covers every transmitted density at
-every message and every amplitude at every gate boundary, while memory
-stays flat in the number of round trips.  Off-channel amplitudes between
-two messages of one gate are not hashed.
+The channel is in-process: a round trip records the transmitted wires,
+applies the server's gates to the shared state, and records them again.
+A record keeps the reduced density of the transmitted wires, which is
+what the channel carries and all the audit reads, and feeds that density
+into a running hash.  While a ``WirePair`` is split off the register,
+ops act on the pair alone and a record reads its wire off the pair.  The
+whole register enters the hash at every gate boundary and at the end of
+the run, so the digest covers every transmitted density at every message
+and every amplitude at every gate boundary, while memory stays flat in
+the number of round trips.  Off-channel amplitudes between two messages
+of one gate are not hashed.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -111,6 +116,17 @@ class Message(NamedTuple):
         return self.wire_densities[self.transmitted.index(wire)]
 
 
+@functools.lru_cache(maxsize=None)
+def _marginal_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where to read a k-wire joint density so that summing the last axis
+    gives wire w's 2x2 state at [w]: rows and columns with bit w set as
+    asked and the other bits equal."""
+    idx = np.arange(1 << k)
+    rows = np.array([[idx[(idx >> w) & 1 == v] for v in (0, 1)]
+                     for w in range(k)])
+    return rows[:, :, None, :], rows[:, None, :, :]
+
+
 @dataclass(frozen=True)
 class GateMarker:
     """Delegation boundaries of one circuit gate inside the message list."""
@@ -137,18 +153,17 @@ class Transcript:
                             repr=False, compare=False)
 
     def record(self, direction: str, tag: str | None, transmitted,
-               amps: np.ndarray, pad_labels=()) -> None:
-        """Append one message read off the live register ``amps``."""
+               density: np.ndarray, pad_labels=()) -> None:
+        """Append one message; ``density`` is the joint state of the
+        transmitted wires, the lowest wire as the least significant bit."""
         if len(transmitted) == 1:
-            density = sv._partial_trace(amps, transmitted)
             wires = (density,)
         else:
-            density = sv._partial_trace(amps, tuple(sorted(transmitted)))
-            # traced from the register itself, not from ``density``, so each
-            # wire's state is bit-for-bit what a direct reduction gives
-            wires = tuple(sv._partial_trace(amps, (w,)) for w in transmitted)
-            for rho in wires:
-                rho.setflags(write=False)
+            order = sorted(transmitted)
+            rows, cols = _marginal_index(len(order))
+            marginals = density[rows, cols].sum(axis=-1)
+            marginals.setflags(write=False)
+            wires = tuple(marginals[order.index(w)] for w in transmitted)
         density.setflags(write=False)
         if self._stream is not None:
             # bytes, not the array: exporting its buffer would pin numpy's
@@ -188,7 +203,8 @@ class Transcript:
 
 
 class Session:
-    """One protocol run: register buffer, key source, growing transcript."""
+    """One protocol run: register buffer, key source, growing transcript,
+    and the ``WirePair`` split off the register, if any."""
 
     def __init__(self, n_qubits: int, seed: int, *, epsilon: float | None = None,
                  overrides=None, disable_pads: bool = False):
@@ -197,6 +213,7 @@ class Session:
         self.n_qubits = n_qubits
         self.amps = np.zeros(2**n_qubits, dtype=complex)
         self.amps[0] = 1.0
+        self.wire_pair: sv.WirePair | None = None
         self.keys = KeySource(seed, overrides, disable_pads)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
@@ -209,9 +226,29 @@ class Session:
             raise ValueError("register size mismatch")
         self.amps = state.amps.copy()
 
+    def split_pair(self, lo: int, hi: int) -> None:
+        """Run the ops that follow on wires ``lo < hi`` alone."""
+        self.wire_pair = sv.WirePair(self.amps, lo, hi)
+
+    def join_pair(self) -> None:
+        """Apply the split pair's net op to the register, once."""
+        self.wire_pair.apply_to(self.amps)
+        self.wire_pair = None
+
+    def _apply(self, op) -> None:
+        if self.wire_pair is None:
+            sv._apply_op(self.amps, op)
+        else:
+            self.wire_pair.apply(op)
+
+    def _density(self, wires: tuple[int, ...]) -> np.ndarray:
+        if self.wire_pair is None:
+            return sv._partial_trace(self.amps, tuple(sorted(wires)))
+        return self.wire_pair.marginal(*wires)
+
     def client_apply(self, ops) -> None:
         for op in ops:
-            sv._apply_op(self.amps, op)
+            self._apply(op)
             self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
@@ -226,16 +263,18 @@ class Session:
         """Send ``transmitted`` wires with ``tag``; server applies its gates."""
         transmitted = tuple(transmitted)
         self.transcript.record(CLIENT_TO_SERVER, tag, transmitted,
-                               self.amps, tuple(pad_labels))
+                               self._density(transmitted), tuple(pad_labels))
         for op in server_ops:
-            sv._apply_op(self.amps, op)
+            self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        self.transcript.record(SERVER_TO_CLIENT, None, transmitted, self.amps)
+        self.transcript.record(SERVER_TO_CLIENT, None, transmitted,
+                               self._density(transmitted))
 
     def fork(self, amps: np.ndarray, n_messages: int, label: str, pair,
-             stop: int) -> Session:
+             stop: int, wire_pair: sv.WirePair | None = None) -> Session:
         """This run resumed from ``amps``, the register after ``n_messages``
-        messages, with ``label`` pinned to ``pair``.
+        messages, with ``label`` pinned to ``pair``; ``wire_pair`` is the
+        pair split off ``amps`` at that point, if any, and is copied.
 
         The fork starts from this transcript's first ``n_messages`` messages
         (a list slice: the stored densities are shared, not copied) and
@@ -248,6 +287,7 @@ class Session:
                      overrides={**keys.overrides, label: pair},
                      disable_pads=keys.disable_pads)
         fork.amps[:] = amps
+        fork.wire_pair = copy.copy(wire_pair)
         fork.transcript.messages = self.transcript.messages[:n_messages]
         fork.transcript._stream = None
         fork.stop = stop

@@ -18,6 +18,7 @@ protocol engine, which owns a private buffer.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -75,14 +76,6 @@ GATE_ARITY = {
     Gate.SWAP: 2,
     Gate.MEASURE: 1,
     Gate.U: 1,
-}
-
-_FIXED_1Q = {
-    Gate.X: X_MAT,
-    Gate.Z: Z_MAT,
-    Gate.H: H_MAT,
-    Gate.S: S_MAT,
-    Gate.T: T_MAT,
 }
 
 
@@ -307,17 +300,13 @@ def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
     Qubit ``keep[j]`` is bit j of the row index.  The kept amplitudes are
     gathered into rows and multiplied once by their adjoint.  Top wires
-    already sit in row order and a single wire needs only a three-axis
-    transpose; both shortcuts build the same rows as the general transpose,
-    so the result is bit-for-bit the same.
+    already sit in row order; that shortcut builds the same rows as the
+    general transpose, so the result is bit-for-bit the same.
     """
     n = amps.size.bit_length() - 1
     k = len(keep)
     if keep[0] == n - k:
         moved = amps.reshape(1 << k, -1)
-    elif k == 1:
-        moved = amps.reshape(-1, 2, 1 << keep[0]).transpose(1, 0, 2)
-        moved = moved.reshape(2, -1)
     else:
         # axis n-1-q corresponds to qubit q after reshape
         keep_axes = [n - 1 - q for q in reversed(keep)]
@@ -327,26 +316,88 @@ def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return moved @ moved.conj().T
 
 
+# kind -> in-place kernel; measure has none
+_KERNELS = {
+    Gate.RZ: lambda amps, op: _apply_rz(amps, op.angle, op.qubits[0]),
+    Gate.X: lambda amps, op: _apply_x(amps, op.qubits[0]),
+    Gate.Z: lambda amps, op: _apply_z(amps, op.qubits[0]),
+    Gate.H: lambda amps, op: _apply_1q(amps, H_MAT, op.qubits[0]),
+    Gate.S: lambda amps, op: _apply_1q(amps, S_MAT, op.qubits[0]),
+    Gate.T: lambda amps, op: _apply_1q(amps, T_MAT, op.qubits[0]),
+    Gate.U: lambda amps, op: _apply_1q(amps, op.matrix, op.qubits[0]),
+    Gate.CX: lambda amps, op: _apply_cx(amps, op.qubits[:-1], op.qubits[-1]),
+    Gate.CCX: lambda amps, op: _apply_cx(amps, op.qubits[:-1], op.qubits[-1]),
+    Gate.CZ: lambda amps, op: _apply_cz(amps, op.qubits[0], op.qubits[1]),
+    Gate.SWAP: lambda amps, op: _apply_swap(amps, op.qubits[0], op.qubits[1]),
+}
+
+
 def _apply_op(amps: np.ndarray, op: GateOp) -> None:
-    kind = op.kind
-    if kind is Gate.RZ:
-        _apply_rz(amps, op.angle, op.qubits[0])
-    elif kind is Gate.X:
-        _apply_x(amps, op.qubits[0])
-    elif kind is Gate.Z:
-        _apply_z(amps, op.qubits[0])
-    elif kind in _FIXED_1Q:
-        _apply_1q(amps, _FIXED_1Q[kind], op.qubits[0])
-    elif kind is Gate.U:
-        _apply_1q(amps, op.matrix, op.qubits[0])
-    elif kind is Gate.CX or kind is Gate.CCX:
-        _apply_cx(amps, op.qubits[:-1], op.qubits[-1])
-    elif kind is Gate.CZ:
-        _apply_cz(amps, op.qubits[0], op.qubits[1])
-    elif kind is Gate.SWAP:
-        _apply_swap(amps, op.qubits[0], op.qubits[1])
-    else:
-        raise ValueError(f"cannot apply {kind.value} as a unitary; use measure_qubit")
+    if op.kind not in _KERNELS:
+        raise ValueError(f"cannot apply {op.kind.value} as a unitary; use measure_qubit")
+    _KERNELS[op.kind](amps, op)
+
+
+class WirePair:
+    """Wires ``lo < hi`` split off a register while only x, z, rz and swap
+    act on them.
+
+    ``rho`` is their reduced density at the split (basis index bit(lo) +
+    2 bit(hi)).  The gates are monomial, so the net op since the split is
+    U|j> = phases[j]|perm[j]>, and the pair's state is U rho U^dagger
+    exactly, however entangled with wires that see no gate meanwhile.  A
+    gate rebinds U's tuples, so a shallow copy is a snapshot.
+    """
+
+    def __init__(self, amps: np.ndarray, lo: int, hi: int):
+        self.wires = (lo, hi)
+        self.rho = _partial_trace(amps, self.wires).tolist()
+        self.perm, self.phases = (0, 1, 2, 3), (1.0, 1.0, 1.0, 1.0)
+
+    def _bit(self, wire: int) -> int:
+        if wire not in self.wires:
+            raise ValueError(f"wire {wire} is outside the pair {self.wires}")
+        return 1 if wire == self.wires[0] else 2
+
+    def apply(self, op: GateOp) -> None:
+        """U <- V U for one x, z, rz or swap V on the pair."""
+        perm, phases = self.perm, self.phases
+        bit = [self._bit(q) for q in op.qubits][0]  # checks every qubit
+        kind = op.kind
+        if kind is Gate.SWAP:
+            self.perm = tuple([(0, 2, 1, 3)[k] for k in perm])
+        elif kind is Gate.X:
+            self.perm = tuple([k ^ bit for k in perm])
+        elif kind is Gate.Z:
+            self.phases = tuple([-v if k & bit else v
+                                 for k, v in zip(perm, phases)])
+        elif kind is Gate.RZ:
+            down, up = cmath.exp(-0.5j * op.angle), cmath.exp(0.5j * op.angle)
+            self.phases = tuple([v * (up if k & bit else down)
+                                 for k, v in zip(perm, phases)])
+        else:
+            raise ValueError(f"{kind.value} is not a monomial pair gate")
+
+    def marginal(self, wire: int) -> np.ndarray:
+        """2x2 state of one wire of the pair: a partial trace of U rho U^dagger."""
+        bit = self._bit(wire)
+        # (U rho U^dagger)[x, y] = ph[i] rho[i][j] conj(ph[j]) where x and y
+        # are perm[i] and perm[j]; the wire reads 0 at x = 0, 3 - bit and 1
+        # at x = bit, 3.  Phases have modulus 1 and rho is hermitian.
+        a, b, c, d = [self.perm.index(x) for x in (0, 3 - bit, bit, 3)]
+        rho, ph = self.rho, self.phases
+        off = (ph[a] * rho[a][c] * ph[c].conjugate()
+               + ph[b] * rho[b][d] * ph[d].conjugate())
+        return np.array([[rho[a][a] + rho[b][b], off],
+                         [off.conjugate(), rho[c][c] + rho[d][d]]])
+
+    def apply_to(self, amps: np.ndarray) -> None:
+        """Apply U to the register ``amps`` in place."""
+        lo, hi = self.wires
+        view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        old = [view[:, j >> 1, :, j & 1, :].copy() for j in range(4)]
+        for j, k in enumerate(self.perm):
+            view[:, k >> 1, :, k & 1, :] = self.phases[j] * old[j]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +410,6 @@ def apply(state: Statevector, op: GateOp) -> Statevector:
     for q in op.qubits:
         if not 0 <= q < state.n_qubits:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    if op.kind is Gate.MEASURE:
-        raise ValueError("measure is not unitary; use measure_qubit")
     amps = state.amps.copy()
     _apply_op(amps, op)
     return Statevector(state.n_qubits, amps)

@@ -286,7 +286,7 @@ def reference_audit(circuit, epsilon, seed):
     view = classical_view(base.transcript)
     control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD
     return {
-        "version": 2,
+        "version": 3,
         "epsilon": epsilon,
         "seed": seed,
         "precision_bits": precision_bits(epsilon),
@@ -322,7 +322,7 @@ class TestReport:
         b = audit_circuit(circ, EPS_M2, seed=9)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["pass"] is True
-        assert a["version"] == 2
+        assert a["version"] == 3
 
     def test_round_accounting(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.3, 0),

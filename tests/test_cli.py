@@ -55,7 +55,7 @@ class TestRun:
                      "--seed", "5"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("blindqc run report v4\n")
+        assert out.startswith("blindqc run report v5\n")
         # h and cz cost one trip each, rz costs M(M+1)/2 = 6 at M = 3
         assert "round-trips: 8" in out
         assert "transcript-digest: " in out
@@ -124,7 +124,7 @@ class TestAudit:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
-        assert report["version"] == 2
+        assert report["version"] == 3
         assert report["mixedness"]["worst_distance"] < 1e-10
 
     def test_audit_is_deterministic(self, lowered_path, capsys):

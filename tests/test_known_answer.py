@@ -20,19 +20,19 @@ from blindqc.cli import EXIT_OK, main
 CIRCUIT = "version 1\nqubits 2\nh 0\ncz 0 1\nrz 1 -2.6\nrz 0 0.7\nmeasure 1\n"
 
 RUN_SHA256 = {
-    "floor": "4fe7623ec8d63e3d2e1228321f2f44cb00673c7035be9669f5ff132fd22dceb9",
-    "balanced": "e68e23df2da3789fcc452ead7585c5eccdaa4488d539ace4fce1bef26f61a96c",
+    "floor": "240ee7f81eb3755aab7375618b54d67f28ce69e4c4f6c2089ff21e1876d927be",
+    "balanced": "816ed6c2788f1ba654f980e0831bdbc3dfc7428973509747943be43d4abaf2cb",
 }
-AUDIT_SHA256 = "c6ab626eee114a7a398b6dc9a7440524d5e9e0f92ad3c06ff2e741809ee0b248"
+AUDIT_SHA256 = "cc231a05984f9161c509eb5d1dbb78de4adcb98c0d1f260dbc591b39a239d73e"
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
 
 WIDE_RUN_SHA256 = {
-    "floor": "fc915d8a5e83869756e099b32a66cf28b0b67025e96c716e586b37768a965bdc",
-    "balanced": "d05d042d057b95525ab5aa12a6328ef052aac2c3c07ef50f3e5069270f438a05",
+    "floor": "55ecd222ebe9d5cc48cbd042a7d3f90e9be9941fa380cf2e82c4939658cd529d",
+    "balanced": "e238d2bfca58421e92f7165c089ba02a0d93d201c6183216f74a9592ac3f2e08",
 }
-WIDE_AUDIT_SHA256 = "63ef4894de28315b3f793c50dc2f5a8b31dba49c2610348b9ab86738594c73d3"
+WIDE_AUDIT_SHA256 = "60eca77ad7447a733c08e0d5b3be39a081b9061acd25ebc901703a0a363adcd1"
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:

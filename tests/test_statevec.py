@@ -205,6 +205,39 @@ def test_apply_matches_dense_kron_on_random_sequences():
         assert np.allclose(got.amps, mat @ st.amps, atol=1e-12)
 
 
+def test_every_unitary_kind_dispatches_to_its_kernel():
+    ops = {sv.Gate.X: sv.x(1), sv.Gate.Z: sv.z(1), sv.Gate.H: sv.h(1),
+           sv.Gate.S: sv.s(1), sv.Gate.T: sv.t(1), sv.Gate.RZ: sv.rz(0.4, 1),
+           sv.Gate.U: sv.u(sv.rz_matrix(-0.3), 1), sv.Gate.CX: sv.cx(2, 1),
+           sv.Gate.CZ: sv.cz(2, 1), sv.Gate.CCX: sv.ccx(0, 2, 1),
+           sv.Gate.SWAP: sv.swap(2, 1)}
+    assert set(ops) == set(sv.Gate) - {sv.Gate.MEASURE}
+    singles = {sv.Gate.X: sv.X_MAT, sv.Gate.Z: sv.Z_MAT, sv.Gate.H: sv.H_MAT,
+               sv.Gate.S: sv.S_MAT, sv.Gate.T: sv.T_MAT,
+               sv.Gate.RZ: sv.rz_matrix(0.4), sv.Gate.U: sv.rz_matrix(-0.3)}
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    # swapping qubits 1 and 2 swaps bits 1 and 2 of the basis index
+    swap = np.eye(8)[[i & 1 | (i >> 2 & 1) << 1 | (i >> 1 & 1) << 2
+                      for i in range(8)]]
+    doubles = {
+        sv.Gate.CX: kron_le(I2, I2, p0) + kron_le(I2, sv.X_MAT, p1),
+        sv.Gate.CZ: kron_le(I2, I2, p0) + kron_le(I2, sv.Z_MAT, p1),
+        sv.Gate.CCX: (np.eye(8) - kron_le(p1, I2, p1)
+                      + kron_le(p1, sv.X_MAT, p1)),
+        sv.Gate.SWAP: swap,
+    }
+    st = sv.random_state(3, np.random.default_rng(4))
+    for kind, op in ops.items():
+        want = doubles.get(kind)
+        if want is None:
+            want = kron_le(I2, singles[kind], I2)
+        amps = st.amps.copy()
+        sv._apply_op(amps, op)
+        assert np.allclose(amps, want @ st.amps, atol=1e-12), kind
+    with pytest.raises(ValueError, match="measure"):
+        sv._apply_op(st.amps.copy(), sv.measure(0))
+
+
 def test_u_gate_applies_payload_matrix():
     rng = np.random.default_rng(3)
     st = sv.random_state(2, rng)
