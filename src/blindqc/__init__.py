@@ -2,13 +2,16 @@
 
 A client hides its circuit from the server behind Pauli one-time pads
 and an interactive rotation protocol; this package simulates both state
-machines exactly (statevectors up to 12 wires), verifies the key
-algebra, audits what the server's view reveals, and evaluates the
-communication-cost crossover against compile-first baselines.
+machines exactly (statevectors up to 12 wires), audits what the
+server's view reveals, and evaluates the communication-cost crossover
+against compile-first baselines.
 
 The names below are the entry points behind the command line; the
-building blocks stay in their submodules (``blindqc.statevec``,
-``blindqc.paulis``, ``blindqc.angles``, ``blindqc.session``, ...).
+building blocks they run on stay in their submodules
+(``blindqc.statevec``, ``blindqc.paulis``, ``blindqc.angles``,
+``blindqc.session``, ...).  The reference simulator, the key-rule
+verifier and the T gadget that the tests compare against live in
+``tests/oracles.py``, not in the package.
 """
 
 from .angles import precision_bits

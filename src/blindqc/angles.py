@@ -9,10 +9,9 @@ digit extractors are provided: ``floor`` produces digits in {0, 1}; the
 ``balanced`` extractor produces signed digits in {-1, 0, 1} by greedy nearest
 rounding.  Both satisfy the same remainder bound.
 
-The impurity of a digit string is the angle the delegation protocol
-over-rotates by: summing a digit's rotation with its impurity always gives
-the digit-independent total pi - pi / 2^M, which is what makes the wire
-schedule hide the digits.
+Reconstruction from the digits, the remainder, and the impurity the
+delegation ladder adds (the over-rotation that makes every digit's total
+the same pi - pi / 2^M) are reference code in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -96,23 +95,3 @@ def digitize(theta: float, n_digits: int, extractor: str = "floor") -> AngleDigi
     else:
         raise ValueError(f"unknown extractor {extractor!r}")
     return AngleDigits(float(theta), n_digits, half_turns, tuple(digits))
-
-
-def reconstruct(d: AngleDigits) -> float:
-    """Angle encoded by the digit string (drops only the remainder)."""
-    frac = sum(dig / 2**m for m, dig in enumerate(d.digits, start=1))
-    return d.half_turns * PI + frac * PI
-
-
-def impurity(d: AngleDigits) -> float:
-    """Extra rotation the protocol applies on top of the encoded fraction."""
-    return sum((1 - dig) * PI / 2**m for m, dig in enumerate(d.digits, start=1))
-
-
-def delegation_angle(half_turns: int, n_digits: int) -> float:
-    """reconstruct + impurity for any digit string: digit-independent."""
-    return half_turns * PI + PI - PI / 2**n_digits
-
-
-def remainder(d: AngleDigits) -> float:
-    return d.theta - reconstruct(d)

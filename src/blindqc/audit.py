@@ -244,9 +244,13 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
     """Full audit report as a JSON-ready dict; deterministic per seed.
 
     ``mode`` names the mixedness check; ``"exhaustive"`` is the only one.
+    A circuit that delegates no gate is refused: with no traffic the
+    negative control would read 0 and fail a protocol that leaked nothing.
     """
     if mode != "exhaustive":
         raise ValueError(f"unknown mixedness mode {mode!r}")
+    if not circuit_skeleton(circuit):
+        raise ValueError("circuit delegates no gates to audit")
     baseline = CheckpointedRun(circuit, epsilon, seed)
     result = baseline.result
     view = classical_view(result.transcript)

@@ -54,16 +54,6 @@ class Circuit:
                         f"has {self.n_qubits}"
                     )
 
-    @property
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for op in self.ops:
-            counts[op.kind.value] = counts.get(op.kind.value, 0) + 1
-        return counts
-
-    def has_measurements(self) -> bool:
-        return any(op.kind is Gate.MEASURE for op in self.ops)
-
 
 def _parse_gate_line(lineno: int, fields: list[str]) -> GateOp:
     name = fields[0]

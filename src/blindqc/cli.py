@@ -7,8 +7,9 @@ evaluates the communication cost model.  All reports are versioned and
 deterministic: same inputs and seed, same bytes.
 
 Exit codes: 0 success, 1 audit failure, 2 unreadable or malformed
-input, 3 gate outside the delegable set under --strict, 4 register
-over the simulator cap.
+input (including a circuit with no gates to cost or none to delegate
+for an audit), 3 gate outside the delegable set under --strict, 4
+register over the simulator cap.
 """
 
 from __future__ import annotations

@@ -31,10 +31,6 @@ def first_undelegable(circuit: Circuit) -> GateOp | None:
                 None)
 
 
-def is_lowered(circuit: Circuit) -> bool:
-    return first_undelegable(circuit) is None
-
-
 def euler_zxz(matrix: np.ndarray) -> tuple[float, float, float]:
     """Angles (alpha, beta, gamma) with matrix ~ Rz(alpha) Rx(beta) Rz(gamma).
 
@@ -106,23 +102,3 @@ def lower(circuit: Circuit) -> Circuit:
     for op in circuit.ops:
         ops += _expand(op)
     return Circuit(circuit.n_qubits, tuple(ops))
-
-
-def check_equivalent(original: Circuit, lowered: Circuit, *, probes: int = 3,
-                     rng: np.random.Generator | None = None) -> float:
-    """Max phase-aligned deviation over random probe states.
-
-    Only meaningful for unitary circuits; raises if either side measures.
-    """
-    if original.has_measurements() or lowered.has_measurements():
-        raise ValueError("cannot compare circuits containing measurements")
-    if original.n_qubits != lowered.n_qubits:
-        raise ValueError("qubit counts differ")
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(probes):
-        probe = sv.random_state(original.n_qubits, rng)
-        a = sv.apply_all(probe, original.ops)
-        b = sv.apply_all(probe, lowered.ops)
-        worst = max(worst, sv.phase_aligned_distance(a, b))
-    return worst

@@ -171,7 +171,7 @@ class _Checkpoint(NamedTuple):
 
 
 def _open_session(circuit: Circuit, epsilon: float, seed: int,
-                  overrides=None, disable_pads: bool = False) -> Session:
+                  disable_pads: bool = False) -> Session:
     bad = first_undelegable(circuit)
     if bad is not None:
         raise UnsupportedGateError(
@@ -183,7 +183,7 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int,
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
-    return Session(n + N_SLOTS, seed, epsilon=epsilon, overrides=overrides,
+    return Session(n + N_SLOTS, seed, epsilon=epsilon,
                    disable_pads=disable_pads)
 
 
@@ -338,16 +338,15 @@ class _Run:
 
 
 def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
-                 extractor: str = "floor", overrides=None,
+                 extractor: str = "floor",
                  disable_pads: bool = False) -> ProtocolResult:
     """Run a lowered circuit through the delegation protocol.
 
     The server starts from |0...0>; state preparation belongs to the
-    circuit.  ``overrides`` pins individual pad labels (audit hook) and
-    ``disable_pads`` turns every pad off (negative control); neither
-    affects the working-register result.
+    circuit.  ``disable_pads`` turns every pad off (the audit's negative
+    control) and does not affect the working-register result.
     """
-    session = _open_session(circuit, epsilon, seed, overrides, disable_pads)
+    session = _open_session(circuit, epsilon, seed, disable_pads)
     return _Run(circuit, epsilon, session, extractor).run()
 
 

@@ -107,10 +107,6 @@ class Message(NamedTuple):
     wire_densities: tuple[np.ndarray, ...]
     pad_labels: tuple[tuple[int, str], ...] = ()
 
-    def payload_density(self) -> sv.DensityMatrix:
-        """Reduced state of the transmitted wires (what the channel carries)."""
-        return sv.DensityMatrix(len(self.density), self.density)
-
     def wire_density(self, wire: int) -> np.ndarray:
         """2x2 reduced state of one transmitted wire."""
         return self.wire_densities[self.transmitted.index(wire)]
@@ -220,11 +216,6 @@ class Session:
 
     def state(self) -> Statevector:
         return Statevector(self.n_qubits, self.amps.copy())
-
-    def load_state(self, state: Statevector) -> None:
-        if state.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        self.amps = state.amps.copy()
 
     def split_pair(self, lo: int, hi: int) -> None:
         """Run the ops that follow on wires ``lo < hi`` alone."""

@@ -8,12 +8,14 @@ Conventions used across the package:
 * ``S = diag(1, i)`` and ``T = diag(1, exp(i pi/4))``;
 * registers are capped at ``MAX_QUBITS`` qubits.
 
-States are value objects: ``apply`` returns a fresh ``Statevector`` and never
-mutates its input.  Ops are too: a ``GateOp`` is frozen, and the ``x``,
-``z``, ``h``, ``cz`` and ``swap`` factories return one shared op per qubit
-tuple (qubits normalised to plain ``int``), so the protocol's round loop
-builds no op twice.  The in-place ``_apply_*`` kernels are shared with the
-protocol engine, which owns a private buffer.
+States are value objects: ``measure_qubit`` and ``drop_qubit`` return a
+fresh ``Statevector`` and never mutate their input.  Ops are too: a
+``GateOp`` is frozen, and the ``x``, ``z``, ``h``, ``cz`` and ``swap``
+factories return one shared op per qubit tuple (qubits normalised to plain
+``int``), so the protocol's round loop builds no op twice.  The in-place
+``_apply_*`` kernels serve the protocol engine, which owns a private
+buffer.  The reference simulator the tests compare against (``apply``,
+random states, mixtures and distances) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,17 +32,9 @@ MAX_QUBITS = 12
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
 H_MAT = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
 S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
 T_MAT = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-    )
 
 
 class Gate(str, Enum):
@@ -195,33 +189,6 @@ class DensityMatrix:
             raise ValueError("density matrix shape does not match dim")
         object.__setattr__(self, "mat", m)
         m.setflags(write=False)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check hermiticity, unit trace and positivity within ``tol``."""
-        if np.abs(self.mat - self.mat.conj().T).max() > tol:
-            raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(self.mat) - 1.0) > tol:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(self.mat).min() < -tol:
-            raise ValueError("density matrix has a negative eigenvalue")
-
-
-def new_state(n_qubits: int, amps: np.ndarray | None = None) -> Statevector:
-    """|0...0> on ``n_qubits`` qubits, or a validated custom amplitude vector."""
-    if amps is None:
-        a = np.zeros(2**n_qubits, dtype=complex)
-        a[0] = 1.0
-        return Statevector(n_qubits, a)
-    a = np.asarray(amps, dtype=complex)
-    n = abs(np.linalg.norm(a) - 1.0)
-    if n > 1e-9:
-        raise ValueError(f"amplitudes are not normalized (off by {n:.2e})")
-    return Statevector(n_qubits, a.copy())
-
-
-def random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
-    a = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return Statevector(n_qubits, a / np.linalg.norm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +372,6 @@ class WirePair:
 # ---------------------------------------------------------------------------
 
 
-def apply(state: Statevector, op: GateOp) -> Statevector:
-    """Apply one unitary gate and return the new state."""
-    for q in op.qubits:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    amps = state.amps.copy()
-    _apply_op(amps, op)
-    return Statevector(state.n_qubits, amps)
-
-
-def apply_all(state: Statevector, ops) -> Statevector:
-    amps = state.amps.copy()
-    for op in ops:
-        _apply_op(amps, op)
-    return Statevector(state.n_qubits, amps)
-
-
 def measure_qubit(
     state: Statevector, q: int, *, u: float | None = None,
     rng: np.random.Generator | None = None,
@@ -440,41 +390,6 @@ def measure_qubit(
     return Statevector(state.n_qubits, amps), outcome
 
 
-def fidelity(a: Statevector, b: Statevector) -> float:
-    return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def phase_aligned_distance(a: Statevector, b: Statevector) -> float:
-    """max_i |a_i - e^{i phi} b_i| with phi chosen to cancel the global phase."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    ip = np.vdot(b.amps, a.amps)
-    phase = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
-    return float(np.abs(a.amps - phase * b.amps).max())
-
-
-def equal_up_to_global_phase(a: Statevector, b: Statevector, tol: float = 1e-10) -> bool:
-    return phase_aligned_distance(a, b) <= tol
-
-
-def ensemble_density(states, weights=None) -> DensityMatrix:
-    """Weighted mixture sum_i w_i |psi_i><psi_i| (uniform weights by default)."""
-    states = list(states)
-    if not states:
-        raise ValueError("empty ensemble")
-    if weights is None:
-        weights = [1.0 / len(states)] * len(states)
-    if len(weights) != len(states) or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must match states and sum to 1")
-    dim = states[0].amps.size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, st in zip(weights, states):
-        if st.amps.size != dim:
-            raise ValueError("mixed register sizes in ensemble")
-        rho += w * np.outer(st.amps, st.amps.conj())
-    return DensityMatrix(dim, rho)
-
-
 def reduced_density(state: Statevector, keep) -> DensityMatrix:
     """Partial trace onto ``keep`` (ascending little-endian order preserved)."""
     keep = sorted(set(keep))
@@ -486,28 +401,6 @@ def reduced_density(state: Statevector, keep) -> DensityMatrix:
     return DensityMatrix(2 ** len(keep), _partial_trace(state.amps, tuple(keep)))
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) * trace norm of rho - sigma."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(rho.mat - sigma.mat)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    dim = 2**n_qubits
-    return DensityMatrix(dim, np.eye(dim, dtype=complex) / dim)
-
-
-def append_qubits(state: Statevector, k: int) -> Statevector:
-    """Adjoin ``k`` fresh |0> qubits above the current high qubit."""
-    if state.n_qubits + k > MAX_QUBITS:
-        raise ValueError(f"register would exceed {MAX_QUBITS} qubits")
-    amps = np.zeros(2 ** (state.n_qubits + k), dtype=complex)
-    amps[: state.amps.size] = state.amps
-    return Statevector(state.n_qubits + k, amps)
-
-
 def drop_qubit(state: Statevector, q: int, bit: int) -> Statevector:
     """Remove qubit ``q``, which must hold the basis state ``bit`` exactly."""
     view = state.amps.reshape(-1, 2, 1 << q)
@@ -516,16 +409,3 @@ def drop_qubit(state: Statevector, q: int, bit: int) -> Statevector:
         raise ValueError(f"qubit {q} is not in |{bit}>")
     kept = view[:, bit, :].reshape(-1)
     return Statevector(state.n_qubits - 1, kept)
-
-
-def ops_unitary(n_qubits: int, ops) -> np.ndarray:
-    """Full matrix of an op list, built column by column (test utility)."""
-    dim = 2**n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        for op in ops:
-            _apply_op(amps, op)
-        out[:, col] = amps
-    return out

@@ -17,6 +17,7 @@ from blindqc import statevec as sv
 from blindqc.paulis import pad_ops, unpad_ops
 from blindqc.protocol import BlockPlan
 from blindqc.statevec import GateOp
+import oracles
 
 PI = math.pi
 
@@ -29,9 +30,9 @@ def rz_conjugation_exponent(a: int, q: int) -> int:
 def _pad_mat(a: int, b: int) -> np.ndarray:
     m = np.eye(2, dtype=complex)
     if b:
-        m = sv.Z_MAT @ m
+        m = oracles.Z_MAT @ m
     if a:
-        m = sv.X_MAT @ m
+        m = oracles.X_MAT @ m
     return m
 
 
@@ -43,9 +44,10 @@ def sign_split_matrices(theta: float, a: int, b: int, q: int):
     which holds exactly (no stray phase) for every (a, b, q).
     """
     pad = _pad_mat(a, b)
-    lhs = sv.rz_matrix(theta) @ pad
-    residual = sv.rz_matrix(2 * theta) if rz_conjugation_exponent(a, q) else np.eye(2)
-    rhs = residual @ pad @ sv.rz_matrix((-1) ** q * theta)
+    lhs = oracles.rz_matrix(theta) @ pad
+    residual = (oracles.rz_matrix(2 * theta) if rz_conjugation_exponent(a, q)
+                else np.eye(2))
+    rhs = residual @ pad @ oracles.rz_matrix((-1) ** q * theta)
     return lhs, rhs
 
 
@@ -77,7 +79,7 @@ def block_ops(plan: BlockPlan, transit: int, parked: int) -> list[GateOp]:
 
 def block_unitary(plan: BlockPlan) -> np.ndarray:
     """4x4 matrix of the block on (transit=qubit 0, parked=qubit 1)."""
-    return sv.ops_unitary(2, block_ops(plan, 0, 1))
+    return oracles.ops_unitary(2, block_ops(plan, 0, 1))
 
 
 def swap_free_working_unitary(plan: BlockPlan) -> np.ndarray:
@@ -92,10 +94,10 @@ def swap_free_working_unitary(plan: BlockPlan) -> np.ndarray:
     for r in plan.rounds:
         if in_transit:
             a, _ = r.pair
-            unpad = (sv.Z_MAT if r.unpad_z else np.eye(2)) @ (
-                sv.X_MAT if a else np.eye(2)
+            unpad = (oracles.Z_MAT if r.unpad_z else np.eye(2)) @ (
+                oracles.X_MAT if a else np.eye(2)
             )
-            w = unpad @ sv.rz_matrix(PI / 2**r.index) @ _pad_mat(*r.pair) @ w
+            w = unpad @ oracles.rz_matrix(PI / 2**r.index) @ _pad_mat(*r.pair) @ w
         if r.swap_after:
             in_transit = not in_transit
     if in_transit:

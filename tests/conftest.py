@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from blindqc import statevec as sv
-from blindqc.angles import digitize, reconstruct
+from blindqc.angles import digitize
 from blindqc.circuits import Circuit
 from blindqc.statevec import Gate
+import oracles
 
 
 def random_lowered_circuit(rng: np.random.Generator, n_qubits: int,
@@ -30,13 +31,13 @@ def random_lowered_circuit(rng: np.random.Generator, n_qubits: int,
 def digitized_reference(circuit: Circuit, n_digits: int,
                         extractor: str = "floor") -> sv.Statevector:
     """Direct simulation with every rz snapped to its digit approximant."""
-    state = sv.new_state(circuit.n_qubits)
+    state = oracles.new_state(circuit.n_qubits)
     for op in circuit.ops:
         if op.kind is Gate.RZ:
             d = digitize(op.angle, n_digits, extractor)
-            state = sv.apply(state, sv.rz(reconstruct(d), op.qubits[0]))
+            state = oracles.apply(state, sv.rz(oracles.reconstruct(d), op.qubits[0]))
         else:
-            state = sv.apply(state, op)
+            state = oracles.apply(state, op)
     return state
 
 
@@ -53,5 +54,5 @@ def rz_error_budget(circuit: Circuit, n_digits: int,
     for op in circuit.ops:
         if op.kind is Gate.RZ:
             d = digitize(op.angle, n_digits, extractor)
-            half_angle += abs(op.angle - reconstruct(d)) / 2
+            half_angle += abs(op.angle - oracles.reconstruct(d)) / 2
     return math.sin(min(half_angle, math.pi / 2)) ** 2

@@ -1,0 +1,278 @@
+"""Reference code the tests pin the package against; no command runs it.
+
+A value-object statevector simulator (``apply`` returns a fresh
+``Statevector``), the key-rule verifier for ``paulis.key_update``, the
+T-gate measurement gadget (the route to a non-Clifford gate that lowering
+``t`` to an ``rz`` ladder replaces), angle reconstruction from digits,
+and lowering's equivalence check on random probe states.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from blindqc import statevec as sv
+from blindqc.angles import PI, AngleDigits
+from blindqc.circuits import Circuit
+from blindqc.paulis import Pair, PauliKey, key_update, pad_ops, unpad_ops
+from blindqc.statevec import DensityMatrix, Gate, GateOp, Statevector
+
+X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
+Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.array(
+        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
+    )
+
+
+def validate_density(rho: DensityMatrix, tol: float = 1e-9) -> None:
+    """Check hermiticity, unit trace and positivity within ``tol``."""
+    if np.abs(rho.mat - rho.mat.conj().T).max() > tol:
+        raise ValueError("density matrix is not hermitian")
+    if abs(np.trace(rho.mat) - 1.0) > tol:
+        raise ValueError("density matrix trace is not 1")
+    if np.linalg.eigvalsh(rho.mat).min() < -tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def new_state(n_qubits: int, amps: np.ndarray | None = None) -> Statevector:
+    """|0...0> on ``n_qubits`` qubits, or a validated custom amplitude vector."""
+    if amps is None:
+        a = np.zeros(2**n_qubits, dtype=complex)
+        a[0] = 1.0
+        return Statevector(n_qubits, a)
+    a = np.asarray(amps, dtype=complex)
+    n = abs(np.linalg.norm(a) - 1.0)
+    if n > 1e-9:
+        raise ValueError(f"amplitudes are not normalized (off by {n:.2e})")
+    return Statevector(n_qubits, a.copy())
+
+
+def random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
+    a = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return Statevector(n_qubits, a / np.linalg.norm(a))
+
+
+def apply(state: Statevector, *ops: GateOp) -> Statevector:
+    """Apply unitary gates in order and return the new state."""
+    amps = state.amps.copy()
+    for op in ops:
+        for q in op.qubits:
+            if not 0 <= q < state.n_qubits:
+                raise ValueError(
+                    f"qubit {q} out of range for {state.n_qubits} qubits")
+        sv._apply_op(amps, op)
+    return Statevector(state.n_qubits, amps)
+
+
+def fidelity(a: Statevector, b: Statevector) -> float:
+    return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
+
+
+def phase_aligned_distance(a: Statevector, b: Statevector) -> float:
+    """max_i |a_i - e^{i phi} b_i| with phi chosen to cancel the global phase."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("states have different qubit counts")
+    ip = np.vdot(b.amps, a.amps)
+    phase = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
+    return float(np.abs(a.amps - phase * b.amps).max())
+
+
+def ensemble_density(states, weights=None) -> DensityMatrix:
+    """Weighted mixture sum_i w_i |psi_i><psi_i| (uniform weights by default)."""
+    states = list(states)
+    if not states:
+        raise ValueError("empty ensemble")
+    if weights is None:
+        weights = [1.0 / len(states)] * len(states)
+    if len(weights) != len(states) or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError("weights must match states and sum to 1")
+    dim = states[0].amps.size
+    rho = np.zeros((dim, dim), dtype=complex)
+    for w, st in zip(weights, states):
+        if st.amps.size != dim:
+            raise ValueError("mixed register sizes in ensemble")
+        rho += w * np.outer(st.amps, st.amps.conj())
+    return DensityMatrix(dim, rho)
+
+
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(1/2) * trace norm of rho - sigma."""
+    if rho.dim != sigma.dim:
+        raise ValueError("dimension mismatch")
+    eigs = np.linalg.eigvalsh(rho.mat - sigma.mat)
+    return float(0.5 * np.sum(np.abs(eigs)))
+
+
+def maximally_mixed(n_qubits: int) -> DensityMatrix:
+    dim = 2**n_qubits
+    return DensityMatrix(dim, np.eye(dim, dtype=complex) / dim)
+
+
+def append_qubits(state: Statevector, k: int) -> Statevector:
+    """Adjoin ``k`` fresh |0> qubits above the current high qubit."""
+    if state.n_qubits + k > sv.MAX_QUBITS:
+        raise ValueError(f"register would exceed {sv.MAX_QUBITS} qubits")
+    amps = np.zeros(2 ** (state.n_qubits + k), dtype=complex)
+    amps[: state.amps.size] = state.amps
+    return Statevector(state.n_qubits + k, amps)
+
+
+def ops_unitary(n_qubits: int, ops) -> np.ndarray:
+    """Full matrix of an op list, built column by column."""
+    dim = 2**n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        amps = np.zeros(dim, dtype=complex)
+        amps[col] = 1.0
+        for op in ops:
+            sv._apply_op(amps, op)
+        out[:, col] = amps
+    return out
+
+
+def zero_key(n: int) -> PauliKey:
+    return PauliKey(((0, 0),) * n)
+
+
+def random_key(n: int, rng: np.random.Generator) -> PauliKey:
+    bits = rng.integers(0, 2, size=(n, 2))
+    return PauliKey(tuple((int(a), int(b)) for a, b in bits))
+
+
+def all_keys(n: int):
+    """Every pad assignment on ``n`` qubits, in lexicographic order."""
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        yield PauliKey(tuple((bits[2 * i], bits[2 * i + 1]) for i in range(n)))
+
+
+def encrypt(state: Statevector, key: PauliKey, qubits=None) -> Statevector:
+    return apply(state, *pad_ops(key.pairs, qubits))
+
+
+def decrypt(state: Statevector, key: PauliKey, qubits=None) -> Statevector:
+    return apply(state, *unpad_ops(key.pairs, qubits))
+
+
+def verify_key_update(op: GateOp, key: PauliKey, rng: np.random.Generator,
+                      trials: int = 2) -> float:
+    """Max-norm deviation of U.P|psi> from i^k.C.P'.U|psi> on random states."""
+    n = max(op.qubits) + 1
+    if key.n_qubits != n:
+        raise ValueError("key must cover exactly the gate's wire span")
+    upd = key_update(op, key)
+    worst = 0.0
+    for _ in range(trials):
+        psi = random_state(n, rng)
+        lhs = apply(encrypt(psi, key), op)
+        rhs = encrypt(apply(psi, op), upd.new_key)
+        rhs = apply(rhs, *upd.corrections)
+        rhs_amps = (1j ** upd.phase_exponent) * rhs.amps
+        worst = max(worst, float(np.abs(lhs.amps - rhs_amps).max()))
+    return worst
+
+
+def one_time_pad_density(state: Statevector) -> DensityMatrix:
+    """Exact average of P(key)|psi><psi|P(key)^dag over every key.
+
+    For any input this is the maximally mixed state.
+    """
+    return ensemble_density([encrypt(state, k) for k in all_keys(state.n_qubits)])
+
+
+@dataclass(frozen=True)
+class TGadgetUpdate:
+    """Key rewrite after the gadget measurement yields outcome ``m``."""
+
+    new_pair: Pair
+    s_exponent: int
+
+
+def t_gadget_key_update(pair: Pair, y: int, d: int, m: int) -> TGadgetUpdate:
+    """Output wire holds S^{a^y} X^{a'} Z^{b'} T|psi> up to global phase.
+
+    ``(y, d)`` are the client's secret ancilla-preparation bits and ``m``
+    the broadcast measurement outcome.
+    """
+    a, b = pair
+    new_a = a ^ m
+    new_b = (a & (m ^ y)) ^ b ^ d
+    return TGadgetUpdate((new_a, new_b), a ^ y)
+
+
+def run_t_gadget(padded: Statevector, y: int, d: int, *,
+                 u: float | None = None,
+                 rng: np.random.Generator | None = None) -> tuple[Statevector, int]:
+    """Execute the gadget on a padded single-qubit state.
+
+    The server holds the padded wire, prepares the ancilla S^y Z^d |+>,
+    applies T to the data, entangles with CX (ancilla controls), and
+    measures the data wire.  Returns the surviving wire and the outcome.
+    """
+    if padded.n_qubits != 1:
+        raise ValueError("gadget input is a single padded wire")
+    reg = append_qubits(padded, 1)
+    prep = [sv.h(1)]
+    if d:
+        prep.append(sv.z(1))
+    if y:
+        prep.append(sv.s(1))
+    reg = apply(reg, *prep, sv.t(0), sv.cx(1, 0))
+    reg, m = sv.measure_qubit(reg, 0, u=u, rng=rng)
+    return sv.drop_qubit(reg, 0, m), m
+
+
+def reconstruct(d: AngleDigits) -> float:
+    """Angle encoded by the digit string (drops only the remainder)."""
+    frac = sum(dig / 2**m for m, dig in enumerate(d.digits, start=1))
+    return d.half_turns * PI + frac * PI
+
+
+def impurity(d: AngleDigits) -> float:
+    """Extra rotation the protocol applies on top of the encoded fraction."""
+    return sum((1 - dig) * PI / 2**m for m, dig in enumerate(d.digits, start=1))
+
+
+def delegation_angle(half_turns: int, n_digits: int) -> float:
+    """reconstruct + impurity for any digit string: digit-independent."""
+    return half_turns * PI + PI - PI / 2**n_digits
+
+
+def remainder(d: AngleDigits) -> float:
+    return d.theta - reconstruct(d)
+
+
+def gate_counts(circuit: Circuit) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for op in circuit.ops:
+        counts[op.kind.value] = counts.get(op.kind.value, 0) + 1
+    return counts
+
+
+def has_measurements(circuit: Circuit) -> bool:
+    return any(op.kind is Gate.MEASURE for op in circuit.ops)
+
+
+def check_equivalent(original: Circuit, lowered: Circuit, *, probes: int = 3,
+                     rng: np.random.Generator | None = None) -> float:
+    """Max phase-aligned deviation over random probe states.
+
+    Only meaningful for unitary circuits; raises if either side measures.
+    """
+    if has_measurements(original) or has_measurements(lowered):
+        raise ValueError("cannot compare circuits containing measurements")
+    if original.n_qubits != lowered.n_qubits:
+        raise ValueError("qubit counts differ")
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(probes):
+        probe = random_state(original.n_qubits, rng)
+        a = apply(probe, *original.ops)
+        b = apply(probe, *lowered.ops)
+        worst = max(worst, phase_aligned_distance(a, b))
+    return worst

@@ -19,9 +19,11 @@ class RegisterSession(Session):
         pass
 
 
-def run_register_protocol(circuit, epsilon, seed, *, extractor="floor",
-                          overrides=None) -> protocol.ProtocolResult:
-    """``protocol.run_protocol`` with every ladder round on the register."""
-    session = RegisterSession(circuit.n_qubits + protocol.N_SLOTS, seed,
-                              epsilon=epsilon, overrides=overrides)
+def run_pinned(circuit, epsilon, seed, overrides=None, *, extractor="floor",
+               session_type=Session) -> protocol.ProtocolResult:
+    """``protocol.run_protocol`` with the pad labels in ``overrides`` pinned:
+    a whole-circuit replay from |0...0>.  Under ``RegisterSession`` every
+    ladder round runs on the register."""
+    session = session_type(circuit.n_qubits + protocol.N_SLOTS, seed,
+                           epsilon=epsilon, overrides=overrides)
     return protocol._Run(circuit, epsilon, session, extractor).run()

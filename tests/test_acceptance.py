@@ -17,7 +17,7 @@ import pytest
 
 from blindqc import paulis
 from blindqc import statevec as sv
-from blindqc.angles import digitize, impurity, precision_bits, reconstruct, remainder
+from blindqc.angles import digitize, precision_bits
 from blindqc.audit import (
     classical_view,
     negative_control,
@@ -37,6 +37,7 @@ from block_oracles import (
     working_wire_action,
 )
 from conftest import digitized_reference, random_lowered_circuit, rz_error_budget
+import oracles
 
 PI = math.pi
 ALL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -59,18 +60,18 @@ def test_criterion_01_protocol_matches_direct_simulation():
         n_gates = int(rng.integers(1, 31))
         circ = random_lowered_circuit(rng, n, n_gates)
         reference = digitized_reference(circ, bits)
-        exact = sv.apply_all(sv.new_state(n), circ.ops)
+        exact = oracles.apply(oracles.new_state(n), *circ.ops)
         budget = rz_error_budget(circ, bits)
         for op in circ.ops:
             if op.kind is Gate.RZ:
                 d = digitize(op.angle, bits)
-                assert abs(remainder(d)) <= PI / 2**bits + 1e-12
+                assert abs(oracles.remainder(d)) <= PI / 2**bits + 1e-12
         for s in range(5):
             res = run_protocol(circ, eps, seed=1000 * c + s)
-            fid = sv.fidelity(res.working_state, reference)
+            fid = oracles.fidelity(res.working_state, reference)
             worst_fid_gap = max(worst_fid_gap, 1.0 - fid)
             assert fid >= 1.0 - 1e-9
-            infid = 1.0 - sv.fidelity(res.working_state, exact)
+            infid = 1.0 - oracles.fidelity(res.working_state, exact)
             assert infid <= budget + 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -83,11 +84,11 @@ def test_criterion_02_one_time_pad_is_maximally_mixed():
     rng = np.random.default_rng(2025)
     worst = 0.0
     for n in (1, 2):
-        target = sv.maximally_mixed(n)
+        target = oracles.maximally_mixed(n)
         for _ in range(20):
-            state = sv.random_state(n, rng)
-            rho = paulis.one_time_pad_density(state)
-            worst = max(worst, sv.trace_distance(rho, target))
+            state = oracles.random_state(n, rng)
+            rho = oracles.one_time_pad_density(state)
+            worst = max(worst, oracles.trace_distance(rho, target))
     assert worst < 1e-10
     print(f"criterion 2: PASS (worst trace distance {worst:.2e})")
 
@@ -97,15 +98,15 @@ def test_criterion_03_key_update_rules_are_exact():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for op in (sv.h(0), sv.s(0)):
-        for key in paulis.all_keys(1):
-            worst = max(worst, paulis.verify_key_update(op, key, rng,
+        for key in oracles.all_keys(1):
+            worst = max(worst, oracles.verify_key_update(op, key, rng,
                                                         trials=20))
     for op in (sv.cx(0, 1), sv.cx(1, 0), sv.cz(0, 1)):
-        for key in paulis.all_keys(2):
-            worst = max(worst, paulis.verify_key_update(op, key, rng,
+        for key in oracles.all_keys(2):
+            worst = max(worst, oracles.verify_key_update(op, key, rng,
                                                         trials=20))
-    for key in paulis.all_keys(3):
-        worst = max(worst, paulis.verify_key_update(sv.ccx(0, 1, 2), key,
+    for key in oracles.all_keys(3):
+        worst = max(worst, oracles.verify_key_update(sv.ccx(0, 1, 2), key,
                                                     rng, trials=20))
     assert worst < 1e-10
 
@@ -114,23 +115,23 @@ def test_criterion_03_key_update_rules_are_exact():
     for (a, b), y, d, branch in itertools.product(
             ALL_PAIRS, (0, 1), (0, 1), (0, 1)):
         for _ in range(20):
-            psi = sv.random_state(1, rng)
+            psi = oracles.random_state(1, rng)
             padded = psi
             if b:
-                padded = sv.apply(padded, sv.z(0))
+                padded = oracles.apply(padded, sv.z(0))
             if a:
-                padded = sv.apply(padded, sv.x(0))
+                padded = oracles.apply(padded, sv.x(0))
             u = 0.25 if branch else 0.75
-            out, m = paulis.run_t_gadget(padded, y, d, u=u)
+            out, m = oracles.run_t_gadget(padded, y, d, u=u)
             assert m == branch
-            upd = paulis.t_gadget_key_update((a, b), y, d, m)
+            upd = oracles.t_gadget_key_update((a, b), y, d, m)
             fixed = out
             for _ in range(upd.s_exponent % 4):
-                fixed = sv.apply(fixed, sv.u(sv.S_MAT.conj().T, 0))
-            fixed = paulis.decrypt(fixed, paulis.PauliKey((upd.new_pair,)))
-            want = sv.apply(psi, sv.t(0))
+                fixed = oracles.apply(fixed, sv.u(sv.S_MAT.conj().T, 0))
+            fixed = oracles.decrypt(fixed, paulis.PauliKey((upd.new_pair,)))
+            want = oracles.apply(psi, sv.t(0))
             gadget_worst = max(gadget_worst,
-                               sv.phase_aligned_distance(fixed, want))
+                               oracles.phase_aligned_distance(fixed, want))
     assert gadget_worst < 1e-10
     print(f"criterion 3: PASS (clifford {worst:.2e}, gadget "
           f"{gadget_worst:.2e})")
@@ -154,7 +155,7 @@ def test_criterion_05_digit_block_equals_single_rotation():
         for s, q in ((0, 0), (1, 0), (1, 1)):
             for bits in itertools.product(ALL_PAIRS, repeat=m):
                 plan = digit_block_plan(s, q, bits)
-                expected = sv.rz_matrix(block_rotation(plan))
+                expected = oracles.rz_matrix(block_rotation(plan))
                 assert block_rotation(plan) == (-1) ** q * s * PI / 2**m
                 for w in (swap_free_working_unitary(plan),
                           working_wire_action(block_unitary(plan))):
@@ -175,7 +176,7 @@ def test_criterion_06_delegated_angle_is_input_independent():
         for theta in rng.uniform(-4 * PI, 4 * PI, size=1000):
             for extractor in ("floor", "balanced"):
                 d = digitize(float(theta), bits, extractor)
-                got = reconstruct(d) + impurity(d) - d.half_turns * PI
+                got = oracles.reconstruct(d) + oracles.impurity(d) - d.half_turns * PI
                 worst = max(worst, abs(got - constant))
     assert worst < 1e-12
     print(f"criterion 6: PASS (worst deviation {worst:.2e})")

@@ -27,6 +27,7 @@ from blindqc.audit import (
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
 from blindqc.session import CLIENT_TO_SERVER, KeySource, Session
+from register_engine import run_pinned
 
 PI = math.pi
 EPS_M2 = PI / 4  # two digit blocks keep exhaustive replays quick
@@ -124,6 +125,17 @@ class TestMixedness:
                 audit_circuit(Circuit(1, (sv.h(0),)), EPS_M2, seed=0,
                               mode=mode)
 
+    @pytest.mark.parametrize("ops", [(), (sv.measure(0),)],
+                             ids=["no-gates", "measure-only"])
+    def test_circuit_delegating_nothing_is_refused(self, monkeypatch, ops):
+        # with no traffic the negative control reads 0 although nothing leaked
+        built = []
+        monkeypatch.setattr(audit, "CheckpointedRun",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="delegates no gates"):
+            audit_circuit(Circuit(2, ops), EPS_M2, seed=0)
+        assert built == []
+
 
 class TestReplayReuse:
     CIRC = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
@@ -137,8 +149,8 @@ class TestReplayReuse:
         # the two single-wire rounds of the m=2 digit block
         assert len(labels) == 4 * 4 + 2
         for label in labels:
-            pinned = run_protocol(self.CIRC, EPS_M2, seed=4,
-                                  overrides={label: keys.pad_pair(label)})
+            pinned = run_pinned(self.CIRC, EPS_M2, 4,
+                                {label: keys.pad_pair(label)})
             assert pinned.transcript.digest() == base.transcript.digest()
 
     def test_exhaustive_report_matches_all_four_replays(self, monkeypatch):
@@ -179,8 +191,7 @@ class TestReplayReuse:
             for _, label in msg.pad_labels:
                 for pair in ALL_PAIRS:
                     got = base.replay(i, label, pair)
-                    want = run_protocol(circ, EPS_M2, seed=4,
-                                        overrides={label: pair})
+                    want = run_pinned(circ, EPS_M2, 4, {label: pair})
                     assert len(got) == i + 2
                     for a, b in zip(got, want.transcript.messages):
                         assert (a.tag, a.transmitted, a.pad_labels) == (
@@ -263,8 +274,8 @@ def reference_audit(circuit, epsilon, seed):
     worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
     for i, msg in outbound:
         for wire, label in msg.pad_labels:
-            replays = [run_protocol(circuit, epsilon, seed,
-                                    overrides={label: pair}).transcript
+            replays = [run_pinned(circuit, epsilon, seed,
+                                  {label: pair}).transcript
                        for pair in ALL_PAIRS]
             avg_out = sum(r.messages[i].wire_density(wire)
                           for r in replays) / 4.0

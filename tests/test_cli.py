@@ -17,7 +17,7 @@ from blindqc.cli import (
     EXIT_UNSUPPORTED_GATE,
     main,
 )
-from blindqc.lowering import is_lowered
+from blindqc.lowering import first_undelegable
 
 SMALL = "version 1\nqubits 2\nh 0\ncx 0 1\nrz 0 0.5\nmeasure 1\n"
 LOWERED = "version 1\nqubits 2\nh 0\ncz 0 1\nrz 1 -1.25\n"
@@ -41,12 +41,12 @@ class TestLower:
     def test_lower_writes_delegable_circuit(self, small_path, capsys):
         assert main(["lower", small_path]) == EXIT_OK
         out = capsys.readouterr().out
-        assert is_lowered(parse(out))
+        assert first_undelegable(parse(out)) is None
 
     def test_lower_to_file(self, small_path, tmp_path):
         out = tmp_path / "out.bqc"
         assert main(["lower", small_path, "--out", str(out)]) == EXIT_OK
-        assert is_lowered(parse(out.read_text()))
+        assert first_undelegable(parse(out.read_text())) is None
 
 
 class TestRun:
@@ -157,6 +157,17 @@ class TestAudit:
         assert code == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "1024 digit blocks" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gates", ["", "measure 0\n"],
+                             ids=["no-gates", "measure-only"])
+    def test_circuit_delegating_nothing_is_refused(self, tmp_path, capsys,
+                                                   gates):
+        p = tmp_path / "idle.bqc"
+        p.write_text("version 1\nqubits 2\n" + gates)
+        assert main(["audit", str(p)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: circuit delegates no gates to audit\n"
 
     def test_bad_mode_string(self, lowered_path):
         with pytest.raises(SystemExit) as exc:

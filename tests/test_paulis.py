@@ -5,38 +5,41 @@ import pytest
 
 from blindqc import paulis as pk
 from blindqc import statevec as sv
+import oracles
 
 
 def test_pad_operator_order_is_x_after_z():
     # X^1 Z^1 on |0> gives |1> with no sign; Z^1 X^1 would give -|1>
-    st = pk.encrypt(sv.new_state(1), pk.PauliKey(((1, 1),)))
+    st = oracles.encrypt(oracles.new_state(1), pk.PauliKey(((1, 1),)))
     assert np.allclose(st.amps, [0, 1])
-    st = pk.encrypt(sv.apply(sv.new_state(1), sv.x(0)), pk.PauliKey(((1, 1),)))
+    st = oracles.encrypt(oracles.apply(oracles.new_state(1), sv.x(0)),
+                         pk.PauliKey(((1, 1),)))
     assert np.allclose(st.amps, [-1, 0])
 
 
 def test_encrypt_decrypt_roundtrip():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3):
-        psi = sv.random_state(n, rng)
-        key = pk.PauliKey.random(n, rng)
-        assert np.allclose(pk.decrypt(pk.encrypt(psi, key), key).amps, psi.amps)
+        psi = oracles.random_state(n, rng)
+        key = oracles.random_key(n, rng)
+        back = oracles.decrypt(oracles.encrypt(psi, key), key)
+        assert np.allclose(back.amps, psi.amps)
 
 
 def test_encrypt_on_selected_wires():
     rng = np.random.default_rng(8)
-    psi = sv.random_state(3, rng)
+    psi = oracles.random_state(3, rng)
     key = pk.PauliKey(((1, 0),))
-    got = pk.encrypt(psi, key, qubits=[2])
-    want = sv.apply(psi, sv.x(2))
+    got = oracles.encrypt(psi, key, qubits=[2])
+    want = oracles.apply(psi, sv.x(2))
     assert np.allclose(got.amps, want.amps)
 
 
 def test_all_keys_enumeration():
-    keys = list(pk.all_keys(2))
+    keys = list(oracles.all_keys(2))
     assert len(keys) == 16
     assert len(set(keys)) == 16
-    assert keys[0] == pk.PauliKey.zero(2)
+    assert keys[0] == oracles.zero_key(2)
 
 
 def test_key_validation():
@@ -49,29 +52,29 @@ class TestCliffordRules:
 
     def test_h_rule_exhaustive(self):
         rng = np.random.default_rng(10)
-        for key in pk.all_keys(1):
-            assert pk.verify_key_update(sv.h(0), key, rng) < 1e-12
+        for key in oracles.all_keys(1):
+            assert oracles.verify_key_update(sv.h(0), key, rng) < 1e-12
 
     def test_s_rule_exhaustive(self):
         rng = np.random.default_rng(11)
-        for key in pk.all_keys(1):
-            assert pk.verify_key_update(sv.s(0), key, rng) < 1e-12
+        for key in oracles.all_keys(1):
+            assert oracles.verify_key_update(sv.s(0), key, rng) < 1e-12
 
     def test_cx_rule_exhaustive(self):
         rng = np.random.default_rng(12)
-        for key in pk.all_keys(2):
+        for key in oracles.all_keys(2):
             for op in (sv.cx(0, 1), sv.cx(1, 0)):
-                assert pk.verify_key_update(op, key, rng) < 1e-12
+                assert oracles.verify_key_update(op, key, rng) < 1e-12
 
     def test_cz_rule_exhaustive(self):
         rng = np.random.default_rng(13)
-        for key in pk.all_keys(2):
-            assert pk.verify_key_update(sv.cz(0, 1), key, rng) < 1e-12
+        for key in oracles.all_keys(2):
+            assert oracles.verify_key_update(sv.cz(0, 1), key, rng) < 1e-12
 
     def test_ccx_rule_exhaustive(self):
         rng = np.random.default_rng(14)
-        for key in pk.all_keys(3):
-            assert pk.verify_key_update(sv.ccx(0, 1, 2), key, rng) < 1e-12
+        for key in oracles.all_keys(3):
+            assert oracles.verify_key_update(sv.ccx(0, 1, 2), key, rng) < 1e-12
 
     def test_expected_bit_rewrites(self):
         upd = pk.key_update(sv.h(0), pk.PauliKey(((1, 0),)))
@@ -94,32 +97,32 @@ class TestCliffordRules:
 
     def test_no_rule_for_t(self):
         with pytest.raises(ValueError):
-            pk.key_update(sv.t(0), pk.PauliKey.zero(1))
+            pk.key_update(sv.t(0), oracles.zero_key(1))
 
 
 def test_key_update_circuit_folds_sequences():
     rng = np.random.default_rng(21)
     ops = [sv.h(0), sv.cz(0, 1), sv.s(1), sv.cx(1, 0), sv.h(1)]
-    for key in (pk.PauliKey.random(2, rng) for _ in range(12)):
+    for key in (oracles.random_key(2, rng) for _ in range(12)):
         upd = pk.key_update_circuit(ops, key)
-        psi = sv.random_state(2, rng)
-        lhs = sv.apply_all(pk.encrypt(psi, key), ops)
-        rhs_amps = (1j ** upd.phase_exponent) * pk.encrypt(
-            sv.apply_all(psi, ops), upd.new_key
+        psi = oracles.random_state(2, rng)
+        lhs = oracles.apply(oracles.encrypt(psi, key), *ops)
+        rhs_amps = (1j ** upd.phase_exponent) * oracles.encrypt(
+            oracles.apply(psi, *ops), upd.new_key
         ).amps
         assert np.abs(lhs.amps - rhs_amps).max() < 1e-12
 
 
 def test_key_update_circuit_rejects_ccx():
     with pytest.raises(ValueError):
-        pk.key_update_circuit([sv.ccx(0, 1, 2)], pk.PauliKey.zero(3))
+        pk.key_update_circuit([sv.ccx(0, 1, 2)], oracles.zero_key(3))
 
 
 def test_one_time_pad_density_is_maximally_mixed():
     rng = np.random.default_rng(31)
     for n in (1, 2):
-        rho = pk.one_time_pad_density(sv.random_state(n, rng))
-        assert sv.trace_distance(rho, sv.maximally_mixed(n)) < 1e-12
+        rho = oracles.one_time_pad_density(oracles.random_state(n, rng))
+        assert oracles.trace_distance(rho, oracles.maximally_mixed(n)) < 1e-12
 
 
 class TestTGadget:
@@ -129,42 +132,41 @@ class TestTGadget:
     def test_measurement_is_unbiased(self):
         rng = np.random.default_rng(40)
         for a, b, y, d in self.gadget_cases():
-            psi = sv.random_state(1, rng)
-            padded = pk.encrypt(psi, pk.PauliKey(((a, b),)))
+            psi = oracles.random_state(1, rng)
+            padded = oracles.encrypt(psi, pk.PauliKey(((a, b),)))
             # outcome flips across u = 1/2 exactly, so each branch has mass 1/2
-            _, m_lo = pk.run_t_gadget(padded, y, d, u=0.25)
-            _, m_hi = pk.run_t_gadget(padded, y, d, u=0.75)
+            _, m_lo = oracles.run_t_gadget(padded, y, d, u=0.25)
+            _, m_hi = oracles.run_t_gadget(padded, y, d, u=0.75)
             assert (m_lo, m_hi) == (1, 0)
 
     def test_output_key_rule_all_branches(self):
         rng = np.random.default_rng(41)
         for a, b, y, d in self.gadget_cases():
-            psi = sv.random_state(1, rng)
-            padded = pk.encrypt(psi, pk.PauliKey(((a, b),)))
+            psi = oracles.random_state(1, rng)
+            padded = oracles.encrypt(psi, pk.PauliKey(((a, b),)))
             for u in (0.25, 0.75):
-                out, m = pk.run_t_gadget(padded, y, d, u=u)
-                upd = pk.t_gadget_key_update((a, b), y, d, m)
-                want = sv.apply(psi, sv.t(0))
-                want = pk.encrypt(want, pk.PauliKey((upd.new_pair,)))
+                out, m = oracles.run_t_gadget(padded, y, d, u=u)
+                upd = oracles.t_gadget_key_update((a, b), y, d, m)
+                want = oracles.apply(psi, sv.t(0))
+                want = oracles.encrypt(want, pk.PauliKey((upd.new_pair,)))
                 if upd.s_exponent:
-                    want = sv.apply(want, sv.s(0))
-                assert sv.equal_up_to_global_phase(out, want, tol=1e-10)
+                    want = oracles.apply(want, sv.s(0))
+                assert oracles.phase_aligned_distance(out, want) <= 1e-10
 
     def test_completion_recovers_t_psi(self):
         rng = np.random.default_rng(42)
         s_dag = sv.S_MAT.conj().T
         for a, b, y, d in self.gadget_cases():
-            psi = sv.random_state(1, rng)
-            padded = pk.encrypt(psi, pk.PauliKey(((a, b),)))
-            out, m = pk.run_t_gadget(padded, y, d, rng=rng)
-            upd = pk.t_gadget_key_update((a, b), y, d, m)
+            psi = oracles.random_state(1, rng)
+            padded = oracles.encrypt(psi, pk.PauliKey(((a, b),)))
+            out, m = oracles.run_t_gadget(padded, y, d, rng=rng)
+            upd = oracles.t_gadget_key_update((a, b), y, d, m)
             if upd.s_exponent:
-                out = sv.apply(out, sv.u(s_dag, 0))
-            out = pk.decrypt(out, pk.PauliKey((upd.new_pair,)))
-            assert sv.equal_up_to_global_phase(
-                out, sv.apply(psi, sv.t(0)), tol=1e-10
-            )
+                out = oracles.apply(out, sv.u(s_dag, 0))
+            out = oracles.decrypt(out, pk.PauliKey((upd.new_pair,)))
+            assert oracles.phase_aligned_distance(
+                out, oracles.apply(psi, sv.t(0))) <= 1e-10
 
     def test_rejects_multi_qubit_input(self):
         with pytest.raises(ValueError):
-            pk.run_t_gadget(sv.new_state(2), 0, 0, u=0.3)
+            oracles.run_t_gadget(oracles.new_state(2), 0, 0, u=0.3)

@@ -1,6 +1,8 @@
 """The package's top-level names are exactly the entry points the README
-lists, and every name the benchmark traces still exists."""
+lists, every name the benchmark traces still exists, and the package
+defines nothing that only tests reach."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -10,6 +12,7 @@ import blindqc
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "blindqc"
 
 
 def documented_names() -> list[str]:
@@ -37,16 +40,113 @@ def test_star_import_exposes_nothing_else():
     assert set(namespace) == set(blindqc.__all__)
 
 
-def test_traced_boundaries_resolve():
-    # the benchmark wraps these names from outside; a rename must fail here
+def traced_boundaries():
+    """(span, module, attribute path) of each name the benchmark wraps."""
     spec = importlib.util.spec_from_file_location(
         "benchmark_tracing", ROOT / "benchmarks" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.BOUNDARIES
-    for _, module, attr in tracing.BOUNDARIES:
+    return tracing.BOUNDARIES
+
+
+def test_traced_boundaries_resolve():
+    # the benchmark wraps these names from outside; a rename must fail here
+    boundaries = traced_boundaries()
+    assert boundaries
+    for _, module, attr in boundaries:
         obj = importlib.import_module(module)
         for part in attr.split("."):
             assert hasattr(obj, part), f"{module}:{attr} is gone"
             obj = getattr(obj, part)
         assert callable(obj), f"{module}:{attr} is not callable"
+
+
+# Top-level names kept although no root reaches them.
+ALLOWED_UNREACHED = {
+    ("__init__", "__version__"),  # package metadata, public by convention
+    # the gate factories x ... u stay one set, for circuits built in memory
+    ("statevec", "s"),  # lowers to rz(pi/2); circuit files parse to GateOp
+    ("statevec", "t"),  # lowers to rz(pi/4); circuit files parse to GateOp
+    ("statevec", "ccx"),  # lowers to the six-cx ladder
+    ("statevec", "measure"),  # the client measures; files parse to GateOp
+    ("statevec", "u"),  # raw 2x2 unitaries exist only in memory
+}
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+class _Module:
+    """One source file: its top-level definitions, the names it imports
+    from sibling modules, and its statements that run on import."""
+
+    def __init__(self, path: Path):
+        self.defs, self.imports, self.aliases, self.loose = {}, {}, {}, []
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for a in stmt.names:
+                    if stmt.module:  # from .mod import name
+                        self.imports[a.asname or a.name] = (stmt.module, a.name)
+                    else:  # from . import mod
+                        self.aliases[a.asname or a.name] = a.name
+            elif _defined_names(stmt):
+                for name in _defined_names(stmt):
+                    self.defs[name] = stmt
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                self.loose.append(stmt)
+
+
+def _unreached() -> set[tuple[str, str]]:
+    """(module, name) of each top-level definition in the package that no
+    root reaches by name.  The roots are ``cli.main``, ``__all__`` and the
+    names the benchmark traces.  A reached definition reaches every name
+    its code loads, minus its own parameters and locals, resolved through
+    sibling-module imports."""
+    mods = {p.stem: _Module(p) for p in PACKAGE.glob("*.py")}
+
+    def resolve(mod, name):
+        if name in mods[mod].defs:
+            return (mod, name)
+        if name in mods[mod].imports:
+            return resolve(*mods[mod].imports[name])
+        return None
+
+    def loads(mod, node):
+        local = {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)} - set(_defined_names(node))
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id not in local:
+                yield resolve(mod, n.id)
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in mods[mod].aliases):
+                yield resolve(mods[mod].aliases[n.value.id], n.attr)
+
+    todo = [("cli", "main"), ("__init__", "__all__")]
+    todo += [resolve("__init__", name) for name in blindqc.__all__]
+    todo += [resolve(module.rpartition(".")[2], attr.split(".")[0])
+             for _, module, attr in traced_boundaries()]
+    todo += [r for mod, m in mods.items() for stmt in m.loose
+             for r in loads(mod, stmt)]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key is not None and key not in seen:
+            seen.add(key)
+            todo += loads(key[0], mods[key[0]].defs[key[1]])
+    return {(mod, name) for mod, m in mods.items() for name in m.defs} - seen
+
+
+def test_every_definition_is_reachable_from_the_commands():
+    # code only tests use belongs in tests/oracles.py
+    unreached = _unreached()
+    extra = sorted(f"{mod}.{name}" for mod, name in unreached - ALLOWED_UNREACHED)
+    assert not extra, "only tests reach " + ", ".join(extra)
+    # an allow-listed name that became reachable comes off the list
+    assert ALLOWED_UNREACHED <= unreached

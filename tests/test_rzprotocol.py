@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blindqc import statevec as sv
-from blindqc.angles import digitize, precision_bits, reconstruct, remainder
+from blindqc.angles import digitize, precision_bits
 from blindqc.circuits import Circuit
 from blindqc.protocol import (
     OPENING_TAG,
@@ -26,6 +26,8 @@ from block_oracles import (
     working_wire_action,
 )
 from conftest import digitized_reference
+import oracles
+from register_engine import run_pinned
 
 ALL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -37,7 +39,7 @@ def mat_phase_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def direct(*ops) -> sv.Statevector:
-    return sv.apply_all(sv.new_state(1), ops)
+    return oracles.apply(oracles.new_state(1), *ops)
 
 
 class TestSignSplit:
@@ -58,9 +60,8 @@ class TestBaseCase:
         circ = Circuit(1, (sv.h(0), sv.rz(PI / 2, 0)))
         want = direct(*circ.ops)
         for pair in ALL_PAIRS:
-            res = run_protocol(circ, PI / 2, seed=0,
-                               overrides={"gate1:m1:k1": pair})
-            assert sv.phase_aligned_distance(res.working_state, want) < 1e-12
+            res = run_pinned(circ, PI / 2, 0, {"gate1:m1:k1": pair})
+            assert oracles.phase_aligned_distance(res.working_state, want) < 1e-12
 
     def test_key_update_values(self):
         # the last round's unpad folds Rz(pi/2) X^a Z^b = X^a Z^(a^b) Rz(pi/2)
@@ -109,7 +110,7 @@ class TestDigitBlock:
             for s, q in ((0, 0), (1, 0), (1, 1)):
                 for bits in itertools.product(ALL_PAIRS, repeat=m):
                     plan = digit_block_plan(s, q, bits)
-                    expected = sv.rz_matrix(block_rotation(plan))
+                    expected = oracles.rz_matrix(block_rotation(plan))
                     w_sim = working_wire_action(block_unitary(plan))
                     w_free = swap_free_working_unitary(plan)
                     assert mat_phase_dist(w_sim, expected) < 1e-10
@@ -139,8 +140,8 @@ class TestBlindRz:
     def test_dyadic_angle_is_exact(self):
         circ = Circuit(1, (sv.h(0), sv.rz(PI / 2, 0)))
         res = run_protocol(circ, PI / 8, seed=2)
-        assert reconstruct(res.digits[1]) == pytest.approx(PI / 2, abs=1e-15)
-        assert sv.fidelity(res.working_state, direct(*circ.ops)) > 1 - 1e-12
+        assert oracles.reconstruct(res.digits[1]) == pytest.approx(PI / 2, abs=1e-15)
+        assert oracles.fidelity(res.working_state, direct(*circ.ops)) > 1 - 1e-12
 
     def test_round_count_and_tag_schedule_are_angle_independent(self):
         for theta in (0.0, 1.0, -2.6, PI / 2):
@@ -158,16 +159,16 @@ class TestBlindRz:
         res = run_protocol(circ, 1e-2, seed=5)
         d = res.digits[1]
         assert res.transcript.round_trips() == 1 + bits * (bits + 1) // 2
-        infid = 1 - sv.fidelity(res.working_state, direct(*circ.ops))
-        assert infid <= math.sin(remainder(d) / 2) ** 2 + 1e-12
-        approx = direct(sv.h(0), sv.rz(reconstruct(d), 0))
-        assert sv.fidelity(res.working_state, approx) > 1 - 1e-10
+        infid = 1 - oracles.fidelity(res.working_state, direct(*circ.ops))
+        assert infid <= math.sin(oracles.remainder(d) / 2) ** 2 + 1e-12
+        approx = direct(sv.h(0), sv.rz(oracles.reconstruct(d), 0))
+        assert oracles.fidelity(res.working_state, approx) > 1 - 1e-10
 
     def test_zero_angle_runs_the_full_schedule_and_does_nothing(self):
         res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.0, 0))), PI / 16,
                            seed=6)
         assert res.transcript.round_trips() == 1 + 10
-        assert sv.fidelity(res.working_state, direct(sv.h(0))) > 1 - 1e-12
+        assert oracles.fidelity(res.working_state, direct(sv.h(0))) > 1 - 1e-12
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     def test_random_angles_match_their_digitization(self, extractor):
@@ -181,15 +182,15 @@ class TestBlindRz:
                                extractor=extractor)
             assert res.digits[3] == digitize(theta, 4, extractor)
             want = digitized_reference(circ, 4, extractor)
-            assert sv.fidelity(res.working_state, want) > 1 - 1e-10
+            assert oracles.fidelity(res.working_state, want) > 1 - 1e-10
 
     def test_negative_angle_uses_the_parity_correction(self):
         circ = Circuit(1, (sv.h(0), sv.rz(-2.6, 0)))
         res = run_protocol(circ, PI / 32, seed=7)
         d = res.digits[1]
         assert d.half_turns == -1 and d.parity == 1
-        approx = direct(sv.h(0), sv.rz(reconstruct(d), 0))
-        assert sv.fidelity(res.working_state, approx) > 1 - 1e-10
+        approx = direct(sv.h(0), sv.rz(oracles.reconstruct(d), 0))
+        assert oracles.fidelity(res.working_state, approx) > 1 - 1e-10
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     def test_every_pad_of_a_digit_block_gives_its_digit(self, extractor):
@@ -198,8 +199,8 @@ class TestBlindRz:
         circ = Circuit(1, (sv.h(0), sv.rz(PI / 4, 0)))
         want = digitized_reference(circ, 2, extractor)
         for k1, k2 in itertools.product(ALL_PAIRS, repeat=2):
-            res = run_protocol(circ, PI / 4, seed=0, extractor=extractor,
-                               overrides={"gate1:m2:k1": k1,
-                                          "gate1:m2:k2": k2})
+            res = run_pinned(circ, PI / 4, 0, {"gate1:m2:k1": k1,
+                                               "gate1:m2:k2": k2},
+                             extractor=extractor)
             assert res.digits[1].negative_flags[1] == (extractor == "balanced")
-            assert sv.phase_aligned_distance(res.working_state, want) < 1e-12
+            assert oracles.phase_aligned_distance(res.working_state, want) < 1e-12

@@ -15,6 +15,7 @@ from blindqc.session import (
     ProtocolError,
     Session,
 )
+import oracles
 
 
 class TestKeySource:
@@ -121,10 +122,10 @@ class TestSession:
         assert sess.amps.flags.writeable
 
     def test_client_measure_collapses_like_measure_qubit(self):
-        state = sv.random_state(3, np.random.default_rng(8))
+        state = oracles.random_state(3, np.random.default_rng(8))
         for wire in range(3):
             sess = Session(3, seed=2)
-            sess.load_state(state)
+            sess.amps = state.amps.copy()
             outcome = sess.client_measure(wire, "r")
             expect, bit = sv.measure_qubit(state, wire,
                                            u=sess.keys.measure_u("r"))
@@ -147,11 +148,11 @@ class TestSession:
         assert run(4) != run(5)
 
     def test_client_measure_uses_labeled_draw(self):
-        plus = sv.new_state(1, np.array([1, 1]) / np.sqrt(2))
+        plus = oracles.new_state(1, np.array([1, 1]) / np.sqrt(2))
         outcomes = set()
         for seed in range(12):
             sess = Session(1, seed=seed)
-            sess.load_state(plus)
+            sess.amps = plus.amps.copy()
             outcomes.add(sess.client_measure(0, "r0"))
         assert outcomes == {0, 1}
 
@@ -159,24 +160,24 @@ class TestSession:
         sess = Session(2, seed=1)
         sess.client_apply([sv.h(0), sv.cx(0, 1)])
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
-        rho = sess.transcript.messages[0].payload_density()
-        assert np.abs(rho.mat - np.eye(2) / 2).max() < 1e-12
+        rho = sess.transcript.messages[0].density
+        assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
 
     def test_payload_density_of_lower_wires_is_their_reduced_state(self):
         # wires below the top of the register take the transposing path
-        state = sv.random_state(3, np.random.default_rng(5))
+        state = oracles.random_state(3, np.random.default_rng(5))
         tensor = state.amps.reshape(2, 2, 2)  # axes: qubit 2, 1, 0
         sess = Session(3, seed=0)
-        sess.load_state(state)
+        sess.amps = state.amps.copy()
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
         sess.round_trip((0, 2), '{"angle":0.0,"kind":"rotate"}', [])
         one, _, two, _ = sess.transcript.messages
         rho_1 = np.einsum("aib,ajb->ij", tensor, tensor.conj())
-        assert np.allclose(one.payload_density().mat, rho_1, atol=1e-12)
+        assert np.allclose(one.density, rho_1, atol=1e-12)
         assert np.allclose(one.wire_density(1), rho_1, atol=1e-12)
         # qubit 0 is the low bit of the joint index, qubit 2 the high bit
         rho_02 = np.einsum("ixj,kxl->ijkl", tensor, tensor.conj())
-        assert np.allclose(two.payload_density().mat, rho_02.reshape(4, 4),
+        assert np.allclose(two.density, rho_02.reshape(4, 4),
                            atol=1e-12)
         # each wire's state is read off the joint, not traced again
         for wire in (0, 2):
@@ -186,13 +187,13 @@ class TestSession:
     def test_digest_covers_wires_off_the_channel(self):
         def run(working):
             sess = Session(3, seed=0)
-            sess.load_state(working)
+            sess.amps = working.amps.copy()
             sess.round_trip((2,), '{"angle":0.3,"kind":"rotate"}',
                             [sv.rz(0.3, 2)])
             return sess.finish()
 
-        a = run(sv.new_state(3))
-        b = run(sv.apply(sv.new_state(3), sv.x(0)))
+        a = run(oracles.new_state(3))
+        b = run(oracles.apply(oracles.new_state(3), sv.x(0)))
         for ma, mb in zip(a.messages, b.messages):
             assert np.array_equal(ma.density, mb.density)
         assert a.digest() != b.digest()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blindqc import statevec as sv
+import oracles
 
 
 def kron_le(*mats):
@@ -21,28 +22,28 @@ class TestConventions:
     def test_s_and_t_are_diagonal_phases(self):
         assert np.allclose(sv.S_MAT, np.diag([1, 1j]))
         assert np.allclose(sv.T_MAT, np.diag([1, np.exp(1j * np.pi / 4)]))
-        assert np.allclose(sv.S_MAT @ sv.S_MAT, sv.Z_MAT)
+        assert np.allclose(sv.S_MAT @ sv.S_MAT, oracles.Z_MAT)
         assert np.allclose(sv.T_MAT @ sv.T_MAT, sv.S_MAT)
 
     def test_rz_matrix_halves_the_angle(self):
         th = 0.73
-        m = sv.rz_matrix(th)
+        m = oracles.rz_matrix(th)
         assert m[0, 0] == pytest.approx(np.exp(-0.5j * th))
         assert m[1, 1] == pytest.approx(np.exp(0.5j * th))
         assert m[0, 1] == 0 and m[1, 0] == 0
 
     def test_little_endian_bit_order(self):
-        st = sv.apply(sv.new_state(2), sv.x(0))
+        st = oracles.apply(oracles.new_state(2), sv.x(0))
         assert np.allclose(st.amps, [0, 1, 0, 0])
-        st = sv.apply(sv.new_state(2), sv.x(1))
+        st = oracles.apply(oracles.new_state(2), sv.x(1))
         assert np.allclose(st.amps, [0, 0, 1, 0])
 
     def test_rz_pi_equals_z_up_to_global_phase(self):
         rng = np.random.default_rng(7)
-        st = sv.random_state(1, rng)
-        a = sv.apply(st, sv.rz(np.pi, 0))
-        b = sv.apply(st, sv.z(0))
-        assert sv.equal_up_to_global_phase(a, b, tol=1e-12)
+        st = oracles.random_state(1, rng)
+        a = oracles.apply(st, sv.rz(np.pi, 0))
+        b = oracles.apply(st, sv.z(0))
+        assert oracles.phase_aligned_distance(a, b) <= 1e-12
         assert np.allclose(a.amps, -1j * b.amps)
 
 
@@ -68,29 +69,29 @@ class TestGateOpValidation:
 
     def test_measure_not_unitary(self):
         with pytest.raises(ValueError, match="measure"):
-            sv.apply(sv.new_state(1), sv.measure(0))
+            oracles.apply(oracles.new_state(1), sv.measure(0))
 
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
-            sv.apply(sv.new_state(1), sv.x(3))
+            oracles.apply(oracles.new_state(1), sv.x(3))
 
 
 class TestStateConstruction:
     def test_default_is_all_zero(self):
-        st = sv.new_state(3)
+        st = oracles.new_state(3)
         assert st.amps[0] == 1.0
         assert np.count_nonzero(st.amps) == 1
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            sv.new_state(1, np.array([1.0, 1.0]))
+            oracles.new_state(1, np.array([1.0, 1.0]))
 
     def test_register_cap(self):
         with pytest.raises(ValueError):
-            sv.new_state(sv.MAX_QUBITS + 1)
+            oracles.new_state(sv.MAX_QUBITS + 1)
 
     def test_amps_are_read_only(self):
-        st = sv.new_state(1)
+        st = oracles.new_state(1)
         with pytest.raises(ValueError):
             st.amps[0] = 0.0
 
@@ -104,32 +105,32 @@ class TestStateConstruction:
     def test_random_state_normalized(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 5):
-            assert sv.random_state(n, rng).norm() == pytest.approx(1.0)
+            assert oracles.random_state(n, rng).norm() == pytest.approx(1.0)
 
 
 def test_two_qubit_gates_match_kron_truth_tables():
     # qubit 0 sits in the low factor, so control-on-0 CX is |1><1| x X + |0><0| x I
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    cx01 = kron_le(p0, I2) + kron_le(p1, sv.X_MAT)
-    got = sv.ops_unitary(2, [sv.cx(0, 1)])
+    cx01 = kron_le(p0, I2) + kron_le(p1, oracles.X_MAT)
+    got = oracles.ops_unitary(2, [sv.cx(0, 1)])
     assert np.allclose(got, cx01)
 
     cz_mat = np.diag([1, 1, 1, -1]).astype(complex)
-    assert np.allclose(sv.ops_unitary(2, [sv.cz(0, 1)]), cz_mat)
-    assert np.allclose(sv.ops_unitary(2, [sv.cz(1, 0)]), cz_mat)
+    assert np.allclose(oracles.ops_unitary(2, [sv.cz(0, 1)]), cz_mat)
+    assert np.allclose(oracles.ops_unitary(2, [sv.cz(1, 0)]), cz_mat)
 
     swap_mat = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
-    assert np.allclose(sv.ops_unitary(2, [sv.swap(0, 1)]), swap_mat)
-    assert np.allclose(sv.ops_unitary(2, [sv.swap(1, 0)]), swap_mat)
+    assert np.allclose(oracles.ops_unitary(2, [sv.swap(0, 1)]), swap_mat)
+    assert np.allclose(oracles.ops_unitary(2, [sv.swap(1, 0)]), swap_mat)
 
 
 def test_permutation_kernels_match_index_reference():
     # x, swap and cz only move or negate amplitudes: results are exact
     n = 4
-    amps = sv.random_state(n, np.random.default_rng(3)).amps
+    amps = oracles.random_state(n, np.random.default_rng(3)).amps
     idx = np.arange(2**n)
     for a in range(n):
         got = amps.copy()
@@ -151,7 +152,7 @@ def test_permutation_kernels_match_index_reference():
 def test_controlled_x_matches_index_reference():
     # cx and ccx share one slice kernel; it only moves amplitudes: exact
     n = 4
-    amps = sv.random_state(n, np.random.default_rng(4)).amps
+    amps = oracles.random_state(n, np.random.default_rng(4)).amps
     idx = np.arange(2**n)
     for target in range(n):
         others = [q for q in range(n) if q != target]
@@ -166,7 +167,7 @@ def test_controlled_x_matches_index_reference():
 
 
 def test_ccx_truth_table():
-    got = sv.ops_unitary(3, [sv.ccx(0, 1, 2)])
+    got = oracles.ops_unitary(3, [sv.ccx(0, 1, 2)])
     want = np.eye(8, dtype=complex)
     # |011> and |111> exchange their target bit (qubit 2 is the high bit)
     want[[3, 7], :] = want[[7, 3], :]
@@ -184,49 +185,49 @@ def test_apply_matches_dense_kron_on_random_sequences():
             if kind in ("cx", "cz", "swap"):
                 a, b = rng.choice(n, size=2, replace=False)
                 op = getattr(sv, kind)(int(a), int(b))
-                step = sv.ops_unitary(n, [op])
+                step = oracles.ops_unitary(n, [op])
             elif kind == "rz":
                 th = float(rng.uniform(-np.pi, np.pi))
                 q = int(rng.integers(n))
                 op = sv.rz(th, q)
-                facs = [sv.rz_matrix(th) if i == q else I2 for i in range(n)]
+                facs = [oracles.rz_matrix(th) if i == q else I2 for i in range(n)]
                 step = kron_le(*facs)
             else:
                 q = int(rng.integers(n))
                 op = getattr(sv, kind)(q)
-                m1 = {"x": sv.X_MAT, "z": sv.Z_MAT, "h": sv.H_MAT,
+                m1 = {"x": oracles.X_MAT, "z": oracles.Z_MAT, "h": sv.H_MAT,
                       "s": sv.S_MAT, "t": sv.T_MAT}[kind]
                 facs = [m1 if i == q else I2 for i in range(n)]
                 step = kron_le(*facs)
             ops.append(op)
             mat = step @ mat
-        st = sv.random_state(n, rng)
-        got = sv.apply_all(st, ops)
+        st = oracles.random_state(n, rng)
+        got = oracles.apply(st, *ops)
         assert np.allclose(got.amps, mat @ st.amps, atol=1e-12)
 
 
 def test_every_unitary_kind_dispatches_to_its_kernel():
     ops = {sv.Gate.X: sv.x(1), sv.Gate.Z: sv.z(1), sv.Gate.H: sv.h(1),
            sv.Gate.S: sv.s(1), sv.Gate.T: sv.t(1), sv.Gate.RZ: sv.rz(0.4, 1),
-           sv.Gate.U: sv.u(sv.rz_matrix(-0.3), 1), sv.Gate.CX: sv.cx(2, 1),
+           sv.Gate.U: sv.u(oracles.rz_matrix(-0.3), 1), sv.Gate.CX: sv.cx(2, 1),
            sv.Gate.CZ: sv.cz(2, 1), sv.Gate.CCX: sv.ccx(0, 2, 1),
            sv.Gate.SWAP: sv.swap(2, 1)}
     assert set(ops) == set(sv.Gate) - {sv.Gate.MEASURE}
-    singles = {sv.Gate.X: sv.X_MAT, sv.Gate.Z: sv.Z_MAT, sv.Gate.H: sv.H_MAT,
+    singles = {sv.Gate.X: oracles.X_MAT, sv.Gate.Z: oracles.Z_MAT, sv.Gate.H: sv.H_MAT,
                sv.Gate.S: sv.S_MAT, sv.Gate.T: sv.T_MAT,
-               sv.Gate.RZ: sv.rz_matrix(0.4), sv.Gate.U: sv.rz_matrix(-0.3)}
+               sv.Gate.RZ: oracles.rz_matrix(0.4), sv.Gate.U: oracles.rz_matrix(-0.3)}
     p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
     # swapping qubits 1 and 2 swaps bits 1 and 2 of the basis index
     swap = np.eye(8)[[i & 1 | (i >> 2 & 1) << 1 | (i >> 1 & 1) << 2
                       for i in range(8)]]
     doubles = {
-        sv.Gate.CX: kron_le(I2, I2, p0) + kron_le(I2, sv.X_MAT, p1),
-        sv.Gate.CZ: kron_le(I2, I2, p0) + kron_le(I2, sv.Z_MAT, p1),
+        sv.Gate.CX: kron_le(I2, I2, p0) + kron_le(I2, oracles.X_MAT, p1),
+        sv.Gate.CZ: kron_le(I2, I2, p0) + kron_le(I2, oracles.Z_MAT, p1),
         sv.Gate.CCX: (np.eye(8) - kron_le(p1, I2, p1)
-                      + kron_le(p1, sv.X_MAT, p1)),
+                      + kron_le(p1, oracles.X_MAT, p1)),
         sv.Gate.SWAP: swap,
     }
-    st = sv.random_state(3, np.random.default_rng(4))
+    st = oracles.random_state(3, np.random.default_rng(4))
     for kind, op in ops.items():
         want = doubles.get(kind)
         if want is None:
@@ -240,15 +241,15 @@ def test_every_unitary_kind_dispatches_to_its_kernel():
 
 def test_u_gate_applies_payload_matrix():
     rng = np.random.default_rng(3)
-    st = sv.random_state(2, rng)
-    got = sv.apply(st, sv.u(sv.H_MAT, 1))
-    want = sv.apply(st, sv.h(1))
+    st = oracles.random_state(2, rng)
+    got = oracles.apply(st, sv.u(sv.H_MAT, 1))
+    want = oracles.apply(st, sv.h(1))
     assert np.allclose(got.amps, want.amps)
 
 
 class TestMeasurement:
     def test_deterministic_outcomes(self):
-        st = sv.apply(sv.new_state(1), sv.h(0))
+        st = oracles.apply(oracles.new_state(1), sv.h(0))
         st0, m0 = sv.measure_qubit(st, 0, u=0.9)
         st1, m1 = sv.measure_qubit(st, 0, u=0.1)
         assert (m0, m1) == (0, 1)
@@ -256,7 +257,7 @@ class TestMeasurement:
         assert np.allclose(st1.amps, [0, 1])
 
     def test_collapse_renormalizes_entangled_pair(self):
-        bell = sv.apply_all(sv.new_state(2), [sv.h(0), sv.cx(0, 1)])
+        bell = oracles.apply(oracles.new_state(2), sv.h(0), sv.cx(0, 1))
         post, m = sv.measure_qubit(bell, 0, u=0.49)
         assert m == 1
         assert post.norm() == pytest.approx(1.0)
@@ -264,40 +265,41 @@ class TestMeasurement:
 
     def test_rng_draw_statistics(self):
         rng = np.random.default_rng(11)
-        st = sv.apply(sv.new_state(1), sv.h(0))
+        st = oracles.apply(oracles.new_state(1), sv.h(0))
         outcomes = [sv.measure_qubit(st, 0, rng=rng)[1] for _ in range(400)]
         assert 120 < sum(outcomes) < 280
 
     def test_needs_randomness_source(self):
         with pytest.raises(ValueError):
-            sv.measure_qubit(sv.new_state(1), 0)
+            sv.measure_qubit(oracles.new_state(1), 0)
 
 
 class TestDensity:
     def test_bell_state_marginal_is_maximally_mixed(self):
-        bell = sv.apply_all(sv.new_state(2), [sv.h(0), sv.cx(0, 1)])
+        bell = oracles.apply(oracles.new_state(2), sv.h(0), sv.cx(0, 1))
         rho = sv.reduced_density(bell, [0])
         assert np.allclose(rho.mat, np.eye(2) / 2)
-        assert sv.trace_distance(rho, sv.maximally_mixed(1)) < 1e-12
+        assert oracles.trace_distance(rho, oracles.maximally_mixed(1)) < 1e-12
 
     def test_plus_state_distance_to_mixed_is_half(self):
-        plus = sv.apply(sv.new_state(1), sv.h(0))
-        rho = sv.ensemble_density([plus])
-        assert sv.trace_distance(rho, sv.maximally_mixed(1)) == pytest.approx(0.5)
+        plus = oracles.apply(oracles.new_state(1), sv.h(0))
+        rho = oracles.ensemble_density([plus])
+        assert oracles.trace_distance(
+            rho, oracles.maximally_mixed(1)) == pytest.approx(0.5)
 
     def test_ensemble_weights(self):
-        zero = sv.new_state(1)
-        one = sv.apply(zero, sv.x(0))
-        rho = sv.ensemble_density([zero, one], [0.5, 0.5])
+        zero = oracles.new_state(1)
+        one = oracles.apply(zero, sv.x(0))
+        rho = oracles.ensemble_density([zero, one], [0.5, 0.5])
         assert np.allclose(rho.mat, np.eye(2) / 2)
         with pytest.raises(ValueError):
-            sv.ensemble_density([zero, one], [0.9, 0.9])
+            oracles.ensemble_density([zero, one], [0.9, 0.9])
 
     def test_partial_trace_shortcuts_match_the_general_transpose(self):
         # top wires and single wires skip the n-axis transpose; the rows
         # they build must be the same, so results agree bit for bit
         n = 5
-        amps = sv.random_state(n, np.random.default_rng(12)).amps
+        amps = oracles.random_state(n, np.random.default_rng(12)).amps
         for keep in [(q,) for q in range(n)] + [(3, 4), (2, 3, 4), (0, 2)]:
             keep_axes = [n - 1 - q for q in reversed(keep)]
             rest = [ax for ax in range(n) if ax not in keep_axes]
@@ -307,46 +309,46 @@ class TestDensity:
                                   rows @ rows.conj().T)
 
     def test_reduced_density_keeps_requested_order(self):
-        st = sv.apply(sv.new_state(2), sv.x(1))
+        st = oracles.apply(oracles.new_state(2), sv.x(1))
         rho = sv.reduced_density(st, [1])
         assert np.allclose(rho.mat, np.diag([0.0, 1.0]))
 
     def test_validate_flags_bad_operators(self):
         bad = sv.DensityMatrix(2, np.array([[1.0, 0.2], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            bad.validate()
-        sv.maximally_mixed(2).validate()
+            oracles.validate_density(bad)
+        oracles.validate_density(oracles.maximally_mixed(2))
 
 
 class TestRegisterResize:
     def test_append_then_drop_roundtrip(self):
         rng = np.random.default_rng(5)
-        st = sv.random_state(2, rng)
-        grown = sv.append_qubits(st, 2)
+        st = oracles.random_state(2, rng)
+        grown = oracles.append_qubits(st, 2)
         assert grown.n_qubits == 4
         back = sv.drop_qubit(sv.drop_qubit(grown, 3, 0), 2, 0)
         assert np.allclose(back.amps, st.amps)
 
     def test_drop_requires_product_form(self):
-        bell = sv.apply_all(sv.new_state(2), [sv.h(0), sv.cx(0, 1)])
+        bell = oracles.apply(oracles.new_state(2), sv.h(0), sv.cx(0, 1))
         with pytest.raises(ValueError):
             sv.drop_qubit(bell, 0, 0)
 
     def test_drop_one_bit(self):
-        st = sv.apply_all(sv.new_state(2), [sv.x(0), sv.h(1)])
+        st = oracles.apply(oracles.new_state(2), sv.x(0), sv.h(1))
         out = sv.drop_qubit(st, 0, 1)
         assert np.allclose(out.amps, [sv.SQRT_HALF, sv.SQRT_HALF])
 
     def test_append_respects_cap(self):
         with pytest.raises(ValueError):
-            sv.append_qubits(sv.new_state(sv.MAX_QUBITS), 1)
+            oracles.append_qubits(oracles.new_state(sv.MAX_QUBITS), 1)
 
 
 def test_equal_up_to_global_phase():
     rng = np.random.default_rng(9)
-    st = sv.random_state(3, rng)
+    st = oracles.random_state(3, rng)
     rotated = sv.Statevector(3, np.exp(0.31j) * st.amps)
-    assert sv.equal_up_to_global_phase(st, rotated, tol=1e-12)
-    other = sv.random_state(3, rng)
-    assert not sv.equal_up_to_global_phase(st, other)
-    assert sv.fidelity(st, rotated) == pytest.approx(1.0)
+    assert oracles.phase_aligned_distance(st, rotated) <= 1e-12
+    other = oracles.random_state(3, rng)
+    assert oracles.phase_aligned_distance(st, other) > 1e-10
+    assert oracles.fidelity(st, rotated) == pytest.approx(1.0)

@@ -15,7 +15,8 @@ from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
 from blindqc.session import Session
-from register_engine import run_register_protocol
+import oracles
+from register_engine import RegisterSession, run_pinned
 
 TOL = 1e-12
 
@@ -73,7 +74,8 @@ class TestAgainstRegisterEngine:
         seed = int(rng.integers(2**31))
         assert_runs_match(
             run_protocol(circ, epsilon, seed, extractor=extractor),
-            run_register_protocol(circ, epsilon, seed, extractor=extractor))
+            run_pinned(circ, epsilon, seed, extractor=extractor,
+                       session_type=RegisterSession))
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
@@ -84,7 +86,8 @@ class TestAgainstRegisterEngine:
                            sv.rz(0.4, 7)))
         assert_runs_match(
             run_protocol(circ, epsilon, 9, extractor=extractor),
-            run_register_protocol(circ, epsilon, 9, extractor=extractor))
+            run_pinned(circ, epsilon, 9, extractor=extractor,
+                       session_type=RegisterSession))
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-6])
     def test_forks_resumed_in_later_blocks(self, epsilon):
@@ -99,8 +102,8 @@ class TestAgainstRegisterEngine:
         # the first and last rounds of the ladder, and some in between
         for i, label in late[::max(1, len(late) // 6)] + late[-1:]:
             for pair in ((0, 1), (1, 1)):
-                want = run_register_protocol(circ, epsilon, 2,
-                                             overrides={label: pair})
+                want = run_pinned(circ, epsilon, 2, {label: pair},
+                                  session_type=RegisterSession)
                 assert_messages_match(base.replay(i, label, pair),
                                       want.transcript.messages[:i + 2])
 
@@ -141,7 +144,7 @@ class TestWirePair:
            sv.rz(-1.3, 0), sv.z(0), sv.swap(0, 2), sv.rz(math.pi / 8, 2))
 
     def test_matches_the_register_kernels(self):
-        state = sv.random_state(4, np.random.default_rng(8))
+        state = oracles.random_state(4, np.random.default_rng(8))
         amps = state.amps.copy()
         pair = sv.WirePair(amps, 0, 2)
         for op in self.OPS:
@@ -155,7 +158,7 @@ class TestWirePair:
         assert np.abs(landed - amps).max() <= TOL
 
     def test_refuses_gates_it_cannot_fold(self):
-        pair = sv.WirePair(sv.random_state(3, np.random.default_rng(2)).amps,
+        pair = sv.WirePair(oracles.random_state(3, np.random.default_rng(2)).amps,
                            0, 2)
         with pytest.raises(ValueError, match="monomial"):
             pair.apply(sv.h(2))
