@@ -37,7 +37,11 @@ splits that pair off the register at block 2, runs the ladder on its 4x4
 reduced density (``statevec.WirePair``) and applies the ladder's net op
 to the register once, after block M.  That is exact, product state or
 not: unitaries on two wires act on their reduced density by conjugation,
-and the other wires see no gate until the pair is joined back.
+and the other wires see no gate until the pair is joined back.  A block's
+pads are all drawn at its start, so each block m >= 2 goes to the
+session as one step (``Session.ladder_block``), which takes every
+round's rotation from ``BlindServer.ops_for`` and records the block's
+messages at once.
 """
 
 from __future__ import annotations
@@ -281,21 +285,15 @@ class _Run:
                 d.nonzero_flags[m - 1], d.negative_flags[m - 1],
                 tuple(sess.keys.pad_pair(label) for label in labels),
             )
-            if plan.initial_swap:
-                sess.client_apply([sv.swap(transit, q)])
-            for r in plan.rounds:
-                label = labels[r.index - 1]
-                if m == 1:
-                    # the opening round rides the uniform block message
-                    self._block_trip(gate_index, self.slots[:3], OPENING_TAG,
-                                     (r, label))
-                else:
-                    sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
-                    tag = self.server.round_tags[r.index - 1]
-                    sess.round_trip((transit,), tag, self.server.ops_for(tag),
-                                    pad_labels=((transit, label),))
-                    sess.client_apply(paulis.unpad_ops(
-                        ((r.pair[0], r.unpad_z),), (transit,)))
+            if m > 1:
+                sess.ladder_block(transit, plan, labels, self.server)
+            else:
+                # the one round of block 1 rides the uniform block message
+                (r,) = plan.rounds
+                if plan.initial_swap:
+                    sess.client_apply([sv.swap(transit, q)])
+                self._block_trip(gate_index, self.slots[:3], OPENING_TAG,
+                                 (r, labels[0]))
                 if r.swap_after:
                     sess.client_apply([sv.swap(transit, q)])
         if sess.wire_pair is not None:

@@ -14,13 +14,15 @@ The channel is in-process: a round trip records the transmitted wires,
 applies the server's gates to the shared state, and records them again.
 A record keeps the reduced density of the transmitted wires, which is
 what the channel carries and all the audit reads, and feeds that density
-into a running hash.  While a ``WirePair`` is split off the register,
-ops act on the pair alone and a record reads its wire off the pair.  The
-whole register enters the hash at every gate boundary and at the end of
-the run, so the digest covers every transmitted density at every message
-and every amplitude at every gate boundary, while memory stays flat in
-the number of round trips.  Off-channel amplitudes between two messages
-of one gate are not hashed.
+into a running hash.  A digit block of an ``rz`` ladder runs as one step
+instead (``ladder_block``): on the ``WirePair`` split off the register,
+its rounds fold into the pair's net op, and ``Transcript.record_block``
+records all of its messages from one stacked array, hashed in a single
+update over the same bytes.  The whole register enters the hash at
+every gate boundary and at the end of the run, so the digest covers
+every transmitted density at every message and every amplitude at every
+gate boundary, while memory stays flat in the number of round trips.
+Off-channel amplitudes between two messages of one gate are not hashed.
 """
 
 from __future__ import annotations
@@ -28,16 +30,24 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import paulis
 from . import statevec as sv
 from .statevec import Statevector
 
 # the transcript's name of each gate kind, read without the Enum descriptor
 _KIND_NAMES = {kind: kind.value for kind in sv.Gate}
+# the kinds of one wire's pad and unpad for each (x, z) pair, in the order
+# paulis.pad_ops and paulis.unpad_ops apply them
+_PAD_KINDS, _UNPAD_KINDS = (
+    {pair: tuple(_KIND_NAMES[op.kind] for op in ops((pair,)))
+     for pair in itertools.product((0, 1), repeat=2)}
+    for ops in (paulis.pad_ops, paulis.unpad_ops))
 
 CLIENT_TO_SERVER = "client->server"
 SERVER_TO_CLIENT = "server->client"
@@ -123,6 +133,15 @@ def _marginal_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :, None, :], rows[:, None, :, :]
 
 
+def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
+    """The phases of ``server_ops``, which must be one rz on ``wire``."""
+    if (len(server_ops) != 1 or server_ops[0].kind is not sv.Gate.RZ
+            or server_ops[0].qubits != (wire,)):
+        raise ValueError(f"the pair takes one rz on wire {wire} from the "
+                         f"server, not {[op.kind.value for op in server_ops]}")
+    return sv.rz_phases(server_ops[0].angle)
+
+
 @dataclass(frozen=True)
 class GateMarker:
     """Delegation boundaries of one circuit gate inside the message list."""
@@ -167,6 +186,24 @@ class Transcript:
             self._stream.update(density.tobytes())
         self.messages.append(Message(direction, tag, transmitted, density,
                                      wires, pad_labels))
+
+    def record_block(self, transmitted, sent, densities: np.ndarray) -> None:
+        """Append the messages of single-wire round trips at once.
+
+        ``sent`` holds each round's (tag, pad_labels) and ``densities``
+        stacks the wire's state as each round goes out and comes back,
+        (2r, 2, 2).  The stack is made read-only and hashed in one update,
+        the same bytes as ``record`` per message; each message holds a view.
+        """
+        densities.setflags(write=False)
+        if self._stream is not None:
+            self._stream.update(densities.tobytes())
+        views = iter(densities)
+        append = self.messages.append
+        for (tag, pad_labels), out, back in zip(sent, views, views):
+            append(Message(CLIENT_TO_SERVER, tag, transmitted, out, (out,),
+                           pad_labels))
+            append(Message(SERVER_TO_CLIENT, None, transmitted, back, (back,)))
 
     def hash_register(self, amps: np.ndarray) -> None:
         """Feed the whole register into the running hash."""
@@ -218,7 +255,7 @@ class Session:
         return Statevector(self.n_qubits, self.amps.copy())
 
     def split_pair(self, lo: int, hi: int) -> None:
-        """Run the ops that follow on wires ``lo < hi`` alone."""
+        """Split wires ``lo < hi`` off the register for ``ladder_block``."""
         self.wire_pair = sv.WirePair(self.amps, lo, hi)
 
     def join_pair(self) -> None:
@@ -226,20 +263,9 @@ class Session:
         self.wire_pair.apply_to(self.amps)
         self.wire_pair = None
 
-    def _apply(self, op) -> None:
-        if self.wire_pair is None:
-            sv._apply_op(self.amps, op)
-        else:
-            self.wire_pair.apply(op)
-
-    def _density(self, wires: tuple[int, ...]) -> np.ndarray:
-        if self.wire_pair is None:
-            return sv._partial_trace(self.amps, tuple(sorted(wires)))
-        return self.wire_pair.marginal(*wires)
-
     def client_apply(self, ops) -> None:
         for op in ops:
-            self._apply(op)
+            sv._apply_op(self.amps, op)
             self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
@@ -253,13 +279,49 @@ class Session:
                    pad_labels=()) -> None:
         """Send ``transmitted`` wires with ``tag``; server applies its gates."""
         transmitted = tuple(transmitted)
+        keep = tuple(sorted(transmitted))
         self.transcript.record(CLIENT_TO_SERVER, tag, transmitted,
-                               self._density(transmitted), tuple(pad_labels))
+                               sv._partial_trace(self.amps, keep),
+                               tuple(pad_labels))
         for op in server_ops:
-            self._apply(op)
+            sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
         self.transcript.record(SERVER_TO_CLIENT, None, transmitted,
-                               self._density(transmitted))
+                               sv._partial_trace(self.amps, keep))
+
+    def ladder_block(self, transit: int, plan, labels, server) -> None:
+        """Run one digit block's rounds on the split pair in one step.
+
+        ``plan`` is the block's ``protocol.BlockPlan``, ``labels[k - 1]``
+        pads round k and ``server`` is the ``protocol.BlindServer``.  Round
+        k pads ``transit`` under its pair, sends it with
+        ``server.round_tags[k - 1]``, takes the server's one rz on transit
+        from ``ops_for`` and unpads; the client swaps the pair where the
+        plan says.  The pair folds every op, and the transcript takes all
+        the block's messages in one ``record_block``; the op kinds logged
+        are the ones the same ops would log one by one.
+        """
+        pair = self.wire_pair
+        if pair is None:
+            raise ProtocolError("a digit block runs on a split wire pair")
+        steps, sent, client = [], [], []
+        before = ("swap",) if plan.initial_swap else ()
+        for r in plan.rounds:
+            tag = server.round_tags[r.index - 1]
+            before += _PAD_KINDS[r.pair]
+            after = _UNPAD_KINDS[r.pair[0], r.unpad_z]
+            if r.swap_after:
+                after += ("swap",)
+            steps.append(
+                (before, _server_phases(server.ops_for(tag), transit), after))
+            sent.append((tag, ((transit, labels[r.index - 1]),)))
+            client += before
+            client += after
+            before = ()
+        densities = pair.run_block(transit, steps)
+        self.transcript.record_block((transit,), sent, densities)
+        self.transcript.client_op_kinds += client
+        self.transcript.server_op_kinds += ["rz"] * len(steps)
 
     def fork(self, amps: np.ndarray, n_messages: int, label: str, pair,
              stop: int, wire_pair: sv.WirePair | None = None) -> Session:
@@ -303,5 +365,13 @@ class _Fork(Session):
 
     def round_trip(self, *args, **kwargs) -> None:
         super().round_trip(*args, **kwargs)
+        if len(self.transcript.messages) >= self.stop:
+            raise ForkDone
+
+    def ladder_block(self, transit, plan, labels, server) -> None:
+        # two messages per round: run only the rounds up to ``stop``
+        left = max(0, self.stop - len(self.transcript.messages) + 1) // 2
+        super().ladder_block(
+            transit, plan._replace(rounds=plan.rounds[:left]), labels, server)
         if len(self.transcript.messages) >= self.stop:
             raise ForkDone

@@ -172,9 +172,6 @@ class Statevector:
         object.__setattr__(self, "amps", a)
         a.setflags(write=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -305,6 +302,12 @@ def _apply_op(amps: np.ndarray, op: GateOp) -> None:
     _KERNELS[op.kind](amps, op)
 
 
+@functools.lru_cache(maxsize=1024)
+def rz_phases(theta: float) -> tuple[complex, complex]:
+    """(exp(-i theta/2), exp(+i theta/2)), the diagonal of Rz(theta)."""
+    return cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)
+
+
 class WirePair:
     """Wires ``lo < hi`` split off a register while only x, z, rz and swap
     act on them.
@@ -312,8 +315,8 @@ class WirePair:
     ``rho`` is their reduced density at the split (basis index bit(lo) +
     2 bit(hi)).  The gates are monomial, so the net op since the split is
     U|j> = phases[j]|perm[j]>, and the pair's state is U rho U^dagger
-    exactly, however entangled with wires that see no gate meanwhile.  A
-    gate rebinds U's tuples, so a shallow copy is a snapshot.
+    exactly, however entangled with wires that see no gate meanwhile.
+    ``run_block`` rebinds U's tuples, so a shallow copy is a snapshot.
     """
 
     def __init__(self, amps: np.ndarray, lo: int, hi: int):
@@ -321,42 +324,38 @@ class WirePair:
         self.rho = _partial_trace(amps, self.wires).tolist()
         self.perm, self.phases = (0, 1, 2, 3), (1.0, 1.0, 1.0, 1.0)
 
-    def _bit(self, wire: int) -> int:
+    def run_block(self, wire: int, rounds) -> np.ndarray:
+        """U <- (the rounds' ops) U, and ``wire``'s 2x2 state as each of the
+        r >= 1 rounds sends it and gets it back: one (2r, 2, 2) array.
+
+        A round is (before, (down, up), after).  ``before`` and ``after``
+        name the x, z and swap ops applied before the send and after the
+        reply; x and z act on ``wire`` and swap exchanges the pair.
+        (down, up) is the received rz as ``rz_phases`` gives it.
+        """
         if wire not in self.wires:
             raise ValueError(f"wire {wire} is outside the pair {self.wires}")
-        return 1 if wire == self.wires[0] else 2
-
-    def apply(self, op: GateOp) -> None:
-        """U <- V U for one x, z, rz or swap V on the pair."""
-        perm, phases = self.perm, self.phases
-        bit = [self._bit(q) for q in op.qubits][0]  # checks every qubit
-        kind = op.kind
-        if kind is Gate.SWAP:
-            self.perm = tuple([(0, 2, 1, 3)[k] for k in perm])
-        elif kind is Gate.X:
-            self.perm = tuple([k ^ bit for k in perm])
-        elif kind is Gate.Z:
-            self.phases = tuple([-v if k & bit else v
-                                 for k, v in zip(perm, phases)])
-        elif kind is Gate.RZ:
-            down, up = cmath.exp(-0.5j * op.angle), cmath.exp(0.5j * op.angle)
-            self.phases = tuple([v * (up if k & bit else down)
-                                 for k, v in zip(perm, phases)])
-        else:
-            raise ValueError(f"{kind.value} is not a monomial pair gate")
-
-    def marginal(self, wire: int) -> np.ndarray:
-        """2x2 state of one wire of the pair: a partial trace of U rho U^dagger."""
-        bit = self._bit(wire)
-        # (U rho U^dagger)[x, y] = ph[i] rho[i][j] conj(ph[j]) where x and y
-        # are perm[i] and perm[j]; the wire reads 0 at x = 0, 3 - bit and 1
-        # at x = bit, 3.  Phases have modulus 1 and rho is hermitian.
-        a, b, c, d = [self.perm.index(x) for x in (0, 3 - bit, bit, 3)]
-        rho, ph = self.rho, self.phases
-        off = (ph[a] * rho[a][c] * ph[c].conjugate()
-               + ph[b] * rho[b][d] * ph[d].conjugate())
-        return np.array([[rho[a][a] + rho[b][b], off],
-                         [off.conjugate(), rho[c][c] + rho[d][d]]])
+        bit = 1 if wire == self.wires[0] else 2
+        perm, phases, rho = self.perm, self.phases, self.rho
+        states = []
+        for before, (down, up), after in rounds:
+            perm, phases = _fold(before, bit, perm, phases)
+            # the wire reads 0 at basis states 0 and 3 - bit, which U sends
+            # from a and b, and 1 at bit and 3, sent from c and d; phases
+            # have modulus 1, so the rz leaves the diagonal as it is
+            a, b, c, d = [perm.index(x) for x in (0, 3 - bit, bit, 3)]
+            zero, one = rho[a][a] + rho[b][b], rho[c][c] + rho[d][d]
+            off = _coherence(rho, phases, a, b, c, d)
+            states.append([[zero, off], [off.conjugate(), one]])
+            phases = [v * (up if k & bit else down)
+                      for k, v in zip(perm, phases)]
+            off = _coherence(rho, phases, a, b, c, d)
+            states.append([[zero, off], [off.conjugate(), one]])
+            perm, phases = _fold(after, bit, perm, phases)
+        self.perm, self.phases = tuple(perm), tuple(phases)
+        # one array that owns its memory, so no message's density has a
+        # writable base
+        return np.array(states, dtype=complex)
 
     def apply_to(self, amps: np.ndarray) -> None:
         """Apply U to the register ``amps`` in place."""
@@ -365,6 +364,28 @@ class WirePair:
         old = [view[:, j >> 1, :, j & 1, :].copy() for j in range(4)]
         for j, k in enumerate(self.perm):
             view[:, k >> 1, :, k & 1, :] = self.phases[j] * old[j]
+
+
+def _coherence(rho, ph, a: int, b: int, c: int, d: int) -> complex:
+    """The wire's <0|.|1> entry of U rho U^dagger, whose [x, y] entry is
+    ph[i] rho[i][j] conj(ph[j]) for x = perm[i] and y = perm[j]; rho is
+    hermitian, so the <1|.|0> entry is its conjugate."""
+    return (ph[a] * rho[a][c] * ph[c].conjugate()
+            + ph[b] * rho[b][d] * ph[d].conjugate())
+
+
+def _fold(kinds, bit: int, perm, phases):
+    """U after the named x, z and swap ops; x and z act on pair bit ``bit``."""
+    for kind in kinds:
+        if kind == "swap":
+            perm = [(0, 2, 1, 3)[k] for k in perm]
+        elif kind == "x":
+            perm = [k ^ bit for k in perm]
+        elif kind == "z":
+            phases = [-v if k & bit else v for k, v in zip(perm, phases)]
+        else:
+            raise ValueError(f"{kind} is not a monomial pair gate")
+    return perm, phases
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ def new_state(n_qubits: int, amps: np.ndarray | None = None) -> Statevector:
     return Statevector(n_qubits, a.copy())
 
 
+def norm(state: Statevector) -> float:
+    """2-norm of the amplitude vector."""
+    return float(np.linalg.norm(state.amps))
+
+
 def random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
     a = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return Statevector(n_qubits, a / np.linalg.norm(a))

@@ -26,7 +26,7 @@ from blindqc.audit import (
 )
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import CLIENT_TO_SERVER, KeySource, Session
+from blindqc.session import CLIENT_TO_SERVER, KeySource, Session, Transcript
 from register_engine import run_pinned
 
 PI = math.pi
@@ -240,18 +240,25 @@ def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
 class TestAuditCost:
     @pytest.mark.parametrize("n_rz", [1, 2, 4, 8])
     def test_round_trips_grow_linearly(self, monkeypatch, n_rz):
-        calls = []
-        round_trip = Session.round_trip
+        # every session and fork records each outbound message it sends,
+        # one at a time or a digit block at a time
+        sent = []
+        record, record_block = Transcript.record, Transcript.record_block
 
-        def counting_round_trip(self, *args, **kwargs):
-            calls.append(1)
-            return round_trip(self, *args, **kwargs)
+        def counting_record(self, direction, *args, **kwargs):
+            sent.append(direction == CLIENT_TO_SERVER)
+            return record(self, direction, *args, **kwargs)
 
-        monkeypatch.setattr(Session, "round_trip", counting_round_trip)
+        def counting_record_block(self, transmitted, rounds, densities):
+            sent.extend(True for _ in rounds)
+            return record_block(self, transmitted, rounds, densities)
+
+        monkeypatch.setattr(Transcript, "record", counting_record)
+        monkeypatch.setattr(Transcript, "record_block", counting_record_block)
         circ = Circuit(1, tuple(sv.rz(0.3 + 0.7 * g, 0) for g in range(n_rz)))
         report = audit_circuit(circ, 1e-1, seed=2)
         assert report["pass"] is True
-        assert len(calls) == rz_audit_round_trips(n_rz, 1e-1)
+        assert sum(sent) == rz_audit_round_trips(n_rz, 1e-1)
 
     def test_full_register_audit_passes(self):
         # 8 working qubits and the four slots fill all 12 wires

@@ -1,6 +1,6 @@
 """The package's top-level names are exactly the entry points the README
 lists, every name the benchmark traces still exists, and the package
-defines nothing that only tests reach."""
+defines nothing, top-level name or method, that only tests reach."""
 
 import ast
 import importlib
@@ -61,7 +61,8 @@ def test_traced_boundaries_resolve():
         assert callable(obj), f"{module}:{attr} is not callable"
 
 
-# Top-level names kept although no root reaches them.
+# Definitions kept although no root reaches them: top-level names, and
+# methods keyed "Class.name".  No method needs a place here yet.
 ALLOWED_UNREACHED = {
     ("__init__", "__version__"),  # package metadata, public by convention
     # the gate factories x ... u stay one set, for circuits built in memory
@@ -82,12 +83,22 @@ def _defined_names(stmt) -> list[str]:
             if isinstance(n, ast.Name)]
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 class _Module:
-    """One source file: its top-level definitions, the names it imports
-    from sibling modules, and its statements that run on import."""
+    """One source file: its top-level definitions, the methods of its
+    classes, the names it imports from sibling modules, the external
+    modules it imports, and its statements that run on import.
+
+    A method other than a dunder is keyed ``Class.name`` beside the
+    top-level names; a class's own code is its body without those
+    methods, and Python calls its dunders wherever the class is used."""
 
     def __init__(self, path: Path):
         self.defs, self.imports, self.aliases, self.loose = {}, {}, {}, []
+        self.external = set()
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
                 for a in stmt.names:
@@ -95,20 +106,50 @@ class _Module:
                         self.imports[a.asname or a.name] = (stmt.module, a.name)
                     else:  # from . import mod
                         self.aliases[a.asname or a.name] = a.name
+            elif isinstance(stmt, ast.Import):
+                self.external |= {(a.asname or a.name).split(".")[0]
+                                  for a in stmt.names}
             elif _defined_names(stmt):
                 for name in _defined_names(stmt):
                     self.defs[name] = stmt
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if isinstance(stmt, ast.ClassDef):
+                    for node in stmt.body:
+                        if (isinstance(node, ast.FunctionDef)
+                                and not _is_dunder(node.name)):
+                            self.defs[f"{stmt.name}.{node.name}"] = node
+            elif not isinstance(stmt, ast.ImportFrom):
                 self.loose.append(stmt)
+        self.methods = {node for name, node in self.defs.items() if "." in name}
+
+
+def _walk(node, skip):
+    """``ast.walk`` that does not enter the nodes in ``skip``."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(c for c in ast.iter_child_nodes(n) if c not in skip)
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _unreached() -> set[tuple[str, str]]:
-    """(module, name) of each top-level definition in the package that no
-    root reaches by name.  The roots are ``cli.main``, ``__all__`` and the
-    names the benchmark traces.  A reached definition reaches every name
-    its code loads, minus its own parameters and locals, resolved through
-    sibling-module imports."""
+    """(module, name) of each top-level definition and method in the
+    package that no root reaches.  The roots are ``cli.main``, ``__all__``
+    and the names the benchmark traces.  A reached definition reaches every
+    name its code loads, minus its own parameters and locals, resolved
+    through sibling-module imports, and every method named by an attribute
+    its code reads off anything but a module."""
     mods = {p.stem: _Module(p) for p in PACKAGE.glob("*.py")}
+    by_attr = {}
+    for mod, m in mods.items():
+        for name in m.defs:
+            if "." in name:
+                by_attr.setdefault(name.split(".")[1], []).append((mod, name))
 
     def resolve(mod, name):
         if name in mods[mod].defs:
@@ -118,20 +159,26 @@ def _unreached() -> set[tuple[str, str]]:
         return None
 
     def loads(mod, node):
-        local = {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)}
-        local |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+        m = mods[mod]
+        skip = m.methods - {node}
+        local = {a.arg for a in _walk(node, skip) if isinstance(a, ast.arg)}
+        local |= {n.id for n in _walk(node, skip) if isinstance(n, ast.Name)
                   and isinstance(n.ctx, ast.Store)} - set(_defined_names(node))
-        for n in ast.walk(node):
+        for n in _walk(node, skip):
             if isinstance(n, ast.Name) and n.id not in local:
                 yield resolve(mod, n.id)
-            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
-                  and n.value.id in mods[mod].aliases):
-                yield resolve(mods[mod].aliases[n.value.id], n.attr)
+            elif isinstance(n, ast.Attribute):
+                root = _root(n)
+                if root in m.aliases and isinstance(n.value, ast.Name):
+                    yield resolve(m.aliases[root], n.attr)
+                elif root not in m.aliases and root not in m.external:
+                    yield from by_attr.get(n.attr, ())
 
     todo = [("cli", "main"), ("__init__", "__all__")]
     todo += [resolve("__init__", name) for name in blindqc.__all__]
-    todo += [resolve(module.rpartition(".")[2], attr.split(".")[0])
-             for _, module, attr in traced_boundaries()]
+    for _, module, attr in traced_boundaries():
+        mod, path = module.rpartition(".")[2], attr.split(".")
+        todo += [resolve(mod, path[0]), resolve(mod, ".".join(path[:2]))]
     todo += [r for mod, m in mods.items() for stmt in m.loose
              for r in loads(mod, stmt)]
     seen = set()

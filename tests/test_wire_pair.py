@@ -1,20 +1,24 @@
 """The two-wire rz ladder against the per-op register engine.
 
-Digit blocks m >= 2 of an rz gate run on the reduced density of the
-working wire and transit (``statevec.WirePair``); ``register_engine``
-runs the same blocks op by op on the whole register.  Both must record
-the same messages and reach the same register, within float rounding.
+Digit blocks m >= 2 of an rz gate run as one step each on the reduced
+density of the working wire and transit (``Session.ladder_block`` and
+``statevec.WirePair.run_block``); ``register_engine`` runs the same
+blocks op by op on the whole register.  Both must record the same
+messages and reach the same register, within float rounding.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
-from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import Session
+from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
+                              run_protocol)
+from blindqc.session import (CLIENT_TO_SERVER, SERVER_TO_CLIENT,
+                             ProtocolError, Session, Transcript)
 import oracles
 from register_engine import RegisterSession, run_pinned
 
@@ -139,44 +143,216 @@ class TestCheckpoints:
             assert np.array_equal(cp.amps, amps)
 
 
+class StubServer:
+    """A server that answers every round tag with ``ops``."""
+
+    def __init__(self, ops, n_digits):
+        self.round_tags = tuple(round_tag(k) for k in range(1, n_digits + 1))
+        self.ops = tuple(ops)
+
+    def ops_for(self, tag):
+        return self.ops
+
+
+# a two-round digit block: both rounds carry an x pad, the first a z too
+BLOCK = digit_block_plan(1, 0, ((1, 0), (1, 1)))
+LABELS = ["gate0:m2:k1", "gate0:m2:k2"]
+
+
 class TestWirePair:
-    OPS = (sv.x(2), sv.z(2), sv.rz(0.7, 2), sv.swap(2, 0), sv.x(0),
-           sv.rz(-1.3, 0), sv.z(0), sv.swap(0, 2), sv.rz(math.pi / 8, 2))
+    # (before, rz angle, after) per round
+    ROUNDS = ((("x", "z"), 0.7, ("swap",)), (("swap", "z"), -1.3, ("x", "z")),
+              ((), math.pi / 8, ("x",)), (("x",), 2.1, ("z", "swap")))
 
     def test_matches_the_register_kernels(self):
         state = oracles.random_state(4, np.random.default_rng(8))
-        amps = state.amps.copy()
-        pair = sv.WirePair(amps, 0, 2)
-        for op in self.OPS:
-            pair.apply(op)
-            sv._apply_op(amps, op)
-            for wire in (0, 2):
-                assert np.abs(pair.marginal(wire) - sv._partial_trace(
-                    amps, (wire,))).max() <= TOL
-        landed = state.amps.copy()
-        pair.apply_to(landed)
-        assert np.abs(landed - amps).max() <= TOL
+        steps = [(before, sv.rz_phases(theta), after)
+                 for before, theta, after in self.ROUNDS]
+        for wire in (0, 2):
+            amps = state.amps.copy()
+            pair = sv.WirePair(amps, 0, 2)
+            # two blocks in a row continue from the first one's net op
+            got = np.concatenate([pair.run_block(wire, steps[:1]),
+                                  pair.run_block(wire, steps[1:])])
+            ops = {"x": sv.x(wire), "z": sv.z(wire), "swap": sv.swap(0, 2)}
+            want = []
+            for before, theta, after in self.ROUNDS:
+                for kind in before:
+                    sv._apply_op(amps, ops[kind])
+                want.append(sv._partial_trace(amps, (wire,)))
+                sv._apply_op(amps, sv.rz(theta, wire))
+                want.append(sv._partial_trace(amps, (wire,)))
+                for kind in after:
+                    sv._apply_op(amps, ops[kind])
+            assert got.shape == (2 * len(self.ROUNDS), 2, 2)
+            assert np.abs(got - np.array(want)).max() <= TOL
+            landed = state.amps.copy()
+            pair.apply_to(landed)
+            assert np.abs(landed - amps).max() <= TOL
 
     def test_refuses_gates_it_cannot_fold(self):
         pair = sv.WirePair(oracles.random_state(3, np.random.default_rng(2)).amps,
                            0, 2)
+        phases = sv.rz_phases(0.3)
         with pytest.raises(ValueError, match="monomial"):
-            pair.apply(sv.h(2))
+            pair.run_block(2, [(("h",), phases, ())])
         with pytest.raises(ValueError, match="outside the pair"):
-            pair.apply(sv.x(1))
-        with pytest.raises(ValueError, match="outside the pair"):
-            pair.apply(sv.swap(1, 2))
-
-    def test_session_routes_ops_to_the_split_pair(self):
+            pair.run_block(1, [((), phases, ())])
         sess = Session(3, seed=0)
         sess.split_pair(0, 2)
-        sess.client_apply([sv.x(2)])
-        sess.round_trip((2,), '{"kind":"block"}', [sv.swap(0, 2)])
-        assert sess.amps[0] == 1.0  # the register waits for the join
-        first, second = sess.transcript.messages
-        assert np.array_equal(first.density, np.diag([0, 1]))
-        assert np.array_equal(second.density, np.diag([1, 0]))
-        sess.join_pair()
-        assert sess.amps[1] == 1.0
-        assert sess.transcript.client_op_kinds == ["x"]
-        assert sess.transcript.server_op_kinds == ["swap"]
+        for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
+                           [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
+            with pytest.raises(ValueError, match="one rz on wire 2"):
+                sess.ladder_block(2, BLOCK, LABELS, StubServer(server_ops, 2))
+        with pytest.raises(ValueError, match="outside the pair"):
+            sess.ladder_block(1, BLOCK, LABELS,
+                              StubServer([sv.rz(0.3, 1)], 2))
+        # a refused block leaves no trace
+        assert sess.transcript.messages == []
+        assert sess.transcript.client_op_kinds == []
+        assert sess.transcript.server_op_kinds == []
+        assert sess.wire_pair.perm == (0, 1, 2, 3)
+
+    def test_session_routes_ops_to_the_split_pair(self):
+        state = oracles.random_state(3, np.random.default_rng(4))
+        server = StubServer([sv.rz(math.pi / 4, 2)], 2)
+        sessions = []
+        for session_type in (Session, RegisterSession):
+            sess = session_type(3, seed=0)
+            sess.amps[:] = state.amps
+            sess.split_pair(0, 2)
+            sess.ladder_block(2, BLOCK, LABELS, server)
+            sessions.append(sess)
+        pair, register = sessions
+        # the register waits for the join
+        assert np.array_equal(pair.amps, state.amps)
+        assert pair.transcript.messages[0].pad_labels == ((2, LABELS[1]),)
+        assert_messages_match(pair.transcript.messages,
+                              register.transcript.messages)
+        for log in ("client_op_kinds", "server_op_kinds"):
+            assert (getattr(pair.transcript, log)
+                    == getattr(register.transcript, log))
+        assert pair.transcript.server_op_kinds == ["rz", "rz"]
+        pair.join_pair()
+        assert np.abs(pair.amps - register.amps).max() <= TOL
+
+    def test_a_block_needs_a_split_pair(self):
+        with pytest.raises(ProtocolError, match="split"):
+            Session(3, seed=0).ladder_block(
+                2, BLOCK, LABELS, StubServer([sv.rz(0.3, 2)], 2))
+
+
+def random_density(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestBlockStep:
+    def test_record_block_matches_record_per_message(self):
+        rng = np.random.default_rng(5)
+        densities = np.array([random_density(rng) for _ in range(6)])
+        sent = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
+        one, block = (Transcript(seed=1, epsilon=0.1, n_qubits=4)
+                      for _ in range(2))
+        for i, (tag, labels) in enumerate(sent):
+            one.record(CLIENT_TO_SERVER, tag, (3,),
+                       densities[2 * i].copy(), labels)
+            one.record(SERVER_TO_CLIENT, None, (3,),
+                       densities[2 * i + 1].copy())
+        block.record_block((3,), sent, densities)
+        assert block.digest() == one.digest()
+        assert len(block.messages) == len(one.messages) == 6
+        for a, b in zip(block.messages, one.messages):
+            assert (a.direction, a.tag, a.transmitted, a.pad_labels) == (
+                b.direction, b.tag, b.transmitted, b.pad_labels)
+            assert np.array_equal(a.density, b.density)
+            assert np.array_equal(a.wire_density(3), b.wire_density(3))
+            # a view of the one stacked array
+            assert a.density.base is densities
+
+    def test_block_densities_are_read_only(self):
+        res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
+                           math.pi / 2**5, seed=6)
+        rounds = [m for m in res.transcript.messages
+                  if m.transmitted == (res.state.n_qubits - 1,)]
+        # blocks 2..5 hold all 15 rounds but the opening one
+        assert len(rounds) == 2 * (5 * 6 // 2 - 1)
+        for msg in rounds:
+            for rho in (msg.density,) + msg.wire_densities:
+                assert not rho.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    rho[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                msg.density.base[0, 0, 0] = 0.0
+
+    def test_every_round_replays_to_its_reply(self):
+        # at eps = pi/2^5 an rz runs digit blocks m = 1..5, rounds k = m..1
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.3, 0), sv.h(1)))
+        epsilon = math.pi / 2**5
+        base = CheckpointedRun(circ, epsilon, seed=7)
+        seen = set()
+        for i, msg in enumerate(base.result.transcript.messages):
+            for _, label in msg.pad_labels:
+                if ":m" not in label:
+                    continue
+                m, k = (int(x) for x in re.findall(r":m(\d+):k(\d+)",
+                                                    label)[0])
+                seen.add((m, k))
+                for pair in ((0, 0), (1, 1)):
+                    got = base.replay(i, label, pair)
+                    assert len(got) == i + 2
+                    want = run_pinned(circ, epsilon, 7, {label: pair},
+                                      session_type=RegisterSession)
+                    assert_messages_match(got,
+                                          want.transcript.messages[:i + 2])
+        assert seen == {(m, k) for m in range(1, 6) for k in range(1, m + 1)}
+
+    @staticmethod
+    def _counts(monkeypatch, epsilon, session_type):
+        """(running-hash updates, _apply_op calls) of one run."""
+        updates, applied = [], []
+
+        class CountingStream:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def update(self, data):
+                updates.append(len(data))
+                self.stream.update(data)
+
+            def digest(self):
+                return self.stream.digest()
+
+        def counting_session(*args, **kwargs):
+            sess = session_type(*args, **kwargs)
+            sess.transcript._stream = CountingStream(sess.transcript._stream)
+            return sess
+
+        apply_op = sv._apply_op
+
+        def counting_apply(amps, op):
+            applied.append(op)
+            apply_op(amps, op)
+
+        circ = Circuit(1, (sv.h(0), sv.rz(0.7, 0)))
+        with monkeypatch.context() as patched:
+            patched.setattr(sv, "_apply_op", counting_apply)
+            run_pinned(circ, epsilon, 3, session_type=counting_session)
+        return len(updates), len(applied)
+
+    def test_hash_updates_and_kernels_do_not_grow_with_rounds(self,
+                                                              monkeypatch):
+        eps = {m: math.pi / 2**m for m in (4, 8)}
+        blocks = 8 - 4
+        rounds = 8 * 9 // 2 - 4 * 5 // 2
+        engine = {m: self._counts(monkeypatch, eps[m], Session)
+                  for m in (4, 8)}
+        # at most one hash update and one kernel more per extra digit block
+        assert engine[8][0] - engine[4][0] <= blocks
+        assert engine[8][1] - engine[4][1] <= blocks
+        # the per-op reference pays per round, so the counters can see it
+        reference = {m: self._counts(monkeypatch, eps[m], RegisterSession)
+                     for m in (4, 8)}
+        assert reference[8][0] - reference[4][0] >= 2 * rounds
+        assert reference[8][1] - reference[4][1] >= rounds
