@@ -10,10 +10,10 @@ padded slot qubits:
   slot 2); slots 1 and 4 are dummies.
 * rz gate: slots 1-3 are dummies and slot 4 becomes the transit wire
   for the digit blocks; the first round (m=1, k=1) rides the block
-  message and the remaining rounds go out as single-wire messages.
+  round and the remaining rounds send the transit wire alone.
 
 Slot pads are one-time keys drawn per (gate, slot) or (gate, round)
-label, so the quantum payload of every outbound message is exactly
+label, so the quantum payload of every round's outbound half is exactly
 maximally mixed to the server.  After each gate the client decrypts the
 slots through the composed key update, measures them back to |0>, and
 the slots are ready for the next gate.  Measurements in the circuit are
@@ -41,7 +41,7 @@ and the other wires see no gate until the pair is joined back.  A block's
 pads are all drawn at its start, so each block m >= 2 goes to the
 session as one step (``Session.ladder_block``), which takes every
 round's rotation from ``BlindServer.ops_for`` and records the block's
-messages at once.
+rounds at once.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from . import statevec as sv
 from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
 from .lowering import first_undelegable
-from .session import ForkDone, Message, ProtocolError, Session, Transcript
+from .session import ForkDone, ProtocolError, Round, Session, Transcript
 from .statevec import Gate, GateOp
 
 PI = math.pi
@@ -169,7 +169,7 @@ class _Checkpoint(NamedTuple):
 
     gate_index: int
     block: int  # digit block the gate resumes at; 1 for h and cz
-    n_messages: int  # messages recorded before the draw
+    n_rounds: int  # rounds recorded before the draw
     amps: np.ndarray  # blocks m >= 3 share block 2's register
     wire_pair: sv.WirePair | None  # a copy, in blocks m >= 3
 
@@ -240,7 +240,7 @@ class _Run:
             amps = (sess.amps.copy() if sess.wire_pair is None
                     else self.checkpoints[-1].amps)
             self.checkpoints.append(_Checkpoint(
-                gate_index, block, len(sess.transcript.messages), amps,
+                gate_index, block, len(sess.transcript.rounds), amps,
                 copy.copy(sess.wire_pair),
             ))
 
@@ -248,7 +248,7 @@ class _Run:
                     carried: tuple[RoundPlan, str] | None = None) -> None:
         """Send the uniform block with the ``padded`` slots under their gate
         pads, then decrypt them through the block's key update.  ``carried``
-        is (round, label) when a digit round rides the transit slot."""
+        is (round plan, label) when a digit round rides the transit slot."""
         sess = self.session
         transit = self.slots[3]
         key, labels = self._dummy_slot_key(gate_index, padded)
@@ -288,7 +288,7 @@ class _Run:
             if m > 1:
                 sess.ladder_block(transit, plan, labels, self.server)
             else:
-                # the one round of block 1 rides the uniform block message
+                # the one round of block 1 rides the uniform block round
                 (r,) = plan.rounds
                 if plan.initial_swap:
                     sess.client_apply([sv.swap(transit, q)])
@@ -318,7 +318,7 @@ class _Run:
 
     def run(self) -> ProtocolResult:
         for j, op in enumerate(self.circuit.ops):
-            start = len(self.session.transcript.messages)
+            start = len(self.session.transcript.rounds)
             if op.kind is Gate.MEASURE:
                 wire = op.qubits[0]
                 self.outcomes[j] = self.session.client_measure(
@@ -361,7 +361,7 @@ class CheckpointedRun:
     digit block read neither the pad of round k nor its swap bit.  So a
     fork resumed at the draw point with the label pinned runs the same
     delegation code on the same state as a whole-circuit replay, bit for
-    bit, and can stop at the reply to the message the label protects.
+    bit, and can stop once it has recorded the round the label protects.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
@@ -370,21 +370,21 @@ class CheckpointedRun:
         self._run = _Run(circuit, epsilon, self._session,
                          checkpoints=self._checkpoints)
         self.result = self._run.run()
-        self._starts = [cp.n_messages for cp in self._checkpoints]
+        self._starts = [cp.n_rounds for cp in self._checkpoints]
 
-    def replay(self, message: int, label: str, pair) -> list[Message]:
-        """Messages of this run with ``label`` pinned to ``pair``, up to the
-        reply to outbound ``message``, which ``label`` must pad."""
-        pads = self.result.transcript.messages[message].pad_labels
+    def replay(self, index: int, label: str, pair) -> list[Round]:
+        """Rounds of this run with ``label`` pinned to ``pair``, up to and
+        including round ``index``, which ``label`` must pad."""
+        pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
-            raise ValueError(f"'{label}' does not pad message {message}")
-        cp = self._checkpoints[bisect.bisect_right(self._starts, message) - 1]
-        fork = self._session.fork(cp.amps, cp.n_messages, label, pair,
-                                  stop=message + 2, wire_pair=cp.wire_pair)
+            raise ValueError(f"'{label}' does not pad round {index}")
+        cp = self._checkpoints[bisect.bisect_right(self._starts, index) - 1]
+        fork = self._session.fork(cp.amps, cp.n_rounds, label, pair,
+                                  stop=index + 1, wire_pair=cp.wire_pair)
         try:
             # every fork reuses the baseline's server and its tag table
             self._run.on(fork)._delegate(
                 cp.gate_index, self._run.circuit.ops[cp.gate_index], cp.block)
         except ForkDone:
             pass
-        return fork.transcript.messages
+        return fork.transcript.rounds

@@ -1,5 +1,5 @@
 """Session plumbing shared by every interactive run: key material, the
-client/server message channel, and the replayable transcript.
+client/server channel, and the replayable transcript of its round trips.
 
 Randomness is label-addressed: ``KeySource`` reads each draw straight off
 one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
@@ -7,22 +7,23 @@ label never depends on draw order.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
 draw unchanged.  Such a replay need not start from scratch:
 ``Session.fork`` resumes a run from a saved register (and wire pair) with
-one more override and stops once the replay has recorded the messages it
-is for.
+one more override and stops once the replay has recorded the round it is
+for.
 
-The channel is in-process: a round trip records the transmitted wires,
-applies the server's gates to the shared state, and records them again.
-A record keeps the reduced density of the transmitted wires, which is
-what the channel carries and all the audit reads, and feeds that density
-into a running hash.  A digit block of an ``rz`` ladder runs as one step
-instead (``ladder_block``): on the ``WirePair`` split off the register,
-its rounds fold into the pair's net op, and ``Transcript.record_block``
-records all of its messages from one stacked array, hashed in a single
+The channel is in-process: a round trip takes the transmitted wires'
+state as the client sends them, applies the server's gates to the shared
+state, and takes their state again as the reply comes back.  Each round
+trip is one ``Round`` record holding both reduced densities, which are
+what the channel carries and all the audit reads; both feed a running
+hash.  A digit block of an ``rz`` ladder runs as one step instead
+(``ladder_block``): on the ``WirePair`` split off the register, its
+rounds fold into the pair's net op, and ``Transcript.record_block``
+records all of its rounds from one stacked array, hashed in a single
 update over the same bytes.  The whole register enters the hash at
 every gate boundary and at the end of the run, so the digest covers
-every transmitted density at every message and every amplitude at every
+every transmitted density of every round and every amplitude at every
 gate boundary, while memory stays flat in the number of round trips.
-Off-channel amplitudes between two messages of one gate are not hashed.
+Off-channel amplitudes between two rounds of one gate are not hashed.
 """
 
 from __future__ import annotations
@@ -49,16 +50,13 @@ _PAD_KINDS, _UNPAD_KINDS = (
      for pair in itertools.product((0, 1), repeat=2)}
     for ops in (paulis.pad_ops, paulis.unpad_ops))
 
-CLIENT_TO_SERVER = "client->server"
-SERVER_TO_CLIENT = "server->client"
-
 
 class ProtocolError(Exception):
-    """A message or request outside the protocol's fixed vocabulary."""
+    """A tag or request outside the protocol's fixed vocabulary."""
 
 
 class ForkDone(Exception):
-    """A forked session has recorded every message it was forked for."""
+    """A forked session has recorded every round it was forked for."""
 
 
 def label_digest(seed: int, label: str, size: int) -> int:
@@ -97,31 +95,6 @@ class KeySource:
         return (label_digest(self.seed, "u/" + label, 8) >> 11) * 2.0**-53
 
 
-class Message(NamedTuple):
-    """One direction of one round trip (an immutable record).
-
-    ``tag`` is the classical tag exactly as it crossed the channel, a
-    canonical JSON string (``None`` on a reply).  ``transmitted`` lists the
-    wires actually on the channel.  ``density`` is their joint reduced state
-    at transmission time, with the lowest transmitted wire as the least
-    significant bit, and ``wire_densities`` holds each transmitted wire's
-    own 2x2 state in ``transmitted`` order; all are read-only.
-    ``pad_labels`` maps each transmitted wire to the key label currently
-    protecting it (outbound only; used by the mixedness audit).
-    """
-
-    direction: str
-    tag: str | None
-    transmitted: tuple[int, ...]
-    density: np.ndarray
-    wire_densities: tuple[np.ndarray, ...]
-    pad_labels: tuple[tuple[int, str], ...] = ()
-
-    def wire_density(self, wire: int) -> np.ndarray:
-        """2x2 reduced state of one transmitted wire."""
-        return self.wire_densities[self.transmitted.index(wire)]
-
-
 @functools.lru_cache(maxsize=None)
 def _marginal_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Where to read a k-wire joint density so that summing the last axis
@@ -131,6 +104,34 @@ def _marginal_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.array([[idx[(idx >> w) & 1 == v] for v in (0, 1)]
                      for w in range(k)])
     return rows[:, :, None, :], rows[:, None, :, :]
+
+
+class Round(NamedTuple):
+    """One round trip (an immutable record).
+
+    ``tag`` is the classical tag exactly as it crossed the channel, a
+    canonical JSON string.  ``transmitted`` lists the wires actually on the
+    channel.  ``sent`` is their joint reduced state as the client sends
+    them and ``received`` as the server's reply comes back, each with the
+    lowest transmitted wire as the least significant bit; both are
+    read-only.  ``pad_labels`` maps each transmitted wire to the key label
+    protecting it on the way out (used by the mixedness audit).
+    """
+
+    tag: str
+    transmitted: tuple[int, ...]
+    sent: np.ndarray
+    received: np.ndarray
+    pad_labels: tuple[tuple[int, str], ...]
+
+    def wire_state(self, density: np.ndarray, wire: int) -> np.ndarray:
+        """2x2 reduced state of transmitted ``wire`` in ``density``, this
+        round's ``sent`` or ``received``."""
+        if len(self.transmitted) == 1:
+            return density
+        rows, cols = _marginal_index(len(self.transmitted))
+        w = sorted(self.transmitted).index(wire)
+        return density[rows[w], cols[w]].sum(axis=-1)
 
 
 def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
@@ -144,12 +145,12 @@ def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class GateMarker:
-    """Delegation boundaries of one circuit gate inside the message list."""
+    """Delegation boundaries of one circuit gate inside the round list."""
 
     gate_index: int
     kind: str
-    message_start: int
-    message_end: int
+    round_start: int
+    round_end: int
 
 
 @dataclass
@@ -157,60 +158,53 @@ class Transcript:
     seed: int
     epsilon: float | None
     n_qubits: int
-    messages: list[Message] = field(default_factory=list)
+    rounds: list[Round] = field(default_factory=list)
     markers: list[GateMarker] = field(default_factory=list)
     client_op_kinds: list[str] = field(default_factory=list)
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
-    # running hash of each message's joint density and of the full register
-    # at every gate boundary; None in a fork, whose digest nothing reads
+    # running hash of each round's two joint densities and of the full
+    # register at every gate boundary; None in a fork, whose digest nothing
+    # reads
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
 
-    def record(self, direction: str, tag: str | None, transmitted,
-               density: np.ndarray, pad_labels=()) -> None:
-        """Append one message; ``density`` is the joint state of the
-        transmitted wires, the lowest wire as the least significant bit."""
-        if len(transmitted) == 1:
-            wires = (density,)
-        else:
-            order = sorted(transmitted)
-            rows, cols = _marginal_index(len(order))
-            marginals = density[rows, cols].sum(axis=-1)
-            marginals.setflags(write=False)
-            wires = tuple(marginals[order.index(w)] for w in transmitted)
-        density.setflags(write=False)
+    def record(self, tag: str, transmitted, sent: np.ndarray,
+               received: np.ndarray, pad_labels) -> None:
+        """Append one round; ``sent`` and ``received`` are the joint state
+        of the transmitted wires, the lowest wire as the least significant
+        bit."""
+        sent.setflags(write=False)
+        received.setflags(write=False)
         if self._stream is not None:
             # bytes, not the array: exporting its buffer would pin numpy's
             # buffer-info cache on every stored density
-            self._stream.update(density.tobytes())
-        self.messages.append(Message(direction, tag, transmitted, density,
-                                     wires, pad_labels))
+            self._stream.update(sent.tobytes())
+            self._stream.update(received.tobytes())
+        self.rounds.append(Round(tag, transmitted, sent, received, pad_labels))
 
-    def record_block(self, transmitted, sent, densities: np.ndarray) -> None:
-        """Append the messages of single-wire round trips at once.
+    def record_block(self, transmitted, tags, densities: np.ndarray) -> None:
+        """Append the rounds of single-wire round trips at once.
 
-        ``sent`` holds each round's (tag, pad_labels) and ``densities``
+        ``tags`` holds each round's (tag, pad_labels) and ``densities``
         stacks the wire's state as each round goes out and comes back,
         (2r, 2, 2).  The stack is made read-only and hashed in one update,
-        the same bytes as ``record`` per message; each message holds a view.
+        the same bytes as ``record`` per round; each round holds views.
         """
         densities.setflags(write=False)
         if self._stream is not None:
             self._stream.update(densities.tobytes())
         views = iter(densities)
-        append = self.messages.append
-        for (tag, pad_labels), out, back in zip(sent, views, views):
-            append(Message(CLIENT_TO_SERVER, tag, transmitted, out, (out,),
-                           pad_labels))
-            append(Message(SERVER_TO_CLIENT, None, transmitted, back, (back,)))
+        self.rounds += [Round(tag, transmitted, sent, received, pad_labels)
+                        for (tag, pad_labels), sent, received
+                        in zip(tags, views, views)]
 
     def hash_register(self, amps: np.ndarray) -> None:
         """Feed the whole register into the running hash."""
         self._stream.update(amps)
 
     def round_trips(self) -> int:
-        return sum(1 for m in self.messages if m.direction == CLIENT_TO_SERVER)
+        return len(self.rounds)
 
     def digest(self) -> str:
         """Canonical sha256 of the whole exchange; replays must match it."""
@@ -220,15 +214,16 @@ class Transcript:
         h = hashlib.sha256()
         head = f"{self.seed}|{self.epsilon!r}|{self.n_qubits}|{self.complete}"
         h.update(head.encode())
+        # each round is spelled as its two directed messages, and markers
+        # count messages, so the v5 run-report bytes stay the same
         h.update("".join(
-            f"{m.direction}{'null' if m.tag is None else m.tag}"
-            f"{m.transmitted!r}" for m in self.messages
+            f"client->server{r.tag}{r.transmitted!r}"
+            f"server->clientnull{r.transmitted!r}" for r in self.rounds
         ).encode())
         h.update(self._stream.digest())
         for mk in self.markers:
-            h.update(
-                f"{mk.gate_index}:{mk.kind}:{mk.message_start}:{mk.message_end}".encode()
-            )
+            h.update(f"{mk.gate_index}:{mk.kind}:"
+                     f"{2 * mk.round_start}:{2 * mk.round_end}".encode())
         h.update(",".join(self.client_op_kinds).encode())
         h.update(b"|")
         h.update(",".join(self.server_op_kinds).encode())
@@ -280,14 +275,13 @@ class Session:
         """Send ``transmitted`` wires with ``tag``; server applies its gates."""
         transmitted = tuple(transmitted)
         keep = tuple(sorted(transmitted))
-        self.transcript.record(CLIENT_TO_SERVER, tag, transmitted,
-                               sv._partial_trace(self.amps, keep),
-                               tuple(pad_labels))
+        sent = sv._partial_trace(self.amps, keep)
         for op in server_ops:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        self.transcript.record(SERVER_TO_CLIENT, None, transmitted,
-                               sv._partial_trace(self.amps, keep))
+        self.transcript.record(tag, transmitted, sent,
+                               sv._partial_trace(self.amps, keep),
+                               tuple(pad_labels))
 
     def ladder_block(self, transit: int, plan, labels, server) -> None:
         """Run one digit block's rounds on the split pair in one step.
@@ -298,7 +292,7 @@ class Session:
         ``server.round_tags[k - 1]``, takes the server's one rz on transit
         from ``ops_for`` and unpads; the client swaps the pair where the
         plan says.  The pair folds every op, and the transcript takes all
-        the block's messages in one ``record_block``; the op kinds logged
+        the block's rounds in one ``record_block``; the op kinds logged
         are the ones the same ops would log one by one.
         """
         pair = self.wire_pair
@@ -323,16 +317,16 @@ class Session:
         self.transcript.client_op_kinds += client
         self.transcript.server_op_kinds += ["rz"] * len(steps)
 
-    def fork(self, amps: np.ndarray, n_messages: int, label: str, pair,
+    def fork(self, amps: np.ndarray, n_rounds: int, label: str, pair,
              stop: int, wire_pair: sv.WirePair | None = None) -> Session:
-        """This run resumed from ``amps``, the register after ``n_messages``
-        messages, with ``label`` pinned to ``pair``; ``wire_pair`` is the
-        pair split off ``amps`` at that point, if any, and is copied.
+        """This run resumed from ``amps``, the register after ``n_rounds``
+        rounds, with ``label`` pinned to ``pair``; ``wire_pair`` is the pair
+        split off ``amps`` at that point, if any, and is copied.
 
-        The fork starts from this transcript's first ``n_messages`` messages
-        (a list slice: the stored densities are shared, not copied) and
-        raises ``ForkDone`` once it holds ``stop`` messages.  A fork keeps no
-        running hash, so its transcript has no digest.
+        The fork starts from this transcript's first ``n_rounds`` rounds (a
+        list slice: the stored densities are shared, not copied) and raises
+        ``ForkDone`` once it holds ``stop`` rounds.  A fork keeps no running
+        hash, so its transcript has no digest.
         """
         keys = self.keys
         fork = _Fork(self.n_qubits, keys.seed,
@@ -341,15 +335,14 @@ class Session:
                      disable_pads=keys.disable_pads)
         fork.amps[:] = amps
         fork.wire_pair = copy.copy(wire_pair)
-        fork.transcript.messages = self.transcript.messages[:n_messages]
+        fork.transcript.rounds = self.transcript.rounds[:n_rounds]
         fork.transcript._stream = None
         fork.stop = stop
         return fork
 
-    def mark_gate(self, gate_index: int, kind: str, message_start: int) -> None:
+    def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:
         self.transcript.markers.append(GateMarker(
-            gate_index, kind, message_start, len(self.transcript.messages)
-        ))
+            gate_index, kind, round_start, len(self.transcript.rounds)))
         self.transcript.hash_register(self.amps)
 
     def finish(self) -> Transcript:
@@ -359,19 +352,19 @@ class Session:
 
 
 class _Fork(Session):
-    """A session made by ``Session.fork``; stops at ``stop`` messages."""
+    """A session made by ``Session.fork``; stops at ``stop`` rounds."""
 
     stop: int
 
     def round_trip(self, *args, **kwargs) -> None:
         super().round_trip(*args, **kwargs)
-        if len(self.transcript.messages) >= self.stop:
+        if len(self.transcript.rounds) >= self.stop:
             raise ForkDone
 
     def ladder_block(self, transit, plan, labels, server) -> None:
-        # two messages per round: run only the rounds up to ``stop``
-        left = max(0, self.stop - len(self.transcript.messages) + 1) // 2
+        # run only the rounds up to ``stop``
+        left = self.stop - len(self.transcript.rounds)
         super().ladder_block(
             transit, plan._replace(rounds=plan.rounds[:left]), labels, server)
-        if len(self.transcript.messages) >= self.stop:
+        if len(self.transcript.rounds) >= self.stop:
             raise ForkDone

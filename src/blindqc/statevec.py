@@ -353,7 +353,7 @@ class WirePair:
             states.append([[zero, off], [off.conjugate(), one]])
             perm, phases = _fold(after, bit, perm, phases)
         self.perm, self.phases = tuple(perm), tuple(phases)
-        # one array that owns its memory, so no message's density has a
+        # one array that owns its memory, so no round's density has a
         # writable base
         return np.array(states, dtype=complex)
 

@@ -4,7 +4,7 @@
 digit blocks m >= 2 and runs each of those blocks as one step on their
 4x4 reduced density (``Session.ladder_block``).  This engine never splits
 them off: each pad, unpad, swap and server rotation of those blocks is a
-kernel on the full register, and each message is one ``round_trip`` that
+kernel on the full register, and each round is one ``round_trip`` that
 traces the register.  It is the reference that the two-wire ladder is
 pinned against.
 """

@@ -188,7 +188,7 @@ def test_criterion_07_round_count_law():
     assert bits == 9
     circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(1.7, 0), sv.rz(-0.2, 1)))
     res = run_protocol(circ, 1e-2, seed=77)
-    per_gate = {mk.gate_index: (mk.message_end - mk.message_start) // 2
+    per_gate = {mk.gate_index: mk.round_end - mk.round_start
                 for mk in res.transcript.markers}
     assert per_gate[0] == 1
     assert per_gate[1] == 1

@@ -26,7 +26,7 @@ from blindqc.audit import (
 )
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import CLIENT_TO_SERVER, KeySource, Session, Transcript
+from blindqc.session import KeySource, Session, Transcript
 from register_engine import run_pinned
 
 PI = math.pi
@@ -110,7 +110,7 @@ class TestMixedness:
         assert res.worst_distance < 1e-10
         assert res.inbound_worst_distance < 1e-10
         assert res.uncovered == ()
-        # every transmitted wire of every outbound message got checked
+        # every transmitted wire of every round got checked
         assert res.n_checks == 4 + 4 + 4 + 1 + 1
 
     def test_exhaustive_covers_entangled_working_states(self):
@@ -118,6 +118,26 @@ class TestMixedness:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
         res = payload_mixedness(circ, EPS_M2, seed=5)
         assert res.passed and res.worst_distance < 1e-10
+
+    def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
+        # the first block round leaves slot 2 (wire 3) out of its pad labels
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
+        round_trip = Session.round_trip
+
+        def dropping_round_trip(self, transmitted, tag, server_ops,
+                                pad_labels=()):
+            if not self.transcript.rounds:
+                pad_labels = tuple((w, lbl) for w, lbl in pad_labels
+                                   if w != 3)
+            round_trip(self, transmitted, tag, server_ops, pad_labels)
+
+        monkeypatch.setattr(Session, "round_trip", dropping_round_trip)
+        report = audit_circuit(circ, EPS_M2, seed=4)
+        assert report["mixedness"]["uncovered"] == ["round 0 wire 3"]
+        # every label still checked twirls exactly: only the gap fails
+        assert report["mixedness"]["worst_distance"] < 1e-10
+        assert report["mixedness"]["pass"] is False
+        assert report["pass"] is False
 
     def test_unknown_mode_rejected(self):
         for mode in ("sampled", "full"):
@@ -143,8 +163,8 @@ class TestReplayReuse:
     def test_pinning_a_label_to_its_own_draw_reproduces_the_baseline(self):
         base = run_protocol(self.CIRC, EPS_M2, seed=4)
         keys = KeySource(4)
-        labels = [label for msg in base.transcript.messages
-                  for _, label in msg.pad_labels]
+        labels = [label for rnd in base.transcript.rounds
+                  for _, label in rnd.pad_labels]
         # three blocks, the rz block (three dummies and the transit), and
         # the two single-wire rounds of the m=2 digit block
         assert len(labels) == 4 * 4 + 2
@@ -187,18 +207,21 @@ class TestReplayReuse:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(-0.9, 1),
                            sv.rz(2.2, 0)))
         base = CheckpointedRun(circ, EPS_M2, seed=4)
-        for i, msg in enumerate(base.result.transcript.messages):
-            for _, label in msg.pad_labels:
+        for i, rnd in enumerate(base.result.transcript.rounds):
+            for _, label in rnd.pad_labels:
                 for pair in ALL_PAIRS:
                     got = base.replay(i, label, pair)
                     want = run_pinned(circ, EPS_M2, 4, {label: pair})
-                    assert len(got) == i + 2
-                    for a, b in zip(got, want.transcript.messages):
+                    assert len(got) == i + 1
+                    for a, b in zip(got, want.transcript.rounds):
                         assert (a.tag, a.transmitted, a.pad_labels) == (
                             b.tag, b.transmitted, b.pad_labels)
-                        assert np.array_equal(a.density, b.density)
-                        for x, y in zip(a.wire_densities, b.wire_densities):
+                        for x, y in ((a.sent, b.sent),
+                                     (a.received, b.received)):
                             assert np.array_equal(x, y)
+                            for wire in a.transmitted:
+                                assert np.array_equal(a.wire_state(x, wire),
+                                                      b.wire_state(y, wire))
 
     def test_one_server_per_protocol_run(self, monkeypatch):
         built = []
@@ -240,18 +263,18 @@ def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
 class TestAuditCost:
     @pytest.mark.parametrize("n_rz", [1, 2, 4, 8])
     def test_round_trips_grow_linearly(self, monkeypatch, n_rz):
-        # every session and fork records each outbound message it sends,
-        # one at a time or a digit block at a time
+        # every session and fork records each round it runs, one at a time
+        # or a digit block at a time
         sent = []
         record, record_block = Transcript.record, Transcript.record_block
 
-        def counting_record(self, direction, *args, **kwargs):
-            sent.append(direction == CLIENT_TO_SERVER)
-            return record(self, direction, *args, **kwargs)
+        def counting_record(self, *args, **kwargs):
+            sent.append(True)
+            return record(self, *args, **kwargs)
 
-        def counting_record_block(self, transmitted, rounds, densities):
-            sent.extend(True for _ in rounds)
-            return record_block(self, transmitted, rounds, densities)
+        def counting_record_block(self, transmitted, tags, densities):
+            sent.extend(True for _ in tags)
+            return record_block(self, transmitted, tags, densities)
 
         monkeypatch.setattr(Transcript, "record", counting_record)
         monkeypatch.setattr(Transcript, "record_block", counting_record_block)
@@ -276,17 +299,15 @@ def reference_audit(circuit, epsilon, seed):
     are averaged in pair order.
     """
     base = run_protocol(circuit, epsilon, seed)
-    outbound = [(i, m) for i, m in enumerate(base.transcript.messages)
-                if m.direction == CLIENT_TO_SERVER]
+    rounds = base.transcript.rounds
     worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
-    for i, msg in outbound:
-        for wire, label in msg.pad_labels:
+    for i, rnd in enumerate(rounds):
+        for wire, label in rnd.pad_labels:
             replays = [run_pinned(circuit, epsilon, seed,
-                                  {label: pair}).transcript
+                                  {label: pair}).transcript.rounds[i]
                        for pair in ALL_PAIRS]
-            avg_out = sum(r.messages[i].wire_density(wire)
-                          for r in replays) / 4.0
-            avg_in = sum(r.messages[i + 1].wire_density(wire)
+            avg_out = sum(r.wire_state(r.sent, wire) for r in replays) / 4.0
+            avg_in = sum(r.wire_state(r.received, wire)
                          for r in replays) / 4.0
             n_checks += 1
             dist = audit._dist_from_mixed(avg_out)
@@ -295,7 +316,7 @@ def reference_audit(circuit, epsilon, seed):
             inbound_worst = max(inbound_worst,
                                 audit._dist_from_mixed(avg_in))
     mixed = MixednessResult(
-        mode="exhaustive", n_messages=len(outbound), n_checks=n_checks,
+        mode="exhaustive", n_messages=len(rounds), n_checks=n_checks,
         worst_distance=worst, worst_label=worst_label,
         inbound_worst_distance=inbound_worst,
         tolerance=audit.EXHAUSTIVE_TOLERANCE, uncovered=())

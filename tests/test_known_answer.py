@@ -9,6 +9,10 @@ so these hashes guard the executor against silent behaviour changes.
 A second, three-qubit circuit puts its `h`, `cz` and lowered `swap` on
 non-adjacent wires and adds a `t`, so the protocol's shared x, z, h, cz and
 swap ops are drawn for many wire pairs.
+
+A third, eight-qubit circuit fills the whole 12-wire register (4096
+amplitudes) and at epsilon 1e-6 runs 22 digit blocks per `rz`, 511 round
+trips in all, so the pins cover the full register and long ladders.
 """
 
 import hashlib
@@ -33,6 +37,14 @@ WIDE_RUN_SHA256 = {
     "balanced": "e238d2bfca58421e92f7165c089ba02a0d93d201c6183216f74a9592ac3f2e08",
 }
 WIDE_AUDIT_SHA256 = "60eca77ad7447a733c08e0d5b3be39a081b9061acd25ebc901703a0a363adcd1"
+
+FULL_CIRCUIT = ("version 1\nqubits 8\nh 0\nh 7\ncz 0 7\nrz 3 2.1\ncz 2 5\n"
+                "rz 7 -0.4\nh 4\nmeasure 5\n")
+
+FULL_RUN_SHA256 = {
+    "floor": "f1bd168d671bf23adcfdc8c34dadfda6416dc6f745c5c42c25e5fab78e0008fc",
+    "balanced": "a268e3b0c93d69febfaba98b86e4018440dbbe623e81b985061520c80809f7d3",
+}
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:
@@ -67,3 +79,10 @@ def test_three_qubit_exhaustive_audit_bytes(tmp_path):
     got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-2", "--seed", "5",
                                     "--mode", "exhaustive"], WIDE_CIRCUIT)
     assert got == WIDE_AUDIT_SHA256
+
+
+@pytest.mark.parametrize("extractor", sorted(FULL_RUN_SHA256))
+def test_full_register_run_report_bytes(tmp_path, extractor):
+    got = _report_sha256(tmp_path, ["run", "--epsilon", "1e-6", "--seed", "3",
+                                    "--extractor", extractor], FULL_CIRCUIT)
+    assert got == FULL_RUN_SHA256[extractor]

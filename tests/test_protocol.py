@@ -59,7 +59,7 @@ class TestSingleGates:
         res = run_protocol(circ, EPS_M3, seed=3)
         # h costs one trip, rz costs M(M+1)/2 = 6
         assert res.transcript.round_trips() == 7
-        tags = [m.tag for m in res.transcript.messages if m.tag is not None]
+        tags = [r.tag for r in res.transcript.rounds]
         assert tags[0] == '{"kind":"block"}'
         assert tags[1] == '{"k":1,"kind":"block"}'
         assert tags[2:] == [f'{{"k":{k},"kind":"round"}}'
@@ -137,7 +137,7 @@ class TestHygiene:
         assert bits == 9
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
         res = run_protocol(circ, 1e-2, seed=10)
-        spans = [(mk.kind, (mk.message_end - mk.message_start) // 2)
+        spans = [(mk.kind, mk.round_end - mk.round_start)
                  for mk in res.transcript.markers]
         assert spans == [("h", 1), ("cz", 1), ("rz", bits * (bits + 1) // 2)]
 

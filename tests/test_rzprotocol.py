@@ -56,7 +56,7 @@ class TestSignSplit:
 
 class TestBaseCase:
     def test_decrypt_recovers_rotation_with_tracked_phase(self):
-        # through the executor: the m = 1 round rides the block message
+        # through the executor: the m = 1 round rides the block round
         circ = Circuit(1, (sv.h(0), sv.rz(PI / 2, 0)))
         want = direct(*circ.ops)
         for pair in ALL_PAIRS:
@@ -148,7 +148,7 @@ class TestBlindRz:
             res = run_protocol(Circuit(1, (sv.rz(theta, 0),)), PI / 8, seed=4)
             t = res.transcript
             assert t.round_trips() == 6
-            tags = [m.tag for m in t.messages if m.tag is not None]
+            tags = [r.tag for r in t.rounds]
             assert tags == [OPENING_TAG] + [round_tag(k)
                                             for k in (2, 1, 3, 2, 1)]
 
@@ -195,7 +195,7 @@ class TestBlindRz:
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     def test_every_pad_of_a_digit_block_gives_its_digit(self, extractor):
         # pi/4 at M = 2: floor digits (0, 1), balanced (1, -1), so block 2
-        # rotates by +pi/4 or -pi/4 in bare round messages
+        # rotates by +pi/4 or -pi/4 in bare single-wire rounds
         circ = Circuit(1, (sv.h(0), sv.rz(PI / 4, 0)))
         want = digitized_reference(circ, 2, extractor)
         for k1, k2 in itertools.product(ALL_PAIRS, repeat=2):

@@ -8,13 +8,7 @@ import pytest
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import (
-    CLIENT_TO_SERVER,
-    SERVER_TO_CLIENT,
-    KeySource,
-    ProtocolError,
-    Session,
-)
+from blindqc.session import KeySource, ProtocolError, Session
 import oracles
 
 
@@ -95,22 +89,25 @@ class TestKeyDerivation:
 class TestSession:
     def test_round_trip_records_both_directions(self):
         sess = Session(1, seed=0)
+        sess.amps[:] = [0.6, 0.8j]
         sess.round_trip((0,), '{"angle":1.0,"kind":"rotate"}',
                         [sv.rz(1.0, 0)])
         t = sess.finish()
-        assert [m.direction for m in t.messages] == [
-            CLIENT_TO_SERVER, SERVER_TO_CLIENT]
-        assert t.messages[0].tag == '{"angle":1.0,"kind":"rotate"}'
-        assert t.messages[1].tag is None
+        (rnd,) = t.rounds
+        assert rnd.tag == '{"angle":1.0,"kind":"rotate"}'
         assert t.round_trips() == 1
+        # the state on the way out, then after the server's rotation
+        assert np.abs(rnd.sent - [[0.36, -0.48j], [0.48j, 0.64]]).max() < 1e-12
+        assert np.abs(rnd.received - [[0.36, -0.48j * np.exp(-1j)],
+                                      [0.48j * np.exp(1j), 0.64]]).max() < 1e-12
 
     def test_stored_densities_are_frozen_copies(self):
         sess = Session(2, seed=0)
         sess.client_apply([sv.h(0), sv.cx(0, 1)])
         sess.round_trip((0, 1), '{"angle":0.5,"kind":"rotate"}',
                         [sv.rz(0.5, 1)])
-        msg = sess.transcript.messages[0]
-        stored = (msg.density, *msg.wire_densities)
+        rnd = sess.transcript.rounds[0]
+        stored = (rnd.sent, rnd.received)
         before = [rho.copy() for rho in stored]
         for rho in stored:
             with pytest.raises(ValueError):
@@ -160,7 +157,7 @@ class TestSession:
         sess = Session(2, seed=1)
         sess.client_apply([sv.h(0), sv.cx(0, 1)])
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
-        rho = sess.transcript.messages[0].density
+        rho = sess.transcript.rounds[0].sent
         assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
 
     def test_payload_density_of_lower_wires_is_their_reduced_state(self):
@@ -171,17 +168,17 @@ class TestSession:
         sess.amps = state.amps.copy()
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
         sess.round_trip((0, 2), '{"angle":0.0,"kind":"rotate"}', [])
-        one, _, two, _ = sess.transcript.messages
+        one, two = sess.transcript.rounds
         rho_1 = np.einsum("aib,ajb->ij", tensor, tensor.conj())
-        assert np.allclose(one.density, rho_1, atol=1e-12)
-        assert np.allclose(one.wire_density(1), rho_1, atol=1e-12)
+        assert np.allclose(one.sent, rho_1, atol=1e-12)
+        assert np.allclose(one.wire_state(one.sent, 1), rho_1, atol=1e-12)
         # qubit 0 is the low bit of the joint index, qubit 2 the high bit
         rho_02 = np.einsum("ixj,kxl->ijkl", tensor, tensor.conj())
-        assert np.allclose(two.density, rho_02.reshape(4, 4),
+        assert np.allclose(two.sent, rho_02.reshape(4, 4),
                            atol=1e-12)
         # each wire's state is read off the joint, not traced again
         for wire in (0, 2):
-            assert np.abs(two.wire_density(wire) - sv.reduced_density(
+            assert np.abs(two.wire_state(two.sent, wire) - sv.reduced_density(
                 state, [wire]).mat).max() < 1e-15
 
     def test_digest_covers_wires_off_the_channel(self):
@@ -194,12 +191,13 @@ class TestSession:
 
         a = run(oracles.new_state(3))
         b = run(oracles.apply(oracles.new_state(3), sv.x(0)))
-        for ma, mb in zip(a.messages, b.messages):
-            assert np.array_equal(ma.density, mb.density)
+        for ra, rb in zip(a.rounds, b.rounds):
+            assert np.array_equal(ra.sent, rb.sent)
+            assert np.array_equal(ra.received, rb.received)
         assert a.digest() != b.digest()
 
     def test_digest_covers_off_channel_changes_inside_a_gate(self):
-        # the x lands between two messages of one gate and is undone after
+        # the x lands between two rounds of one gate and is undone after
         # the gate, so tags, op kinds, densities and final register all agree
         def run(wire):
             sess = Session(3, seed=0)
@@ -213,8 +211,9 @@ class TestSession:
 
         a, b = run(0), run(1)
         assert np.array_equal(a.amps, b.amps)
-        for ma, mb in zip(a.transcript.messages, b.transcript.messages):
-            assert np.array_equal(ma.density, mb.density)
+        for ra, rb in zip(a.transcript.rounds, b.transcript.rounds):
+            assert np.array_equal(ra.sent, rb.sent)
+            assert np.array_equal(ra.received, rb.received)
         assert a.finish().digest() != b.finish().digest()
 
     def test_digest_covers_transmitted_densities(self):
@@ -228,8 +227,8 @@ class TestSession:
 
         a, b = run(0), run(1)
         assert np.array_equal(a.amps, b.amps)
-        assert not np.array_equal(a.transcript.messages[0].density,
-                                  b.transcript.messages[0].density)
+        assert not np.array_equal(a.transcript.rounds[0].sent,
+                                  b.transcript.rounds[0].sent)
         assert a.finish().digest() != b.finish().digest()
 
     def test_checkpointed_run_digest_matches_plain_run(self):
@@ -240,7 +239,7 @@ class TestSession:
 
     def test_fork_has_no_digest(self):
         sess = Session(1, seed=0)
-        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0), stop=2)
+        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0), stop=1)
         with pytest.raises(ProtocolError, match="no digest"):
             fork.transcript.digest()
 
@@ -248,21 +247,21 @@ class TestSession:
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))
         t = run_protocol(circ, 1e-2, seed=1).transcript
         assert t.n_qubits == sv.MAX_QUBITS
-        for msg in t.messages:
-            for value in msg:
+        for rnd in t.rounds:
+            for value in rnd:
                 for item in (value if isinstance(value, tuple) else (value,)):
                     if isinstance(item, np.ndarray):
                         assert item.size <= 16 * 16
 
-    def test_gate_markers_track_message_spans(self):
+    def test_gate_markers_track_round_spans(self):
         sess = Session(1, seed=0)
-        start = len(sess.transcript.messages)
+        start = len(sess.transcript.rounds)
         sess.round_trip((0,), '{"angle":0.2,"kind":"rotate"}',
                         [sv.rz(0.2, 0)])
         sess.mark_gate(0, "rz", start)
         t = sess.finish()
-        assert t.markers[0].message_start == 0
-        assert t.markers[0].message_end == 2
+        assert t.markers[0].round_start == 0
+        assert t.markers[0].round_end == 1
 
     def test_server_op_kinds_are_recorded(self):
         sess = Session(1, seed=0)

@@ -4,7 +4,7 @@ Digit blocks m >= 2 of an rz gate run as one step each on the reduced
 density of the working wire and transit (``Session.ladder_block`` and
 ``statevec.WirePair.run_block``); ``register_engine`` runs the same
 blocks op by op on the whole register.  Both must record the same
-messages and reach the same register, within float rounding.
+rounds and reach the same register, within float rounding.
 """
 
 import math
@@ -17,8 +17,7 @@ from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
                               run_protocol)
-from blindqc.session import (CLIENT_TO_SERVER, SERVER_TO_CLIENT,
-                             ProtocolError, Session, Transcript)
+from blindqc.session import ProtocolError, Session, Transcript
 import oracles
 from register_engine import RegisterSession, run_pinned
 
@@ -43,19 +42,21 @@ def random_circuit(rng, n_qubits, n_gates):
     return Circuit(n_qubits, tuple(ops))
 
 
-def assert_messages_match(got, want):
+def assert_rounds_match(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.direction, a.tag, a.transmitted, a.pad_labels) == (
-            b.direction, b.tag, b.transmitted, b.pad_labels)
-        assert np.abs(a.density - b.density).max() <= TOL
-        assert len(a.wire_densities) == len(b.wire_densities)
-        for x, y in zip(a.wire_densities, b.wire_densities):
+        assert (a.tag, a.transmitted, a.pad_labels) == (
+            b.tag, b.transmitted, b.pad_labels)
+        for half in ("sent", "received"):
+            x, y = getattr(a, half), getattr(b, half)
             assert np.abs(x - y).max() <= TOL
+            for wire in a.transmitted:
+                assert np.abs(a.wire_state(x, wire)
+                              - b.wire_state(y, wire)).max() <= TOL
 
 
 def assert_runs_match(got, want):
-    assert_messages_match(got.transcript.messages, want.transcript.messages)
+    assert_rounds_match(got.transcript.rounds, want.transcript.rounds)
     assert got.transcript.client_op_kinds == want.transcript.client_op_kinds
     assert got.transcript.server_op_kinds == want.transcript.server_op_kinds
     assert got.transcript.markers == want.transcript.markers
@@ -98,9 +99,9 @@ class TestAgainstRegisterEngine:
         circ = Circuit(8, (sv.h(7), sv.cz(7, 0), sv.rz(2.3, 7),
                            sv.rz(-0.8, 0)))
         base = CheckpointedRun(circ, epsilon, seed=2)
-        messages = base.result.transcript.messages
-        late = [(i, label) for i, msg in enumerate(messages)
-                for _, label in msg.pad_labels if ":m1:" not in label
+        rounds = base.result.transcript.rounds
+        late = [(i, label) for i, rnd in enumerate(rounds)
+                for _, label in rnd.pad_labels if ":m1:" not in label
                 and ":slot" not in label]
         assert late
         # the first and last rounds of the ladder, and some in between
@@ -108,8 +109,8 @@ class TestAgainstRegisterEngine:
             for pair in ((0, 1), (1, 1)):
                 want = run_pinned(circ, epsilon, 2, {label: pair},
                                   session_type=RegisterSession)
-                assert_messages_match(base.replay(i, label, pair),
-                                      want.transcript.messages[:i + 2])
+                assert_rounds_match(base.replay(i, label, pair),
+                                    want.transcript.rounds[:i + 1])
 
 
 class TestCheckpoints:
@@ -129,15 +130,16 @@ class TestCheckpoints:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
         run = CheckpointedRun(circ, 1e-2, seed=3)
         saved = [cp.amps.copy() for cp in run._checkpoints]
-        messages = run.result.transcript.messages
-        labels = [(i, label) for i, msg in enumerate(messages)
-                  for _, label in msg.pad_labels]
+        rounds = run.result.transcript.rounds
+        labels = [(i, label) for i, rnd in enumerate(rounds)
+                  for _, label in rnd.pad_labels]
         for i, label in labels:
             first = run.replay(i, label, (1, 0))
             second = run.replay(i, label, (1, 0))
-            assert len(first) == len(second) == i + 2
+            assert len(first) == len(second) == i + 1
             for a, b in zip(first, second):
-                assert np.array_equal(a.density, b.density)
+                assert np.array_equal(a.sent, b.sent)
+                assert np.array_equal(a.received, b.received)
         # no fork wrote to the registers the checkpoints share
         for cp, amps in zip(run._checkpoints, saved):
             assert np.array_equal(cp.amps, amps)
@@ -208,7 +210,7 @@ class TestWirePair:
             sess.ladder_block(1, BLOCK, LABELS,
                               StubServer([sv.rz(0.3, 1)], 2))
         # a refused block leaves no trace
-        assert sess.transcript.messages == []
+        assert sess.transcript.rounds == []
         assert sess.transcript.client_op_kinds == []
         assert sess.transcript.server_op_kinds == []
         assert sess.wire_pair.perm == (0, 1, 2, 3)
@@ -226,9 +228,9 @@ class TestWirePair:
         pair, register = sessions
         # the register waits for the join
         assert np.array_equal(pair.amps, state.amps)
-        assert pair.transcript.messages[0].pad_labels == ((2, LABELS[1]),)
-        assert_messages_match(pair.transcript.messages,
-                              register.transcript.messages)
+        assert pair.transcript.rounds[0].pad_labels == ((2, LABELS[1]),)
+        assert_rounds_match(pair.transcript.rounds,
+                            register.transcript.rounds)
         for log in ("client_op_kinds", "server_op_kinds"):
             assert (getattr(pair.transcript, log)
                     == getattr(register.transcript, log))
@@ -249,42 +251,46 @@ def random_density(rng):
 
 
 class TestBlockStep:
-    def test_record_block_matches_record_per_message(self):
+    def test_record_block_matches_record_per_round(self):
         rng = np.random.default_rng(5)
         densities = np.array([random_density(rng) for _ in range(6)])
-        sent = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
+        tags = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
         one, block = (Transcript(seed=1, epsilon=0.1, n_qubits=4)
                       for _ in range(2))
-        for i, (tag, labels) in enumerate(sent):
-            one.record(CLIENT_TO_SERVER, tag, (3,),
-                       densities[2 * i].copy(), labels)
-            one.record(SERVER_TO_CLIENT, None, (3,),
-                       densities[2 * i + 1].copy())
-        block.record_block((3,), sent, densities)
+        for i, (tag, labels) in enumerate(tags):
+            one.record(tag, (3,), densities[2 * i].copy(),
+                       densities[2 * i + 1].copy(), labels)
+        block.record_block((3,), tags, densities)
         assert block.digest() == one.digest()
-        assert len(block.messages) == len(one.messages) == 6
-        for a, b in zip(block.messages, one.messages):
-            assert (a.direction, a.tag, a.transmitted, a.pad_labels) == (
-                b.direction, b.tag, b.transmitted, b.pad_labels)
-            assert np.array_equal(a.density, b.density)
-            assert np.array_equal(a.wire_density(3), b.wire_density(3))
-            # a view of the one stacked array
-            assert a.density.base is densities
+        assert len(block.rounds) == len(one.rounds) == 3
+        for a, b in zip(block.rounds, one.rounds):
+            assert (a.tag, a.transmitted, a.pad_labels) == (
+                b.tag, b.transmitted, b.pad_labels)
+            for half in ("sent", "received"):
+                x, y = getattr(a, half), getattr(b, half)
+                assert np.array_equal(x, y)
+                assert np.array_equal(a.wire_state(x, 3), b.wire_state(y, 3))
+                # a view of the one stacked array
+                assert x.base is densities
 
     def test_block_densities_are_read_only(self):
         res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
                            math.pi / 2**5, seed=6)
-        rounds = [m for m in res.transcript.messages
-                  if m.transmitted == (res.state.n_qubits - 1,)]
+        transit = res.state.n_qubits - 1
+        rounds = [r for r in res.transcript.rounds
+                  if r.transmitted == (transit,)]
         # blocks 2..5 hold all 15 rounds but the opening one
-        assert len(rounds) == 2 * (5 * 6 // 2 - 1)
-        for msg in rounds:
-            for rho in (msg.density,) + msg.wire_densities:
+        assert len(rounds) == 5 * 6 // 2 - 1
+        for rnd in rounds:
+            for rho in (rnd.sent, rnd.received,
+                        rnd.wire_state(rnd.sent, transit),
+                        rnd.wire_state(rnd.received, transit)):
                 assert not rho.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     rho[0, 0] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                msg.density.base[0, 0, 0] = 0.0
+            for rho in (rnd.sent, rnd.received):
+                with pytest.raises(ValueError, match="read-only"):
+                    rho.base[0, 0, 0] = 0.0
 
     def test_every_round_replays_to_its_reply(self):
         # at eps = pi/2^5 an rz runs digit blocks m = 1..5, rounds k = m..1
@@ -292,8 +298,8 @@ class TestBlockStep:
         epsilon = math.pi / 2**5
         base = CheckpointedRun(circ, epsilon, seed=7)
         seen = set()
-        for i, msg in enumerate(base.result.transcript.messages):
-            for _, label in msg.pad_labels:
+        for i, rnd in enumerate(base.result.transcript.rounds):
+            for _, label in rnd.pad_labels:
                 if ":m" not in label:
                     continue
                 m, k = (int(x) for x in re.findall(r":m(\d+):k(\d+)",
@@ -301,11 +307,10 @@ class TestBlockStep:
                 seen.add((m, k))
                 for pair in ((0, 0), (1, 1)):
                     got = base.replay(i, label, pair)
-                    assert len(got) == i + 2
+                    assert len(got) == i + 1
                     want = run_pinned(circ, epsilon, 7, {label: pair},
                                       session_type=RegisterSession)
-                    assert_messages_match(got,
-                                          want.transcript.messages[:i + 2])
+                    assert_rounds_match(got, want.transcript.rounds[:i + 1])
         assert seen == {(m, k) for m in range(1, 6) for k in range(1, m + 1)}
 
     @staticmethod
