@@ -55,16 +55,6 @@ class AngleDigits:
             raise ValueError("digits must lie in {-1, 0, 1}")
 
     @property
-    def nonzero_flags(self) -> tuple[int, ...]:
-        """Per digit: 1 when a rotation is actually encoded, else 0."""
-        return tuple(abs(d) for d in self.digits)
-
-    @property
-    def negative_flags(self) -> tuple[int, ...]:
-        """Per digit: 1 when the encoded rotation is negative, else 0."""
-        return tuple(1 if d < 0 else 0 for d in self.digits)
-
-    @property
     def parity(self) -> int:
         """Half-turn parity; odd means an extra Z on reconstruction."""
         return self.half_turns % 2

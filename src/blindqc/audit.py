@@ -29,7 +29,7 @@ from .angles import precision_bits
 from .circuits import Circuit
 from .lowering import SERVER_KINDS
 from .protocol import CheckpointedRun, run_protocol
-from .session import KeySource, Transcript
+from .session import Transcript
 from .statevec import Gate
 
 AUDIT_VERSION = 3
@@ -130,9 +130,13 @@ class MixednessResult:
         }
 
 
-def _dist_from_mixed(rho: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(rho - np.eye(2) / 2)
-    return float(0.5 * np.sum(np.abs(eigs)))
+def _dists_from_mixed(states) -> list[float]:
+    """Trace distance of each 2x2 density in ``states`` from I/2, from one
+    stacked eigen-solve; numpy runs LAPACK per matrix, so each value has
+    the bits a single-matrix solve gives."""
+    stack = np.reshape(np.array(states, dtype=complex), (-1, 2, 2))
+    eigs = np.linalg.eigvalsh(stack - np.eye(2) / 2)
+    return (0.5 * np.abs(eigs).sum(axis=-1)).tolist()
 
 
 def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
@@ -143,46 +147,45 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
     Each pad label is pinned to all four pairs and the wire's densities on
     its way out and back are averaged in ``ALL_PAIRS`` order: an exact
     Pauli twirl.  ``baseline`` is the checkpointed run for ``seed`` when
-    the caller already has it.  Replays fork it where their label is drawn
-    and stop after the round the label pads.  Keys are
-    label-addressed, so the replay that pins a label to the pair the seed
-    draws anyway is the baseline itself and is not run again.
+    the caller already has it.  Each replay forks it just before the round
+    its label pads and runs only that round.  Keys are label-addressed, so
+    the replay that pins a label to the pair the seed draws anyway is the
+    baseline itself and is not run again.  All the averaged states go
+    through one stacked eigen-solve at the end.
     """
     if baseline is None:
         baseline = CheckpointedRun(circuit, epsilon, seed)
-    own_keys = KeySource(seed)
     base_rounds = baseline.result.transcript.rounds
 
     uncovered = []
-    worst = 0.0
-    worst_label = None
-    inbound_worst = 0.0
-    n_checks = 0
+    labels, avg_out, avg_in = [], [], []
     for i, rnd in enumerate(base_rounds):
         padded_wires = {w for w, _ in rnd.pad_labels}
         uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
                       if wire not in padded_wires]
         for wire, label in rnd.pad_labels:
-            own = own_keys.pad_pair(label)
+            own = baseline.keys.pad_pair(label)
             # round i under each pair of the label
             twirl = [rnd if pair == own else
                      baseline.replay(i, label, pair)[i] for pair in ALL_PAIRS]
             # the wire's state averaged over the pairs, on its way out and back
-            avg_out = sum(r.wire_state(r.sent, wire) for r in twirl) / 4
-            avg_in = sum(r.wire_state(r.received, wire) for r in twirl) / 4
-            n_checks += 1
-            dist = _dist_from_mixed(avg_out)
-            if dist > worst:
-                worst, worst_label = dist, label
-            inbound_worst = max(inbound_worst, _dist_from_mixed(avg_in))
+            labels.append(label)
+            avg_out.append(sum(r.wire_state(r.sent, wire) for r in twirl) / 4)
+            avg_in.append(sum(r.wire_state(r.received, wire)
+                              for r in twirl) / 4)
 
+    dists = _dists_from_mixed(avg_out + avg_in)
+    worst, worst_label = 0.0, None
+    for label, dist in zip(labels, dists):
+        if dist > worst:
+            worst, worst_label = dist, label
     return MixednessResult(
         mode="exhaustive",
         n_messages=len(base_rounds),
-        n_checks=n_checks,
+        n_checks=len(labels),
         worst_distance=worst,
         worst_label=worst_label,
-        inbound_worst_distance=inbound_worst,
+        inbound_worst_distance=max([0.0, *dists[len(labels):]]),
         tolerance=EXHAUSTIVE_TOLERANCE,
         uncovered=tuple(uncovered),
     )
@@ -195,11 +198,9 @@ def negative_control(circuit: Circuit, epsilon: float, seed: int) -> float:
     looked mixed, the mixedness check would be vacuous.
     """
     bare = run_protocol(circuit, epsilon, seed, disable_pads=True)
-    worst = 0.0
-    for rnd in bare.transcript.rounds:
-        for wire in rnd.transmitted:
-            worst = max(worst, _dist_from_mixed(rnd.wire_state(rnd.sent, wire)))
-    return worst
+    return max([0.0, *_dists_from_mixed([
+        rnd.wire_state(rnd.sent, wire)
+        for rnd in bare.transcript.rounds for wire in rnd.transmitted])])
 
 
 def count_rounds(transcript: Transcript) -> list[dict]:

@@ -41,13 +41,11 @@ and the other wires see no gate until the pair is joined back.  A block's
 pads are all drawn at its start, so each block m >= 2 goes to the
 session as one step (``Session.ladder_block``), which takes every
 round's rotation from ``BlindServer.ops_for`` and records the block's
-rounds at once.
+rounds at once; a ``CheckpointedRun`` steps one round at a time.
 """
 
 from __future__ import annotations
 
-import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -165,13 +163,13 @@ class ProtocolResult:
 
 
 class _Checkpoint(NamedTuple):
-    """The state where a gate, or a digit block of an rz gate, draws pads."""
+    """The state before a gate, or a digit round of an rz gate, is padded."""
 
     gate_index: int
     block: int  # digit block the gate resumes at; 1 for h and cz
-    n_rounds: int  # rounds recorded before the draw
-    amps: np.ndarray  # blocks m >= 3 share block 2's register
-    wire_pair: sv.WirePair | None  # a copy, in blocks m >= 3
+    k: int  # round of that block the gate resumes at; 1 in block 1
+    amps: np.ndarray  # past block 2's first round, block 2's register
+    wire_pair: sv.WirePair | None  # a copy, past block 2's first round
 
 
 def _open_session(circuit: Circuit, epsilon: float, seed: int,
@@ -206,10 +204,11 @@ class _Run:
         self.outcomes: dict[int, int] = {}
 
     def on(self, session: Session) -> "_Run":
-        """This run's circuit, slots and server, driving ``session``."""
-        run = copy.copy(self)
-        run.session, run.checkpoints = session, None
-        run.digits, run.outcomes = {}, {}
+        """This run's circuit, slots, server and digits, driving
+        ``session``; only a fork, which resumes inside one gate and reads
+        the digits, runs on it."""
+        run = object.__new__(_Run)
+        run.__dict__.update(vars(self), session=session, checkpoints=None)
         return run
 
     # -- slot plumbing ----------------------------------------------------
@@ -233,16 +232,17 @@ class _Run:
 
     # -- gate delegation --------------------------------------------------
 
-    def _draw_point(self, gate_index: int, block: int) -> None:
+    def _draw_point(self, gate_index: int, block: int, k: int = 1) -> None:
         if self.checkpoints is not None:
             sess = self.session
-            # a split pair leaves the register as the last checkpoint saved it
-            amps = (sess.amps.copy() if sess.wire_pair is None
+            # a split pair leaves the register as the last checkpoint saved
+            # it; run_block rebinds the pair's values, so a copy is a snapshot
+            pair = sess.wire_pair
+            amps = (sess.amps.copy() if pair is None
                     else self.checkpoints[-1].amps)
             self.checkpoints.append(_Checkpoint(
-                gate_index, block, len(sess.transcript.rounds), amps,
-                copy.copy(sess.wire_pair),
-            ))
+                gate_index, block, k, amps,
+                None if pair is None else pair.copy()))
 
     def _block_trip(self, gate_index: int, padded, tag: str,
                     carried: tuple[RoundPlan, str] | None = None) -> None:
@@ -266,28 +266,32 @@ class _Run:
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
         sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
 
-    def _delegate_rz(self, gate_index: int, op: GateOp,
-                     first_block: int = 1) -> None:
+    def _delegate_rz(self, gate_index: int, op: GateOp, first_block: int = 1,
+                     first_k: int = 1) -> None:
         sess = self.session
         q = op.qubits[0]
         transit = self.slots[3]
-        d = digitize(op.angle, self.n_digits, self.extractor)
-        self.digits[gate_index] = d
+        d = self.digits.get(gate_index)  # a fork reads its baseline's digits
+        if d is None:
+            d = self.digits[gate_index] = digitize(op.angle, self.n_digits,
+                                                   self.extractor)
         for m in range(first_block, self.n_digits + 1):
-            self._draw_point(gate_index, m)
+            # round k of block m runs first; rounds run k = m..1
+            k = first_k if m == first_block else m
+            self._draw_point(gate_index, m, k)
             if m == 1 and d.parity:
                 sess.client_apply([sv.z(q)])
-            if m == 2:
-                # later blocks touch only q and transit
+            if m > 1 and sess.wire_pair is None:
+                # later blocks touch only q and transit; a fork resumed
+                # past block 2's first round holds the split pair already
                 sess.split_pair(q, transit)
-            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
+            labels = [f"gate{gate_index}:m{m}:k{i}" for i in range(1, m + 1)]
+            digit = d.digits[m - 1]
             plan = digit_block_plan(
-                d.nonzero_flags[m - 1], d.negative_flags[m - 1],
+                abs(digit), int(digit < 0),
                 tuple(sess.keys.pad_pair(label) for label in labels),
             )
-            if m > 1:
-                sess.ladder_block(transit, plan, labels, self.server)
-            else:
+            if m == 1:
                 # the one round of block 1 rides the uniform block round
                 (r,) = plan.rounds
                 if plan.initial_swap:
@@ -296,14 +300,30 @@ class _Run:
                                  (r, labels[0]))
                 if r.swap_after:
                     sess.client_apply([sv.swap(transit, q)])
+            elif self.checkpoints is None:
+                if k < m:
+                    # a fork resumed past the block's first round and swap
+                    plan = plan._replace(initial_swap=0,
+                                         rounds=plan.rounds[m - k:])
+                sess.ladder_block(transit, plan, labels, self.server)
+            else:
+                # one round per step, each after its own draw point
+                for r in plan.rounds:
+                    if r.index < m:
+                        self._draw_point(gate_index, m, r.index)
+                    sess.ladder_block(transit, plan._replace(rounds=(r,)),
+                                      labels, self.server)
+                    plan = plan._replace(initial_swap=0)
         if sess.wire_pair is not None:
             sess.join_pair()
         self._reset_slots(gate_index)
 
-    def _delegate(self, gate_index: int, op: GateOp, block: int = 1) -> None:
-        """Delegate one h, cz or rz gate; an rz gate starts at digit ``block``."""
+    def _delegate(self, gate_index: int, op: GateOp, block: int = 1,
+                  k: int = 1) -> None:
+        """Delegate one h, cz or rz gate; an rz gate starts at round ``k``
+        of digit block ``block``."""
         if op.kind is Gate.RZ:
-            self._delegate_rz(gate_index, op, block)
+            self._delegate_rz(gate_index, op, block, k)
             return
         # h rides slot 1, cz slots 2 and 3
         slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
@@ -349,28 +369,36 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
 
 
 class CheckpointedRun:
-    """A seeded run that keeps its state wherever it draws pads, so one pad
-    label can be replayed from its draw point instead of from |0...0>.
+    """A seeded run that keeps its state at a draw point before every
+    round, so one pad label can be replayed from there instead of from
+    |0...0>.
 
-    Draw points are the start of each h or cz gate (before the slot swaps),
-    the start of each rz gate (before the parity Z: digit block 1 draws its
-    dummies and its round pad there) and the start of each later digit
-    block.  Blocks m >= 3 keep a copy of the split wire pair and share the
-    register copy of block 2, so an rz gate keeps at most two.  A label's
-    pair changes nothing before its own pad is applied: rounds m..k+1 of a
-    digit block read neither the pad of round k nor its swap bit.  So a
-    fork resumed at the draw point with the label pinned runs the same
-    delegation code on the same state as a whole-circuit replay, bit for
-    bit, and can stop once it has recorded the round the label protects.
+    Draw points, each recorded as (gate, digit block, round), are the
+    start of each h or cz gate (before the slot swaps), the start of each
+    rz gate (before the parity Z: digit block 1 draws its dummies and its
+    round pad there) and every round of each later digit block, so an rz
+    gate has M(M+1)/2 of them and round i has the i-th.  The run takes
+    blocks m >= 2 one round per ``Session.ladder_block`` step to reach
+    them; the hash stream is the same bytes.  Points past block 2's first
+    round keep a copy of the split wire pair and share the register copy
+    of block 2, so an rz gate keeps at most two register copies.  A
+    label's pair changes nothing before its own pad is applied: rounds
+    m..k+1 of a digit block read neither the pad of round k nor its swap
+    bit.  So a fork resumed at the label's round with the label pinned
+    runs the same delegation code on the same state as a whole-circuit
+    replay, bit for bit, and stops once it has recorded that one round.
+    Forks read the baseline's digits and share its table of drawn pads
+    (``keys.drawn``).
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
         self._session = _open_session(circuit, epsilon, seed)
+        self.keys = self._session.keys
+        self.keys.drawn = {}
         self._checkpoints: list[_Checkpoint] = []
         self._run = _Run(circuit, epsilon, self._session,
                          checkpoints=self._checkpoints)
         self.result = self._run.run()
-        self._starts = [cp.n_rounds for cp in self._checkpoints]
 
     def replay(self, index: int, label: str, pair) -> list[Round]:
         """Rounds of this run with ``label`` pinned to ``pair``, up to and
@@ -378,13 +406,13 @@ class CheckpointedRun:
         pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
             raise ValueError(f"'{label}' does not pad round {index}")
-        cp = self._checkpoints[bisect.bisect_right(self._starts, index) - 1]
-        fork = self._session.fork(cp.amps, cp.n_rounds, label, pair,
-                                  stop=index + 1, wire_pair=cp.wire_pair)
+        cp = self._checkpoints[index]
+        fork = self._session.fork(cp.amps, index, label, pair, cp.wire_pair)
         try:
             # every fork reuses the baseline's server and its tag table
             self._run.on(fork)._delegate(
-                cp.gate_index, self._run.circuit.ops[cp.gate_index], cp.block)
+                cp.gate_index, self._run.circuit.ops[cp.gate_index], cp.block,
+                cp.k)
         except ForkDone:
             pass
         return fork.transcript.rounds

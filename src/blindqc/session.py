@@ -8,7 +8,9 @@ auditor override a single pad and re-run the protocol with every other
 draw unchanged.  Such a replay need not start from scratch:
 ``Session.fork`` resumes a run from a saved register (and wire pair) with
 one more override and stops once the replay has recorded the round it is
-for.
+for, which is the one round it resumes at.  A checkpointed run and its
+forks share one table of the pads the run drew (``KeySource.drawn``), so
+a fork re-hashes no label; a plain run keeps no table.
 
 The channel is in-process: a round trip takes the transmitted wires'
 state as the client sends them, applies the server's gates to the shared
@@ -28,7 +30,6 @@ Off-channel amplitudes between two rounds of one gate are not hashed.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -56,7 +57,7 @@ class ProtocolError(Exception):
 
 
 class ForkDone(Exception):
-    """A forked session has recorded every round it was forked for."""
+    """A forked session has recorded the round it was forked for."""
 
 
 def label_digest(seed: int, label: str, size: int) -> int:
@@ -74,12 +75,17 @@ class KeySource:
     ``"{seed}/pad/{label}"``: bit 0 is the x bit and bit 1 the z bit.  A
     measurement draw is the top 53 bits of the eight-byte digest of
     ``"{seed}/u/{label}"``, scaled into [0, 1).
+
+    ``drawn`` is None, or a label -> pair table that keeps every pad drawn
+    from the digest, for the keys of one audit's baseline and its forks to
+    share; an override is never stored there.
     """
 
     def __init__(self, seed: int, overrides=None, disable_pads: bool = False):
         self.seed = int(seed)
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
         self.disable_pads = disable_pads
+        self.drawn: dict[str, tuple[int, int]] | None = None
 
     def pad_pair(self, label: str) -> tuple[int, int]:
         """One (x_bit, z_bit) pad draw; zeroed when pads are disabled."""
@@ -87,8 +93,14 @@ class KeySource:
             return self.overrides[label]
         if self.disable_pads:
             return (0, 0)
+        drawn = self.drawn
+        if drawn is not None and label in drawn:
+            return drawn[label]
         b = label_digest(self.seed, "pad/" + label, 1)
-        return (b & 1, (b >> 1) & 1)
+        pair = (b & 1, (b >> 1) & 1)
+        if drawn is not None:
+            drawn[label] = pair
+        return pair
 
     def measure_u(self, label: str) -> float:
         """Uniform draw in [0, 1) for a measurement; never disabled."""
@@ -318,26 +330,30 @@ class Session:
         self.transcript.server_op_kinds += ["rz"] * len(steps)
 
     def fork(self, amps: np.ndarray, n_rounds: int, label: str, pair,
-             stop: int, wire_pair: sv.WirePair | None = None) -> Session:
+             wire_pair: sv.WirePair | None = None) -> Session:
         """This run resumed from ``amps``, the register after ``n_rounds``
         rounds, with ``label`` pinned to ``pair``; ``wire_pair`` is the pair
         split off ``amps`` at that point, if any, and is copied.
 
         The fork starts from this transcript's first ``n_rounds`` rounds (a
         list slice: the stored densities are shared, not copied) and raises
-        ``ForkDone`` once it holds ``stop`` rounds.  A fork keeps no running
-        hash, so its transcript has no digest.
+        ``ForkDone`` once it has recorded one more.  Its keys share this
+        run's ``drawn`` table.  A fork keeps no running hash, so its
+        transcript has no digest.
         """
-        keys = self.keys
-        fork = _Fork(self.n_qubits, keys.seed,
-                     epsilon=self.transcript.epsilon,
-                     overrides={**keys.overrides, label: pair},
-                     disable_pads=keys.disable_pads)
-        fork.amps[:] = amps
-        fork.wire_pair = copy.copy(wire_pair)
-        fork.transcript.rounds = self.transcript.rounds[:n_rounds]
-        fork.transcript._stream = None
-        fork.stop = stop
+        keys, transcript = self.keys, self.transcript
+        # built field by field: a fork needs no fresh register and no hasher
+        fork = object.__new__(_Fork)
+        fork.n_qubits = self.n_qubits
+        fork.amps = amps.copy()
+        fork.wire_pair = None if wire_pair is None else wire_pair.copy()
+        fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair},
+                              keys.disable_pads)
+        fork.keys.drawn = keys.drawn
+        fork.transcript = object.__new__(Transcript)
+        fork.transcript.__dict__.update(
+            vars(transcript), rounds=transcript.rounds[:n_rounds], markers=[],
+            client_op_kinds=[], server_op_kinds=[], _stream=None)
         return fork
 
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:
@@ -352,19 +368,13 @@ class Session:
 
 
 class _Fork(Session):
-    """A session made by ``Session.fork``; stops at ``stop`` rounds."""
-
-    stop: int
+    """A session made by ``Session.fork``; stops after its first round."""
 
     def round_trip(self, *args, **kwargs) -> None:
         super().round_trip(*args, **kwargs)
-        if len(self.transcript.rounds) >= self.stop:
-            raise ForkDone
+        raise ForkDone
 
     def ladder_block(self, transit, plan, labels, server) -> None:
-        # run only the rounds up to ``stop``
-        left = self.stop - len(self.transcript.rounds)
         super().ladder_block(
-            transit, plan._replace(rounds=plan.rounds[:left]), labels, server)
-        if len(self.transcript.rounds) >= self.stop:
-            raise ForkDone
+            transit, plan._replace(rounds=plan.rounds[:1]), labels, server)
+        raise ForkDone

@@ -324,6 +324,12 @@ class WirePair:
         self.rho = _partial_trace(amps, self.wires).tolist()
         self.perm, self.phases = (0, 1, 2, 3), (1.0, 1.0, 1.0, 1.0)
 
+    def copy(self) -> WirePair:
+        """A snapshot of the pair, sharing its (never mutated) values."""
+        twin = object.__new__(WirePair)
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     def run_block(self, wire: int, rounds) -> np.ndarray:
         """U <- (the rounds' ops) U, and ``wire``'s 2x2 state as each of the
         r >= 1 rounds sends it and gets it back: one (2r, 2, 2) array.

@@ -3,8 +3,8 @@
 A value-object statevector simulator (``apply`` returns a fresh
 ``Statevector``), the key-rule verifier for ``paulis.key_update``, the
 T-gate measurement gadget (the route to a non-Clifford gate that lowering
-``t`` to an ``rz`` ladder replaces), angle reconstruction from digits,
-and lowering's equivalence check on random probe states.
+``t`` to an ``rz`` ladder replaces), angle reconstruction and the
+per-digit flags, and lowering's equivalence check on random probe states.
 """
 
 from __future__ import annotations
@@ -230,6 +230,16 @@ def run_t_gadget(padded: Statevector, y: int, d: int, *,
     reg = apply(reg, *prep, sv.t(0), sv.cx(1, 0))
     reg, m = sv.measure_qubit(reg, 0, u=u, rng=rng)
     return sv.drop_qubit(reg, 0, m), m
+
+
+def nonzero_flags(d: AngleDigits) -> tuple[int, ...]:
+    """Per digit: 1 when a rotation is actually encoded, else 0."""
+    return tuple(abs(dig) for dig in d.digits)
+
+
+def negative_flags(d: AngleDigits) -> tuple[int, ...]:
+    """Per digit: 1 when the encoded rotation is negative, else 0."""
+    return tuple(1 if dig < 0 else 0 for dig in d.digits)
 
 
 def reconstruct(d: AngleDigits) -> float:

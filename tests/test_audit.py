@@ -206,22 +206,16 @@ class TestReplayReuse:
         # on the wrong side of the parity Z shows in the densities
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(-0.9, 1),
                            sv.rz(2.2, 0)))
-        base = CheckpointedRun(circ, EPS_M2, seed=4)
-        for i, rnd in enumerate(base.result.transcript.rounds):
-            for _, label in rnd.pad_labels:
-                for pair in ALL_PAIRS:
-                    got = base.replay(i, label, pair)
-                    want = run_pinned(circ, EPS_M2, 4, {label: pair})
-                    assert len(got) == i + 1
-                    for a, b in zip(got, want.transcript.rounds):
-                        assert (a.tag, a.transmitted, a.pad_labels) == (
-                            b.tag, b.transmitted, b.pad_labels)
-                        for x, y in ((a.sent, b.sent),
-                                     (a.received, b.received)):
-                            assert np.array_equal(x, y)
-                            for wire in a.transmitted:
-                                assert np.array_equal(a.wire_state(x, wire),
-                                                      b.wire_state(y, wire))
+        assert_replays_match_whole_circuit(circ, EPS_M2, 4)
+
+    def test_deep_forks_record_what_whole_circuit_replays_record(self):
+        # nine digit blocks: forks resume inside block 2 and in later
+        # blocks, where re-splitting the already split pair would drop the
+        # rounds run since the split and fail the audit
+        circ = Circuit(1, (sv.h(0), sv.rz(3.992766291758974, 0)))
+        assert precision_bits(1e-2) == 9
+        assert assert_replays_match_whole_circuit(circ, 1e-2, 628519429) == 208
+        assert audit_circuit(circ, 1e-2, 628519429)["pass"] is True
 
     def test_one_server_per_protocol_run(self, monkeypatch):
         built = []
@@ -245,18 +239,41 @@ class TestReplayReuse:
             base.replay(1, "gate0:slot1", (1, 1))
 
 
+def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
+    """Replay every pad label of the seeded run under all four pairs and
+    require each fork's rounds to equal a whole-circuit replay's, bit for
+    bit; return the number of replays."""
+    base = CheckpointedRun(circ, epsilon, seed)
+    n_replays = 0
+    for i, rnd in enumerate(base.result.transcript.rounds):
+        for _, label in rnd.pad_labels:
+            for pair in ALL_PAIRS:
+                got = base.replay(i, label, pair)
+                want = run_pinned(circ, epsilon, seed, {label: pair})
+                assert len(got) == i + 1
+                n_replays += 1
+                for a, b in zip(got, want.transcript.rounds):
+                    assert (a.tag, a.transmitted, a.pad_labels) == (
+                        b.tag, b.transmitted, b.pad_labels)
+                    for x, y in ((a.sent, b.sent), (a.received, b.received)):
+                        assert np.array_equal(x, y)
+                        for wire in a.transmitted:
+                            assert np.array_equal(a.wire_state(x, wire),
+                                                  b.wire_state(y, wire))
+    return n_replays
+
+
 def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
     """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
 
     The baseline and the negative control each run M(M+1)/2 rounds per rz.
-    Each label is forked for three pairs.  Digit block 1 pads three dummy
-    slots and its round (one round each); round k of block m >= 2 resumes at
-    the block start and stops after its own reply, m - k + 1 rounds.
+    Each label is forked for three pairs, and every fork resumes at the
+    round its label pads and runs that one round: the three dummy slots of
+    digit block 1 and all M(M+1)/2 digit rounds, 3 + M(M+1)/2 rounds.
     """
     m_bits = precision_bits(epsilon)
     run = m_bits * (m_bits + 1) // 2
-    fork_rounds = 3 + sum(m - k + 1 for m in range(1, m_bits + 1)
-                          for k in range(1, m + 1))
+    fork_rounds = 3 + run
     return n_rz * (2 * run + 3 * fork_rounds)
 
 
@@ -291,12 +308,19 @@ class TestAuditCost:
         assert report["mixedness"]["worst_distance"] < 1e-10
 
 
+def dist_from_mixed(rho) -> float:
+    """Trace distance of one 2x2 density from I/2, solved on its own."""
+    eigs = np.linalg.eigvalsh(rho - np.eye(2) / 2)
+    return float(0.5 * np.sum(np.abs(eigs)))
+
+
 def reference_audit(circuit, epsilon, seed):
     """The exhaustive audit report from whole-circuit replays.
 
     Every pad label is replayed from |0...0> under all four pairs, with no
     fork and no reuse of the baseline, and the two stored wire densities
-    are averaged in pair order.
+    are averaged in pair order.  Each distance, the negative control's
+    too, comes from its own eigen-solve, in round order.
     """
     base = run_protocol(circuit, epsilon, seed)
     rounds = base.transcript.rounds
@@ -310,17 +334,21 @@ def reference_audit(circuit, epsilon, seed):
             avg_in = sum(r.wire_state(r.received, wire)
                          for r in replays) / 4.0
             n_checks += 1
-            dist = audit._dist_from_mixed(avg_out)
+            dist = dist_from_mixed(avg_out)
             if dist > worst:
                 worst, worst_label = dist, label
-            inbound_worst = max(inbound_worst,
-                                audit._dist_from_mixed(avg_in))
+            inbound_worst = max(inbound_worst, dist_from_mixed(avg_in))
     mixed = MixednessResult(
         mode="exhaustive", n_messages=len(rounds), n_checks=n_checks,
         worst_distance=worst, worst_label=worst_label,
         inbound_worst_distance=inbound_worst,
         tolerance=audit.EXHAUSTIVE_TOLERANCE, uncovered=())
-    control = negative_control(circuit, epsilon, seed)
+    bare = run_protocol(circuit, epsilon, seed, disable_pads=True)
+    control = 0.0
+    for rnd in bare.transcript.rounds:
+        for wire in rnd.transmitted:
+            control = max(control,
+                          dist_from_mixed(rnd.wire_state(rnd.sent, wire)))
     caps = capability_confinement(base.transcript)
     view = classical_view(base.transcript)
     control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD

@@ -232,14 +232,18 @@ class TestSession:
         assert a.finish().digest() != b.finish().digest()
 
     def test_checkpointed_run_digest_matches_plain_run(self):
+        # the checkpointed run takes each ladder round as its own step
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1),
                            sv.measure(0)))
-        plain = run_protocol(circ, 0.1, seed=6).transcript.digest()
-        assert CheckpointedRun(circ, 0.1, 6).result.transcript.digest() == plain
+        for epsilon in (0.1, 1e-6):
+            plain = run_protocol(circ, epsilon, seed=6)
+            base = CheckpointedRun(circ, epsilon, 6).result
+            assert base.transcript.digest() == plain.transcript.digest()
+            assert np.array_equal(base.state.amps, plain.state.amps)
 
     def test_fork_has_no_digest(self):
         sess = Session(1, seed=0)
-        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0), stop=1)
+        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0))
         with pytest.raises(ProtocolError, match="no digest"):
             fork.transcript.digest()
 

@@ -126,6 +126,30 @@ class TestCheckpoints:
             0: 1, 1: min(2, run._run.n_digits), 2: 1,
             3: min(2, run._run.n_digits)}
 
+    @pytest.mark.parametrize("epsilon", [2.0, 1.0, 1e-1, 1e-2, 1e-6])
+    def test_draw_points_per_gate(self, epsilon):
+        circ = Circuit(3, (sv.h(0), sv.rz(0.9, 1), sv.cz(0, 2),
+                           sv.rz(-1.7, 2)))
+        run = CheckpointedRun(circ, epsilon, seed=5)
+        m_bits = run._run.n_digits
+        # an rz gate's start, then every round of blocks m >= 2
+        rz_points = [(1, 1)] + [(m, k) for m in range(2, m_bits + 1)
+                                for k in range(m, 0, -1)]
+        assert len(rz_points) == m_bits * (m_bits + 1) // 2
+        assert [(cp.gate_index, cp.block, cp.k)
+                for cp in run._checkpoints] == [
+            (0, 1, 1), *((1, m, k) for m, k in rz_points),
+            (2, 1, 1), *((3, m, k) for m, k in rz_points)]
+        # one point right before each round, in round order; a ladder
+        # round's pad label is its point's
+        rounds = run.result.transcript.rounds
+        assert len(run._checkpoints) == len(rounds)
+        for cp, rnd in zip(run._checkpoints, rounds):
+            if cp.block > 1:
+                assert rnd.pad_labels == ((
+                    run._run.slots[3],
+                    f"gate{cp.gate_index}:m{cp.block}:k{cp.k}"),)
+
     def test_replaying_a_label_twice_returns_identical_messages(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
         run = CheckpointedRun(circ, 1e-2, seed=3)
