@@ -147,8 +147,10 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
     Each pad label is pinned to all four pairs and the wire's densities on
     its way out and back are averaged in ``ALL_PAIRS`` order: an exact
     Pauli twirl.  ``baseline`` is the checkpointed run for ``seed`` when
-    the caller already has it.  Each replay forks it just before the round
-    its label pads and runs only that round.  Keys are label-addressed, so
+    the caller already has it.  Each replay re-runs only the round its
+    label pads, from the state the baseline saved just before it, and
+    copies no transcript, so audit cost is linear in round trips.  Keys
+    are label-addressed, so
     the replay that pins a label to the pair the seed draws anyway is the
     baseline itself and is not run again.  All the averaged states go
     through one stacked eigen-solve at the end.
@@ -167,7 +169,7 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
             own = baseline.keys.pad_pair(label)
             # round i under each pair of the label
             twirl = [rnd if pair == own else
-                     baseline.replay(i, label, pair)[i] for pair in ALL_PAIRS]
+                     baseline.replay(i, label, pair) for pair in ALL_PAIRS]
             # the wire's state averaged over the pairs, on its way out and back
             labels.append(label)
             avg_out.append(sum(r.wire_state(r.sent, wire) for r in twirl) / 4)

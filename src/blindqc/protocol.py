@@ -46,6 +46,7 @@ rounds at once; a ``CheckpointedRun`` steps one round at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -57,7 +58,7 @@ from . import statevec as sv
 from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
 from .lowering import first_undelegable
-from .session import ForkDone, ProtocolError, Round, Session, Transcript
+from .session import ProtocolError, Round, Session, Transcript
 from .statevec import Gate, GateOp
 
 PI = math.pi
@@ -90,6 +91,16 @@ class BlockPlan(NamedTuple):
     rounds: tuple[RoundPlan, ...]
 
 
+def plan_round(k: int, pair, nonzero: int, negative: int,
+               carry: int) -> RoundPlan:
+    """Round k of a digit block padded by ``pair``; ``carry`` is the
+    product of (a_i xor q) over the rounds i > k the block ran before it."""
+    a, b = pair
+    if k == 1:
+        return RoundPlan(1, (a, b), b ^ a ^ negative, nonzero * carry)
+    return RoundPlan(k, (a, b), b, nonzero * int(a == negative) * carry)
+
+
 def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
     """Full client plan for delegating one digit; ``pairs[k-1]`` pads round k.
 
@@ -103,16 +114,12 @@ def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
         raise ValueError("digit flags must be bits")
     if nonzero == 0 and negative == 1:
         raise ValueError("a zero digit cannot be negative")
-    s, q = nonzero, negative
     rounds = []
     carry = 1  # prod over i in (k, m] of (a_i xor q); empty product is 1
-    for k in range(len(pairs), 1, -1):
-        a, b = pairs[k - 1]
-        rounds.append(RoundPlan(k, (a, b), b, s * int(a == q) * carry))
-        carry *= a ^ q
-    a, b = pairs[0]
-    rounds.append(RoundPlan(1, (a, b), b ^ a ^ q, s * carry))
-    return BlockPlan(s, q, s, tuple(rounds))
+    for k in range(len(pairs), 0, -1):
+        rounds.append(plan_round(k, pairs[k - 1], nonzero, negative, carry))
+        carry *= pairs[k - 1][0] ^ negative
+    return BlockPlan(nonzero, negative, nonzero, tuple(rounds))
 
 
 class UnsupportedGateError(ProtocolError):
@@ -163,13 +170,10 @@ class ProtocolResult:
 
 
 class _Checkpoint(NamedTuple):
-    """The state before a gate, or a digit round of an rz gate, is padded."""
+    """The state one round starts from, and the round as a step."""
 
-    gate_index: int
-    block: int  # digit block the gate resumes at; 1 for h and cz
-    k: int  # round of that block the gate resumes at; 1 in block 1
-    amps: np.ndarray  # past block 2's first round, block 2's register
-    wire_pair: sv.WirePair | None  # a copy, past block 2's first round
+    state: np.ndarray | sv.WirePair  # a copy: the register, or the split pair
+    step: functools.partial  # an unbound ``_Run`` method: step(run, session)
 
 
 def _open_session(circuit: Circuit, epsilon: float, seed: int,
@@ -203,23 +207,7 @@ class _Run:
         self.digits: dict[int, AngleDigits] = {}
         self.outcomes: dict[int, int] = {}
 
-    def on(self, session: Session) -> "_Run":
-        """This run's circuit, slots, server and digits, driving
-        ``session``; only a fork, which resumes inside one gate and reads
-        the digits, runs on it."""
-        run = object.__new__(_Run)
-        run.__dict__.update(vars(self), session=session, checkpoints=None)
-        return run
-
     # -- slot plumbing ----------------------------------------------------
-
-    def _dummy_slot_key(self, gate_index: int, slots):
-        labels = [f"gate{gate_index}:slot{self.slots.index(s) + 1}"
-                  for s in slots]
-        key = paulis.PauliKey(tuple(
-            self.session.keys.pad_pair(lbl) for lbl in labels
-        ))
-        return key, labels
 
     def _reset_slots(self, gate_index: int) -> None:
         # wipe whatever the block left behind; slots come back as |0>
@@ -230,107 +218,108 @@ class _Run:
             if out:
                 self.session.client_apply([sv.x(slot)])
 
-    # -- gate delegation --------------------------------------------------
+    # -- rounds: each runs on the session it is given ----------------------
 
-    def _draw_point(self, gate_index: int, block: int, k: int = 1) -> None:
-        if self.checkpoints is not None:
-            sess = self.session
-            # a split pair leaves the register as the last checkpoint saved
-            # it; run_block rebinds the pair's values, so a copy is a snapshot
-            pair = sess.wire_pair
-            amps = (sess.amps.copy() if pair is None
-                    else self.checkpoints[-1].amps)
-            self.checkpoints.append(_Checkpoint(
-                gate_index, block, k, amps,
-                None if pair is None else pair.copy()))
-
-    def _block_trip(self, gate_index: int, padded, tag: str,
-                    carried: tuple[RoundPlan, str] | None = None) -> None:
-        """Send the uniform block with the ``padded`` slots under their gate
-        pads, then decrypt them through the block's key update.  ``carried``
-        is (round plan, label) when a digit round rides the transit slot."""
+    def _round(self, step: functools.partial):
+        """Run one round's ``step`` on this run's session; a checkpointed
+        run first saves the state the step starts from."""
         sess = self.session
+        if self.checkpoints is not None:
+            pair = sess.wire_pair
+            self.checkpoints.append(_Checkpoint(
+                sess.amps.copy() if pair is None else pair.copy(), step))
+        return step(self, sess)
+
+    def _block_trip(self, sess: Session, gate_index: int, padded, tag: str,
+                    digit: tuple[int, int] | None = None) -> None:
+        """Send the uniform block with the ``padded`` slots under their gate
+        pads, then decrypt them through the block's key update.  ``digit``
+        is (nonzero, negative) when digit block 1's one round rides the
+        transit slot."""
         transit = self.slots[3]
-        key, labels = self._dummy_slot_key(gate_index, padded)
+        labels = [f"gate{gate_index}:slot{self.slots.index(s) + 1}"
+                  for s in padded]
+        key = paulis.PauliKey(tuple(sess.keys.pad_pair(lbl)
+                                    for lbl in labels))
         pad_labels = tuple(zip(padded, labels))
         sess.client_apply(paulis.pad_ops(key.pairs, qubits=padded))
-        if carried:
-            r, label = carried
+        if digit:
+            label = f"gate{gate_index}:m1:k1"
+            r = plan_round(1, sess.keys.pad_pair(label), *digit, 1)
             sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
             pad_labels += ((transit, label),)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
-        if carried:
+        if digit:
             sess.client_apply(
                 paulis.unpad_ops(((r.pair[0], r.unpad_z),), (transit,)))
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
         sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
 
-    def _delegate_rz(self, gate_index: int, op: GateOp, first_block: int = 1,
-                     first_k: int = 1) -> None:
+    def _ladder_round(self, sess: Session, labels: list[str], k: int,
+                      digit: tuple[int, int], carry: int) -> int:
+        """Round k of the digit block padded by ``labels`` (k = m opens it
+        with the initial swap) on the split pair; returns the carry of the
+        next round."""
+        nonzero, negative = digit
+        pair = sess.keys.pad_pair(labels[k - 1])
+        plan = BlockPlan(nonzero, negative, nonzero * (k == len(labels)),
+                         (plan_round(k, pair, nonzero, negative, carry),))
+        sess.ladder_block(self.slots[3], plan, labels, self.server)
+        return carry * (pair[0] ^ negative)
+
+    # -- gate delegation --------------------------------------------------
+
+    def _delegate_rz(self, gate_index: int, op: GateOp) -> None:
         sess = self.session
         q = op.qubits[0]
         transit = self.slots[3]
-        d = self.digits.get(gate_index)  # a fork reads its baseline's digits
-        if d is None:
-            d = self.digits[gate_index] = digitize(op.angle, self.n_digits,
-                                                   self.extractor)
-        for m in range(first_block, self.n_digits + 1):
-            # round k of block m runs first; rounds run k = m..1
-            k = first_k if m == first_block else m
-            self._draw_point(gate_index, m, k)
-            if m == 1 and d.parity:
-                sess.client_apply([sv.z(q)])
-            if m > 1 and sess.wire_pair is None:
-                # later blocks touch only q and transit; a fork resumed
-                # past block 2's first round holds the split pair already
-                sess.split_pair(q, transit)
-            labels = [f"gate{gate_index}:m{m}:k{i}" for i in range(1, m + 1)]
-            digit = d.digits[m - 1]
-            plan = digit_block_plan(
-                abs(digit), int(digit < 0),
-                tuple(sess.keys.pad_pair(label) for label in labels),
-            )
+        d = self.digits[gate_index] = digitize(op.angle, self.n_digits,
+                                               self.extractor)
+        if d.parity:
+            sess.client_apply([sv.z(q)])
+        for m, value in enumerate(d.digits, start=1):
+            digit = (abs(value), int(value < 0))
             if m == 1:
-                # the one round of block 1 rides the uniform block round
-                (r,) = plan.rounds
-                if plan.initial_swap:
-                    sess.client_apply([sv.swap(transit, q)])
-                self._block_trip(gate_index, self.slots[:3], OPENING_TAG,
-                                 (r, labels[0]))
-                if r.swap_after:
-                    sess.client_apply([sv.swap(transit, q)])
-            elif self.checkpoints is None:
-                if k < m:
-                    # a fork resumed past the block's first round and swap
-                    plan = plan._replace(initial_swap=0,
-                                         rounds=plan.rounds[m - k:])
+                # the one round of block 1 rides the uniform block round,
+                # between the plan's two swaps
+                swap = [sv.swap(transit, q)] * digit[0]
+                sess.client_apply(swap)
+                self._round(functools.partial(
+                    _Run._block_trip, gate_index=gate_index,
+                    padded=self.slots[:3], tag=OPENING_TAG, digit=digit))
+                sess.client_apply(swap)
+                continue
+            if m == 2:
+                # later blocks touch only q and transit
+                sess.split_pair(q, transit)
+            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
+            if self.checkpoints is None:
+                plan = digit_block_plan(
+                    *digit, tuple(sess.keys.pad_pair(lbl) for lbl in labels))
                 sess.ladder_block(transit, plan, labels, self.server)
-            else:
-                # one round per step, each after its own draw point
-                for r in plan.rounds:
-                    if r.index < m:
-                        self._draw_point(gate_index, m, r.index)
-                    sess.ladder_block(transit, plan._replace(rounds=(r,)),
-                                      labels, self.server)
-                    plan = plan._replace(initial_swap=0)
+                continue
+            # one round per step, each from its own checkpoint
+            carry = 1
+            for k in range(m, 0, -1):
+                carry = self._round(functools.partial(
+                    _Run._ladder_round, labels=labels, k=k, digit=digit,
+                    carry=carry))
         if sess.wire_pair is not None:
             sess.join_pair()
         self._reset_slots(gate_index)
 
-    def _delegate(self, gate_index: int, op: GateOp, block: int = 1,
-                  k: int = 1) -> None:
-        """Delegate one h, cz or rz gate; an rz gate starts at round ``k``
-        of digit block ``block``."""
+    def _delegate(self, gate_index: int, op: GateOp) -> None:
+        """Delegate one h, cz or rz gate."""
         if op.kind is Gate.RZ:
-            self._delegate_rz(gate_index, op, block, k)
+            self._delegate_rz(gate_index, op)
             return
         # h rides slot 1, cz slots 2 and 3
         slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
         swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
-        self._draw_point(gate_index, 1)
         self.session.client_apply(swaps)
-        self._block_trip(gate_index, self.slots, BLOCK_TAG)
+        self._round(functools.partial(_Run._block_trip, gate_index=gate_index,
+                                      padded=self.slots, tag=BLOCK_TAG))
         self.session.client_apply(swaps)
         self._reset_slots(gate_index)
 
@@ -369,26 +358,21 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
 
 
 class CheckpointedRun:
-    """A seeded run that keeps its state at a draw point before every
-    round, so one pad label can be replayed from there instead of from
-    |0...0>.
+    """A seeded run that keeps a checkpoint before every round, so one pad
+    label can be replayed by re-running the one round it pads.
 
-    Draw points, each recorded as (gate, digit block, round), are the
-    start of each h or cz gate (before the slot swaps), the start of each
-    rz gate (before the parity Z: digit block 1 draws its dummies and its
-    round pad there) and every round of each later digit block, so an rz
-    gate has M(M+1)/2 of them and round i has the i-th.  The run takes
-    blocks m >= 2 one round per ``Session.ladder_block`` step to reach
-    them; the hash stream is the same bytes.  Points past block 2's first
-    round keep a copy of the split wire pair and share the register copy
-    of block 2, so an rz gate keeps at most two register copies.  A
-    label's pair changes nothing before its own pad is applied: rounds
-    m..k+1 of a digit block read neither the pad of round k nor its swap
-    bit.  So a fork resumed at the label's round with the label pinned
-    runs the same delegation code on the same state as a whole-circuit
-    replay, bit for bit, and stops once it has recorded that one round.
-    Forks read the baseline's digits and share its table of drawn pads
-    (``keys.drawn``).
+    A checkpoint holds the state just before its round draws its pads and
+    the round itself as a step: the block round of an h or cz gate (after
+    the slot swaps), the opening round of an rz gate (digit block 1, after
+    the parity Z and the plan's first swap), or one round of a later digit
+    block.  The run saves the checkpoint, then runs the same step.  A block
+    round keeps a register copy.  A ladder round keeps only a copy of the
+    split wire pair, the one state the round touches, and its step carries
+    the baseline's carry, so it re-plans only itself.  A label's pair
+    changes nothing before its own round, and the carry is a product over
+    the block's earlier rounds' pads, so a replay records the round a
+    whole-circuit replay with the label pinned records, bit for bit.
+    Forks share the baseline's table of drawn pads (``keys.drawn``).
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
@@ -400,19 +384,13 @@ class CheckpointedRun:
                          checkpoints=self._checkpoints)
         self.result = self._run.run()
 
-    def replay(self, index: int, label: str, pair) -> list[Round]:
-        """Rounds of this run with ``label`` pinned to ``pair``, up to and
-        including round ``index``, which ``label`` must pad."""
+    def replay(self, index: int, label: str, pair) -> Round:
+        """Round ``index`` of this run with ``label``, which must pad it,
+        pinned to ``pair``."""
         pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
             raise ValueError(f"'{label}' does not pad round {index}")
-        cp = self._checkpoints[index]
-        fork = self._session.fork(cp.amps, index, label, pair, cp.wire_pair)
-        try:
-            # every fork reuses the baseline's server and its tag table
-            self._run.on(fork)._delegate(
-                cp.gate_index, self._run.circuit.ops[cp.gate_index], cp.block,
-                cp.k)
-        except ForkDone:
-            pass
-        return fork.transcript.rounds
+        state, step = self._checkpoints[index]
+        fork = self._session.fork(label, pair, state)
+        step(self._run, fork)
+        return fork.transcript.rounds[0]

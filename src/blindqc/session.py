@@ -5,12 +5,13 @@ Randomness is label-addressed: ``KeySource`` reads each draw straight off
 one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
 label never depends on draw order.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
-draw unchanged.  Such a replay need not start from scratch:
-``Session.fork`` resumes a run from a saved register (and wire pair) with
-one more override and stops once the replay has recorded the round it is
-for, which is the one round it resumes at.  A checkpointed run and its
-forks share one table of the pads the run drew (``KeySource.drawn``), so
-a fork re-hashes no label; a plain run keeps no table.
+draw unchanged.  Such a replay re-runs only the round the pad protects:
+``Session.fork`` starts a session from the state saved just before that
+round (the register, or the wire pair split off it) with one more
+override and an empty transcript, and the replay runs the one round on
+it.  A checkpointed run and its forks share one table of the pads the
+run drew (``KeySource.drawn``), so a fork re-hashes no label; a plain
+run keeps no table.
 
 The channel is in-process: a round trip takes the transmitted wires'
 state as the client sends them, applies the server's gates to the shared
@@ -54,10 +55,6 @@ _PAD_KINDS, _UNPAD_KINDS = (
 
 class ProtocolError(Exception):
     """A tag or request outside the protocol's fixed vocabulary."""
-
-
-class ForkDone(Exception):
-    """A forked session has recorded the round it was forked for."""
 
 
 def label_digest(seed: int, label: str, size: int) -> int:
@@ -176,8 +173,7 @@ class Transcript:
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
     # running hash of each round's two joint densities and of the full
-    # register at every gate boundary; None in a fork, whose digest nothing
-    # reads
+    # register at every gate boundary
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
 
@@ -188,11 +184,10 @@ class Transcript:
         bit."""
         sent.setflags(write=False)
         received.setflags(write=False)
-        if self._stream is not None:
-            # bytes, not the array: exporting its buffer would pin numpy's
-            # buffer-info cache on every stored density
-            self._stream.update(sent.tobytes())
-            self._stream.update(received.tobytes())
+        # bytes, not the array: exporting its buffer would pin numpy's
+        # buffer-info cache on every stored density
+        self._stream.update(sent.tobytes())
+        self._stream.update(received.tobytes())
         self.rounds.append(Round(tag, transmitted, sent, received, pad_labels))
 
     def record_block(self, transmitted, tags, densities: np.ndarray) -> None:
@@ -204,8 +199,7 @@ class Transcript:
         the same bytes as ``record`` per round; each round holds views.
         """
         densities.setflags(write=False)
-        if self._stream is not None:
-            self._stream.update(densities.tobytes())
+        self._stream.update(densities.tobytes())
         views = iter(densities)
         self.rounds += [Round(tag, transmitted, sent, received, pad_labels)
                         for (tag, pad_labels), sent, received
@@ -220,9 +214,6 @@ class Transcript:
 
     def digest(self) -> str:
         """Canonical sha256 of the whole exchange; replays must match it."""
-        if self._stream is None:
-            raise ProtocolError("a forked transcript keeps no running hash, "
-                                "so it has no digest")
         h = hashlib.sha256()
         head = f"{self.seed}|{self.epsilon!r}|{self.n_qubits}|{self.complete}"
         h.update(head.encode())
@@ -329,31 +320,24 @@ class Session:
         self.transcript.client_op_kinds += client
         self.transcript.server_op_kinds += ["rz"] * len(steps)
 
-    def fork(self, amps: np.ndarray, n_rounds: int, label: str, pair,
-             wire_pair: sv.WirePair | None = None) -> Session:
-        """This run resumed from ``amps``, the register after ``n_rounds``
-        rounds, with ``label`` pinned to ``pair``; ``wire_pair`` is the pair
-        split off ``amps`` at that point, if any, and is copied.
-
-        The fork starts from this transcript's first ``n_rounds`` rounds (a
-        list slice: the stored densities are shared, not copied) and raises
-        ``ForkDone`` once it has recorded one more.  Its keys share this
-        run's ``drawn`` table.  A fork keeps no running hash, so its
-        transcript has no digest.
-        """
-        keys, transcript = self.keys, self.transcript
-        # built field by field: a fork needs no fresh register and no hasher
-        fork = object.__new__(_Fork)
+    def fork(self, label: str, pair, state) -> Session:
+        """A session with ``label`` also pinned to ``pair`` that starts from
+        a copy of ``state``: a saved register, or the ``WirePair`` split off
+        it, the one state a digit-block round touches (a fork from a pair
+        has no register).  Its transcript starts empty, and its keys share
+        this run's ``drawn`` table."""
+        keys = self.keys
+        # built field by field: a fork needs no fresh register
+        fork = object.__new__(Session)
         fork.n_qubits = self.n_qubits
-        fork.amps = amps.copy()
-        fork.wire_pair = None if wire_pair is None else wire_pair.copy()
+        split = isinstance(state, sv.WirePair)
+        fork.amps = None if split else state.copy()
+        fork.wire_pair = state.copy() if split else None
         fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair},
                               keys.disable_pads)
         fork.keys.drawn = keys.drawn
-        fork.transcript = object.__new__(Transcript)
-        fork.transcript.__dict__.update(
-            vars(transcript), rounds=transcript.rounds[:n_rounds], markers=[],
-            client_op_kinds=[], server_op_kinds=[], _stream=None)
+        fork.transcript = Transcript(self.transcript.seed,
+                                     self.transcript.epsilon, self.n_qubits)
         return fork
 
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:
@@ -365,16 +349,3 @@ class Session:
         self.transcript.hash_register(self.amps)
         self.transcript.complete = True
         return self.transcript
-
-
-class _Fork(Session):
-    """A session made by ``Session.fork``; stops after its first round."""
-
-    def round_trip(self, *args, **kwargs) -> None:
-        super().round_trip(*args, **kwargs)
-        raise ForkDone
-
-    def ladder_block(self, transit, plan, labels, server) -> None:
-        super().ladder_block(
-            transit, plan._replace(rounds=plan.rounds[:1]), labels, server)
-        raise ForkDone

@@ -209,9 +209,9 @@ class TestReplayReuse:
         assert_replays_match_whole_circuit(circ, EPS_M2, 4)
 
     def test_deep_forks_record_what_whole_circuit_replays_record(self):
-        # nine digit blocks: forks resume inside block 2 and in later
-        # blocks, where re-splitting the already split pair would drop the
-        # rounds run since the split and fail the audit
+        # nine digit blocks: forks re-run rounds of block 2 and of later
+        # blocks from the split pair, which carries the rounds run since
+        # the split
         circ = Circuit(1, (sv.h(0), sv.rz(3.992766291758974, 0)))
         assert precision_bits(1e-2) == 9
         assert assert_replays_match_whole_circuit(circ, 1e-2, 628519429) == 208
@@ -241,18 +241,22 @@ class TestReplayReuse:
 
 def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
     """Replay every pad label of the seeded run under all four pairs and
-    require each fork's rounds to equal a whole-circuit replay's, bit for
-    bit; return the number of replays."""
+    require the baseline's rounds before the label's, then the replayed
+    round, to equal a whole-circuit replay's, bit for bit; return the
+    number of replays."""
     base = CheckpointedRun(circ, epsilon, seed)
+    rounds = base.result.transcript.rounds
     n_replays = 0
-    for i, rnd in enumerate(base.result.transcript.rounds):
+    for i, rnd in enumerate(rounds):
         for _, label in rnd.pad_labels:
             for pair in ALL_PAIRS:
-                got = base.replay(i, label, pair)
-                want = run_pinned(circ, epsilon, seed, {label: pair})
-                assert len(got) == i + 1
+                # pinning a label changes no round before its own
+                got = rounds[:i] + [base.replay(i, label, pair)]
+                want = run_pinned(circ, epsilon, seed,
+                                  {label: pair}).transcript.rounds[:i + 1]
+                assert len(want) == i + 1
                 n_replays += 1
-                for a, b in zip(got, want.transcript.rounds):
+                for a, b in zip(got, want):
                     assert (a.tag, a.transmitted, a.pad_labels) == (
                         b.tag, b.transmitted, b.pad_labels)
                     for x, y in ((a.sent, b.sent), (a.received, b.received)):
@@ -267,9 +271,9 @@ def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
     """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
 
     The baseline and the negative control each run M(M+1)/2 rounds per rz.
-    Each label is forked for three pairs, and every fork resumes at the
-    round its label pads and runs that one round: the three dummy slots of
-    digit block 1 and all M(M+1)/2 digit rounds, 3 + M(M+1)/2 rounds.
+    Each label is forked for three pairs, and every fork re-runs the one
+    round its label pads: the three dummy slots of digit block 1 and all
+    M(M+1)/2 digit rounds, 3 + M(M+1)/2 rounds.
     """
     m_bits = precision_bits(epsilon)
     run = m_bits * (m_bits + 1) // 2

@@ -241,11 +241,30 @@ class TestSession:
             assert base.transcript.digest() == plain.transcript.digest()
             assert np.array_equal(base.state.amps, plain.state.amps)
 
-    def test_fork_has_no_digest(self):
-        sess = Session(1, seed=0)
-        fork = sess.fork(sess.amps.copy(), 0, "p", (1, 0))
-        with pytest.raises(ProtocolError, match="no digest"):
-            fork.transcript.digest()
+    def test_fork_starts_empty_with_only_its_label_pinned(self):
+        sess = Session(2, seed=0, epsilon=0.1, overrides={"q": (0, 1)})
+        sess.keys.drawn = {}
+        sess.client_apply([sv.h(0)])
+        sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
+        fork = sess.fork("p", (1, 0), sess.amps)
+        t = fork.transcript
+        assert (t.rounds, t.markers, t.client_op_kinds,
+                t.server_op_kinds) == ([], [], [], [])
+        # the same header and an empty running hash as a fresh session's
+        assert t.digest() == Session(2, seed=0,
+                                     epsilon=0.1).transcript.digest()
+        assert fork.keys.overrides == {"q": (0, 1), "p": (1, 0)}
+        assert fork.keys.drawn is sess.keys.drawn
+        assert fork.keys.pad_pair("r") == sess.keys.pad_pair("r")
+        assert fork.amps is not sess.amps
+        assert np.array_equal(fork.amps, sess.amps)
+        assert fork.wire_pair is None
+        # a fork from the split pair has no register
+        sess.split_pair(0, 1)
+        fork = sess.fork("p", (1, 0), sess.wire_pair)
+        assert fork.amps is None and fork.transcript.rounds == []
+        assert fork.wire_pair is not sess.wire_pair
+        assert vars(fork.wire_pair) == vars(sess.wire_pair)
 
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))

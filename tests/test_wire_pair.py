@@ -7,12 +7,17 @@ blocks op by op on the whole register.  Both must record the same
 rounds and reach the same register, within float rounding.
 """
 
+import copy
+from collections import Counter
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from blindqc import protocol
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
@@ -40,6 +45,20 @@ def random_circuit(rng, n_qubits, n_gates):
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             ops.append(sv.rz(theta, int(rng.integers(n_qubits))))
     return Circuit(n_qubits, tuple(ops))
+
+
+def random_case(case, epsilon):
+    """The seeded random circuit and protocol seed of one test case."""
+    rng = np.random.default_rng(1000 * case + int(-math.log10(epsilon)))
+    n = int(rng.integers(1, 7))
+    circ = random_circuit(rng, n, int(rng.integers(3, 9)))
+    return circ, int(rng.integers(2**31))
+
+
+# 8 working qubits fill all 12 wires; wire 7 sits just below slot 1
+FULL_REGISTER = Circuit(8, (sv.h(7), sv.cz(7, 2), sv.h(2), sv.rz(-2.6, 7),
+                            sv.rz(1.1, 2), sv.measure(2), sv.h(7),
+                            sv.rz(0.4, 7)))
 
 
 def assert_rounds_match(got, want):
@@ -73,10 +92,7 @@ class TestAgainstRegisterEngine:
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
     @pytest.mark.parametrize("case", range(4))
     def test_random_circuits(self, case, epsilon, extractor):
-        rng = np.random.default_rng(1000 * case + int(-math.log10(epsilon)))
-        n = int(rng.integers(1, 7))
-        circ = random_circuit(rng, n, int(rng.integers(3, 9)))
-        seed = int(rng.integers(2**31))
+        circ, seed = random_case(case, epsilon)
         assert_runs_match(
             run_protocol(circ, epsilon, seed, extractor=extractor),
             run_pinned(circ, epsilon, seed, extractor=extractor,
@@ -85,17 +101,29 @@ class TestAgainstRegisterEngine:
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
     def test_full_register_with_rz_next_to_the_slots(self, epsilon, extractor):
-        # 8 working qubits fill all 12 wires; wire 7 sits just below slot 1
-        circ = Circuit(8, (sv.h(7), sv.cz(7, 2), sv.h(2), sv.rz(-2.6, 7),
-                           sv.rz(1.1, 2), sv.measure(2), sv.h(7),
-                           sv.rz(0.4, 7)))
         assert_runs_match(
-            run_protocol(circ, epsilon, 9, extractor=extractor),
-            run_pinned(circ, epsilon, 9, extractor=extractor,
+            run_protocol(FULL_REGISTER, epsilon, 9, extractor=extractor),
+            run_pinned(FULL_REGISTER, epsilon, 9, extractor=extractor,
                        session_type=RegisterSession))
+
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
+    def test_each_pad_label_pads_one_wire_of_one_round(self, epsilon):
+        # a one-time pad is blind only if its key is used once; each
+        # wire's twirl alone cannot see a label that pads two wires
+        runs = [(FULL_REGISTER, 9)] + [random_case(c, epsilon)
+                                       for c in range(4)]
+        n_labels = 0
+        for circ, seed in runs:
+            uses = Counter(label for rnd in run_protocol(
+                circ, epsilon, seed).transcript.rounds
+                for _, label in rnd.pad_labels)
+            assert all(n == 1 for n in uses.values()), uses.most_common(1)
+            n_labels += len(uses)
+        assert n_labels > 0
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-6])
     def test_forks_resumed_in_later_blocks(self, epsilon):
+        # a fork in a digit block m >= 2 starts from the split pair
         circ = Circuit(8, (sv.h(7), sv.cz(7, 0), sv.rz(2.3, 7),
                            sv.rz(-0.8, 0)))
         base = CheckpointedRun(circ, epsilon, seed=2)
@@ -109,64 +137,96 @@ class TestAgainstRegisterEngine:
             for pair in ((0, 1), (1, 1)):
                 want = run_pinned(circ, epsilon, 2, {label: pair},
                                   session_type=RegisterSession)
-                assert_rounds_match(base.replay(i, label, pair),
+                # pinning a label changes no round before its own
+                assert_rounds_match(rounds[:i] + [base.replay(i, label, pair)],
                                     want.transcript.rounds[:i + 1])
 
 
 class TestCheckpoints:
+    CIRC = Circuit(3, (sv.h(0), sv.rz(0.9, 1), sv.cz(0, 2), sv.rz(-1.7, 2)))
+
     @pytest.mark.parametrize("epsilon", [2.0, 1.0, 1e-1, 1e-2, 1e-6])
     def test_register_copies_per_gate(self, epsilon):
-        circ = Circuit(3, (sv.h(0), sv.rz(0.9, 1), sv.cz(0, 2),
-                           sv.rz(-1.7, 2)))
-        run = CheckpointedRun(circ, epsilon, seed=5)
-        copies = {}
-        for cp in run._checkpoints:
-            copies.setdefault(cp.gate_index, set()).add(id(cp.amps))
-        assert {j: len(ids) for j, ids in copies.items()} == {
-            0: 1, 1: min(2, run._run.n_digits), 2: 1,
-            3: min(2, run._run.n_digits)}
+        run = CheckpointedRun(self.CIRC, epsilon, seed=5)
+        rounds = run.result.transcript.rounds
+        registers = []
+        for cp, rnd in zip(run._checkpoints, rounds, strict=True):
+            if rnd.transmitted == (run._run.slots[3],):
+                # a ladder round touches only the split pair
+                assert isinstance(cp.state, sv.WirePair)
+            else:
+                assert cp.state.shape == (2 ** run._session.n_qubits,)
+                registers.append(id(cp.state))
+            # the step holds no state of its own
+            assert not any(isinstance(v, (np.ndarray, sv.WirePair))
+                           for v in cp.step.keywords.values())
+        # one register copy per block round: h, rz's opening, cz, rz's opening
+        assert len(set(registers)) == len(registers) == 4
+        assert id(run._session.amps) not in registers
 
     @pytest.mark.parametrize("epsilon", [2.0, 1.0, 1e-1, 1e-2, 1e-6])
     def test_draw_points_per_gate(self, epsilon):
-        circ = Circuit(3, (sv.h(0), sv.rz(0.9, 1), sv.cz(0, 2),
-                           sv.rz(-1.7, 2)))
-        run = CheckpointedRun(circ, epsilon, seed=5)
+        run = CheckpointedRun(self.CIRC, epsilon, seed=5)
         m_bits = run._run.n_digits
-        # an rz gate's start, then every round of blocks m >= 2
-        rz_points = [(1, 1)] + [(m, k) for m in range(2, m_bits + 1)
-                                for k in range(m, 0, -1)]
-        assert len(rz_points) == m_bits * (m_bits + 1) // 2
-        assert [(cp.gate_index, cp.block, cp.k)
-                for cp in run._checkpoints] == [
-            (0, 1, 1), *((1, m, k) for m, k in rz_points),
-            (2, 1, 1), *((3, m, k) for m, k in rz_points)]
-        # one point right before each round, in round order; a ladder
-        # round's pad label is its point's
         rounds = run.result.transcript.rounds
-        assert len(run._checkpoints) == len(rounds)
-        for cp, rnd in zip(run._checkpoints, rounds):
-            if cp.block > 1:
-                assert rnd.pad_labels == ((
-                    run._run.slots[3],
-                    f"gate{cp.gate_index}:m{cp.block}:k{cp.k}"),)
+        # a block round per gate, then every round of blocks m >= 2
+        assert len(run._checkpoints) == len(rounds) == 4 + 2 * (
+            m_bits * (m_bits + 1) // 2 - 1)
+        ladder = []
+        for i, (cp, rnd) in enumerate(zip(run._checkpoints, rounds)):
+            step = cp.step
+            if step.func is protocol._Run._ladder_round:
+                # a ladder round is padded by its own label alone
+                label = step.keywords["labels"][step.keywords["k"] - 1]
+                assert rnd.pad_labels == ((run._run.slots[3], label),)
+                ladder.append(label)
+            else:
+                assert step.func is protocol._Run._block_trip
+                assert step.keywords["tag"] == rnd.tag
+            # each checkpoint re-runs its own round: pinning a label to the
+            # pair the seed draws replays the round bit for bit
+            label = rnd.pad_labels[0][1]
+            again = run.replay(i, label, run.keys.pad_pair(label))
+            assert again.pad_labels == rnd.pad_labels
+            assert np.array_equal(again.sent, rnd.sent)
+            assert np.array_equal(again.received, rnd.received)
+        assert ladder == [f"gate{j}:m{m}:k{k}" for j in (1, 3)
+                          for m in range(2, m_bits + 1)
+                          for k in range(m, 0, -1)]
 
     def test_replaying_a_label_twice_returns_identical_messages(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
         run = CheckpointedRun(circ, 1e-2, seed=3)
-        saved = [cp.amps.copy() for cp in run._checkpoints]
+        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
         rounds = run.result.transcript.rounds
         labels = [(i, label) for i, rnd in enumerate(rounds)
                   for _, label in rnd.pad_labels]
         for i, label in labels:
             first = run.replay(i, label, (1, 0))
             second = run.replay(i, label, (1, 0))
-            assert len(first) == len(second) == i + 1
-            for a, b in zip(first, second):
-                assert np.array_equal(a.sent, b.sent)
-                assert np.array_equal(a.received, b.received)
-        # no fork wrote to the registers the checkpoints share
-        for cp, amps in zip(run._checkpoints, saved):
-            assert np.array_equal(cp.amps, amps)
+            assert first.pad_labels == second.pad_labels == rounds[i].pad_labels
+            assert np.array_equal(first.sent, second.sent)
+            assert np.array_equal(first.received, second.received)
+        # no fork wrote to the states the checkpoints saved
+        for cp, state in zip(run._checkpoints, saved, strict=True):
+            if isinstance(state, sv.WirePair):
+                assert vars(cp.state) == vars(state)
+            else:
+                assert np.array_equal(cp.state, state)
+
+    def test_a_run_and_its_checkpoints_form_no_cycle(self):
+        # a step bound to the run would tie the run to its own checkpoint
+        # list and keep every register copy until the cyclic collector ran
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = CheckpointedRun(self.CIRC, 1e-2, seed=5)
+            ref = weakref.ref(run._run)
+            del run
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class StubServer:
@@ -321,8 +381,9 @@ class TestBlockStep:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.3, 0), sv.h(1)))
         epsilon = math.pi / 2**5
         base = CheckpointedRun(circ, epsilon, seed=7)
+        rounds = base.result.transcript.rounds
         seen = set()
-        for i, rnd in enumerate(base.result.transcript.rounds):
+        for i, rnd in enumerate(rounds):
             for _, label in rnd.pad_labels:
                 if ":m" not in label:
                     continue
@@ -330,8 +391,7 @@ class TestBlockStep:
                                                     label)[0])
                 seen.add((m, k))
                 for pair in ((0, 0), (1, 1)):
-                    got = base.replay(i, label, pair)
-                    assert len(got) == i + 1
+                    got = rounds[:i] + [base.replay(i, label, pair)]
                     want = run_pinned(circ, epsilon, 7, {label: pair},
                                       session_type=RegisterSession)
                     assert_rounds_match(got, want.transcript.rounds[:i + 1])
