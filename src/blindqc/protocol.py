@@ -37,11 +37,12 @@ splits that pair off the register at block 2, runs the ladder on its 4x4
 reduced density (``statevec.WirePair``) and applies the ladder's net op
 to the register once, after block M.  That is exact, product state or
 not: unitaries on two wires act on their reduced density by conjugation,
-and the other wires see no gate until the pair is joined back.  A block's
-pads are all drawn at its start, so each block m >= 2 goes to the
-session as one step (``Session.ladder_block``), which takes every
-round's rotation from ``BlindServer.ops_for`` and records the block's
-rounds at once; a ``CheckpointedRun`` steps one round at a time.
+and the other wires see no gate until the pair is joined back.  The
+client draws the pads of blocks 2..M and plans them up front, so the
+whole ladder goes to the session as one step (``Session.ladder``), which
+takes each tag's rotation from ``BlindServer.ops_for`` once and records
+every round at once; a ``CheckpointedRun`` steps one round at a time
+through the same call.
 """
 
 from __future__ import annotations
@@ -231,11 +232,13 @@ class _Run:
         return step(self, sess)
 
     def _block_trip(self, sess: Session, gate_index: int, padded, tag: str,
-                    digit: tuple[int, int] | None = None) -> None:
+                    digit: tuple[int, int] | None = None
+                    ) -> tuple[paulis.PauliKey, RoundPlan | None]:
         """Send the uniform block with the ``padded`` slots under their gate
-        pads, then decrypt them through the block's key update.  ``digit``
-        is (nonzero, negative) when digit block 1's one round rides the
-        transit slot."""
+        pads.  ``digit`` is (nonzero, negative) when digit block 1's one
+        round rides the transit slot.  Returns the slots' key and the
+        opening round's plan (None without a digit), for ``_unpad_block``.
+        """
         transit = self.slots[3]
         labels = [f"gate{gate_index}:slot{self.slots.index(s) + 1}"
                   for s in padded]
@@ -243,6 +246,7 @@ class _Run:
                                     for lbl in labels))
         pad_labels = tuple(zip(padded, labels))
         sess.client_apply(paulis.pad_ops(key.pairs, qubits=padded))
+        r = None
         if digit:
             label = f"gate{gate_index}:m1:k1"
             r = plan_round(1, sess.keys.pad_pair(label), *digit, 1)
@@ -250,9 +254,17 @@ class _Run:
             pad_labels += ((transit, label),)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
-        if digit:
+        return key, r
+
+    def _unpad_block(self, padded, key: paulis.PauliKey,
+                     r: RoundPlan | None) -> None:
+        """Decrypt after ``_block_trip``: transit under the opening round's
+        plan ``r``, then the ``padded`` slots through the block's key
+        update."""
+        sess = self.session
+        if r is not None:
             sess.client_apply(
-                paulis.unpad_ops(((r.pair[0], r.unpad_z),), (transit,)))
+                paulis.unpad_ops(((r.pair[0], r.unpad_z),), (self.slots[3],)))
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
         sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
 
@@ -265,7 +277,7 @@ class _Run:
         pair = sess.keys.pad_pair(labels[k - 1])
         plan = BlockPlan(nonzero, negative, nonzero * (k == len(labels)),
                          (plan_round(k, pair, nonzero, negative, carry),))
-        sess.ladder_block(self.slots[3], plan, labels, self.server)
+        sess.ladder(self.slots[3], ((plan, labels),), self.server)
         return carry * (pair[0] ^ negative)
 
     # -- gate delegation --------------------------------------------------
@@ -278,34 +290,35 @@ class _Run:
                                                self.extractor)
         if d.parity:
             sess.client_apply([sv.z(q)])
-        for m, value in enumerate(d.digits, start=1):
-            digit = (abs(value), int(value < 0))
-            if m == 1:
-                # the one round of block 1 rides the uniform block round,
-                # between the plan's two swaps
-                swap = [sv.swap(transit, q)] * digit[0]
-                sess.client_apply(swap)
-                self._round(functools.partial(
-                    _Run._block_trip, gate_index=gate_index,
-                    padded=self.slots[:3], tag=OPENING_TAG, digit=digit))
-                sess.client_apply(swap)
-                continue
-            if m == 2:
-                # later blocks touch only q and transit
-                sess.split_pair(q, transit)
-            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
+        digits = [(abs(value), int(value < 0)) for value in d.digits]
+        # the one round of digit block 1 rides the uniform block round,
+        # between the plan's two swaps
+        swap = [sv.swap(transit, q)] * digits[0][0]
+        sess.client_apply(swap)
+        self._unpad_block(self.slots[:3], *self._round(functools.partial(
+            _Run._block_trip, gate_index=gate_index, padded=self.slots[:3],
+            tag=OPENING_TAG, digit=digits[0])))
+        sess.client_apply(swap)
+        if len(digits) > 1:
+            # later blocks touch only q and transit
+            sess.split_pair(q, transit)
+            blocks = [([f"gate{gate_index}:m{m}:k{k}"
+                        for k in range(1, m + 1)], digit)
+                      for m, digit in enumerate(digits[1:], start=2)]
             if self.checkpoints is None:
-                plan = digit_block_plan(
-                    *digit, tuple(sess.keys.pad_pair(lbl) for lbl in labels))
-                sess.ladder_block(transit, plan, labels, self.server)
-                continue
-            # one round per step, each from its own checkpoint
-            carry = 1
-            for k in range(m, 0, -1):
-                carry = self._round(functools.partial(
-                    _Run._ladder_round, labels=labels, k=k, digit=digit,
-                    carry=carry))
-        if sess.wire_pair is not None:
+                # the whole ladder is one step
+                sess.ladder(transit, [
+                    (digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
+                                               for lbl in labels]), labels)
+                    for labels, digit in blocks], self.server)
+            else:
+                # one round per step, each from its own checkpoint
+                for labels, digit in blocks:
+                    carry = 1
+                    for k in range(len(labels), 0, -1):
+                        carry = self._round(functools.partial(
+                            _Run._ladder_round, labels=labels, k=k,
+                            digit=digit, carry=carry))
             sess.join_pair()
         self._reset_slots(gate_index)
 
@@ -318,8 +331,9 @@ class _Run:
         slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
         swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
         self.session.client_apply(swaps)
-        self._round(functools.partial(_Run._block_trip, gate_index=gate_index,
-                                      padded=self.slots, tag=BLOCK_TAG))
+        self._unpad_block(self.slots, *self._round(functools.partial(
+            _Run._block_trip, gate_index=gate_index, padded=self.slots,
+            tag=BLOCK_TAG)))
         self.session.client_apply(swaps)
         self._reset_slots(gate_index)
 
@@ -366,9 +380,11 @@ class CheckpointedRun:
     the slot swaps), the opening round of an rz gate (digit block 1, after
     the parity Z and the plan's first swap), or one round of a later digit
     block.  The run saves the checkpoint, then runs the same step.  A block
-    round keeps a register copy.  A ladder round keeps only a copy of the
-    split wire pair, the one state the round touches, and its step carries
-    the baseline's carry, so it re-plans only itself.  A label's pair
+    round's step ends at its round trip, and the run decrypts the slots
+    after it returns.  A block round keeps a register copy.  A ladder round
+    keeps only a copy of the split wire pair, the one state the round
+    touches, and its step carries the baseline's carry, so it re-plans
+    only itself.  A label's pair
     changes nothing before its own round, and the carry is a product over
     the block's earlier rounds' pads, so a replay records the round a
     whole-circuit replay with the label pinned records, bit for bit.

@@ -3,7 +3,9 @@ client/server channel, and the replayable transcript of its round trips.
 
 Randomness is label-addressed: ``KeySource`` reads each draw straight off
 one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
-label never depends on draw order.  That is what lets the blindness
+label never depends on draw order.  Each kind's prefix is hashed once per
+key source; a draw copies that state and feeds it the label, which gives
+the same digest, since BLAKE2b streams.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
 draw unchanged.  Such a replay re-runs only the round the pad protects:
 ``Session.fork`` starts a session from the state saved just before that
@@ -18,14 +20,14 @@ state as the client sends them, applies the server's gates to the shared
 state, and takes their state again as the reply comes back.  Each round
 trip is one ``Round`` record holding both reduced densities, which are
 what the channel carries and all the audit reads; both feed a running
-hash.  A digit block of an ``rz`` ladder runs as one step instead
-(``ladder_block``): on the ``WirePair`` split off the register, its
-rounds fold into the pair's net op, and ``Transcript.record_block``
-records all of its rounds from one stacked array, hashed in a single
-update over the same bytes.  The whole register enters the hash at
-every gate boundary and at the end of the run, so the digest covers
-every transmitted density of every round and every amplitude at every
-gate boundary, while memory stays flat in the number of round trips.
+hash.  The digit blocks m >= 2 of an ``rz`` gate run as one step
+instead (``ladder``): on the ``WirePair`` split off the register, all
+their rounds fold into the pair's net op, and ``Transcript.record_block``
+records them from one stacked array, hashed in a single update over the
+same bytes.  The whole register enters the hash at every gate boundary
+and at the end of the run, so the digest covers every transmitted
+density of every round and every amplitude at every gate boundary,
+while memory stays flat in the number of round trips.
 Off-channel amplitudes between two rounds of one gate are not hashed.
 """
 
@@ -57,21 +59,15 @@ class ProtocolError(Exception):
     """A tag or request outside the protocol's fixed vocabulary."""
 
 
-def label_digest(seed: int, label: str, size: int) -> int:
-    """The ``size``-byte BLAKE2b digest of ``"{seed}/{label}"``, read as a
-    little-endian integer: the one hash recipe behind every keyed draw."""
-    return int.from_bytes(
-        hashlib.blake2b(f"{seed}/{label}".encode(), digest_size=size).digest(),
-        "little")
-
-
 class KeySource:
     """Deterministic per-label bits, overridable one label at a time.
 
-    A pad draw is the low two bits of the one-byte digest of
-    ``"{seed}/pad/{label}"``: bit 0 is the x bit and bit 1 the z bit.  A
-    measurement draw is the top 53 bits of the eight-byte digest of
-    ``"{seed}/u/{label}"``, scaled into [0, 1).
+    Every draw is a BLAKE2b digest.  A pad draw is the low two bits of the
+    one-byte digest of ``"{seed}/pad/{label}"``: bit 0 is the x bit and
+    bit 1 the z bit.  A measurement draw is the top 53 bits of the
+    eight-byte digest of ``"{seed}/u/{label}"``, read little-endian and
+    scaled into [0, 1).  Each kind hashes its prefix once; a draw copies
+    that state and feeds it only the label.
 
     ``drawn`` is None, or a label -> pair table that keeps every pad drawn
     from the digest, for the keys of one audit's baseline and its forks to
@@ -83,6 +79,9 @@ class KeySource:
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
         self.disable_pads = disable_pads
         self.drawn: dict[str, tuple[int, int]] | None = None
+        self._pad = hashlib.blake2b(f"{self.seed}/pad/".encode(),
+                                    digest_size=1)
+        self._u = hashlib.blake2b(f"{self.seed}/u/".encode(), digest_size=8)
 
     def pad_pair(self, label: str) -> tuple[int, int]:
         """One (x_bit, z_bit) pad draw; zeroed when pads are disabled."""
@@ -93,7 +92,9 @@ class KeySource:
         drawn = self.drawn
         if drawn is not None and label in drawn:
             return drawn[label]
-        b = label_digest(self.seed, "pad/" + label, 1)
+        h = self._pad.copy()
+        h.update(label.encode())
+        b = h.digest()[0]
         pair = (b & 1, (b >> 1) & 1)
         if drawn is not None:
             drawn[label] = pair
@@ -101,7 +102,9 @@ class KeySource:
 
     def measure_u(self, label: str) -> float:
         """Uniform draw in [0, 1) for a measurement; never disabled."""
-        return (label_digest(self.seed, "u/" + label, 8) >> 11) * 2.0**-53
+        h = self._u.copy()
+        h.update(label.encode())
+        return (int.from_bytes(h.digest(), "little") >> 11) * 2.0**-53
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,6 +153,14 @@ def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
         raise ValueError(f"the pair takes one rz on wire {wire} from the "
                          f"server, not {[op.kind.value for op in server_ops]}")
     return sv.rz_phases(server_ops[0].angle)
+
+
+@functools.lru_cache(maxsize=1024)
+def _round_text(tag: str, transmitted: tuple[int, ...]) -> str:
+    """A round as ``Transcript.digest`` spells it: its two directed
+    messages.  A run uses a few (tag, wires) pairs over and over."""
+    return (f"client->server{tag}{transmitted!r}"
+            f"server->clientnull{transmitted!r}")
 
 
 @dataclass(frozen=True)
@@ -219,10 +230,8 @@ class Transcript:
         h.update(head.encode())
         # each round is spelled as its two directed messages, and markers
         # count messages, so the v5 run-report bytes stay the same
-        h.update("".join(
-            f"client->server{r.tag}{r.transmitted!r}"
-            f"server->clientnull{r.transmitted!r}" for r in self.rounds
-        ).encode())
+        h.update("".join([_round_text(r.tag, r.transmitted)
+                          for r in self.rounds]).encode())
         h.update(self._stream.digest())
         for mk in self.markers:
             h.update(f"{mk.gate_index}:{mk.kind}:"
@@ -253,7 +262,8 @@ class Session:
         return Statevector(self.n_qubits, self.amps.copy())
 
     def split_pair(self, lo: int, hi: int) -> None:
-        """Split wires ``lo < hi`` off the register for ``ladder_block``."""
+        """Split wires ``lo < hi`` off the register, for ``ladder`` to run
+        the rest of an rz gate's digit ladder on in one step."""
         self.wire_pair = sv.WirePair(self.amps, lo, hi)
 
     def join_pair(self) -> None:
@@ -286,35 +296,39 @@ class Session:
                                sv._partial_trace(self.amps, keep),
                                tuple(pad_labels))
 
-    def ladder_block(self, transit: int, plan, labels, server) -> None:
-        """Run one digit block's rounds on the split pair in one step.
+    def ladder(self, transit: int, blocks, server) -> None:
+        """Run digit blocks' rounds on the split pair in one step.
 
-        ``plan`` is the block's ``protocol.BlockPlan``, ``labels[k - 1]``
-        pads round k and ``server`` is the ``protocol.BlindServer``.  Round
-        k pads ``transit`` under its pair, sends it with
+        ``blocks`` lists (plan, labels) per block: the block's
+        ``protocol.BlockPlan``, whose round k is padded by
+        ``labels[k - 1]``.  ``server`` is the ``protocol.BlindServer``.
+        Round k pads ``transit`` under its pair, sends it with
         ``server.round_tags[k - 1]``, takes the server's one rz on transit
-        from ``ops_for`` and unpads; the client swaps the pair where the
-        plan says.  The pair folds every op, and the transcript takes all
-        the block's rounds in one ``record_block``; the op kinds logged
-        are the ones the same ops would log one by one.
+        from ``ops_for`` (checked once per tag) and unpads; the client
+        swaps the pair where the plan says.  The pair folds every op, and
+        the transcript takes all the rounds in one ``record_block``; the
+        op kinds logged are the ones the same ops would log one by one.
         """
         pair = self.wire_pair
         if pair is None:
             raise ProtocolError("a digit block runs on a split wire pair")
-        steps, sent, client = [], [], []
-        before = ("swap",) if plan.initial_swap else ()
-        for r in plan.rounds:
-            tag = server.round_tags[r.index - 1]
-            before += _PAD_KINDS[r.pair]
-            after = _UNPAD_KINDS[r.pair[0], r.unpad_z]
-            if r.swap_after:
-                after += ("swap",)
-            steps.append(
-                (before, _server_phases(server.ops_for(tag), transit), after))
-            sent.append((tag, ((transit, labels[r.index - 1]),)))
-            client += before
-            client += after
-            before = ()
+        steps, sent, client, rotations = [], [], [], {}
+        for plan, labels in blocks:
+            before = ("swap",) if plan.initial_swap else ()
+            for r in plan.rounds:
+                tag = server.round_tags[r.index - 1]
+                if tag not in rotations:
+                    rotations[tag] = _server_phases(server.ops_for(tag),
+                                                    transit)
+                before += _PAD_KINDS[r.pair]
+                after = _UNPAD_KINDS[r.pair[0], r.unpad_z]
+                if r.swap_after:
+                    after += ("swap",)
+                steps.append((before, rotations[tag], after))
+                sent.append((tag, ((transit, labels[r.index - 1]),)))
+                client += before
+                client += after
+                before = ()
         densities = pair.run_block(transit, steps)
         self.transcript.record_block((transit,), sent, densities)
         self.transcript.client_op_kinds += client

@@ -337,31 +337,41 @@ class WirePair:
         A round is (before, (down, up), after).  ``before`` and ``after``
         name the x, z and swap ops applied before the send and after the
         reply; x and z act on ``wire`` and swap exchanges the pair.
-        (down, up) is the received rz as ``rz_phases`` gives it.
+        (down, up) is the received rz as ``rz_phases`` gives it.  U's
+        permutation moves through ``_PAIR_STEPS``, so no round searches
+        it.
         """
         if wire not in self.wires:
             raise ValueError(f"wire {wire} is outside the pair {self.wires}")
-        bit = 1 if wire == self.wires[0] else 2
-        perm, phases, rho = self.perm, self.phases, self.rho
-        states = []
+        steps = _PAIR_STEPS[1 if wire == self.wires[0] else 2]
+        s, ph, rho = _PERMS.index(self.perm), list(self.phases), self.rho
+        flat = []
         for before, (down, up), after in rounds:
-            perm, phases = _fold(before, bit, perm, phases)
-            # the wire reads 0 at basis states 0 and 3 - bit, which U sends
-            # from a and b, and 1 at bit and 3, sent from c and d; phases
-            # have modulus 1, so the rz leaves the diagonal as it is
-            a, b, c, d = [perm.index(x) for x in (0, 3 - bit, bit, 3)]
+            s = _fold(before, steps, s, ph)
+            # U sends a and b to the wire's 0 states and c and d to its 1
+            # states; phases have modulus 1, so the rz leaves the diagonal
+            # as it is.  The <0|.|1> entry of U rho U^dagger sums
+            # ph[i] rho[i][j] conj(ph[j]); rho is hermitian, so <1|.|0> is
+            # its conjugate.
+            _, _, a, b, c, d = steps[s]
             zero, one = rho[a][a] + rho[b][b], rho[c][c] + rho[d][d]
-            off = _coherence(rho, phases, a, b, c, d)
-            states.append([[zero, off], [off.conjugate(), one]])
-            phases = [v * (up if k & bit else down)
-                      for k, v in zip(perm, phases)]
-            off = _coherence(rho, phases, a, b, c, d)
-            states.append([[zero, off], [off.conjugate(), one]])
-            perm, phases = _fold(after, bit, perm, phases)
-        self.perm, self.phases = tuple(perm), tuple(phases)
+            out = (ph[a] * rho[a][c] * ph[c].conjugate()
+                   + ph[b] * rho[b][d] * ph[d].conjugate())
+            ph[a] *= down
+            ph[b] *= down
+            ph[c] *= up
+            ph[d] *= up
+            back = (ph[a] * rho[a][c] * ph[c].conjugate()
+                    + ph[b] * rho[b][d] * ph[d].conjugate())
+            flat += (zero, out, out.conjugate(), one,
+                     zero, back, back.conjugate(), one)
+            s = _fold(after, steps, s, ph)
+        self.perm, self.phases = _PERMS[s], tuple(ph)
         # one array that owns its memory, so no round's density has a
         # writable base
-        return np.array(states, dtype=complex)
+        states = np.empty((len(flat) >> 2, 2, 2), dtype=complex)
+        states.reshape(-1)[:] = flat
+        return states
 
     def apply_to(self, amps: np.ndarray) -> None:
         """Apply U to the register ``amps`` in place."""
@@ -372,26 +382,46 @@ class WirePair:
             view[:, k >> 1, :, k & 1, :] = self.phases[j] * old[j]
 
 
-def _coherence(rho, ph, a: int, b: int, c: int, d: int) -> complex:
-    """The wire's <0|.|1> entry of U rho U^dagger, whose [x, y] entry is
-    ph[i] rho[i][j] conj(ph[j]) for x = perm[i] and y = perm[j]; rho is
-    hermitian, so the <1|.|0> entry is its conjugate."""
-    return (ph[a] * rho[a][c] * ph[c].conjugate()
-            + ph[b] * rho[b][d] * ph[d].conjugate())
+# swap of the pair's two wires, as a map of basis states
+_SWAP = (0, 2, 1, 3)
+# The permutations U can reach from the identity under x on either wire
+# and swap: j -> j ^ f, or j -> swap(j) ^ f; the identity comes first.
+_PERMS = tuple(tuple(_SWAP[j] ^ f if swapped else j ^ f for j in range(4))
+               for swapped in (0, 1) for f in range(4))
 
 
-def _fold(kinds, bit: int, perm, phases):
-    """U after the named x, z and swap ops; x and z act on pair bit ``bit``."""
+def _pair_steps(bit: int) -> tuple[tuple[int, ...], ...]:
+    """Per permutation in ``_PERMS``: the index of its successor under x on
+    pair bit ``bit`` and under swap, then the states a, b, c, d it sends
+    to 0, 3 - bit, bit and 3.  The wire at ``bit`` is set exactly at the
+    images of c and d, the entries a z negates."""
+    index = {perm: i for i, perm in enumerate(_PERMS)}
+    return tuple(
+        (index[tuple(k ^ bit for k in perm)],
+         index[tuple(_SWAP[k] for k in perm)],
+         *(perm.index(k) for k in (0, 3 - bit, bit, 3)))
+        for perm in _PERMS)
+
+
+_PAIR_STEPS = {bit: _pair_steps(bit) for bit in (1, 2)}
+
+
+def _fold(kinds, steps, s: int, ph: list) -> int:
+    """The ``_PERMS`` index after the named x, z and swap ops, from ``s``
+    through ``steps``; a z negates the phases ``ph`` in place where the
+    wire is set."""
     for kind in kinds:
-        if kind == "swap":
-            perm = [(0, 2, 1, 3)[k] for k in perm]
-        elif kind == "x":
-            perm = [k ^ bit for k in perm]
+        if kind == "x":
+            s = steps[s][0]
+        elif kind == "swap":
+            s = steps[s][1]
         elif kind == "z":
-            phases = [-v if k & bit else v for k, v in zip(perm, phases)]
+            c, d = steps[s][4:]
+            ph[c] = -ph[c]
+            ph[d] = -ph[d]
         else:
             raise ValueError(f"{kind} is not a monomial pair gate")
-    return perm, phases
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A value-object statevector simulator (``apply`` returns a fresh
 ``Statevector``), the key-rule verifier for ``paulis.key_update``, the
 T-gate measurement gadget (the route to a non-Clifford gate that lowering
 ``t`` to an ``rz`` ladder replaces), angle reconstruction and the
-per-digit flags, and lowering's equivalence check on random probe states.
+per-digit flags, lowering's equivalence check on random probe states, and
+the list-based fold of ``statevec.WirePair.run_block``.
 """
 
 from __future__ import annotations
@@ -291,3 +292,69 @@ def check_equivalent(original: Circuit, lowered: Circuit, *, probes: int = 3,
         b = apply(probe, *lowered.ops)
         worst = max(worst, phase_aligned_distance(a, b))
     return worst
+
+
+@dataclass
+class ListPair:
+    """The reference's own copy of a split pair: the reduced density as
+    nested lists, and U = the identity with float phases 1.0."""
+
+    wires: tuple[int, int]
+    rho: list
+    perm: tuple[int, ...] = (0, 1, 2, 3)
+    phases: tuple = (1.0, 1.0, 1.0, 1.0)
+
+
+def list_pair(amps: np.ndarray, lo: int, hi: int) -> ListPair:
+    """Wires ``lo < hi`` of ``amps`` split off for ``pair_run_block``."""
+    return ListPair((lo, hi), sv._partial_trace(amps, (lo, hi)).tolist())
+
+
+def pair_run_block(pair: ListPair, wire: int, rounds) -> np.ndarray:
+    """``pair.run_block`` as list rebuilds and index searches, one round at
+    a time: the reference the table-driven fold must match byte for byte.
+
+    U|j> = phases[j]|perm[j]>; the wire reads 0 at basis states 0 and
+    3 - bit, which U sends from a and b, and 1 at bit and 3, sent from c
+    and d.  Phases start as float 1.0, z is a negation and the received rz
+    multiplies, so each step does the same float operations in the same
+    order as the package; signed zeros survive into the bytes.
+    """
+    if wire not in pair.wires:
+        raise ValueError(f"wire {wire} is outside the pair {pair.wires}")
+    bit = 1 if wire == pair.wires[0] else 2
+    perm, phases, rho = pair.perm, pair.phases, pair.rho
+    states = []
+    for before, (down, up), after in rounds:
+        perm, phases = _pair_fold(before, bit, perm, phases)
+        a, b, c, d = [perm.index(x) for x in (0, 3 - bit, bit, 3)]
+        zero, one = rho[a][a] + rho[b][b], rho[c][c] + rho[d][d]
+        off = _pair_coherence(rho, phases, a, b, c, d)
+        states.append([[zero, off], [off.conjugate(), one]])
+        phases = [v * (up if k & bit else down)
+                  for k, v in zip(perm, phases)]
+        off = _pair_coherence(rho, phases, a, b, c, d)
+        states.append([[zero, off], [off.conjugate(), one]])
+        perm, phases = _pair_fold(after, bit, perm, phases)
+    pair.perm, pair.phases = tuple(perm), tuple(phases)
+    return np.array(states, dtype=complex)
+
+
+def _pair_coherence(rho, ph, a: int, b: int, c: int, d: int) -> complex:
+    """The wire's <0|.|1> entry of U rho U^dagger."""
+    return (ph[a] * rho[a][c] * ph[c].conjugate()
+            + ph[b] * rho[b][d] * ph[d].conjugate())
+
+
+def _pair_fold(kinds, bit: int, perm, phases):
+    """U after the named x, z and swap ops; x and z act on pair bit ``bit``."""
+    for kind in kinds:
+        if kind == "swap":
+            perm = [(0, 2, 1, 3)[k] for k in perm]
+        elif kind == "x":
+            perm = [k ^ bit for k in perm]
+        elif kind == "z":
+            phases = [-v if k & bit else v for k, v in zip(perm, phases)]
+        else:
+            raise ValueError(f"{kind} is not a monomial pair gate")
+    return perm, phases

@@ -1,10 +1,12 @@
 """The two-wire rz ladder against the per-op register engine.
 
-Digit blocks m >= 2 of an rz gate run as one step each on the reduced
-density of the working wire and transit (``Session.ladder_block`` and
+Digit blocks m >= 2 of an rz gate run as one step per gate on the
+reduced density of the working wire and transit (``Session.ladder`` and
 ``statevec.WirePair.run_block``); ``register_engine`` runs the same
 blocks op by op on the whole register.  Both must record the same
-rounds and reach the same register, within float rounding.
+rounds and reach the same register, within float rounding.  The
+table-driven fold must match the list-based one in ``oracles`` byte for
+byte.
 """
 
 import copy
@@ -17,8 +19,9 @@ import weakref
 import numpy as np
 import pytest
 
-from blindqc import protocol
+from blindqc import paulis, protocol
 from blindqc import statevec as sv
+from blindqc.angles import precision_bits
 from blindqc.circuits import Circuit
 from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
                               run_protocol)
@@ -194,6 +197,29 @@ class TestCheckpoints:
                           for m in range(2, m_bits + 1)
                           for k in range(m, 0, -1)]
 
+    def test_block_round_replays_stop_at_their_round_trip(self,
+                                                           monkeypatch):
+        # the run decrypts the slots after a block round's step returns; a
+        # replay, whose state nothing reads after its one round, does not
+        run = CheckpointedRun(self.CIRC, 1e-1, seed=5)
+        folds = []
+        fold = paulis.key_update_circuit
+
+        def counting_fold(*args):
+            folds.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(paulis, "key_update_circuit", counting_fold)
+        blocks = [(i, label) for i, rnd
+                  in enumerate(run.result.transcript.rounds)
+                  if rnd.transmitted != (run._run.slots[3],)
+                  for _, label in rnd.pad_labels]
+        # h, cz: four slot labels each; each rz opening round: three + m1:k1
+        assert len(blocks) == 16
+        for i, label in blocks:
+            run.replay(i, label, (1, 1))
+        assert folds == []
+
     def test_replaying_a_label_twice_returns_identical_messages(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
         run = CheckpointedRun(circ, 1e-2, seed=3)
@@ -284,20 +310,79 @@ class TestWirePair:
             pair.run_block(2, [(("h",), phases, ())])
         with pytest.raises(ValueError, match="outside the pair"):
             pair.run_block(1, [((), phases, ())])
+        # a round refused after others have folded leaves U as it was
+        with pytest.raises(ValueError, match="monomial"):
+            pair.run_block(2, [(("x", "z"), phases, ("swap",)),
+                               (("z",), phases, ("h",))])
+        assert pair.perm == (0, 1, 2, 3)
+        assert pair.phases == (1.0, 1.0, 1.0, 1.0)
         sess = Session(3, seed=0)
         sess.split_pair(0, 2)
         for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
                            [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
             with pytest.raises(ValueError, match="one rz on wire 2"):
-                sess.ladder_block(2, BLOCK, LABELS, StubServer(server_ops, 2))
+                sess.ladder(2, [(BLOCK, LABELS)], StubServer(server_ops, 2))
         with pytest.raises(ValueError, match="outside the pair"):
-            sess.ladder_block(1, BLOCK, LABELS,
-                              StubServer([sv.rz(0.3, 1)], 2))
-        # a refused block leaves no trace
+            sess.ladder(1, [(BLOCK, LABELS)], StubServer([sv.rz(0.3, 1)], 2))
+        # a ladder refused in its last block, at the one tag the server
+        # answers wrongly
+        server = StubServer([sv.rz(0.3, 2)], 3)
+        server.ops_for = lambda tag: ((sv.h(2),) if tag == round_tag(3)
+                                      else server.ops)
+        three = digit_block_plan(1, 1, ((1, 0), (0, 1), (1, 1)))
+        with pytest.raises(ValueError, match="one rz on wire 2"):
+            sess.ladder(2, [(BLOCK, LABELS), (BLOCK, LABELS),
+                            (three, [f"gate0:m3:k{k}" for k in (1, 2, 3)])],
+                        server)
+        # a refused ladder leaves no trace
         assert sess.transcript.rounds == []
         assert sess.transcript.client_op_kinds == []
         assert sess.transcript.server_op_kinds == []
         assert sess.wire_pair.perm == (0, 1, 2, 3)
+        assert sess.wire_pair.phases == (1.0, 1.0, 1.0, 1.0)
+
+    @staticmethod
+    def _random_rounds(rng, n_rounds):
+        """Rounds of random x, z and swap runs around an rz; angle 0 gives
+        phases with exact zero parts, the ladder's pi/2^k the rest."""
+        angles = [0.0, -math.pi / 2] + [math.pi / 2**k for k in range(1, 23)]
+
+        def kinds():
+            return tuple(("x", "z", "swap")[int(i)]
+                         for i in rng.integers(3, size=int(rng.integers(4))))
+
+        return [(kinds(), sv.rz_phases(angles[int(rng.integers(len(angles)))]),
+                 kinds()) for _ in range(n_rounds)]
+
+    @pytest.mark.parametrize("start", ["entangled", "product"])
+    def test_fold_matches_the_list_reference_byte_for_byte(self, start):
+        rng = np.random.default_rng(31 if start == "product" else 32)
+        for _ in range(12):
+            if start == "product":
+                # a qubit beside a wire in |0>, like the working wire beside
+                # a reset transit: rho = rho_q (x) |0><0| has exact zeros
+                q = oracles.random_state(1, rng).amps
+                zero = np.array([1.0, 0.0], dtype=complex)
+                amps = np.kron(*((zero, q) if rng.integers(2) else (q, zero)))
+                wires = (0, 1)
+            else:
+                amps = oracles.random_state(3, rng).amps
+                wires = (0, 2)
+            for wire in wires:
+                pair = sv.WirePair(amps, *wires)
+                ref = oracles.list_pair(amps, *wires)
+                # blocks in a row continue from the last one's net op
+                for n_rounds in (1, 40, 7):
+                    rounds = self._random_rounds(rng, n_rounds)
+                    got = pair.run_block(wire, rounds)
+                    want = oracles.pair_run_block(ref, wire, rounds)
+                    assert got.shape == want.shape == (2 * n_rounds, 2, 2)
+                    assert got.tobytes() == want.tobytes()
+                    assert pair.perm == ref.perm
+                    assert ([type(v) for v in pair.phases]
+                            == [type(v) for v in ref.phases])
+                    assert (np.array(pair.phases, dtype=complex).tobytes()
+                            == np.array(ref.phases, dtype=complex).tobytes())
 
     def test_session_routes_ops_to_the_split_pair(self):
         state = oracles.random_state(3, np.random.default_rng(4))
@@ -307,7 +392,7 @@ class TestWirePair:
             sess = session_type(3, seed=0)
             sess.amps[:] = state.amps
             sess.split_pair(0, 2)
-            sess.ladder_block(2, BLOCK, LABELS, server)
+            sess.ladder(2, [(BLOCK, LABELS)], server)
             sessions.append(sess)
         pair, register = sessions
         # the register waits for the join
@@ -324,8 +409,8 @@ class TestWirePair:
 
     def test_a_block_needs_a_split_pair(self):
         with pytest.raises(ProtocolError, match="split"):
-            Session(3, seed=0).ladder_block(
-                2, BLOCK, LABELS, StubServer([sv.rz(0.3, 2)], 2))
+            Session(3, seed=0).ladder(
+                2, [(BLOCK, LABELS)], StubServer([sv.rz(0.3, 2)], 2))
 
 
 def random_density(rng):
@@ -356,6 +441,33 @@ class TestBlockStep:
                 assert np.array_equal(a.wire_state(x, 3), b.wire_state(y, 3))
                 # a view of the one stacked array
                 assert x.base is densities
+
+    def test_a_plain_run_makes_one_ladder_step_per_rz(self, monkeypatch):
+        steps, records = [], []
+        ladder, record_block = Session.ladder, Transcript.record_block
+
+        def counting_ladder(self, transit, blocks, server):
+            blocks = list(blocks)
+            steps.append(len(blocks))
+            return ladder(self, transit, blocks, server)
+
+        def counting_record_block(self, transmitted, tags, densities):
+            records.append(len(tags))
+            return record_block(self, transmitted, tags, densities)
+
+        monkeypatch.setattr(Session, "ladder", counting_ladder)
+        monkeypatch.setattr(Transcript, "record_block", counting_record_block)
+        circ = Circuit(2, (sv.rz(0.3, 0), sv.h(1), sv.rz(-1.9, 1),
+                           sv.cz(0, 1), sv.rz(2.2, 0)))
+        for epsilon in (2.0, 1e-1, 1e-6):
+            m_bits = precision_bits(epsilon)
+            steps.clear()
+            records.clear()
+            run_protocol(circ, epsilon, seed=4)
+            # blocks 2..M of each of the three rz, and all their rounds
+            per_gate = [m_bits - 1] if m_bits > 1 else []
+            assert steps == per_gate * 3
+            assert records == [m_bits * (m_bits + 1) // 2 - 1] * len(steps)
 
     def test_block_densities_are_read_only(self):
         res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
@@ -437,8 +549,9 @@ class TestBlockStep:
         rounds = 8 * 9 // 2 - 4 * 5 // 2
         engine = {m: self._counts(monkeypatch, eps[m], Session)
                   for m in (4, 8)}
-        # at most one hash update and one kernel more per extra digit block
-        assert engine[8][0] - engine[4][0] <= blocks
+        # no hash update more, since the gate's ladder is recorded at once,
+        # and at most one kernel more per extra digit block
+        assert engine[8][0] <= engine[4][0]
         assert engine[8][1] - engine[4][1] <= blocks
         # the per-op reference pays per round, so the counters can see it
         reference = {m: self._counts(monkeypatch, eps[m], RegisterSession)
