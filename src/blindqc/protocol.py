@@ -142,9 +142,7 @@ class BlindServer:
     """
 
     def __init__(self, n_working: int, n_digits: int):
-        self.slot_wires = s1, s2, s3, s4 = tuple(
-            range(n_working, n_working + N_SLOTS))
-        self.n_digits = n_digits
+        s1, s2, s3, s4 = range(n_working, n_working + N_SLOTS)
         # round_tags[k - 1] is round_tag(k)
         self.round_tags = tuple(round_tag(k) for k in range(1, n_digits + 1))
         self._ops = {tag: (sv.rz(PI / 2**k, s4),)
@@ -384,17 +382,16 @@ class CheckpointedRun:
     after it returns.  A block round keeps a register copy.  A ladder round
     keeps only a copy of the split wire pair, the one state the round
     touches, and its step carries the baseline's carry, so it re-plans
-    only itself.  A label's pair
-    changes nothing before its own round, and the carry is a product over
-    the block's earlier rounds' pads, so a replay records the round a
-    whole-circuit replay with the label pinned records, bit for bit.
-    Forks share the baseline's table of drawn pads (``keys.drawn``).
+    only itself.  A label's pair changes nothing before its own round, and
+    the carry is a product over the block's earlier rounds' pads, so a
+    replay records the round a whole-circuit replay with the label pinned
+    records, bit for bit.  A fork draws its own pads, the same pairs the
+    baseline drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
         self._session = _open_session(circuit, epsilon, seed)
         self.keys = self._session.keys
-        self.keys.drawn = {}
         self._checkpoints: list[_Checkpoint] = []
         self._run = _Run(circuit, epsilon, self._session,
                          checkpoints=self._checkpoints)

@@ -11,20 +11,20 @@ draw unchanged.  Such a replay re-runs only the round the pad protects:
 ``Session.fork`` starts a session from the state saved just before that
 round (the register, or the wire pair split off it) with one more
 override and an empty transcript, and the replay runs the one round on
-it.  A checkpointed run and its forks share one table of the pads the
-run drew (``KeySource.drawn``), so a fork re-hashes no label; a plain
-run keeps no table.
+it.  A fork draws its own pads; keys are label-addressed, so each draw
+gives the pair the run drew.
 
 The channel is in-process: a round trip takes the transmitted wires'
 state as the client sends them, applies the server's gates to the shared
 state, and takes their state again as the reply comes back.  Each round
 trip is one ``Round`` record holding both reduced densities, which are
-what the channel carries and all the audit reads; both feed a running
-hash.  The digit blocks m >= 2 of an ``rz`` gate run as one step
-instead (``ladder``): on the ``WirePair`` split off the register, all
-their rounds fold into the pair's net op, and ``Transcript.record_block``
-records them from one stacked array, hashed in a single update over the
-same bytes.  The whole register enters the hash at every gate boundary
+what the channel carries and all the audit reads; ``Transcript.record``
+stacks them and feeds the stack to a running hash in one update.  The
+digit blocks m >= 2 of an ``rz`` gate run as one step instead
+(``ladder``): on the ``WirePair`` split off the register, all their
+rounds fold into the pair's net op, and one ``record`` call takes them
+all from one stacked array, the same bytes as one call per round, since
+sha256 streams.  The whole register enters the hash at every gate boundary
 and at the end of the run, so the digest covers every transmitted
 density of every round and every amplitude at every gate boundary,
 while memory stays flat in the number of round trips.
@@ -68,17 +68,12 @@ class KeySource:
     eight-byte digest of ``"{seed}/u/{label}"``, read little-endian and
     scaled into [0, 1).  Each kind hashes its prefix once; a draw copies
     that state and feeds it only the label.
-
-    ``drawn`` is None, or a label -> pair table that keeps every pad drawn
-    from the digest, for the keys of one audit's baseline and its forks to
-    share; an override is never stored there.
     """
 
     def __init__(self, seed: int, overrides=None, disable_pads: bool = False):
         self.seed = int(seed)
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
         self.disable_pads = disable_pads
-        self.drawn: dict[str, tuple[int, int]] | None = None
         self._pad = hashlib.blake2b(f"{self.seed}/pad/".encode(),
                                     digest_size=1)
         self._u = hashlib.blake2b(f"{self.seed}/u/".encode(), digest_size=8)
@@ -89,16 +84,10 @@ class KeySource:
             return self.overrides[label]
         if self.disable_pads:
             return (0, 0)
-        drawn = self.drawn
-        if drawn is not None and label in drawn:
-            return drawn[label]
         h = self._pad.copy()
         h.update(label.encode())
         b = h.digest()[0]
-        pair = (b & 1, (b >> 1) & 1)
-        if drawn is not None:
-            drawn[label] = pair
-        return pair
+        return (b & 1, (b >> 1) & 1)
 
     def measure_u(self, label: str) -> float:
         """Uniform draw in [0, 1) for a measurement; never disabled."""
@@ -188,28 +177,18 @@ class Transcript:
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
 
-    def record(self, tag: str, transmitted, sent: np.ndarray,
-               received: np.ndarray, pad_labels) -> None:
-        """Append one round; ``sent`` and ``received`` are the joint state
-        of the transmitted wires, the lowest wire as the least significant
-        bit."""
-        sent.setflags(write=False)
-        received.setflags(write=False)
-        # bytes, not the array: exporting its buffer would pin numpy's
-        # buffer-info cache on every stored density
-        self._stream.update(sent.tobytes())
-        self._stream.update(received.tobytes())
-        self.rounds.append(Round(tag, transmitted, sent, received, pad_labels))
-
-    def record_block(self, transmitted, tags, densities: np.ndarray) -> None:
-        """Append the rounds of single-wire round trips at once.
+    def record(self, transmitted, tags, densities: np.ndarray) -> None:
+        """Append r >= 1 rounds on the same wires.
 
         ``tags`` holds each round's (tag, pad_labels) and ``densities``
-        stacks the wire's state as each round goes out and comes back,
-        (2r, 2, 2).  The stack is made read-only and hashed in one update,
-        the same bytes as ``record`` per round; each round holds views.
+        stacks the transmitted wires' joint state as each round goes out
+        and comes back, (2r, d, d), the lowest wire as the least
+        significant bit.  The stack is made read-only and hashed in one
+        update; each round holds views of it.
         """
         densities.setflags(write=False)
+        # bytes, not the array: exporting its buffer would pin numpy's
+        # buffer-info cache on every stored density
         self._stream.update(densities.tobytes())
         views = iter(densities)
         self.rounds += [Round(tag, transmitted, sent, received, pad_labels)
@@ -292,9 +271,9 @@ class Session:
         for op in server_ops:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        self.transcript.record(tag, transmitted, sent,
-                               sv._partial_trace(self.amps, keep),
-                               tuple(pad_labels))
+        self.transcript.record(
+            transmitted, ((tag, tuple(pad_labels)),),
+            np.array((sent, sv._partial_trace(self.amps, keep))))
 
     def ladder(self, transit: int, blocks, server) -> None:
         """Run digit blocks' rounds on the split pair in one step.
@@ -306,13 +285,13 @@ class Session:
         ``server.round_tags[k - 1]``, takes the server's one rz on transit
         from ``ops_for`` (checked once per tag) and unpads; the client
         swaps the pair where the plan says.  The pair folds every op, and
-        the transcript takes all the rounds in one ``record_block``; the
-        op kinds logged are the ones the same ops would log one by one.
+        the transcript takes all the rounds in one ``record``; the op
+        kinds logged are the ones the same ops would log one by one.
         """
         pair = self.wire_pair
         if pair is None:
             raise ProtocolError("a digit block runs on a split wire pair")
-        steps, sent, client, rotations = [], [], [], {}
+        steps, tags, client, rotations = [], [], [], {}
         for plan, labels in blocks:
             before = ("swap",) if plan.initial_swap else ()
             for r in plan.rounds:
@@ -325,12 +304,12 @@ class Session:
                 if r.swap_after:
                     after += ("swap",)
                 steps.append((before, rotations[tag], after))
-                sent.append((tag, ((transit, labels[r.index - 1]),)))
+                tags.append((tag, ((transit, labels[r.index - 1]),)))
                 client += before
                 client += after
                 before = ()
         densities = pair.run_block(transit, steps)
-        self.transcript.record_block((transit,), sent, densities)
+        self.transcript.record((transit,), tags, densities)
         self.transcript.client_op_kinds += client
         self.transcript.server_op_kinds += ["rz"] * len(steps)
 
@@ -338,8 +317,7 @@ class Session:
         """A session with ``label`` also pinned to ``pair`` that starts from
         a copy of ``state``: a saved register, or the ``WirePair`` split off
         it, the one state a digit-block round touches (a fork from a pair
-        has no register).  Its transcript starts empty, and its keys share
-        this run's ``drawn`` table."""
+        has no register).  Its transcript starts empty."""
         keys = self.keys
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
@@ -349,7 +327,6 @@ class Session:
         fork.wire_pair = state.copy() if split else None
         fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair},
                               keys.disable_pads)
-        fork.keys.drawn = keys.drawn
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
         return fork

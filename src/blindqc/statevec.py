@@ -14,8 +14,11 @@ fresh ``Statevector`` and never mutate their input.  Ops are too: a
 factories return one shared op per qubit tuple (qubits normalised to plain
 ``int``), so the protocol's round loop builds no op twice.  The in-place
 ``_apply_*`` kernels serve the protocol engine, which owns a private
-buffer.  The reference simulator the tests compare against (``apply``,
-random states, mixtures and distances) lives in ``tests/oracles.py``.
+buffer, and cover only the six kinds the protocol applies: the client's
+x, z and swap and the server's h, cz and rz.  Lowering rewrites a
+circuit's gates into h, cz and rz before a run.  The reference simulator
+the tests compare against (``apply`` with its own gate matrices, random
+states, mixtures and distances) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ MAX_QUBITS = 12
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 H_MAT = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
-S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
-T_MAT = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 
 
 class Gate(str, Enum):
@@ -219,22 +220,6 @@ def _apply_rz(amps: np.ndarray, theta: float, q: int) -> None:
     view[:, 1, :] *= np.exp(0.5j * theta)
 
 
-def _apply_cx(amps: np.ndarray, controls: tuple[int, ...], target: int) -> None:
-    """Flip qubit ``target`` where every qubit in ``controls`` is 1."""
-    n = amps.size.bit_length() - 1
-    view = amps.reshape([2] * n)
-    # axis n-1-q corresponds to qubit q after reshape
-    lo = [slice(None)] * n
-    for c in controls:
-        lo[n - 1 - c] = 1
-    hi = list(lo)
-    lo[n - 1 - target], hi[n - 1 - target] = 0, 1
-    lo, hi = tuple(lo), tuple(hi)
-    flipped = view[hi].copy()
-    view[hi] = view[lo]
-    view[lo] = flipped
-
-
 def _apply_cz(amps: np.ndarray, a: int, b: int) -> None:
     lo, hi = sorted((a, b))
     view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
@@ -280,17 +265,12 @@ def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-# kind -> in-place kernel; measure has none
+# kind -> in-place kernel, for the six kinds the protocol applies
 _KERNELS = {
     Gate.RZ: lambda amps, op: _apply_rz(amps, op.angle, op.qubits[0]),
     Gate.X: lambda amps, op: _apply_x(amps, op.qubits[0]),
     Gate.Z: lambda amps, op: _apply_z(amps, op.qubits[0]),
     Gate.H: lambda amps, op: _apply_1q(amps, H_MAT, op.qubits[0]),
-    Gate.S: lambda amps, op: _apply_1q(amps, S_MAT, op.qubits[0]),
-    Gate.T: lambda amps, op: _apply_1q(amps, T_MAT, op.qubits[0]),
-    Gate.U: lambda amps, op: _apply_1q(amps, op.matrix, op.qubits[0]),
-    Gate.CX: lambda amps, op: _apply_cx(amps, op.qubits[:-1], op.qubits[-1]),
-    Gate.CCX: lambda amps, op: _apply_cx(amps, op.qubits[:-1], op.qubits[-1]),
     Gate.CZ: lambda amps, op: _apply_cz(amps, op.qubits[0], op.qubits[1]),
     Gate.SWAP: lambda amps, op: _apply_swap(amps, op.qubits[0], op.qubits[1]),
 }
@@ -298,7 +278,9 @@ _KERNELS = {
 
 def _apply_op(amps: np.ndarray, op: GateOp) -> None:
     if op.kind not in _KERNELS:
-        raise ValueError(f"cannot apply {op.kind.value} as a unitary; use measure_qubit")
+        kinds = ", ".join(kind.value for kind in _KERNELS)
+        raise ValueError(f"no kernel for {op.kind.value}: the protocol "
+                         f"applies only {kinds}")
     _KERNELS[op.kind](amps, op)
 
 

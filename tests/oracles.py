@@ -1,7 +1,8 @@
 """Reference code the tests pin the package against; no command runs it.
 
 A value-object statevector simulator (``apply`` returns a fresh
-``Statevector``), the key-rule verifier for ``paulis.key_update``, the
+``Statevector``) with its own gate matrices, so it shares no kernel with
+the engine it checks, the key-rule verifier for ``paulis.key_update``, the
 T-gate measurement gadget (the route to a non-Clifford gate that lowering
 ``t`` to an ``rz`` ladder replaces), angle reconstruction and the
 per-digit flags, lowering's equivalence check on random probe states, and
@@ -23,12 +24,34 @@ from blindqc.statevec import DensityMatrix, Gate, GateOp, Statevector
 
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
+H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
+T_MAT = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+# multi-qubit matrices take op.qubits[0] as the most significant index bit
+_FIXED_MATRICES = {
+    Gate.X: X_MAT, Gate.Z: Z_MAT, Gate.H: H_MAT, Gate.S: S_MAT, Gate.T: T_MAT,
+    Gate.CX: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    Gate.CZ: np.diag([1, 1, 1, -1]).astype(complex),
+    Gate.SWAP: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    Gate.CCX: np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
 
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.array(
         [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
     )
+
+
+def gate_matrix(op: GateOp) -> np.ndarray:
+    """The 2^k x 2^k matrix of a unitary op on k qubits."""
+    if op.kind is Gate.RZ:
+        return rz_matrix(op.angle)
+    if op.kind is Gate.U:
+        return op.matrix
+    if op.kind not in _FIXED_MATRICES:
+        raise ValueError(f"{op.kind.value} is not a unitary gate")
+    return _FIXED_MATRICES[op.kind]
 
 
 def validate_density(rho: DensityMatrix, tol: float = 1e-9) -> None:
@@ -64,16 +87,27 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
     return Statevector(n_qubits, a / np.linalg.norm(a))
 
 
-def apply(state: Statevector, *ops: GateOp) -> Statevector:
-    """Apply unitary gates in order and return the new state."""
-    amps = state.amps.copy()
+def _contract(psi: np.ndarray, n: int, ops) -> np.ndarray:
+    """``psi`` after the unitary ``ops``: each op's matrix is contracted
+    onto its qubits' axes, qubit q being axis n - 1 - q.  Axes past the
+    first n are carried along untouched."""
     for op in ops:
         for q in op.qubits:
-            if not 0 <= q < state.n_qubits:
-                raise ValueError(
-                    f"qubit {q} out of range for {state.n_qubits} qubits")
-        sv._apply_op(amps, op)
-    return Statevector(state.n_qubits, amps)
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for {n} qubits")
+        k = len(op.qubits)
+        axes = [n - 1 - q for q in op.qubits]
+        gate = gate_matrix(op).reshape([2] * (2 * k))
+        psi = np.moveaxis(np.tensordot(gate, psi, (range(k, 2 * k), axes)),
+                          range(k), axes)
+    return psi
+
+
+def apply(state: Statevector, *ops: GateOp) -> Statevector:
+    """Apply unitary gates in order and return the new state."""
+    n = state.n_qubits
+    return Statevector(n, _contract(state.amps.reshape([2] * n), n, ops)
+                       .reshape(-1))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:
@@ -130,16 +164,10 @@ def append_qubits(state: Statevector, k: int) -> Statevector:
 
 
 def ops_unitary(n_qubits: int, ops) -> np.ndarray:
-    """Full matrix of an op list, built column by column."""
+    """Full matrix of an op list: the ops applied to every basis column."""
     dim = 2**n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        for op in ops:
-            sv._apply_op(amps, op)
-        out[:, col] = amps
-    return out
+    basis = np.eye(dim, dtype=complex).reshape([2] * n_qubits + [dim])
+    return _contract(basis, n_qubits, ops).reshape(dim, dim)
 
 
 def zero_key(n: int) -> PauliKey:

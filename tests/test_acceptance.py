@@ -127,7 +127,7 @@ def test_criterion_03_key_update_rules_are_exact():
             upd = oracles.t_gadget_key_update((a, b), y, d, m)
             fixed = out
             for _ in range(upd.s_exponent % 4):
-                fixed = oracles.apply(fixed, sv.u(sv.S_MAT.conj().T, 0))
+                fixed = oracles.apply(fixed, sv.u(oracles.S_MAT.conj().T, 0))
             fixed = oracles.decrypt(fixed, paulis.PauliKey((upd.new_pair,)))
             want = oracles.apply(psi, sv.t(0))
             gadget_worst = max(gadget_worst,

@@ -287,18 +287,13 @@ class TestAuditCost:
         # every session and fork records each round it runs, one at a time
         # or a digit block at a time
         sent = []
-        record, record_block = Transcript.record, Transcript.record_block
+        record = Transcript.record
 
-        def counting_record(self, *args, **kwargs):
-            sent.append(True)
-            return record(self, *args, **kwargs)
-
-        def counting_record_block(self, transmitted, tags, densities):
+        def counting_record(self, transmitted, tags, densities):
             sent.extend(True for _ in tags)
-            return record_block(self, transmitted, tags, densities)
+            return record(self, transmitted, tags, densities)
 
         monkeypatch.setattr(Transcript, "record", counting_record)
-        monkeypatch.setattr(Transcript, "record_block", counting_record_block)
         circ = Circuit(1, tuple(sv.rz(0.3 + 0.7 * g, 0) for g in range(n_rz)))
         report = audit_circuit(circ, 1e-1, seed=2)
         assert report["pass"] is True

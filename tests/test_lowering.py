@@ -37,7 +37,8 @@ class TestEulerSplit:
             assert np.abs(u - ip / abs(ip) * rebuilt).max() < 1e-10
 
     def test_handles_diagonal_and_antidiagonal_corners(self):
-        for u in (np.eye(2), oracles.Z_MAT, oracles.X_MAT, sv.S_MAT, sv.H_MAT):
+        for u in (np.eye(2), oracles.Z_MAT, oracles.X_MAT, oracles.S_MAT,
+                  sv.H_MAT):
             alpha, beta, gamma = euler_zxz(u.astype(complex))
             rebuilt = (
                 oracles.rz_matrix(alpha)

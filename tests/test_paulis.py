@@ -155,7 +155,7 @@ class TestTGadget:
 
     def test_completion_recovers_t_psi(self):
         rng = np.random.default_rng(42)
-        s_dag = sv.S_MAT.conj().T
+        s_dag = oracles.S_MAT.conj().T
         for a, b, y, d in self.gadget_cases():
             psi = oracles.random_state(1, rng)
             padded = oracles.encrypt(psi, pk.PauliKey(((a, b),)))

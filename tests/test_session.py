@@ -103,7 +103,7 @@ class TestSession:
 
     def test_stored_densities_are_frozen_copies(self):
         sess = Session(2, seed=0)
-        sess.client_apply([sv.h(0), sv.cx(0, 1)])
+        sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
         sess.round_trip((0, 1), '{"angle":0.5,"kind":"rotate"}',
                         [sv.rz(0.5, 1)])
         rnd = sess.transcript.rounds[0]
@@ -155,7 +155,7 @@ class TestSession:
 
     def test_payload_density_is_reduced_state_of_transmitted_wires(self):
         sess = Session(2, seed=1)
-        sess.client_apply([sv.h(0), sv.cx(0, 1)])
+        sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
         rho = sess.transcript.rounds[0].sent
         assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
@@ -243,7 +243,6 @@ class TestSession:
 
     def test_fork_starts_empty_with_only_its_label_pinned(self):
         sess = Session(2, seed=0, epsilon=0.1, overrides={"q": (0, 1)})
-        sess.keys.drawn = {}
         sess.client_apply([sv.h(0)])
         sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
         fork = sess.fork("p", (1, 0), sess.amps)
@@ -254,7 +253,6 @@ class TestSession:
         assert t.digest() == Session(2, seed=0,
                                      epsilon=0.1).transcript.digest()
         assert fork.keys.overrides == {"q": (0, 1), "p": (1, 0)}
-        assert fork.keys.drawn is sess.keys.drawn
         assert fork.keys.pad_pair("r") == sess.keys.pad_pair("r")
         assert fork.amps is not sess.amps
         assert np.array_equal(fork.amps, sess.amps)

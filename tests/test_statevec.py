@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from blindqc import statevec as sv
+from blindqc.audit import CLIENT_OP_KINDS, SERVER_OP_KINDS
+from blindqc.circuits import parse
+from blindqc.lowering import lower
 import oracles
 
 
@@ -16,14 +19,31 @@ def kron_le(*mats):
 
 
 I2 = np.eye(2, dtype=complex)
+P0, P1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+# written out here, apart from both simulators' own tables
+H_REF = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+S_REF = np.diag([1, 1j])
+T_REF = np.diag([1, np.exp(1j * np.pi / 4)])
+
+
+def embed(n, mats):
+    """kron_le of ``mats`` (qubit -> 2x2) with the identity elsewhere."""
+    return kron_le(*[mats.get(q, I2) for q in range(n)])
+
+
+def unit(i, j):
+    """The matrix unit |i><j| on one qubit."""
+    out = np.zeros((2, 2), dtype=complex)
+    out[i, j] = 1.0
+    return out
 
 
 class TestConventions:
     def test_s_and_t_are_diagonal_phases(self):
-        assert np.allclose(sv.S_MAT, np.diag([1, 1j]))
-        assert np.allclose(sv.T_MAT, np.diag([1, np.exp(1j * np.pi / 4)]))
-        assert np.allclose(sv.S_MAT @ sv.S_MAT, oracles.Z_MAT)
-        assert np.allclose(sv.T_MAT @ sv.T_MAT, sv.S_MAT)
+        assert np.allclose(oracles.S_MAT, np.diag([1, 1j]))
+        assert np.allclose(oracles.T_MAT, np.diag([1, np.exp(1j * np.pi / 4)]))
+        assert np.allclose(oracles.S_MAT @ oracles.S_MAT, oracles.Z_MAT)
+        assert np.allclose(oracles.T_MAT @ oracles.T_MAT, oracles.S_MAT)
 
     def test_rz_matrix_halves_the_angle(self):
         th = 0.73
@@ -150,9 +170,11 @@ def test_permutation_kernels_match_index_reference():
 
 
 def test_controlled_x_matches_index_reference():
-    # cx and ccx share one slice kernel; it only moves amplitudes: exact
+    # the reference contracts a permutation matrix, so it only moves
+    # amplitudes: exact
     n = 4
-    amps = oracles.random_state(n, np.random.default_rng(4)).amps
+    st = oracles.random_state(n, np.random.default_rng(4))
+    amps = st.amps
     idx = np.arange(2**n)
     for target in range(n):
         others = [q for q in range(n) if q != target]
@@ -161,8 +183,8 @@ def test_controlled_x_matches_index_reference():
             fire = np.ones_like(idx)
             for c in controls:
                 fire &= idx >> c
-            got = amps.copy()
-            sv._apply_cx(got, controls, target)
+            op = (sv.cx if len(controls) == 1 else sv.ccx)(*controls, target)
+            got = oracles.apply(st, op).amps
             assert np.array_equal(got, amps[idx ^ ((fire & 1) << target)])
 
 
@@ -183,9 +205,14 @@ def test_apply_matches_dense_kron_on_random_sequences():
         for _ in range(8):
             kind = rng.choice(["x", "z", "h", "s", "t", "rz", "cx", "cz", "swap"])
             if kind in ("cx", "cz", "swap"):
-                a, b = rng.choice(n, size=2, replace=False)
-                op = getattr(sv, kind)(int(a), int(b))
-                step = oracles.ops_unitary(n, [op])
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                op = getattr(sv, kind)(a, b)
+                if kind == "swap":
+                    step = sum(embed(n, {a: unit(i, j), b: unit(j, i)})
+                               for i in (0, 1) for j in (0, 1))
+                else:
+                    flip = oracles.X_MAT if kind == "cx" else oracles.Z_MAT
+                    step = embed(n, {a: P0}) + embed(n, {a: P1, b: flip})
             elif kind == "rz":
                 th = float(rng.uniform(-np.pi, np.pi))
                 q = int(rng.integers(n))
@@ -195,8 +222,8 @@ def test_apply_matches_dense_kron_on_random_sequences():
             else:
                 q = int(rng.integers(n))
                 op = getattr(sv, kind)(q)
-                m1 = {"x": oracles.X_MAT, "z": oracles.Z_MAT, "h": sv.H_MAT,
-                      "s": sv.S_MAT, "t": sv.T_MAT}[kind]
+                m1 = {"x": oracles.X_MAT, "z": oracles.Z_MAT, "h": H_REF,
+                      "s": S_REF, "t": T_REF}[kind]
                 facs = [m1 if i == q else I2 for i in range(n)]
                 step = kron_le(*facs)
             ops.append(op)
@@ -207,36 +234,71 @@ def test_apply_matches_dense_kron_on_random_sequences():
 
 
 def test_every_unitary_kind_dispatches_to_its_kernel():
+    # the engine has kernels for the six kinds the protocol applies
     ops = {sv.Gate.X: sv.x(1), sv.Gate.Z: sv.z(1), sv.Gate.H: sv.h(1),
-           sv.Gate.S: sv.s(1), sv.Gate.T: sv.t(1), sv.Gate.RZ: sv.rz(0.4, 1),
-           sv.Gate.U: sv.u(oracles.rz_matrix(-0.3), 1), sv.Gate.CX: sv.cx(2, 1),
-           sv.Gate.CZ: sv.cz(2, 1), sv.Gate.CCX: sv.ccx(0, 2, 1),
+           sv.Gate.RZ: sv.rz(0.4, 1), sv.Gate.CZ: sv.cz(2, 1),
            sv.Gate.SWAP: sv.swap(2, 1)}
-    assert set(ops) == set(sv.Gate) - {sv.Gate.MEASURE}
-    singles = {sv.Gate.X: oracles.X_MAT, sv.Gate.Z: oracles.Z_MAT, sv.Gate.H: sv.H_MAT,
-               sv.Gate.S: sv.S_MAT, sv.Gate.T: sv.T_MAT,
-               sv.Gate.RZ: oracles.rz_matrix(0.4), sv.Gate.U: oracles.rz_matrix(-0.3)}
-    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
     # swapping qubits 1 and 2 swaps bits 1 and 2 of the basis index
     swap = np.eye(8)[[i & 1 | (i >> 2 & 1) << 1 | (i >> 1 & 1) << 2
                       for i in range(8)]]
-    doubles = {
-        sv.Gate.CX: kron_le(I2, I2, p0) + kron_le(I2, oracles.X_MAT, p1),
-        sv.Gate.CZ: kron_le(I2, I2, p0) + kron_le(I2, oracles.Z_MAT, p1),
-        sv.Gate.CCX: (np.eye(8) - kron_le(p1, I2, p1)
-                      + kron_le(p1, oracles.X_MAT, p1)),
+    want = {
+        sv.Gate.X: embed(3, {1: oracles.X_MAT}),
+        sv.Gate.Z: embed(3, {1: oracles.Z_MAT}),
+        sv.Gate.H: embed(3, {1: H_REF}),
+        sv.Gate.RZ: embed(3, {1: oracles.rz_matrix(0.4)}),
+        sv.Gate.CZ: embed(3, {2: P0}) + embed(3, {2: P1, 1: oracles.Z_MAT}),
         sv.Gate.SWAP: swap,
     }
     st = oracles.random_state(3, np.random.default_rng(4))
     for kind, op in ops.items():
-        want = doubles.get(kind)
-        if want is None:
-            want = kron_le(I2, singles[kind], I2)
         amps = st.amps.copy()
         sv._apply_op(amps, op)
-        assert np.allclose(amps, want @ st.amps, atol=1e-12), kind
-    with pytest.raises(ValueError, match="measure"):
-        sv._apply_op(st.amps.copy(), sv.measure(0))
+        assert np.allclose(amps, want[kind] @ st.amps, atol=1e-12), kind
+    # every other kind is refused, and the state is left as it was
+    for op in (sv.s(1), sv.t(1), sv.u(oracles.rz_matrix(-0.3), 1),
+               sv.cx(2, 1), sv.ccx(0, 2, 1), sv.measure(0)):
+        amps = st.amps.copy()
+        with pytest.raises(ValueError, match=op.kind.value):
+            sv._apply_op(amps, op)
+        assert np.array_equal(amps, st.amps)
+
+
+def test_kernel_table_is_the_parties_capabilities():
+    # a kernel no party may apply is dead code; a missing one breaks a run
+    assert set(sv._KERNELS) == {
+        sv.Gate(k) for k in (CLIENT_OP_KINDS - {"measure"}) | SERVER_OP_KINDS}
+
+
+def test_reference_simulator_uses_no_engine_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reference called an engine kernel")
+
+    monkeypatch.setattr(sv, "_apply_op", refuse)
+    monkeypatch.setattr(sv, "_KERNELS", {kind: refuse for kind in sv.Gate})
+    n = 3
+    u_mat = oracles.rz_matrix(-0.3) @ H_REF
+    singles = [(sv.x(1), oracles.X_MAT), (sv.z(1), oracles.Z_MAT),
+               (sv.h(1), H_REF), (sv.s(1), S_REF), (sv.t(1), T_REF),
+               (sv.rz(0.4, 1), oracles.rz_matrix(0.4)),
+               (sv.u(u_mat, 1), u_mat)]
+    cases = [(op, embed(n, {1: m})) for op, m in singles] + [
+        (sv.cx(2, 1), embed(n, {2: P0}) + embed(n, {2: P1, 1: oracles.X_MAT})),
+        (sv.cz(2, 1), embed(n, {2: P0}) + embed(n, {2: P1, 1: oracles.Z_MAT})),
+        (sv.swap(2, 1), sum(embed(n, {2: unit(i, j), 1: unit(j, i)})
+                            for i in (0, 1) for j in (0, 1))),
+        (sv.ccx(0, 2, 1), np.eye(8) - embed(n, {0: P1, 2: P1})
+         + embed(n, {0: P1, 2: P1, 1: oracles.X_MAT})),
+    ]
+    assert {op.kind for op, _ in cases} == set(sv.Gate) - {sv.Gate.MEASURE}
+    st = oracles.random_state(n, np.random.default_rng(5))
+    for op, want in cases:
+        got = oracles.apply(st, op)
+        assert np.allclose(got.amps, want @ st.amps, atol=1e-12), op.kind
+    circuit = parse("version 1\nqubits 3\nx 0\nz 1\nh 2\ns 0\nt 1\n"
+                    "rz 2 0.7\ncx 0 1\ncz 1 2\nswap 0 2\nccx 0 1 2\n")
+    assert {op.kind for op in circuit.ops} == set(sv.Gate) - {
+        sv.Gate.MEASURE, sv.Gate.U}
+    assert oracles.check_equivalent(circuit, lower(circuit)) < 1e-9
 
 
 def test_u_gate_applies_payload_matrix():
