@@ -21,7 +21,6 @@ an auditor that would pass vacuously.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,35 +100,6 @@ def view_invariance(circuit_a: Circuit, circuit_b: Circuit, epsilon: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixednessResult:
-    mode: str
-    n_messages: int
-    n_checks: int
-    worst_distance: float
-    worst_label: str | None
-    inbound_worst_distance: float
-    tolerance: float
-    uncovered: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_distance <= self.tolerance and not self.uncovered
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_messages": self.n_messages,
-            "n_checks": self.n_checks,
-            "worst_distance": self.worst_distance,
-            "worst_label": self.worst_label,
-            "inbound_worst_distance": self.inbound_worst_distance,
-            "tolerance": self.tolerance,
-            "uncovered": list(self.uncovered),
-            "pass": self.passed,
-        }
-
-
 def _dists_from_mixed(states) -> list[float]:
     """Trace distance of each 2x2 density in ``states`` from I/2, from one
     stacked eigen-solve; numpy runs LAPACK per matrix, so each value has
@@ -139,24 +109,21 @@ def _dists_from_mixed(states) -> list[float]:
     return (0.5 * np.abs(eigs).sum(axis=-1)).tolist()
 
 
-def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
-                      baseline: CheckpointedRun | None = None,
-                      ) -> MixednessResult:
-    """Check every transmitted wire is maximally mixed on the channel.
+def payload_mixedness(baseline: CheckpointedRun) -> dict:
+    """Check every transmitted wire of ``baseline``'s run is maximally mixed
+    on the channel; returns the report's ``mixedness`` section.
 
     Each pad label is pinned to all four pairs and the wire's densities on
     its way out and back are averaged in ``ALL_PAIRS`` order: an exact
-    Pauli twirl.  ``baseline`` is the checkpointed run for ``seed`` when
-    the caller already has it.  Each replay re-runs only the round its
-    label pads, from the state the baseline saved just before it, and
-    copies no transcript, so audit cost is linear in round trips.  Keys
-    are label-addressed, so
+    Pauli twirl.  Each replay re-runs only the round its label pads, from
+    the state the baseline saved just before it, and copies no transcript,
+    so audit cost is linear in round trips.  Keys are label-addressed, so
     the replay that pins a label to the pair the seed draws anyway is the
     baseline itself and is not run again.  All the averaged states go
-    through one stacked eigen-solve at the end.
+    through one stacked eigen-solve at the end.  The check passes when the
+    worst outbound distance is within ``EXHAUSTIVE_TOLERANCE`` and every
+    transmitted wire carries a pad label.
     """
-    if baseline is None:
-        baseline = CheckpointedRun(circuit, epsilon, seed)
     base_rounds = baseline.result.transcript.rounds
 
     uncovered = []
@@ -181,16 +148,17 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int, *,
     for label, dist in zip(labels, dists):
         if dist > worst:
             worst, worst_label = dist, label
-    return MixednessResult(
-        mode="exhaustive",
-        n_messages=len(base_rounds),
-        n_checks=len(labels),
-        worst_distance=worst,
-        worst_label=worst_label,
-        inbound_worst_distance=max([0.0, *dists[len(labels):]]),
-        tolerance=EXHAUSTIVE_TOLERANCE,
-        uncovered=tuple(uncovered),
-    )
+    return {
+        "mode": "exhaustive",
+        "n_messages": len(base_rounds),
+        "n_checks": len(labels),
+        "worst_distance": worst,
+        "worst_label": worst_label,
+        "inbound_worst_distance": max([0.0, *dists[len(labels):]]),
+        "tolerance": EXHAUSTIVE_TOLERANCE,
+        "uncovered": uncovered,
+        "pass": worst <= EXHAUSTIVE_TOLERANCE and not uncovered,
+    }
 
 
 def negative_control(circuit: Circuit, epsilon: float, seed: int) -> float:
@@ -239,10 +207,9 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
                   mode: str = "exhaustive") -> dict:
     """Full audit report as a JSON-ready dict; deterministic per seed.
 
-    ``mode`` names the mixedness check; ``"exhaustive"`` is the only one.
-    The keyword stays although it selects nothing: the benchmark's audit
-    workload passes ``mode="exhaustive"`` and the known-answer pins pass
-    ``--mode exhaustive``, so deleting it would break both.
+    ``mode`` selects nothing: ``"exhaustive"`` is the only mixedness
+    check.  The keyword stays only because the benchmark's audit workload
+    passes ``mode="exhaustive"``.
     A circuit that delegates no gate is refused: with no traffic the
     negative control would read 0 and fail a protocol that leaked nothing.
     """
@@ -253,7 +220,7 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
     baseline = CheckpointedRun(circuit, epsilon, seed)
     result = baseline.result
     view = classical_view(result.transcript)
-    mixed = payload_mixedness(circuit, epsilon, seed, baseline=baseline)
+    mixed = payload_mixedness(baseline)
     control = negative_control(circuit, epsilon, seed)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)
@@ -268,11 +235,11 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
         "classical_view_digest": view_digest(view),
         "classical_view": list(view),
         "capabilities": caps,
-        "mixedness": mixed.as_dict(),
+        "mixedness": mixed,
         "negative_control": {
             "max_distance": control,
             "threshold": NEGATIVE_CONTROL_THRESHOLD,
             "pass": control_ok,
         },
-        "pass": mixed.passed and control_ok and caps["pass"],
+        "pass": mixed["pass"] and control_ok and caps["pass"],
     }

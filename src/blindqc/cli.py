@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
 def cmd_audit(args) -> int:
     circuit = _read_circuit(args.circuit)
     lowered = _prepare(circuit, args.strict)
-    report = audit_circuit(lowered, args.epsilon, args.seed, mode=args.mode)
+    report = audit_circuit(lowered, args.epsilon, args.seed)
     _emit(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report["pass"] else EXIT_AUDIT_FAILED
 
@@ -175,10 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("circuit")
     p_audit.add_argument("--epsilon", type=float, default=1e-2)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--mode", choices=("exhaustive",),
-                         default="exhaustive",
-                         help="mixedness check: every pad label under all "
-                              "four pairs")
     p_audit.add_argument("--strict", action="store_true")
     p_audit.add_argument("--out")
     p_audit.set_defaults(func=cmd_audit)

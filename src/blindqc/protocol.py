@@ -280,23 +280,32 @@ class _Run:
 
     # -- gate delegation --------------------------------------------------
 
-    def _delegate_rz(self, gate_index: int, op: GateOp) -> None:
+    def _delegate(self, gate_index: int, op: GateOp) -> None:
+        """Delegate one h, cz or rz gate: the uniform block round between
+        the client's two slot swaps, then an rz gate's later digit blocks."""
         sess = self.session
-        q = op.qubits[0]
-        transit = self.slots[3]
-        d = self.digits[gate_index] = digitize(op.angle, self.n_digits,
-                                               self.extractor)
-        if d.parity:
-            sess.client_apply([sv.z(q)])
-        digits = [(abs(value), int(value < 0)) for value in d.digits]
-        # the one round of digit block 1 rides the uniform block round,
-        # between the plan's two swaps
-        swap = [sv.swap(transit, q)] * digits[0][0]
-        sess.client_apply(swap)
-        self._unpad_block(self.slots[:3], *self._round(functools.partial(
-            _Run._block_trip, gate_index=gate_index, padded=self.slots[:3],
-            tag=OPENING_TAG, digit=digits[0])))
-        sess.client_apply(swap)
+        digits = ()
+        if op.kind is Gate.RZ:
+            q, transit = op.qubits[0], self.slots[3]
+            d = self.digits[gate_index] = digitize(op.angle, self.n_digits,
+                                                   self.extractor)
+            if d.parity:
+                sess.client_apply([sv.z(q)])
+            digits = [(abs(value), int(value < 0)) for value in d.digits]
+            # the one round of digit block 1 rides the block round on the
+            # transit slot, between the plan's two swaps
+            swaps = [sv.swap(transit, q)] * digits[0][0]
+            padded, tag = self.slots[:3], OPENING_TAG
+        else:
+            # h rides slot 1, cz slots 2 and 3
+            slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
+            swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
+            padded, tag = self.slots, BLOCK_TAG
+        sess.client_apply(swaps)
+        self._unpad_block(padded, *self._round(functools.partial(
+            _Run._block_trip, gate_index=gate_index, padded=padded, tag=tag,
+            digit=digits[0] if digits else None)))
+        sess.client_apply(swaps)
         if len(digits) > 1:
             # later blocks touch only q and transit
             sess.split_pair(q, transit)
@@ -318,21 +327,6 @@ class _Run:
                             _Run._ladder_round, labels=labels, k=k,
                             digit=digit, carry=carry))
             sess.join_pair()
-        self._reset_slots(gate_index)
-
-    def _delegate(self, gate_index: int, op: GateOp) -> None:
-        """Delegate one h, cz or rz gate."""
-        if op.kind is Gate.RZ:
-            self._delegate_rz(gate_index, op)
-            return
-        # h rides slot 1, cz slots 2 and 3
-        slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
-        swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
-        self.session.client_apply(swaps)
-        self._unpad_block(self.slots, *self._round(functools.partial(
-            _Run._block_trip, gate_index=gate_index, padded=self.slots,
-            tag=BLOCK_TAG)))
-        self.session.client_apply(swaps)
         self._reset_slots(gate_index)
 
     # -- driver -----------------------------------------------------------

@@ -226,14 +226,14 @@ class Session:
     and the ``WirePair`` split off the register, if any."""
 
     def __init__(self, n_qubits: int, seed: int, *, epsilon: float | None = None,
-                 overrides=None, disable_pads: bool = False):
+                 disable_pads: bool = False):
         if not 1 <= n_qubits <= sv.MAX_QUBITS:
             raise ValueError(f"register must hold 1..{sv.MAX_QUBITS} qubits")
         self.n_qubits = n_qubits
         self.amps = np.zeros(2**n_qubits, dtype=complex)
         self.amps[0] = 1.0
         self.wire_pair: sv.WirePair | None = None
-        self.keys = KeySource(seed, overrides, disable_pads)
+        self.keys = KeySource(seed, disable_pads=disable_pads)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 

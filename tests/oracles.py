@@ -123,6 +123,22 @@ def phase_aligned_distance(a: Statevector, b: Statevector) -> float:
     return float(np.abs(a.amps - phase * b.amps).max())
 
 
+def reduced_density(amps: np.ndarray, keep) -> np.ndarray:
+    """Reduced density of the distinct wires ``keep`` (qubit ``keep[j]`` is
+    bit j of the row index) as one einsum of the amplitude tensor with its
+    conjugate: each traced wire shares its subscript, each kept wire gets
+    its own on the bra side."""
+    n = amps.size.bit_length() - 1
+    psi = amps.reshape([2] * n)  # axis n - 1 - q is qubit q
+    bra = list(range(n))
+    for j, q in enumerate(keep):
+        bra[n - 1 - q] = n + j
+    rows = [n - 1 - q for q in reversed(keep)]
+    cols = [n + j for j in reversed(range(len(keep)))]
+    rho = np.einsum(psi, list(range(n)), psi.conj(), bra, rows + cols)
+    return rho.reshape(2 ** len(keep), -1)
+
+
 def ensemble_density(states, weights=None) -> DensityMatrix:
     """Weighted mixture sum_i w_i |psi_i><psi_i| (uniform weights by default)."""
     states = list(states)
@@ -331,11 +347,6 @@ class ListPair:
     rho: list
     perm: tuple[int, ...] = (0, 1, 2, 3)
     phases: tuple = (1.0, 1.0, 1.0, 1.0)
-
-
-def list_pair(amps: np.ndarray, lo: int, hi: int) -> ListPair:
-    """Wires ``lo < hi`` of ``amps`` split off for ``pair_run_block``."""
-    return ListPair((lo, hi), sv._partial_trace(amps, (lo, hi)).tolist())
 
 
 def pair_run_block(pair: ListPair, wire: int, rounds) -> np.ndarray:

@@ -11,7 +11,7 @@ pinned against.
 
 from blindqc import paulis, protocol
 from blindqc import statevec as sv
-from blindqc.session import Session
+from blindqc.session import KeySource, Session
 
 
 class RegisterSession(Session):
@@ -46,5 +46,6 @@ def run_pinned(circuit, epsilon, seed, overrides=None, *, extractor="floor",
     a whole-circuit replay from |0...0>.  Under ``RegisterSession`` every
     ladder round runs on the register."""
     session = session_type(circuit.n_qubits + protocol.N_SLOTS, seed,
-                           epsilon=epsilon, overrides=overrides)
+                           epsilon=epsilon)
+    session.keys = KeySource(seed, overrides)
     return protocol._Run(circuit, epsilon, session, extractor).run()

@@ -11,7 +11,6 @@ from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import (
     ALL_PAIRS,
-    MixednessResult,
     SkeletonMismatch,
     ViewMismatch,
     audit_circuit,
@@ -105,19 +104,19 @@ class TestViewInvariance:
 class TestMixedness:
     def test_exhaustive_twirl_is_exact(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        res = payload_mixedness(circ, EPS_M2, seed=4)
-        assert res.passed
-        assert res.worst_distance < 1e-10
-        assert res.inbound_worst_distance < 1e-10
-        assert res.uncovered == ()
+        res = payload_mixedness(CheckpointedRun(circ, EPS_M2, 4))
+        assert res["pass"]
+        assert res["worst_distance"] < 1e-10
+        assert res["inbound_worst_distance"] < 1e-10
+        assert res["uncovered"] == []
         # every transmitted wire of every round got checked
-        assert res.n_checks == 4 + 4 + 4 + 1 + 1
+        assert res["n_checks"] == 4 + 4 + 4 + 1 + 1
 
     def test_exhaustive_covers_entangled_working_states(self):
         # working wires entangled before delegation; pads must still mix
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
-        res = payload_mixedness(circ, EPS_M2, seed=5)
-        assert res.passed and res.worst_distance < 1e-10
+        res = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
+        assert res["pass"] and res["worst_distance"] < 1e-10
 
     def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
         # the first block round leaves slot 2 (wire 3) out of its pad labels
@@ -138,6 +137,11 @@ class TestMixedness:
         assert report["mixedness"]["worst_distance"] < 1e-10
         assert report["mixedness"]["pass"] is False
         assert report["pass"] is False
+
+    def test_exhaustive_mode_keyword_is_the_default_report(self):
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
+        assert (audit_circuit(circ, EPS_M2, 4, mode="exhaustive")
+                == audit_circuit(circ, EPS_M2, 4))
 
     def test_unknown_mode_rejected(self):
         for mode in ("sampled", "full"):
@@ -319,7 +323,9 @@ def reference_audit(circuit, epsilon, seed):
     Every pad label is replayed from |0...0> under all four pairs, with no
     fork and no reuse of the baseline, and the two stored wire densities
     are averaged in pair order.  Each distance, the negative control's
-    too, comes from its own eigen-solve, in round order.
+    too, comes from its own eigen-solve, in round order.  Every
+    transmitted wire must carry a pad label, so nothing is uncovered, and
+    the mixedness check passes within the exact twirl's 1e-10.
     """
     base = run_protocol(circuit, epsilon, seed)
     rounds = base.transcript.rounds
@@ -337,11 +343,17 @@ def reference_audit(circuit, epsilon, seed):
             if dist > worst:
                 worst, worst_label = dist, label
             inbound_worst = max(inbound_worst, dist_from_mixed(avg_in))
-    mixed = MixednessResult(
-        mode="exhaustive", n_messages=len(rounds), n_checks=n_checks,
-        worst_distance=worst, worst_label=worst_label,
-        inbound_worst_distance=inbound_worst,
-        tolerance=audit.EXHAUSTIVE_TOLERANCE, uncovered=())
+    mixed = {
+        "mode": "exhaustive",
+        "n_messages": len(rounds),
+        "n_checks": n_checks,
+        "worst_distance": worst,
+        "worst_label": worst_label,
+        "inbound_worst_distance": inbound_worst,
+        "tolerance": 1e-10,
+        "uncovered": [],
+        "pass": worst <= 1e-10,
+    }
     bare = run_protocol(circuit, epsilon, seed, disable_pads=True)
     control = 0.0
     for rnd in bare.transcript.rounds:
@@ -362,13 +374,13 @@ def reference_audit(circuit, epsilon, seed):
         "classical_view_digest": view_digest(view),
         "classical_view": list(view),
         "capabilities": caps,
-        "mixedness": mixed.as_dict(),
+        "mixedness": mixed,
         "negative_control": {
             "max_distance": control,
             "threshold": audit.NEGATIVE_CONTROL_THRESHOLD,
             "pass": control_ok,
         },
-        "pass": mixed.passed and control_ok and caps["pass"],
+        "pass": mixed["pass"] and control_ok and caps["pass"],
     }
 
 

@@ -133,11 +133,6 @@ class TestAudit:
         main(["audit", lowered_path, "--epsilon", "0.4"])
         assert capsys.readouterr().out == first
 
-    def test_sampled_mode_is_gone(self, lowered_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", lowered_path, "--mode", "sampled:16"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e400"])
     def test_non_finite_epsilon(self, lowered_path, capsys, epsilon):
         code = main(["audit", lowered_path, "--epsilon", epsilon])
@@ -169,9 +164,20 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == "error: circuit delegates no gates to audit\n"
 
+    def test_sampled_mode_is_gone(self, lowered_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", lowered_path, "--mode", "sampled:16"])
+        assert exc.value.code == 2
+
     def test_bad_mode_string(self, lowered_path):
         with pytest.raises(SystemExit) as exc:
             main(["audit", lowered_path, "--mode", "thorough"])
+        assert exc.value.code == 2
+
+    def test_exhaustive_mode_option_is_refused(self, lowered_path):
+        # the exhaustive check is the audit; no option selects it
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", lowered_path, "--mode", "exhaustive"])
         assert exc.value.code == 2
 
 

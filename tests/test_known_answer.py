@@ -45,6 +45,7 @@ FULL_RUN_SHA256 = {
     "floor": "f1bd168d671bf23adcfdc8c34dadfda6416dc6f745c5c42c25e5fab78e0008fc",
     "balanced": "a268e3b0c93d69febfaba98b86e4018440dbbe623e81b985061520c80809f7d3",
 }
+FULL_AUDIT_SHA256 = "37b1d957f30d7f7b8144cc92918c54e6bb54d6b57d340bd4158621a88257a777"
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:
@@ -64,7 +65,7 @@ def test_run_report_bytes(tmp_path, extractor):
 
 def test_exhaustive_audit_bytes(tmp_path):
     got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-2",
-                                    "--seed", "11", "--mode", "exhaustive"])
+                                    "--seed", "11"])
     assert got == AUDIT_SHA256
 
 
@@ -76,8 +77,8 @@ def test_three_qubit_run_report_bytes(tmp_path, extractor):
 
 
 def test_three_qubit_exhaustive_audit_bytes(tmp_path):
-    got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-2", "--seed", "5",
-                                    "--mode", "exhaustive"], WIDE_CIRCUIT)
+    got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-2", "--seed", "5"],
+                         WIDE_CIRCUIT)
     assert got == WIDE_AUDIT_SHA256
 
 
@@ -86,3 +87,9 @@ def test_full_register_run_report_bytes(tmp_path, extractor):
     got = _report_sha256(tmp_path, ["run", "--epsilon", "1e-6", "--seed", "3",
                                     "--extractor", extractor], FULL_CIRCUIT)
     assert got == FULL_RUN_SHA256[extractor]
+
+
+def test_full_register_exhaustive_audit_bytes(tmp_path):
+    got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-6", "--seed", "11"],
+                         FULL_CIRCUIT)
+    assert got == FULL_AUDIT_SHA256

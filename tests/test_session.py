@@ -242,7 +242,8 @@ class TestSession:
             assert np.array_equal(base.state.amps, plain.state.amps)
 
     def test_fork_starts_empty_with_only_its_label_pinned(self):
-        sess = Session(2, seed=0, epsilon=0.1, overrides={"q": (0, 1)})
+        sess = Session(2, seed=0, epsilon=0.1)
+        sess.keys = KeySource(0, {"q": (0, 1)})
         sess.client_apply([sv.h(0)])
         sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
         fork = sess.fork("p", (1, 0), sess.amps)

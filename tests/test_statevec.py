@@ -370,6 +370,27 @@ class TestDensity:
             assert np.array_equal(sv._partial_trace(amps, keep),
                                   rows @ rows.conj().T)
 
+    def test_reduced_density_matches_an_einsum_oracle(self):
+        # random states on 5-12 wires; keep-sets of 1, 2 and 4 wires,
+        # adjacent, spread out, on top (the row-order shortcut) and
+        # reaching the top wire from below it
+        rng = np.random.default_rng(41)
+        for n in range(5, sv.MAX_QUBITS + 1):
+            amps = oracles.random_state(n, rng).amps
+            lo = int(rng.integers(n - 4))
+            spread = tuple(sorted(int(q) for q in
+                                  rng.choice(n - 1, size=4, replace=False)))
+            keeps = [(lo,), (n - 1,), (lo, lo + 1), (spread[0], spread[2]),
+                     (n - 2, n - 1), (lo, n - 1), tuple(range(lo, lo + 4)),
+                     spread, tuple(range(n - 4, n)), (*spread[:3], n - 1)]
+            for keep in keeps:
+                want = oracles.reduced_density(amps, keep)
+                got = sv._partial_trace(amps, keep)
+                assert np.max(np.abs(got - want)) <= 1e-14
+                if len(keep) == 2:
+                    pair = sv.WirePair(amps, *keep)
+                    assert np.max(np.abs(np.array(pair.rho) - want)) <= 1e-14
+
     def test_reduced_density_keeps_requested_order(self):
         st = oracles.apply(oracles.new_state(2), sv.x(1))
         rho = sv.reduced_density(st, [1])

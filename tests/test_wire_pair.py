@@ -370,7 +370,9 @@ class TestWirePair:
                 wires = (0, 2)
             for wire in wires:
                 pair = sv.WirePair(amps, *wires)
-                ref = oracles.list_pair(amps, *wires)
+                # the fold's input, the density at the split, is handed
+                # over; test_statevec pins it against an einsum oracle
+                ref = oracles.ListPair(wires, pair.rho)
                 # blocks in a row continue from the last one's net op
                 for n_rounds in (1, 40, 7):
                     rounds = self._random_rounds(rng, n_rounds)
