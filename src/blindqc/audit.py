@@ -11,16 +11,18 @@ checks both halves:
   transmitted wire must be exactly maximally mixed at the moment it
   crosses the channel.  The audit averages the protocol run under all
   four values of each pad label, so the twirl is exact (tolerance 1e-10)
-  and its cost is linear in round trips.
+  and its cost is linear in round trips.  A pad hides only if used
+  once, so each label must pad exactly one wire of one round.
 
-A negative control reruns the protocol with pads disabled and requires
-some transmitted wire to sit far from maximally mixed, guarding against
-an auditor that would pass vacuously.
+A negative control reads each wire under its label pinned to (0, 0),
+that is unpadded, and requires some wire far from maximally mixed, so
+an auditor cannot pass vacuously.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .protocol import CheckpointedRun, run_protocol
 from .session import Transcript
 from .statevec import Gate
 
-AUDIT_VERSION = 3
+AUDIT_VERSION = 4
 NEGATIVE_CONTROL_THRESHOLD = 0.4
 EXHAUSTIVE_TOLERANCE = 1e-10
 
@@ -109,9 +111,10 @@ def _dists_from_mixed(states) -> list[float]:
     return (0.5 * np.abs(eigs).sum(axis=-1)).tolist()
 
 
-def payload_mixedness(baseline: CheckpointedRun) -> dict:
+def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
     """Check every transmitted wire of ``baseline``'s run is maximally mixed
-    on the channel; returns the report's ``mixedness`` section.
+    on the channel; returns the report's ``mixedness`` section and the
+    checked wires' unpadded states, for ``negative_control``.
 
     Each pad label is pinned to all four pairs and the wire's densities on
     its way out and back are averaged in ``ALL_PAIRS`` order: an exact
@@ -121,13 +124,13 @@ def payload_mixedness(baseline: CheckpointedRun) -> dict:
     the replay that pins a label to the pair the seed draws anyway is the
     baseline itself and is not run again.  All the averaged states go
     through one stacked eigen-solve at the end.  The check passes when the
-    worst outbound distance is within ``EXHAUSTIVE_TOLERANCE`` and every
-    transmitted wire carries a pad label.
+    worst outbound distance is within ``EXHAUSTIVE_TOLERANCE``, every
+    transmitted wire carries a pad label and no label pads more than once.
     """
     base_rounds = baseline.result.transcript.rounds
 
     uncovered = []
-    labels, avg_out, avg_in = [], [], []
+    labels, avg_out, avg_in, bare = [], [], [], []
     for i, rnd in enumerate(base_rounds):
         padded_wires = {w for w, _ in rnd.pad_labels}
         uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
@@ -138,8 +141,10 @@ def payload_mixedness(baseline: CheckpointedRun) -> dict:
             twirl = [rnd if pair == own else
                      baseline.replay(i, label, pair) for pair in ALL_PAIRS]
             # the wire's state averaged over the pairs, on its way out and back
+            out = [r.wire_state(r.sent, wire) for r in twirl]
             labels.append(label)
-            avg_out.append(sum(r.wire_state(r.sent, wire) for r in twirl) / 4)
+            bare.append(out[0])  # under ALL_PAIRS[0] == (0, 0): unpadded
+            avg_out.append(sum(out) / 4)
             avg_in.append(sum(r.wire_state(r.received, wire)
                               for r in twirl) / 4)
 
@@ -148,6 +153,7 @@ def payload_mixedness(baseline: CheckpointedRun) -> dict:
     for label, dist in zip(labels, dists):
         if dist > worst:
             worst, worst_label = dist, label
+    reused = sorted(lbl for lbl, n in Counter(labels).items() if n > 1)
     return {
         "mode": "exhaustive",
         "n_messages": len(base_rounds),
@@ -157,20 +163,15 @@ def payload_mixedness(baseline: CheckpointedRun) -> dict:
         "inbound_worst_distance": max([0.0, *dists[len(labels):]]),
         "tolerance": EXHAUSTIVE_TOLERANCE,
         "uncovered": uncovered,
-        "pass": worst <= EXHAUSTIVE_TOLERANCE and not uncovered,
-    }
+        "reused": reused,
+        "pass": worst <= EXHAUSTIVE_TOLERANCE and not (uncovered or reused),
+    }, bare
 
 
-def negative_control(circuit: Circuit, epsilon: float, seed: int) -> float:
-    """Max channel distance from maximally mixed with all pads disabled.
-
-    A sound auditor must see a large value here; if even unpadded traffic
-    looked mixed, the mixedness check would be vacuous.
-    """
-    bare = run_protocol(circuit, epsilon, seed, disable_pads=True)
-    return max([0.0, *_dists_from_mixed([
-        rnd.wire_state(rnd.sent, wire)
-        for rnd in bare.transcript.rounds for wire in rnd.transmitted])])
+def negative_control(states) -> float:
+    """Max distance from I/2 of the unpadded wire ``states``; a sound
+    auditor sees a large value, else the mixedness check is vacuous."""
+    return max([0.0, *_dists_from_mixed(states)])
 
 
 def count_rounds(transcript: Transcript) -> list[dict]:
@@ -220,8 +221,8 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
     baseline = CheckpointedRun(circuit, epsilon, seed)
     result = baseline.result
     view = classical_view(result.transcript)
-    mixed = payload_mixedness(baseline)
-    control = negative_control(circuit, epsilon, seed)
+    mixed, bare = payload_mixedness(baseline)
+    control = negative_control(bare)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)
     return {

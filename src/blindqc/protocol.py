@@ -175,8 +175,7 @@ class _Checkpoint(NamedTuple):
     step: functools.partial  # an unbound ``_Run`` method: step(run, session)
 
 
-def _open_session(circuit: Circuit, epsilon: float, seed: int,
-                  disable_pads: bool = False) -> Session:
+def _open_session(circuit: Circuit, epsilon: float, seed: int) -> Session:
     bad = first_undelegable(circuit)
     if bad is not None:
         raise UnsupportedGateError(
@@ -188,8 +187,7 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int,
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
-    return Session(n + N_SLOTS, seed, epsilon=epsilon,
-                   disable_pads=disable_pads)
+    return Session(n + N_SLOTS, seed, epsilon=epsilon)
 
 
 class _Run:
@@ -351,15 +349,13 @@ class _Run:
 
 
 def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
-                 extractor: str = "floor",
-                 disable_pads: bool = False) -> ProtocolResult:
+                 extractor: str = "floor") -> ProtocolResult:
     """Run a lowered circuit through the delegation protocol.
 
     The server starts from |0...0>; state preparation belongs to the
-    circuit.  ``disable_pads`` turns every pad off (the audit's negative
-    control) and does not affect the working-register result.
+    circuit.  Every pad is drawn from ``seed``.
     """
-    session = _open_session(circuit, epsilon, seed, disable_pads)
+    session = _open_session(circuit, epsilon, seed)
     return _Run(circuit, epsilon, session, extractor).run()
 
 

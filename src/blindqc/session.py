@@ -26,8 +26,9 @@ rounds fold into the pair's net op, and one ``record`` call takes them
 all from one stacked array, the same bytes as one call per round, since
 sha256 streams.  The whole register enters the hash at every gate boundary
 and at the end of the run, so the digest covers every transmitted
-density of every round and every amplitude at every gate boundary,
-while memory stays flat in the number of round trips.
+density of every round and every amplitude at every gate boundary.
+Register copies stay flat in the number of round trips, but the
+``Round`` list grows with it, by about 0.7 KB per round trip.
 Off-channel amplitudes between two rounds of one gate are not hashed.
 """
 
@@ -70,27 +71,24 @@ class KeySource:
     that state and feeds it only the label.
     """
 
-    def __init__(self, seed: int, overrides=None, disable_pads: bool = False):
+    def __init__(self, seed: int, overrides=None):
         self.seed = int(seed)
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
-        self.disable_pads = disable_pads
         self._pad = hashlib.blake2b(f"{self.seed}/pad/".encode(),
                                     digest_size=1)
         self._u = hashlib.blake2b(f"{self.seed}/u/".encode(), digest_size=8)
 
     def pad_pair(self, label: str) -> tuple[int, int]:
-        """One (x_bit, z_bit) pad draw; zeroed when pads are disabled."""
+        """One (x_bit, z_bit) pad draw."""
         if label in self.overrides:
             return self.overrides[label]
-        if self.disable_pads:
-            return (0, 0)
         h = self._pad.copy()
         h.update(label.encode())
         b = h.digest()[0]
         return (b & 1, (b >> 1) & 1)
 
     def measure_u(self, label: str) -> float:
-        """Uniform draw in [0, 1) for a measurement; never disabled."""
+        """Uniform draw in [0, 1) for a measurement."""
         h = self._u.copy()
         h.update(label.encode())
         return (int.from_bytes(h.digest(), "little") >> 11) * 2.0**-53
@@ -225,15 +223,15 @@ class Session:
     """One protocol run: register buffer, key source, growing transcript,
     and the ``WirePair`` split off the register, if any."""
 
-    def __init__(self, n_qubits: int, seed: int, *, epsilon: float | None = None,
-                 disable_pads: bool = False):
+    def __init__(self, n_qubits: int, seed: int, *,
+                 epsilon: float | None = None):
         if not 1 <= n_qubits <= sv.MAX_QUBITS:
             raise ValueError(f"register must hold 1..{sv.MAX_QUBITS} qubits")
         self.n_qubits = n_qubits
         self.amps = np.zeros(2**n_qubits, dtype=complex)
         self.amps[0] = 1.0
         self.wire_pair: sv.WirePair | None = None
-        self.keys = KeySource(seed, disable_pads=disable_pads)
+        self.keys = KeySource(seed)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 
@@ -325,8 +323,7 @@ class Session:
         split = isinstance(state, sv.WirePair)
         fork.amps = None if split else state.copy()
         fork.wire_pair = state.copy() if split else None
-        fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair},
-                              keys.disable_pads)
+        fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair})
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
         return fork

@@ -222,13 +222,15 @@ def test_criterion_08_blindness_audit():
         assert joined == other  # byte-identical, seed-independent
 
     mix_circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 1)))
-    mixed = payload_mixedness(CheckpointedRun(mix_circ, eps, 5))
+    mixed, _ = payload_mixedness(CheckpointedRun(mix_circ, eps, 5))
     assert mixed["pass"]
     assert mixed["worst_distance"] < 1e-10
-    assert mixed["uncovered"] == []
+    assert mixed["uncovered"] == [] and mixed["reused"] == []
 
+    # the control reads each label's (0, 0) replay: the wire unpadded
     plus_circ = Circuit(1, (sv.h(0), sv.rz(1.1, 0)))
-    control = negative_control(plus_circ, eps, seed=6)
+    _, bare = payload_mixedness(CheckpointedRun(plus_circ, eps, 6))
+    control = negative_control(bare)
     assert control >= 0.4
     print(f"criterion 8: PASS (mixedness {mixed['worst_distance']:.2e}, "
           f"control {control:.3f})")

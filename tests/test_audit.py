@@ -25,7 +25,7 @@ from blindqc.audit import (
 )
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import KeySource, Session, Transcript
+from blindqc.session import KeySource, Round, Session, Transcript
 from register_engine import run_pinned
 
 PI = math.pi
@@ -104,18 +104,20 @@ class TestViewInvariance:
 class TestMixedness:
     def test_exhaustive_twirl_is_exact(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        res = payload_mixedness(CheckpointedRun(circ, EPS_M2, 4))
+        res, bare = payload_mixedness(CheckpointedRun(circ, EPS_M2, 4))
         assert res["pass"]
         assert res["worst_distance"] < 1e-10
         assert res["inbound_worst_distance"] < 1e-10
-        assert res["uncovered"] == []
+        assert res["uncovered"] == [] and res["reused"] == []
+        # one unpadded state beside each check, for the negative control
+        assert len(bare) == res["n_checks"]
         # every transmitted wire of every round got checked
         assert res["n_checks"] == 4 + 4 + 4 + 1 + 1
 
     def test_exhaustive_covers_entangled_working_states(self):
         # working wires entangled before delegation; pads must still mix
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
-        res = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
+        res, _ = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
         assert res["pass"] and res["worst_distance"] < 1e-10
 
     def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
@@ -232,8 +234,8 @@ class TestReplayReuse:
         monkeypatch.setattr(protocol, "BlindServer", counting_server)
         report = audit_circuit(self.CIRC, EPS_M2, seed=4)
         assert report["mixedness"]["n_checks"] == 18
-        # the baseline's server serves every fork; the control builds its own
-        assert len(built) == 2
+        # the baseline's server serves every fork, the control's replays too
+        assert len(built) == 1
 
     def test_replay_refuses_a_label_that_does_not_pad_the_message(self):
         base = CheckpointedRun(self.CIRC, EPS_M2, seed=4)
@@ -274,15 +276,17 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
 def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
     """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
 
-    The baseline and the negative control each run M(M+1)/2 rounds per rz.
-    Each label is forked for three pairs, and every fork re-runs the one
-    round its label pads: the three dummy slots of digit block 1 and all
-    M(M+1)/2 digit rounds, 3 + M(M+1)/2 rounds.
+    The baseline runs M(M+1)/2 rounds per rz.  Each label is forked for
+    three pairs, and every fork re-runs the one round its label pads: the
+    three dummy slots of digit block 1 and all M(M+1)/2 digit rounds,
+    3 + M(M+1)/2 rounds.  The negative control runs nothing of its own: it
+    reads each label's (0, 0) replay, so no second run of the circuit is
+    counted.
     """
     m_bits = precision_bits(epsilon)
     run = m_bits * (m_bits + 1) // 2
     fork_rounds = 3 + run
-    return n_rz * (2 * run + 3 * fork_rounds)
+    return n_rz * (run + 3 * fork_rounds)
 
 
 class TestAuditCost:
@@ -322,14 +326,17 @@ def reference_audit(circuit, epsilon, seed):
 
     Every pad label is replayed from |0...0> under all four pairs, with no
     fork and no reuse of the baseline, and the two stored wire densities
-    are averaged in pair order.  Each distance, the negative control's
-    too, comes from its own eigen-solve, in round order.  Every
-    transmitted wire must carry a pad label, so nothing is uncovered, and
-    the mixedness check passes within the exact twirl's 1e-10.
+    are averaged in pair order.  The negative control reads each wire's
+    replay under (0, 0), the wire sent unpadded.  Each distance, the
+    control's too, comes from its own eigen-solve, in round order.  Every
+    transmitted wire must carry a pad label and no label pads two
+    (round, wire)s, so nothing is uncovered or reused, and the mixedness
+    check passes within the exact twirl's 1e-10.
     """
     base = run_protocol(circuit, epsilon, seed)
     rounds = base.transcript.rounds
     worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
+    control = 0.0
     for i, rnd in enumerate(rounds):
         for wire, label in rnd.pad_labels:
             replays = [run_pinned(circuit, epsilon, seed,
@@ -343,6 +350,9 @@ def reference_audit(circuit, epsilon, seed):
             if dist > worst:
                 worst, worst_label = dist, label
             inbound_worst = max(inbound_worst, dist_from_mixed(avg_in))
+            bare = replays[ALL_PAIRS.index((0, 0))]
+            control = max(control,
+                          dist_from_mixed(bare.wire_state(bare.sent, wire)))
     mixed = {
         "mode": "exhaustive",
         "n_messages": len(rounds),
@@ -352,19 +362,14 @@ def reference_audit(circuit, epsilon, seed):
         "inbound_worst_distance": inbound_worst,
         "tolerance": 1e-10,
         "uncovered": [],
+        "reused": [],
         "pass": worst <= 1e-10,
     }
-    bare = run_protocol(circuit, epsilon, seed, disable_pads=True)
-    control = 0.0
-    for rnd in bare.transcript.rounds:
-        for wire in rnd.transmitted:
-            control = max(control,
-                          dist_from_mixed(rnd.wire_state(rnd.sent, wire)))
     caps = capability_confinement(base.transcript)
     view = classical_view(base.transcript)
     control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD
     return {
-        "version": 3,
+        "version": 4,
         "epsilon": epsilon,
         "seed": seed,
         "precision_bits": precision_bits(epsilon),
@@ -387,10 +392,26 @@ def reference_audit(circuit, epsilon, seed):
 class TestNegativeControl:
     def test_unpadded_traffic_is_far_from_mixed(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        assert negative_control(circ, EPS_M2, seed=7) >= 0.4
+        _, bare = payload_mixedness(CheckpointedRun(circ, EPS_M2, seed=7))
+        assert negative_control(bare) >= 0.4
 
     def test_even_a_single_block_leaks_without_pads(self):
-        assert negative_control(Circuit(1, (sv.h(0),)), EPS_M2, seed=8) >= 0.4
+        report = audit_circuit(Circuit(1, (sv.h(0),)), EPS_M2, seed=8)
+        assert report["negative_control"]["max_distance"] >= 0.4
+        assert report["negative_control"]["pass"] is True
+
+    def test_control_catches_an_auditor_that_sees_only_mixed_states(
+            self, monkeypatch):
+        # every wire state reads I/2: the twirl passes vacuously, and only
+        # the control can tell
+        monkeypatch.setattr(Round, "wire_state",
+                            lambda self, density, wire: np.eye(2) / 2)
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
+        report = audit_circuit(circ, EPS_M2, seed=7)
+        assert report["mixedness"]["pass"] is True
+        assert report["negative_control"]["max_distance"] == 0.0
+        assert report["negative_control"]["pass"] is False
+        assert report["pass"] is False
 
 
 class TestReport:
@@ -400,7 +421,7 @@ class TestReport:
         b = audit_circuit(circ, EPS_M2, seed=9)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["pass"] is True
-        assert a["version"] == 3
+        assert a["version"] == 4
 
     def test_round_accounting(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.3, 0),
@@ -435,8 +456,8 @@ class TestReport:
         ]
         assert report["pass"] is True
 
-    def test_report_flags_disable_pads_failure_mode(self):
-        # pads disabled, the traffic is far from mixed: the negative
+    def test_report_flags_unpadded_failure_mode(self):
+        # under a (0, 0) pad the traffic is far from mixed: the negative
         # control's distance must clear the threshold the report gates on
         circ = Circuit(1, (sv.h(0),))
         report = audit_circuit(circ, EPS_M2, seed=11)

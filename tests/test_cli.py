@@ -124,7 +124,7 @@ class TestAudit:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
-        assert report["version"] == 3
+        assert report["version"] == 4
         assert report["mixedness"]["worst_distance"] < 1e-10
 
     def test_audit_is_deterministic(self, lowered_path, capsys):

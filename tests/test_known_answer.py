@@ -27,7 +27,7 @@ RUN_SHA256 = {
     "floor": "240ee7f81eb3755aab7375618b54d67f28ce69e4c4f6c2089ff21e1876d927be",
     "balanced": "816ed6c2788f1ba654f980e0831bdbc3dfc7428973509747943be43d4abaf2cb",
 }
-AUDIT_SHA256 = "cc231a05984f9161c509eb5d1dbb78de4adcb98c0d1f260dbc591b39a239d73e"
+AUDIT_SHA256 = "c008fcf17c722122f7fdc016cd7f74de88ba3a06f4bd4518f189e02360c3202e"
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
@@ -36,7 +36,7 @@ WIDE_RUN_SHA256 = {
     "floor": "55ecd222ebe9d5cc48cbd042a7d3f90e9be9941fa380cf2e82c4939658cd529d",
     "balanced": "e238d2bfca58421e92f7165c089ba02a0d93d201c6183216f74a9592ac3f2e08",
 }
-WIDE_AUDIT_SHA256 = "60eca77ad7447a733c08e0d5b3be39a081b9061acd25ebc901703a0a363adcd1"
+WIDE_AUDIT_SHA256 = "2f9193c8b91e91c5e185e8c2c8a6bc4eef81ff886089ddea76684a6a8c79fd8d"
 
 FULL_CIRCUIT = ("version 1\nqubits 8\nh 0\nh 7\ncz 0 7\nrz 3 2.1\ncz 2 5\n"
                 "rz 7 -0.4\nh 4\nmeasure 5\n")
@@ -45,7 +45,7 @@ FULL_RUN_SHA256 = {
     "floor": "f1bd168d671bf23adcfdc8c34dadfda6416dc6f745c5c42c25e5fab78e0008fc",
     "balanced": "a268e3b0c93d69febfaba98b86e4018440dbbe623e81b985061520c80809f7d3",
 }
-FULL_AUDIT_SHA256 = "37b1d957f30d7f7b8144cc92918c54e6bb54d6b57d340bd4158621a88257a777"
+FULL_AUDIT_SHA256 = "0338d73c208a70866f14e0b53e4904dcab830bd59830edc3619a6563fa7b8282"
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:

@@ -12,19 +12,28 @@ from blindqc.angles import precision_bits
 from blindqc.circuits import Circuit
 from blindqc.protocol import (
     BLOCK_TAG,
+    N_SLOTS,
     OPENING_TAG,
     BlindServer,
     RegisterCapacityError,
     UnsupportedGateError,
+    _Run,
     round_tag,
     run_protocol,
 )
-from blindqc.session import ProtocolError
+from blindqc.session import KeySource, ProtocolError, Session
 from conftest import digitized_reference, random_lowered_circuit, rz_error_budget
 import oracles
 
 PI = math.pi
 EPS_M3 = PI / 8  # three digit blocks
+
+
+class ZeroPadKeys(KeySource):
+    """Draws every pad as (0, 0); measurement draws stay the seed's."""
+
+    def pad_pair(self, label: str) -> tuple[int, int]:
+        return (0, 0)
 
 
 def direct(circuit: Circuit) -> sv.Statevector:
@@ -120,7 +129,11 @@ class TestHygiene:
     def test_pads_do_not_change_the_computation(self):
         circ = Circuit(2, (sv.h(0), sv.rz(-1.3, 0), sv.cz(0, 1)))
         padded = run_protocol(circ, EPS_M3, seed=7)
-        bare = run_protocol(circ, EPS_M3, seed=7, disable_pads=True)
+        session = Session(circ.n_qubits + N_SLOTS, 7, epsilon=EPS_M3)
+        session.keys = ZeroPadKeys(7)
+        bare = _Run(circ, EPS_M3, session).run()
+        # the unpadded run's traffic differs, its result does not
+        assert bare.transcript.digest() != padded.transcript.digest()
         assert oracles.phase_aligned_distance(
             padded.working_state, bare.working_state) < 1e-10
 

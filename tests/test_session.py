@@ -36,11 +36,6 @@ class TestKeySource:
         assert src.pad_pair("g1/k2") == (1, 0)
         assert KeySource(5).pad_pair("g1/k3") == src.pad_pair("g1/k3")
 
-    def test_disable_pads_zeroes_pads_but_not_u(self):
-        src = KeySource(9, disable_pads=True)
-        assert src.pad_pair("anything") == (0, 0)
-        assert src.measure_u("r") == KeySource(9).measure_u("r")
-
     def test_pad_bits_are_unbiased(self):
         src = KeySource(11)
         bits = np.array([src.pad_pair(f"p{i}") for i in range(2000)])
