@@ -41,8 +41,8 @@ and the other wires see no gate until the pair is joined back.  The
 client draws the pads of blocks 2..M and plans them up front, so the
 whole ladder goes to the session as one step (``Session.ladder``), which
 takes each tag's rotation from ``BlindServer.ops_for`` once and records
-every round at once; a ``CheckpointedRun`` steps one round at a time
-through the same call.
+every round at once; a ``CheckpointedRun`` takes the same step and walks
+its folds on a copy of the pair for its per-round checkpoints.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class RoundPlan(NamedTuple):
     pair: tuple[int, int]
     unpad_z: int
     swap_after: int
+    carry: int
 
 
 class BlockPlan(NamedTuple):
@@ -98,8 +99,8 @@ def plan_round(k: int, pair, nonzero: int, negative: int,
     product of (a_i xor q) over the rounds i > k the block ran before it."""
     a, b = pair
     if k == 1:
-        return RoundPlan(1, (a, b), b ^ a ^ negative, nonzero * carry)
-    return RoundPlan(k, (a, b), b, nonzero * int(a == negative) * carry)
+        return RoundPlan(1, (a, b), b ^ a ^ negative, nonzero * carry, carry)
+    return RoundPlan(k, (a, b), b, nonzero * (a == negative) * carry, carry)
 
 
 def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
@@ -217,16 +218,6 @@ class _Run:
 
     # -- rounds: each runs on the session it is given ----------------------
 
-    def _round(self, step: functools.partial):
-        """Run one round's ``step`` on this run's session; a checkpointed
-        run first saves the state the step starts from."""
-        sess = self.session
-        if self.checkpoints is not None:
-            pair = sess.wire_pair
-            self.checkpoints.append(_Checkpoint(
-                sess.amps.copy() if pair is None else pair.copy(), step))
-        return step(self, sess)
-
     def _block_trip(self, sess: Session, gate_index: int, padded, tag: str,
                     digit: tuple[int, int] | None = None
                     ) -> tuple[paulis.PauliKey, RoundPlan | None]:
@@ -264,17 +255,18 @@ class _Run:
         upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
         sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
 
-    def _ladder_round(self, sess: Session, labels: list[str], k: int,
-                      digit: tuple[int, int], carry: int) -> int:
-        """Round k of the digit block padded by ``labels`` (k = m opens it
-        with the initial swap) on the split pair; returns the carry of the
-        next round."""
-        nonzero, negative = digit
-        pair = sess.keys.pad_pair(labels[k - 1])
-        plan = BlockPlan(nonzero, negative, nonzero * (k == len(labels)),
-                         (plan_round(k, pair, nonzero, negative, carry),))
-        sess.ladder(self.slots[3], ((plan, labels),), self.server)
-        return carry * (pair[0] ^ negative)
+    def _ladder_round(self, sess: Session, plan: BlockPlan,
+                      labels: list[str], r: RoundPlan) -> None:
+        """Round ``r`` of the baseline's digit block ``plan``, padded by
+        ``labels``, on the split pair: only this round is planned again,
+        under the pad ``sess`` draws for its label and the baseline's
+        carry.  A block's first round opens with the initial swap."""
+        one = BlockPlan(
+            plan.nonzero, plan.negative,
+            plan.initial_swap * (r.index == len(labels)),
+            (plan_round(r.index, sess.keys.pad_pair(labels[r.index - 1]),
+                        plan.nonzero, plan.negative, r.carry),))
+        sess.ladder(self.slots[3], ((one, labels),), self.server)
 
     # -- gate delegation --------------------------------------------------
 
@@ -300,9 +292,12 @@ class _Run:
             swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
             padded, tag = self.slots, BLOCK_TAG
         sess.client_apply(swaps)
-        self._unpad_block(padded, *self._round(functools.partial(
-            _Run._block_trip, gate_index=gate_index, padded=padded, tag=tag,
-            digit=digits[0] if digits else None)))
+        step = functools.partial(_Run._block_trip, gate_index=gate_index,
+                                 padded=padded, tag=tag,
+                                 digit=digits[0] if digits else None)
+        if self.checkpoints is not None:
+            self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
+        self._unpad_block(padded, *step(self, sess))
         sess.client_apply(swaps)
         if len(digits) > 1:
             # later blocks touch only q and transit
@@ -310,20 +305,21 @@ class _Run:
             blocks = [([f"gate{gate_index}:m{m}:k{k}"
                         for k in range(1, m + 1)], digit)
                       for m, digit in enumerate(digits[1:], start=2)]
-            if self.checkpoints is None:
-                # the whole ladder is one step
-                sess.ladder(transit, [
-                    (digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
-                                               for lbl in labels]), labels)
-                    for labels, digit in blocks], self.server)
-            else:
-                # one round per step, each from its own checkpoint
-                for labels, digit in blocks:
-                    carry = 1
-                    for k in range(len(labels), 0, -1):
-                        carry = self._round(functools.partial(
-                            _Run._ladder_round, labels=labels, k=k,
-                            digit=digit, carry=carry))
+            plans = [(digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
+                                                for lbl in labels]), labels)
+                     for labels, digit in blocks]
+            pair = None if self.checkpoints is None else sess.wire_pair.copy()
+            folds = sess.ladder(transit, plans, self.server)
+            if pair is not None:
+                # the pair before each round, from the ladder's own folds
+                folds = iter(folds)
+                for plan, labels in plans:
+                    for r in plan.rounds:
+                        self.checkpoints.append(_Checkpoint(
+                            pair.copy(), functools.partial(
+                                _Run._ladder_round, plan=plan,
+                                labels=labels, r=r)))
+                        pair.run_block(transit, [next(folds)])
             sess.join_pair()
         self._reset_slots(gate_index)
 
@@ -363,20 +359,22 @@ class CheckpointedRun:
     """A seeded run that keeps a checkpoint before every round, so one pad
     label can be replayed by re-running the one round it pads.
 
-    A checkpoint holds the state just before its round draws its pads and
-    the round itself as a step: the block round of an h or cz gate (after
-    the slot swaps), the opening round of an rz gate (digit block 1, after
-    the parity Z and the plan's first swap), or one round of a later digit
-    block.  The run saves the checkpoint, then runs the same step.  A block
-    round's step ends at its round trip, and the run decrypts the slots
-    after it returns.  A block round keeps a register copy.  A ladder round
-    keeps only a copy of the split wire pair, the one state the round
-    touches, and its step carries the baseline's carry, so it re-plans
-    only itself.  A label's pair changes nothing before its own round, and
-    the carry is a product over the block's earlier rounds' pads, so a
-    replay records the round a whole-circuit replay with the label pinned
-    records, bit for bit.  A fork draws its own pads, the same pairs the
-    baseline drew.
+    The run is the one ``run_protocol`` makes.  A checkpoint holds the
+    state just before its round draws its pads and the round itself as a
+    step: the block round of an h or cz gate (after the slot swaps), the
+    opening round of an rz gate (digit block 1, after the parity Z and the
+    plan's first swap), or one round of a later digit block.  A block
+    round keeps a register copy; its step ends at its round trip, and the
+    run decrypts the slots after it returns.  A ladder stays one
+    ``Session.ladder`` step; the run walks the folds it returns, one
+    ``run_block`` call each (the same bytes), on a copy of the split pair,
+    the one state a ladder round touches, and saves the copy before each
+    round.  A ladder round's step holds the baseline's plans, so a replay
+    re-plans only its round, with the baseline's carry.  A label's pair
+    changes nothing before its own round, and the carry is a product over
+    the block's earlier rounds' pads, so a replay records the round a
+    whole-circuit replay with the label pinned records, bit for bit.  A
+    fork draws its own pads, the same pairs the baseline drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):

@@ -273,8 +273,9 @@ class Session:
             transmitted, ((tag, tuple(pad_labels)),),
             np.array((sent, sv._partial_trace(self.amps, keep))))
 
-    def ladder(self, transit: int, blocks, server) -> None:
-        """Run digit blocks' rounds on the split pair in one step.
+    def ladder(self, transit: int, blocks, server) -> list:
+        """Run digit blocks' rounds on the split pair in one step, and
+        return the rounds as ``WirePair.run_block`` folded them.
 
         ``blocks`` lists (plan, labels) per block: the block's
         ``protocol.BlockPlan``, whose round k is padded by
@@ -310,6 +311,7 @@ class Session:
         self.transcript.record((transit,), tags, densities)
         self.transcript.client_op_kinds += client
         self.transcript.server_op_kinds += ["rz"] * len(steps)
+        return steps
 
     def fork(self, label: str, pair, state) -> Session:
         """A session with ``label`` also pinned to ``pair`` that starts from

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blindqc import audit, protocol
+from blindqc import angles, audit, protocol
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import (
@@ -119,6 +119,22 @@ class TestMixedness:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
         res, _ = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
         assert res["pass"] and res["worst_distance"] < 1e-10
+
+    def test_signed_digits_are_audited(self, monkeypatch):
+        # the audit takes no extractor, so balanced digits, whose -1 takes
+        # the negative branches of the round plans, are patched in
+        monkeypatch.setattr(protocol, "digitize", lambda theta, n, _:
+                            angles.digitize(theta, n, "balanced"))
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1),
+                           sv.rz(-2.2, 0)))
+        for epsilon, n_checks in ((1e-1, 48), (1e-2, 108)):
+            base = CheckpointedRun(circ, epsilon, 0)
+            assert any(-1 in d.digits for d in base.result.digits.values())
+            report = audit_circuit(circ, epsilon, 0)
+            assert report["mixedness"]["n_checks"] == n_checks
+            assert report["mixedness"]["worst_distance"] < 1e-10
+            assert report["pass"] is True
+        assert assert_replays_match_whole_circuit(circ, 1e-1, 0) == 4 * 48
 
     def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
         # the first block round leaves slot 2 (wire 3) out of its pad labels

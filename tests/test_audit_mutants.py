@@ -1,26 +1,32 @@
-"""Broken protocols the audit must catch: pad keys used more than once.
+"""Broken protocols the audit must catch.
 
-Each mutant maps pad labels onto fewer labels, so one key pads several
-(round, wire)s.  Every wire's marginal still averages to exactly I/2
-under its own label, so the twirl alone passes them; the structural
+Label-reuse mutants map pad labels onto fewer labels, so one key pads
+several (round, wire)s.  Every wire's marginal still averages to exactly
+I/2 under its own label, so the twirl alone passes them; the structural
 one-time check (the mixedness section's ``reused``) must fail each one
 and name the labels it reuses.
 
-A mutant is an idempotent label map ``f``.  It is patched into both
+Such a mutant is an idempotent label map ``f``.  It is patched into both
 ``KeySource.pad_pair``, which then draws the pad of ``f(label)``, and
 ``Transcript.record``, which then records ``f(label)`` as the wire's pad
 label, so the protocol and its transcript agree on the broken keys and
 the package's own code stays as it is.
+
+Run-path mutants break the rz ladder of the run ``run_protocol`` makes
+and leave its labels distinct.  The audit certifies that same run, so
+the twirl over each label's replays must see the broken pads.
 """
 
 import re
 
 import pytest
 
+from blindqc import protocol
 from blindqc import statevec as sv
 from blindqc.audit import audit_circuit
 from blindqc.circuits import Circuit
-from blindqc.session import KeySource, Transcript
+from blindqc.protocol import run_protocol
+from blindqc.session import KeySource, Session, Transcript
 
 CIRCUIT = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
 EPSILON = 1e-2  # nine digit blocks
@@ -87,5 +93,47 @@ def test_label_reuse_fails_the_audit(monkeypatch, name):
     assert mixed["worst_distance"] < 1e-10
     assert mixed["uncovered"] == []
     assert mixed["reused"] == sorted(reused)
+    assert mixed["pass"] is False
+    assert report["pass"] is False
+
+
+def unpadded_ladder(monkeypatch) -> None:
+    """Every ladder round is planned with pad (0, 0): sent in the clear."""
+    plan = protocol.digit_block_plan
+    monkeypatch.setattr(protocol, "digit_block_plan",
+                        lambda nonzero, negative, pairs: plan(
+                            nonzero, negative, [(0, 0)] * len(pairs)))
+
+
+def first_pad_per_block(monkeypatch) -> None:
+    """Every round of a ladder block is padded by the block's first pad."""
+    ladder = Session.ladder
+
+    def reusing_ladder(self, transit, blocks, server):
+        blocks = [(protocol.digit_block_plan(
+            plan.nonzero, plan.negative,
+            [self.keys.pad_pair(labels[0])] * len(labels))
+                   if len(plan.rounds) > 1 else plan, labels)
+                  for plan, labels in blocks]
+        return ladder(self, transit, blocks, server)
+
+    monkeypatch.setattr(Session, "ladder", reusing_ladder)
+
+
+RUN_PATH_MUTANTS = {"unpadded-ladder": unpadded_ladder,
+                    "first-pad-per-block": first_pad_per_block}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_PATH_MUTANTS))
+def test_run_path_mutants_fail_the_audit(monkeypatch, name):
+    plain = run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest()
+    RUN_PATH_MUTANTS[name](monkeypatch)
+    # the mutant changes the run ``blindqc run`` makes
+    assert run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest() != plain
+    report = audit_circuit(CIRCUIT, EPSILON, SEED)
+    mixed = report["mixedness"]
+    # no label pads twice: the twirl itself sees the broken pads
+    assert mixed["reused"] == [] and mixed["uncovered"] == []
+    assert mixed["worst_distance"] > 0.1
     assert mixed["pass"] is False
     assert report["pass"] is False

@@ -227,7 +227,8 @@ class TestSession:
         assert a.finish().digest() != b.finish().digest()
 
     def test_checkpointed_run_digest_matches_plain_run(self):
-        # the checkpointed run takes each ladder round as its own step
+        # the checkpointed run is the plain run, round by round; pad labels
+        # are not in the digest
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1),
                            sv.measure(0)))
         for epsilon in (0.1, 1e-6):
@@ -235,6 +236,13 @@ class TestSession:
             base = CheckpointedRun(circ, epsilon, 6).result
             assert base.transcript.digest() == plain.transcript.digest()
             assert np.array_equal(base.state.amps, plain.state.amps)
+            got, want = base.transcript.rounds, plain.transcript.rounds
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.tag, a.transmitted, a.pad_labels) == (
+                    b.tag, b.transmitted, b.pad_labels)
+                assert np.array_equal(a.sent, b.sent)
+                assert np.array_equal(a.received, b.received)
 
     def test_fork_starts_empty_with_only_its_label_pinned(self):
         sess = Session(2, seed=0, epsilon=0.1)

@@ -12,6 +12,7 @@ byte.
 import copy
 from collections import Counter
 import gc
+import itertools
 import math
 import re
 import weakref
@@ -180,7 +181,7 @@ class TestCheckpoints:
             step = cp.step
             if step.func is protocol._Run._ladder_round:
                 # a ladder round is padded by its own label alone
-                label = step.keywords["labels"][step.keywords["k"] - 1]
+                label = step.keywords["labels"][step.keywords["r"].index - 1]
                 assert rnd.pad_labels == ((run._run.slots[3], label),)
                 ladder.append(label)
             else:
@@ -464,11 +465,13 @@ class TestBlockStep:
         monkeypatch.setattr(Transcript, "record", counting_record)
         circ = Circuit(2, (sv.rz(0.3, 0), sv.h(1), sv.rz(-1.9, 1),
                            sv.cz(0, 1), sv.rz(2.2, 0)))
-        for epsilon in (2.0, 1e-1, 1e-6):
+        # the checkpointed run takes the plain run's ladder step
+        for run, epsilon in itertools.product(
+                (run_protocol, CheckpointedRun), (2.0, 1e-1, 1e-6)):
             m_bits = precision_bits(epsilon)
             steps.clear()
             records.clear()
-            run_protocol(circ, epsilon, seed=4)
+            run(circ, epsilon, 4)
             # blocks 2..M of each of the three rz, and all their rounds
             per_gate = [m_bits - 1] if m_bits > 1 else []
             assert steps == per_gate * 3
