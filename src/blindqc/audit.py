@@ -118,14 +118,15 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
 
     Each pad label is pinned to all four pairs and the wire's densities on
     its way out and back are averaged in ``ALL_PAIRS`` order: an exact
-    Pauli twirl.  Each replay re-runs only the round its label pads, from
-    the state the baseline saved just before it, and copies no transcript,
-    so audit cost is linear in round trips.  Keys are label-addressed, so
-    the replay that pins a label to the pair the seed draws anyway is the
-    baseline itself and is not run again.  All the averaged states go
-    through one stacked eigen-solve at the end.  The check passes when the
-    worst outbound distance is within ``EXHAUSTIVE_TOLERANCE``, every
-    transmitted wire carries a pad label and no label pads more than once.
+    Pauli twirl.  Keys are label-addressed, so the pair the seed draws
+    gives the baseline's own round, and one ``replay`` re-runs only the
+    round the label pads for the other three pairs, from the state the
+    baseline saved just before it, so audit cost is linear in round
+    trips.  The wire's states are read off the four rounds' stacked
+    densities at once, and all the averages go through one stacked
+    eigen-solve.  The check passes when the worst outbound distance is
+    within ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad
+    label and no label pads more than once.
     """
     base_rounds = baseline.result.transcript.rounds
 
@@ -136,17 +137,20 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
         uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
                       if wire not in padded_wires]
         for wire, label in rnd.pad_labels:
-            own = baseline.keys.pad_pair(label)
-            # round i under each pair of the label
-            twirl = [rnd if pair == own else
-                     baseline.replay(i, label, pair) for pair in ALL_PAIRS]
-            # the wire's state averaged over the pairs, on its way out and back
-            out = [r.wire_state(r.sent, wire) for r in twirl]
+            own = ALL_PAIRS.index(baseline.keys.pad_pair(label))
+            # round i under each pair of the label, in ALL_PAIRS order
+            twirl = baseline.replay(i, label, ALL_PAIRS[:own]
+                                    + ALL_PAIRS[own + 1:])
+            twirl.insert(own, rnd)
+            # (pair, out or back, 2, 2): the wire's state under each pair
+            states = rnd.wire_state(
+                np.array([(r.sent, r.received) for r in twirl]), wire)
+            # summed from 0 in pair order, as ``sum`` adds
+            avg = states.sum(axis=0, initial=0) / 4
             labels.append(label)
-            bare.append(out[0])  # under ALL_PAIRS[0] == (0, 0): unpadded
-            avg_out.append(sum(out) / 4)
-            avg_in.append(sum(r.wire_state(r.received, wire)
-                              for r in twirl) / 4)
+            bare.append(states[0, 0])  # under ALL_PAIRS[0] == (0, 0): unpadded
+            avg_out.append(avg[0])
+            avg_in.append(avg[1])
 
     dists = _dists_from_mixed(avg_out + avg_in)
     worst, worst_label = 0.0, None

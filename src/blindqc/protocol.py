@@ -218,42 +218,27 @@ class _Run:
 
     # -- rounds: each runs on the session it is given ----------------------
 
-    def _block_trip(self, sess: Session, gate_index: int, padded, tag: str,
-                    digit: tuple[int, int] | None = None
-                    ) -> tuple[paulis.PauliKey, RoundPlan | None]:
-        """Send the uniform block with the ``padded`` slots under their gate
-        pads.  ``digit`` is (nonzero, negative) when digit block 1's one
-        round rides the transit slot.  Returns the slots' key and the
-        opening round's plan (None without a digit), for ``_unpad_block``.
-        """
-        transit = self.slots[3]
-        labels = [f"gate{gate_index}:slot{self.slots.index(s) + 1}"
-                  for s in padded]
-        key = paulis.PauliKey(tuple(sess.keys.pad_pair(lbl)
-                                    for lbl in labels))
-        pad_labels = tuple(zip(padded, labels))
-        sess.client_apply(paulis.pad_ops(key.pairs, qubits=padded))
-        r = None
-        if digit:
-            label = f"gate{gate_index}:m1:k1"
-            r = plan_round(1, sess.keys.pad_pair(label), *digit, 1)
-            sess.client_apply(paulis.pad_ops((r.pair,), (transit,)))
-            pad_labels += ((transit, label),)
+    def _block_trip(self, sess: Session, pad_labels, tag: str) -> None:
+        """Pad each (wire, label) in ``pad_labels`` and send the uniform
+        block with ``tag``: the step ends at the send."""
+        sess.pad(pad_labels)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
-        return key, r
 
-    def _unpad_block(self, padded, key: paulis.PauliKey,
-                     r: RoundPlan | None) -> None:
-        """Decrypt after ``_block_trip``: transit under the opening round's
-        plan ``r``, then the ``padded`` slots through the block's key
-        update."""
+    def _unpad_block(self, pad_labels, digit: tuple[int, int] | None) -> None:
+        """Decrypt after ``_block_trip`` under the pads, drawn again:
+        transit when ``digit`` (nonzero, negative) rode it, then the padded
+        slots through the block's key update."""
         sess = self.session
-        if r is not None:
+        pairs = [sess.keys.pad_pair(label) for _, label in pad_labels]
+        if digit:
+            r = plan_round(1, pairs.pop(), *digit, 1)
             sess.client_apply(
                 paulis.unpad_ops(((r.pair[0], r.unpad_z),), (self.slots[3],)))
-        upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)], key)
-        sess.client_apply(paulis.unpad_ops(upd.new_key.pairs, qubits=padded))
+        upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)],
+                                        paulis.PauliKey(tuple(pairs)))
+        sess.client_apply(paulis.unpad_ops(upd.new_key.pairs,
+                                           qubits=self.slots[:len(pairs)]))
 
     def _ladder_round(self, sess: Session, plan: BlockPlan,
                       labels: list[str], r: RoundPlan) -> None:
@@ -292,12 +277,16 @@ class _Run:
             swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
             padded, tag = self.slots, BLOCK_TAG
         sess.client_apply(swaps)
-        step = functools.partial(_Run._block_trip, gate_index=gate_index,
-                                 padded=padded, tag=tag,
-                                 digit=digits[0] if digits else None)
+        pad_labels = tuple((slot, f"gate{gate_index}:slot{i}")
+                           for i, slot in enumerate(padded, start=1))
+        if digits:
+            pad_labels += ((transit, f"gate{gate_index}:m1:k1"),)
+        step = functools.partial(_Run._block_trip, pad_labels=pad_labels,
+                                 tag=tag)
         if self.checkpoints is not None:
             self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
-        self._unpad_block(padded, *step(self, sess))
+        step(self, sess)
+        self._unpad_block(pad_labels, digits[0] if digits else None)
         sess.client_apply(swaps)
         if len(digits) > 1:
             # later blocks touch only q and transit
@@ -373,8 +362,9 @@ class CheckpointedRun:
     re-plans only its round, with the baseline's carry.  A label's pair
     changes nothing before its own round, and the carry is a product over
     the block's earlier rounds' pads, so a replay records the round a
-    whole-circuit replay with the label pinned records, bit for bit.  A
-    fork draws its own pads, the same pairs the baseline drew.
+    whole-circuit replay with the label pinned records, bit for bit.  All
+    of a label's pairs replay on one fork (``replay``), which draws its
+    own pads, the same pairs the baseline drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int):
@@ -385,13 +375,25 @@ class CheckpointedRun:
                          checkpoints=self._checkpoints)
         self.result = self._run.run()
 
-    def replay(self, index: int, label: str, pair) -> Round:
+    def replay(self, index: int, label: str, pairs) -> list[Round]:
         """Round ``index`` of this run with ``label``, which must pad it,
-        pinned to ``pair``."""
+        pinned to each pair in ``pairs`` in turn: one round per pair.
+
+        All the pairs run on one fork.  A block round's step runs once, on
+        one stacked register per pair; a ladder round's step runs once
+        per pair, each on a fresh copy of the split pair.
+        """
         pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
             raise ValueError(f"'{label}' does not pad round {index}")
+        if not pairs:
+            raise ValueError("a replay needs at least one pair")
         state, step = self._checkpoints[index]
-        fork = self._session.fork(label, pair, state)
-        step(self._run, fork)
-        return fork.transcript.rounds[0]
+        fork = self._session.fork(label, pairs, state)
+        if isinstance(state, sv.WirePair):
+            for keys in fork.stack_keys:
+                fork.keys, fork.wire_pair = keys, state.copy()
+                step(self._run, fork)
+        else:
+            step(self._run, fork)
+        return fork.transcript.rounds

@@ -7,12 +7,15 @@ label never depends on draw order.  Each kind's prefix is hashed once per
 key source; a draw copies that state and feeds it the label, which gives
 the same digest, since BLAKE2b streams.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
-draw unchanged.  Such a replay re-runs only the round the pad protects:
-``Session.fork`` starts a session from the state saved just before that
-round (the register, or the wire pair split off it) with one more
-override and an empty transcript, and the replay runs the one round on
-it.  A fork draws its own pads; keys are label-addressed, so each draw
-gives the pair the run drew.
+draw unchanged.  Such a replay re-runs only the round the pad protects,
+for all the label's pairs on one fork (``Session.fork``), which starts
+from the state saved just before that round and an empty transcript.  A
+block round runs once on one stacked copy of the register per pair: the
+server's gates and the shared pads act once, the pinned pad per
+register, and ``round_trip`` records one round per register.  A round
+on the wire pair split off the register runs once per pair.  A fork
+draws its own pads; keys are label-addressed, so each draw gives the
+pair the run drew.
 
 The channel is in-process: a round trip takes the transmitted wires'
 state as the client sends them, applies the server's gates to the shared
@@ -78,6 +81,14 @@ class KeySource:
                                     digest_size=1)
         self._u = hashlib.blake2b(f"{self.seed}/u/".encode(), digest_size=8)
 
+    def pinned(self, label: str, pair) -> KeySource:
+        """This key source with ``label`` also pinned to ``pair``, sharing
+        the prefix states, which draws only copy."""
+        twin = object.__new__(KeySource)
+        twin.__dict__.update(self.__dict__)
+        twin.overrides = {**self.overrides, label: tuple(pair)}
+        return twin
+
     def pad_pair(self, label: str) -> tuple[int, int]:
         """One (x_bit, z_bit) pad draw."""
         if label in self.overrides:
@@ -125,12 +136,16 @@ class Round(NamedTuple):
 
     def wire_state(self, density: np.ndarray, wire: int) -> np.ndarray:
         """2x2 reduced state of transmitted ``wire`` in ``density``, this
-        round's ``sent`` or ``received``."""
+        round's ``sent`` or ``received``, or in each density of a stack of
+        them (the last two axes)."""
         if len(self.transmitted) == 1:
             return density
         rows, cols = _marginal_index(len(self.transmitted))
         w = sorted(self.transmitted).index(wire)
-        return density[rows[w], cols[w]].sum(axis=-1)
+        # indexing a stack need not lay the rows out in order; contiguous
+        # rows are summed as one density's are, so the bits are the same
+        return np.ascontiguousarray(
+            density[..., rows[w], cols[w]]).sum(axis=-1)
 
 
 def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
@@ -221,7 +236,11 @@ class Transcript:
 
 class Session:
     """One protocol run: register buffer, key source, growing transcript,
-    and the ``WirePair`` split off the register, if any."""
+    and the ``WirePair`` split off the register, if any.  A fork may
+    stack B registers in one buffer of B * 2^n amplitudes, which the
+    in-place kernels treat as one; ``stack_keys`` holds each one's key
+    source.  A plain session has one register and draws from ``keys``.
+    """
 
     def __init__(self, n_qubits: int, seed: int, *,
                  epsilon: float | None = None):
@@ -232,6 +251,7 @@ class Session:
         self.amps[0] = 1.0
         self.wire_pair: sv.WirePair | None = None
         self.keys = KeySource(seed)
+        self.stack_keys: tuple[KeySource, ...] = ()
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 
@@ -260,18 +280,44 @@ class Session:
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
+    def pad(self, pad_labels) -> None:
+        """Pad each (wire, label) in ``pad_labels`` under its label's pair.
+        Each stacked register draws from its own key source, so a pinned
+        label pads each register under its own pair, whichever wire draws
+        it.  A wire whose pad every register shares is padded once."""
+        wires = [wire for wire, _ in pad_labels]
+        draws = [[keys.pad_pair(label) for _, label in pad_labels]
+                 for keys in self.stack_keys or (self.keys,)]
+        shared = [len(set(pairs)) == 1 for pairs in zip(*draws)]
+        own = [not s for s in shared]
+        self.client_apply(paulis.pad_ops(itertools.compress(draws[0], shared),
+                                         itertools.compress(wires, shared)))
+        for amps, pairs in zip(self.amps.reshape(len(draws), -1), draws):
+            for op in paulis.pad_ops(itertools.compress(pairs, own),
+                                     itertools.compress(wires, own)):
+                sv._apply_op(amps, op)
+
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
-        """Send ``transmitted`` wires with ``tag``; server applies its gates."""
+        """Send ``transmitted`` wires with ``tag``; server applies its gates,
+        once for all stacked registers.  Each register's sent and received
+        densities go side by side into one (2B, d, d) stack: a round each.
+        """
         transmitted = tuple(transmitted)
         keep = tuple(sorted(transmitted))
-        sent = sv._partial_trace(self.amps, keep)
+        registers = self.amps.reshape(-1, 1 << self.n_qubits)
+        d = 1 << len(keep)
+        densities = np.empty((2 * len(registers), d, d), dtype=complex)
+        for amps, out in zip(registers, densities[::2]):
+            sv._partial_trace(amps, keep, out)
         for op in server_ops:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
+        for amps, out in zip(registers, densities[1::2]):
+            sv._partial_trace(amps, keep, out)
         self.transcript.record(
-            transmitted, ((tag, tuple(pad_labels)),),
-            np.array((sent, sv._partial_trace(self.amps, keep))))
+            transmitted, ((tag, tuple(pad_labels)),) * len(registers),
+            densities)
 
     def ladder(self, transit: int, blocks, server) -> list:
         """Run digit blocks' rounds on the split pair in one step, and
@@ -313,19 +359,22 @@ class Session:
         self.transcript.server_op_kinds += ["rz"] * len(steps)
         return steps
 
-    def fork(self, label: str, pair, state) -> Session:
-        """A session with ``label`` also pinned to ``pair`` that starts from
-        a copy of ``state``: a saved register, or the ``WirePair`` split off
-        it, the one state a digit-block round touches (a fork from a pair
-        has no register).  Its transcript starts empty."""
-        keys = self.keys
+    def fork(self, label: str, pairs, state) -> Session:
+        """A session whose register b draws ``label`` as ``pairs[b]``
+        (``stack_keys[b]``), from ``state``: a saved register, copied once
+        per pair into one stack, or the ``WirePair`` split off it.  A fork
+        from a pair has no register and holds no pair; its caller runs the
+        round once per pair, each on a fresh copy under that pair's
+        ``keys``.  Its transcript starts empty."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
         fork.n_qubits = self.n_qubits
         split = isinstance(state, sv.WirePair)
-        fork.amps = None if split else state.copy()
-        fork.wire_pair = state.copy() if split else None
-        fork.keys = KeySource(keys.seed, {**keys.overrides, label: pair})
+        fork.amps = None if split else np.tile(state, len(pairs))
+        fork.wire_pair = None
+        fork.stack_keys = tuple(self.keys.pinned(label, pair)
+                                for pair in pairs)
+        fork.keys = fork.stack_keys[0]
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
         return fork

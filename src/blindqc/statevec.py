@@ -244,8 +244,10 @@ def _measure(amps: np.ndarray, q: int, u: float) -> int:
     return outcome
 
 
-def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of the distinct ascending wires ``keep``.
+def _partial_trace(amps: np.ndarray, keep: tuple[int, ...],
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Reduced density matrix of the distinct ascending wires ``keep``,
+    written into ``out`` when given.
 
     Qubit ``keep[j]`` is bit j of the row index.  The kept amplitudes are
     gathered into rows and multiplied once by their adjoint.  Top wires
@@ -262,7 +264,7 @@ def _partial_trace(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
         other_axes = [ax for ax in range(n) if ax not in keep_axes]
         moved = np.transpose(amps.reshape([2] * n),
                              keep_axes + other_axes).reshape(1 << k, -1)
-    return moved @ moved.conj().T
+    return np.matmul(moved, moved.conj().T, out=out)
 
 
 # kind -> in-place kernel, for the six kinds the protocol applies

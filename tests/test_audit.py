@@ -205,8 +205,10 @@ class TestReplayReuse:
 
         monkeypatch.setattr(Session, "fork", counting_fork)
         report = audit_circuit(self.CIRC, EPS_M2, seed=4)
-        # the seed's own pair is the baseline: three forks per label
-        assert len(forks) == 3 * report["mixedness"]["n_checks"]
+        # the seed's own pair is the baseline: one fork per label runs the
+        # other three pairs
+        assert len(forks) == report["mixedness"]["n_checks"]
+        assert all(len(pairs) == 3 for _, pairs, _ in forks)
         assert json.dumps(report, sort_keys=True) == json.dumps(
             reference_audit(self.CIRC, EPS_M2, seed=4), sort_keys=True)
 
@@ -256,24 +258,28 @@ class TestReplayReuse:
     def test_replay_refuses_a_label_that_does_not_pad_the_message(self):
         base = CheckpointedRun(self.CIRC, EPS_M2, seed=4)
         with pytest.raises(ValueError):
-            base.replay(0, "gate3:m2:k1", (1, 1))
+            base.replay(0, "gate3:m2:k1", [(1, 1)])
         with pytest.raises(ValueError):
-            base.replay(1, "gate0:slot1", (1, 1))
+            base.replay(1, "gate0:slot1", [(1, 1)])
+        with pytest.raises(ValueError, match="at least one pair"):
+            base.replay(0, "gate0:slot1", [])
 
 
 def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
-    """Replay every pad label of the seeded run under all four pairs and
-    require the baseline's rounds before the label's, then the replayed
-    round, to equal a whole-circuit replay's, bit for bit; return the
-    number of replays."""
+    """Replay every pad label of the seeded run under all four pairs, in
+    one ``replay`` call, and require the baseline's rounds before the
+    label's, then each replayed round, to equal a whole-circuit replay's,
+    bit for bit; return the number of replayed rounds."""
     base = CheckpointedRun(circ, epsilon, seed)
     rounds = base.result.transcript.rounds
     n_replays = 0
     for i, rnd in enumerate(rounds):
         for _, label in rnd.pad_labels:
-            for pair in ALL_PAIRS:
+            replays = base.replay(i, label, ALL_PAIRS)
+            assert len(replays) == len(ALL_PAIRS)
+            for pair, replay in zip(ALL_PAIRS, replays):
                 # pinning a label changes no round before its own
-                got = rounds[:i] + [base.replay(i, label, pair)]
+                got = rounds[:i] + [replay]
                 want = run_pinned(circ, epsilon, seed,
                                   {label: pair}).transcript.rounds[:i + 1]
                 assert len(want) == i + 1
@@ -292,10 +298,10 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
 def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
     """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
 
-    The baseline runs M(M+1)/2 rounds per rz.  Each label is forked for
-    three pairs, and every fork re-runs the one round its label pads: the
-    three dummy slots of digit block 1 and all M(M+1)/2 digit rounds,
-    3 + M(M+1)/2 rounds.  The negative control runs nothing of its own: it
+    The baseline runs M(M+1)/2 rounds per rz.  Each label's one fork
+    records the one round its label pads once for each of the other three
+    pairs: the three dummy slots of digit block 1 and all M(M+1)/2 digit
+    rounds, 3 + M(M+1)/2 rounds.  The negative control runs nothing of its own: it
     reads each label's (0, 0) replay, so no second run of the circuit is
     counted.
     """
@@ -421,7 +427,8 @@ class TestNegativeControl:
         # every wire state reads I/2: the twirl passes vacuously, and only
         # the control can tell
         monkeypatch.setattr(Round, "wire_state",
-                            lambda self, density, wire: np.eye(2) / 2)
+                            lambda self, density, wire: np.broadcast_to(
+                                np.eye(2) / 2, density.shape[:-2] + (2, 2)))
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
         report = audit_circuit(circ, EPS_M2, seed=7)
         assert report["mixedness"]["pass"] is True

@@ -15,6 +15,9 @@ the package's own code stays as it is.
 Run-path mutants break the rz ladder of the run ``run_protocol`` makes
 and leave its labels distinct.  The audit certifies that same run, so
 the twirl over each label's replays must see the broken pads.
+
+The replay mutant leaves the run alone and breaks the stacked replay
+of a label's pairs: every register is padded under the first pair.
 """
 
 import re
@@ -133,6 +136,35 @@ def test_run_path_mutants_fail_the_audit(monkeypatch, name):
     report = audit_circuit(CIRCUIT, EPSILON, SEED)
     mixed = report["mixedness"]
     # no label pads twice: the twirl itself sees the broken pads
+    assert mixed["reused"] == [] and mixed["uncovered"] == []
+    assert mixed["worst_distance"] > 0.1
+    assert mixed["pass"] is False
+    assert report["pass"] is False
+
+
+def first_pair_for_every_register(monkeypatch) -> None:
+    """A fork's stacked registers all draw from the first register's key
+    source, so each is padded under the first pair."""
+    pad = Session.pad
+
+    def first_pair_pad(self, pad_labels):
+        stack = self.stack_keys
+        self.stack_keys = stack[:1]
+        try:
+            pad(self, pad_labels)
+        finally:
+            self.stack_keys = stack
+
+    monkeypatch.setattr(Session, "pad", first_pair_pad)
+
+
+def test_stacked_pads_under_one_pair_fail_the_audit(monkeypatch):
+    plain = run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest()
+    first_pair_for_every_register(monkeypatch)
+    # the run is the one ``blindqc run`` makes; only the replays break
+    assert run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest() == plain
+    report = audit_circuit(CIRCUIT, EPSILON, SEED)
+    mixed = report["mixedness"]
     assert mixed["reused"] == [] and mixed["uncovered"] == []
     assert mixed["worst_distance"] > 0.1
     assert mixed["pass"] is False

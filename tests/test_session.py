@@ -249,24 +249,58 @@ class TestSession:
         sess.keys = KeySource(0, {"q": (0, 1)})
         sess.client_apply([sv.h(0)])
         sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
-        fork = sess.fork("p", (1, 0), sess.amps)
+        pairs = ((1, 0), (0, 0), (1, 1))
+        fork = sess.fork("p", pairs, sess.amps)
         t = fork.transcript
         assert (t.rounds, t.markers, t.client_op_kinds,
                 t.server_op_kinds) == ([], [], [], [])
         # the same header and an empty running hash as a fresh session's
         assert t.digest() == Session(2, seed=0,
                                      epsilon=0.1).transcript.digest()
-        assert fork.keys.overrides == {"q": (0, 1), "p": (1, 0)}
-        assert fork.keys.pad_pair("r") == sess.keys.pad_pair("r")
-        assert fork.amps is not sess.amps
-        assert np.array_equal(fork.amps, sess.amps)
+        # register b draws the label as pairs[b], all else as the session
+        assert [keys.overrides for keys in fork.stack_keys] == [
+            {"q": (0, 1), "p": pair} for pair in pairs]
+        assert fork.keys is fork.stack_keys[0]
+        assert all(keys.pad_pair("r") == sess.keys.pad_pair("r")
+                   for keys in fork.stack_keys)
+        assert sess.keys.overrides == {"q": (0, 1)}
+        # one copy of the register per pair, in one buffer
+        assert not np.shares_memory(fork.amps, sess.amps)
+        assert np.array_equal(fork.amps.reshape(3, -1), [sess.amps] * 3)
         assert fork.wire_pair is None
-        # a fork from the split pair has no register
+        # a fork from the split pair has no register and holds no pair:
+        # its rounds run one pair at a time, each on its own copy
         sess.split_pair(0, 1)
-        fork = sess.fork("p", (1, 0), sess.wire_pair)
-        assert fork.amps is None and fork.transcript.rounds == []
-        assert fork.wire_pair is not sess.wire_pair
-        assert vars(fork.wire_pair) == vars(sess.wire_pair)
+        fork = sess.fork("p", pairs, sess.wire_pair)
+        assert fork.amps is None and fork.wire_pair is None
+        assert fork.transcript.rounds == [] and len(fork.stack_keys) == 3
+
+    def test_stacked_round_trip_records_each_register_as_its_own(self):
+        # one pad label per wire; "p" is pinned per register, and the
+        # server's gates act once on the stack
+        pad_labels = ((0, "a"), (1, "p"), (2, "b"))
+        server_ops = (sv.h(0), sv.cz(1, 2), sv.rz(0.3, 1))
+        sess = Session(3, seed=4)
+        sess.client_apply([sv.h(1), sv.cz(0, 1), sv.h(2)])
+        pairs = ((0, 1), (1, 0), (1, 1))
+        fork = sess.fork("p", pairs, sess.amps)
+        fork.pad(pad_labels)
+        fork.round_trip((0, 1, 2), "t", server_ops, pad_labels)
+        got = fork.transcript.rounds
+        assert len(got) == len(pairs)
+        for b, pair in enumerate(pairs):
+            one = Session(3, seed=4)
+            one.keys = KeySource(4, {"p": pair})
+            one.amps = sess.amps.copy()
+            one.pad(pad_labels)
+            one.round_trip((0, 1, 2), "t", server_ops, pad_labels)
+            (want,) = one.transcript.rounds
+            assert got[b].pad_labels == want.pad_labels
+            assert np.array_equal(got[b].sent, want.sent)
+            assert np.array_equal(got[b].received, want.received)
+            assert np.array_equal(fork.amps.reshape(3, -1)[b], one.amps)
+        # the shared pads and the server's gates were applied once
+        assert fork.transcript.server_op_kinds == ["h", "cz", "rz"]
 
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))

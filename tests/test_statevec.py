@@ -369,6 +369,10 @@ class TestDensity:
             rows = rows.reshape(2 ** len(keep), -1)
             assert np.array_equal(sv._partial_trace(amps, keep),
                                   rows @ rows.conj().T)
+            # written into a slot of a stack, the same bits
+            stack = np.zeros((2, len(rows), len(rows)), dtype=complex)
+            sv._partial_trace(amps, keep, out=stack[1])
+            assert np.array_equal(stack[1], rows @ rows.conj().T)
 
     def test_reduced_density_matches_an_einsum_oracle(self):
         # random states on 5-12 wires; keep-sets of 1, 2 and 4 wires,

@@ -138,11 +138,13 @@ class TestAgainstRegisterEngine:
         assert late
         # the first and last rounds of the ladder, and some in between
         for i, label in late[::max(1, len(late) // 6)] + late[-1:]:
-            for pair in ((0, 1), (1, 1)):
+            pairs = ((0, 1), (1, 1))
+            for pair, replay in zip(pairs, base.replay(i, label, pairs),
+                                    strict=True):
                 want = run_pinned(circ, epsilon, 2, {label: pair},
                                   session_type=RegisterSession)
                 # pinning a label changes no round before its own
-                assert_rounds_match(rounds[:i] + [base.replay(i, label, pair)],
+                assert_rounds_match(rounds[:i] + [replay],
                                     want.transcript.rounds[:i + 1])
 
 
@@ -190,7 +192,7 @@ class TestCheckpoints:
             # each checkpoint re-runs its own round: pinning a label to the
             # pair the seed draws replays the round bit for bit
             label = rnd.pad_labels[0][1]
-            again = run.replay(i, label, run.keys.pad_pair(label))
+            (again,) = run.replay(i, label, [run.keys.pad_pair(label)])
             assert again.pad_labels == rnd.pad_labels
             assert np.array_equal(again.sent, rnd.sent)
             assert np.array_equal(again.received, rnd.received)
@@ -218,7 +220,7 @@ class TestCheckpoints:
         # h, cz: four slot labels each; each rz opening round: three + m1:k1
         assert len(blocks) == 16
         for i, label in blocks:
-            run.replay(i, label, (1, 1))
+            run.replay(i, label, [(0, 1), (1, 1)])
         assert folds == []
 
     def test_replaying_a_label_twice_returns_identical_messages(self):
@@ -228,13 +230,50 @@ class TestCheckpoints:
         rounds = run.result.transcript.rounds
         labels = [(i, label) for i, rnd in enumerate(rounds)
                   for _, label in rnd.pad_labels]
+        pairs = ((1, 0), (0, 1), (1, 1))
         for i, label in labels:
-            first = run.replay(i, label, (1, 0))
-            second = run.replay(i, label, (1, 0))
-            assert first.pad_labels == second.pad_labels == rounds[i].pad_labels
-            assert np.array_equal(first.sent, second.sent)
-            assert np.array_equal(first.received, second.received)
+            for first, second in zip(run.replay(i, label, pairs),
+                                     run.replay(i, label, pairs),
+                                     strict=True):
+                assert (first.pad_labels == second.pad_labels
+                        == rounds[i].pad_labels)
+                assert np.array_equal(first.sent, second.sent)
+                assert np.array_equal(first.received, second.received)
         # no fork wrote to the states the checkpoints saved
+        for cp, state in zip(run._checkpoints, saved, strict=True):
+            if isinstance(state, sv.WirePair):
+                assert vars(cp.state) == vars(state)
+            else:
+                assert np.array_equal(cp.state, state)
+
+    @pytest.mark.parametrize("circ", [
+        FULL_REGISTER,
+        Circuit(2, (sv.h(0), sv.rz(1.1, 1), sv.measure(0), sv.h(0))),
+    ], ids=["full-register", "mid-measure"])
+    def test_a_label_replays_its_pairs_together_as_one_by_one(self, circ):
+        # a block round runs once on a stack of three registers, a ladder
+        # round three times on one fork: each replayed round must be the
+        # one a replay of its pair alone records
+        run = CheckpointedRun(circ, 1e-2, seed=6)
+        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
+        kinds = Counter()
+        for i, rnd in enumerate(run.result.transcript.rounds):
+            for _, label in rnd.pad_labels:
+                own = run.keys.pad_pair(label)
+                pairs = [p for p in itertools.product((0, 1), repeat=2)
+                         if p != own]
+                together = run.replay(i, label, pairs)
+                alone = [run.replay(i, label, [pair])[0] for pair in pairs]
+                for a, b in zip(together, alone, strict=True):
+                    assert (a.tag, a.transmitted, a.pad_labels) == (
+                        rnd.tag, rnd.transmitted, rnd.pad_labels)
+                    assert (b.tag, b.transmitted, b.pad_labels) == (
+                        rnd.tag, rnd.transmitted, rnd.pad_labels)
+                    assert a.sent.tobytes() == b.sent.tobytes()
+                    assert a.received.tobytes() == b.received.tobytes()
+                kinds[type(run._checkpoints[i].state)] += 1
+        assert kinds[np.ndarray] > 0 and kinds[sv.WirePair] > 0
+        # no replay wrote to the states the checkpoints saved
         for cp, state in zip(run._checkpoints, saved, strict=True):
             if isinstance(state, sv.WirePair):
                 assert vars(cp.state) == vars(state)
@@ -510,11 +549,13 @@ class TestBlockStep:
                 m, k = (int(x) for x in re.findall(r":m(\d+):k(\d+)",
                                                     label)[0])
                 seen.add((m, k))
-                for pair in ((0, 0), (1, 1)):
-                    got = rounds[:i] + [base.replay(i, label, pair)]
+                pairs = ((0, 0), (1, 1))
+                for pair, replay in zip(pairs, base.replay(i, label, pairs),
+                                        strict=True):
                     want = run_pinned(circ, epsilon, 7, {label: pair},
                                       session_type=RegisterSession)
-                    assert_rounds_match(got, want.transcript.rounds[:i + 1])
+                    assert_rounds_match(rounds[:i] + [replay],
+                                        want.transcript.rounds[:i + 1])
         assert seen == {(m, k) for m in range(1, 6) for k in range(1, m + 1)}
 
     @staticmethod
