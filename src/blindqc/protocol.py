@@ -218,19 +218,19 @@ class _Run:
 
     # -- rounds: each runs on the session it is given ----------------------
 
-    def _block_trip(self, sess: Session, pad_labels, tag: str) -> None:
+    def _block_trip(self, sess: Session, pad_labels, tag: str) -> list:
         """Pad each (wire, label) in ``pad_labels`` and send the uniform
-        block with ``tag``: the step ends at the send."""
-        sess.pad(pad_labels)
+        block with ``tag``: the step ends at the send, with the pairs."""
+        pairs = sess.pad(pad_labels)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
+        return pairs
 
-    def _unpad_block(self, pad_labels, digit: tuple[int, int] | None) -> None:
-        """Decrypt after ``_block_trip`` under the pads, drawn again:
+    def _unpad_block(self, pairs, digit: tuple[int, int] | None) -> None:
+        """Decrypt after ``_block_trip`` under the ``pairs`` it drew:
         transit when ``digit`` (nonzero, negative) rode it, then the padded
         slots through the block's key update."""
         sess = self.session
-        pairs = [sess.keys.pad_pair(label) for _, label in pad_labels]
         if digit:
             r = plan_round(1, pairs.pop(), *digit, 1)
             sess.client_apply(
@@ -285,8 +285,7 @@ class _Run:
                                  tag=tag)
         if self.checkpoints is not None:
             self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
-        step(self, sess)
-        self._unpad_block(pad_labels, digits[0] if digits else None)
+        self._unpad_block(step(self, sess), digits[0] if digits else None)
         sess.client_apply(swaps)
         if len(digits) > 1:
             # later blocks touch only q and transit
@@ -379,9 +378,10 @@ class CheckpointedRun:
         """Round ``index`` of this run with ``label``, which must pad it,
         pinned to each pair in ``pairs`` in turn: one round per pair.
 
-        All the pairs run on one fork.  A block round's step runs once, on
-        one stacked register per pair; a ladder round's step runs once
-        per pair, each on a fresh copy of the split pair.
+        All the pairs run on one fork, one at a time, block and ladder
+        rounds alike: the fork takes the key source with ``label`` pinned
+        to the pair and a fresh copy of the checkpoint's state (a register
+        copy, or the split pair), and runs the checkpoint's step.
         """
         pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
@@ -389,11 +389,12 @@ class CheckpointedRun:
         if not pairs:
             raise ValueError("a replay needs at least one pair")
         state, step = self._checkpoints[index]
-        fork = self._session.fork(label, pairs, state)
-        if isinstance(state, sv.WirePair):
-            for keys in fork.stack_keys:
-                fork.keys, fork.wire_pair = keys, state.copy()
-                step(self._run, fork)
-        else:
+        split = isinstance(state, sv.WirePair)
+        fork = self._session.fork()
+        for pair in pairs:
+            fork.keys = self.keys.pinned(label, pair)
+            copy = state.copy()
+            fork.amps, fork.wire_pair = (None, copy) if split else (copy, None)
             step(self._run, fork)
-        return fork.transcript.rounds
+        # a new list: what a caller adds to it stays off the fork's record
+        return list(fork.transcript.rounds)

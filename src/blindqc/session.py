@@ -9,27 +9,27 @@ the same digest, since BLAKE2b streams.  That is what lets the blindness
 auditor override a single pad and re-run the protocol with every other
 draw unchanged.  Such a replay re-runs only the round the pad protects,
 for all the label's pairs on one fork (``Session.fork``), which starts
-from the state saved just before that round and an empty transcript.  A
-block round runs once on one stacked copy of the register per pair: the
-server's gates and the shared pads act once, the pinned pad per
-register, and ``round_trip`` records one round per register.  A round
-on the wire pair split off the register runs once per pair.  A fork
-draws its own pads; keys are label-addressed, so each draw gives the
-pair the run drew.
+with an empty transcript, no register and no pair.  For each pair the
+replay gives the fork the key source with the label pinned to it and a
+fresh copy of the state saved just before that round (the register, or
+the wire pair split off it), and runs the round.  A fork draws its own
+pads; keys are label-addressed, so each draw gives the pair the run drew.
 
 The channel is in-process: a round trip takes the transmitted wires'
 state as the client sends them, applies the server's gates to the shared
 state, and takes their state again as the reply comes back.  Each round
 trip is one ``Round`` record holding both reduced densities, which are
 what the channel carries and all the audit reads; ``Transcript.record``
-stacks them and feeds the stack to a running hash in one update.  The
-digit blocks m >= 2 of an ``rz`` gate run as one step instead
-(``ladder``): on the ``WirePair`` split off the register, all their
-rounds fold into the pair's net op, and one ``record`` call takes them
-all from one stacked array, the same bytes as one call per round, since
-sha256 streams.  The whole register enters the hash at every gate boundary
-and at the end of the run, so the digest covers every transmitted
-density of every round and every amplitude at every gate boundary.
+stacks them and keeps the stack for the running hash.  The digit blocks
+m >= 2 of an ``rz`` gate run as one step instead (``ladder``): on the
+``WirePair`` split off the register, all their rounds fold into the
+pair's net op, and one ``record`` call takes them all from one stacked
+array.  At every gate boundary and at the end of the run the stacks
+recorded since the last boundary enter the hash, in order, and then the
+whole register: the same bytes as hashing each stack when it is
+recorded, since sha256 streams.  So the digest covers every transmitted
+density of every round and every amplitude at every gate boundary, and
+a fork, which never reaches a gate boundary, hashes nothing.
 Register copies stay flat in the number of round trips, but the
 ``Round`` list grows with it, by about 0.7 KB per round trip.
 Off-channel amplitudes between two rounds of one gate are not hashed.
@@ -186,9 +186,11 @@ class Transcript:
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
     # running hash of each round's two joint densities and of the full
-    # register at every gate boundary
+    # register at every gate boundary, which feeds it ``_unhashed`` first
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
+    _unhashed: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
 
     def record(self, transmitted, tags, densities: np.ndarray) -> None:
         """Append r >= 1 rounds on the same wires.
@@ -196,20 +198,24 @@ class Transcript:
         ``tags`` holds each round's (tag, pad_labels) and ``densities``
         stacks the transmitted wires' joint state as each round goes out
         and comes back, (2r, d, d), the lowest wire as the least
-        significant bit.  The stack is made read-only and hashed in one
-        update; each round holds views of it.
+        significant bit.  The stack is made read-only and kept for the
+        next ``hash_register``; each round holds views of it.
         """
         densities.setflags(write=False)
-        # bytes, not the array: exporting its buffer would pin numpy's
-        # buffer-info cache on every stored density
-        self._stream.update(densities.tobytes())
+        self._unhashed.append(densities)
         views = iter(densities)
         self.rounds += [Round(tag, transmitted, sent, received, pad_labels)
                         for (tag, pad_labels), sent, received
                         in zip(tags, views, views)]
 
     def hash_register(self, amps: np.ndarray) -> None:
-        """Feed the whole register into the running hash."""
+        """Feed the stacks recorded since the last call, one update each,
+        then the whole register into the running hash."""
+        for densities in self._unhashed:
+            # bytes, not the array: exporting its buffer would pin numpy's
+            # buffer-info cache on every stored density
+            self._stream.update(densities.tobytes())
+        self._unhashed.clear()
         self._stream.update(amps)
 
     def round_trips(self) -> int:
@@ -236,11 +242,8 @@ class Transcript:
 
 class Session:
     """One protocol run: register buffer, key source, growing transcript,
-    and the ``WirePair`` split off the register, if any.  A fork may
-    stack B registers in one buffer of B * 2^n amplitudes, which the
-    in-place kernels treat as one; ``stack_keys`` holds each one's key
-    source.  A plain session has one register and draws from ``keys``.
-    """
+    and the ``WirePair`` split off the register, if any.  A fork's
+    replay sets its key source and state before each round it runs."""
 
     def __init__(self, n_qubits: int, seed: int, *,
                  epsilon: float | None = None):
@@ -251,7 +254,6 @@ class Session:
         self.amps[0] = 1.0
         self.wire_pair: sv.WirePair | None = None
         self.keys = KeySource(seed)
-        self.stack_keys: tuple[KeySource, ...] = ()
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 
@@ -280,44 +282,28 @@ class Session:
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
-    def pad(self, pad_labels) -> None:
-        """Pad each (wire, label) in ``pad_labels`` under its label's pair.
-        Each stacked register draws from its own key source, so a pinned
-        label pads each register under its own pair, whichever wire draws
-        it.  A wire whose pad every register shares is padded once."""
-        wires = [wire for wire, _ in pad_labels]
-        draws = [[keys.pad_pair(label) for _, label in pad_labels]
-                 for keys in self.stack_keys or (self.keys,)]
-        shared = [len(set(pairs)) == 1 for pairs in zip(*draws)]
-        own = [not s for s in shared]
-        self.client_apply(paulis.pad_ops(itertools.compress(draws[0], shared),
-                                         itertools.compress(wires, shared)))
-        for amps, pairs in zip(self.amps.reshape(len(draws), -1), draws):
-            for op in paulis.pad_ops(itertools.compress(pairs, own),
-                                     itertools.compress(wires, own)):
-                sv._apply_op(amps, op)
+    def pad(self, pad_labels) -> list[tuple[int, int]]:
+        """Pad each (wire, label) in ``pad_labels`` under its label's pair,
+        and return the pairs, one draw per label."""
+        pairs = [self.keys.pad_pair(label) for _, label in pad_labels]
+        self.client_apply(paulis.pad_ops(pairs, [w for w, _ in pad_labels]))
+        return pairs
 
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
-        """Send ``transmitted`` wires with ``tag``; server applies its gates,
-        once for all stacked registers.  Each register's sent and received
-        densities go side by side into one (2B, d, d) stack: a round each.
-        """
+        """Send ``transmitted`` wires with ``tag``; server applies its gates.
+        The sent and received densities go into one (2, d, d) stack."""
         transmitted = tuple(transmitted)
         keep = tuple(sorted(transmitted))
-        registers = self.amps.reshape(-1, 1 << self.n_qubits)
         d = 1 << len(keep)
-        densities = np.empty((2 * len(registers), d, d), dtype=complex)
-        for amps, out in zip(registers, densities[::2]):
-            sv._partial_trace(amps, keep, out)
+        densities = np.empty((2, d, d), dtype=complex)
+        sv._partial_trace(self.amps, keep, densities[0])
         for op in server_ops:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        for amps, out in zip(registers, densities[1::2]):
-            sv._partial_trace(amps, keep, out)
-        self.transcript.record(
-            transmitted, ((tag, tuple(pad_labels)),) * len(registers),
-            densities)
+        sv._partial_trace(self.amps, keep, densities[1])
+        self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
+                               densities)
 
     def ladder(self, transit: int, blocks, server) -> list:
         """Run digit blocks' rounds on the split pair in one step, and
@@ -359,22 +345,14 @@ class Session:
         self.transcript.server_op_kinds += ["rz"] * len(steps)
         return steps
 
-    def fork(self, label: str, pairs, state) -> Session:
-        """A session whose register b draws ``label`` as ``pairs[b]``
-        (``stack_keys[b]``), from ``state``: a saved register, copied once
-        per pair into one stack, or the ``WirePair`` split off it.  A fork
-        from a pair has no register and holds no pair; its caller runs the
-        round once per pair, each on a fresh copy under that pair's
-        ``keys``.  Its transcript starts empty."""
+    def fork(self) -> Session:
+        """A session with this one's key source, an empty transcript, no
+        register and no pair: ``CheckpointedRun.replay`` runs rounds on it."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
         fork.n_qubits = self.n_qubits
-        split = isinstance(state, sv.WirePair)
-        fork.amps = None if split else np.tile(state, len(pairs))
-        fork.wire_pair = None
-        fork.stack_keys = tuple(self.keys.pinned(label, pair)
-                                for pair in pairs)
-        fork.keys = fork.stack_keys[0]
+        fork.amps = fork.wire_pair = None
+        fork.keys = self.keys
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
         return fork

@@ -199,16 +199,16 @@ class TestReplayReuse:
         forks = []
         fork = Session.fork
 
-        def counting_fork(self, *args, **kwargs):
-            forks.append(args)
-            return fork(self, *args, **kwargs)
+        def counting_fork(self):
+            forks.append(fork(self))
+            return forks[-1]
 
         monkeypatch.setattr(Session, "fork", counting_fork)
         report = audit_circuit(self.CIRC, EPS_M2, seed=4)
-        # the seed's own pair is the baseline: one fork per label runs the
-        # other three pairs
+        # the seed's own pair is the baseline: one fork per label records
+        # the round under each of the other three pairs
         assert len(forks) == report["mixedness"]["n_checks"]
-        assert all(len(pairs) == 3 for _, pairs, _ in forks)
+        assert all(len(f.transcript.rounds) == 3 for f in forks)
         assert json.dumps(report, sort_keys=True) == json.dumps(
             reference_audit(self.CIRC, EPS_M2, seed=4), sort_keys=True)
 

@@ -12,24 +12,34 @@ Such a mutant is an idempotent label map ``f``.  It is patched into both
 label, so the protocol and its transcript agree on the broken keys and
 the package's own code stays as it is.
 
-Run-path mutants break the rz ladder of the run ``run_protocol`` makes
-and leave its labels distinct.  The audit certifies that same run, so
-the twirl over each label's replays must see the broken pads.
+Run-path mutants break the pads of the run ``run_protocol`` makes (a
+slot or the rz ladder) and leave its labels distinct.  The audit
+certifies that same run, so the twirl over each label's replays must
+see the broken pads.
 
-The replay mutant leaves the run alone and breaks the stacked replay
-of a label's pairs: every register is padded under the first pair.
+The replay mutant leaves the run alone and breaks the replay of a
+label's pairs: every pair is replayed under the first one.
+
+Two mutants leave every wire padded, so the twirl passes them.  A
+ladder that skips its zero-digit blocks leaves the working state as it
+is; only view invariance catches it, since the number of rounds now
+depends on the angle.  A run that skips the parity Z turns the state by
+a half turn; the audit certifies blindness, not the result, so it
+passes, and only a comparison with a reference simulation sees it.
 """
 
+import dataclasses
 import re
 
 import pytest
 
 from blindqc import protocol
 from blindqc import statevec as sv
-from blindqc.audit import audit_circuit
+from blindqc.audit import ViewMismatch, audit_circuit, view_invariance
 from blindqc.circuits import Circuit
-from blindqc.protocol import run_protocol
+from blindqc.protocol import CheckpointedRun, run_protocol
 from blindqc.session import KeySource, Session, Transcript
+import oracles
 
 CIRCUIT = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
 EPSILON = 1e-2  # nine digit blocks
@@ -123,8 +133,24 @@ def first_pad_per_block(monkeypatch) -> None:
     monkeypatch.setattr(Session, "ladder", reusing_ladder)
 
 
+def unpadded_slot(monkeypatch) -> None:
+    """``Session.pad`` skips every ``gate{j}:slot2`` label, which the round
+    still records: slot 2 goes out in the clear.  The run decrypts it
+    under (0, 0), so its result stays right."""
+    pad = Session.pad
+
+    def skipping_pad(self, pad_labels):
+        skip = [label.endswith(":slot2") for _, label in pad_labels]
+        pairs = iter(pad(self, [wl for wl, s in zip(pad_labels, skip)
+                                if not s]))
+        return [(0, 0) if s else next(pairs) for s in skip]
+
+    monkeypatch.setattr(Session, "pad", skipping_pad)
+
+
 RUN_PATH_MUTANTS = {"unpadded-ladder": unpadded_ladder,
-                    "first-pad-per-block": first_pad_per_block}
+                    "first-pad-per-block": first_pad_per_block,
+                    "unpadded-slot": unpadded_slot}
 
 
 @pytest.mark.parametrize("name", sorted(RUN_PATH_MUTANTS))
@@ -142,30 +168,65 @@ def test_run_path_mutants_fail_the_audit(monkeypatch, name):
     assert report["pass"] is False
 
 
-def first_pair_for_every_register(monkeypatch) -> None:
-    """A fork's stacked registers all draw from the first register's key
-    source, so each is padded under the first pair."""
-    pad = Session.pad
-
-    def first_pair_pad(self, pad_labels):
-        stack = self.stack_keys
-        self.stack_keys = stack[:1]
-        try:
-            pad(self, pad_labels)
-        finally:
-            self.stack_keys = stack
-
-    monkeypatch.setattr(Session, "pad", first_pair_pad)
+def first_pair_for_every_pair(monkeypatch) -> None:
+    """A replay runs every pair of a label under the first one."""
+    replay = CheckpointedRun.replay
+    monkeypatch.setattr(
+        CheckpointedRun, "replay", lambda self, index, label, pairs: replay(
+            self, index, label, pairs[:1] * len(pairs)))
 
 
 def test_stacked_pads_under_one_pair_fail_the_audit(monkeypatch):
     plain = run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest()
-    first_pair_for_every_register(monkeypatch)
+    first_pair_for_every_pair(monkeypatch)
     # the run is the one ``blindqc run`` makes; only the replays break
     assert run_protocol(CIRCUIT, EPSILON, SEED).transcript.digest() == plain
     report = audit_circuit(CIRCUIT, EPSILON, SEED)
     mixed = report["mixedness"]
     assert mixed["reused"] == [] and mixed["uncovered"] == []
-    assert mixed["worst_distance"] > 0.1
+    assert mixed["worst_distance"] == pytest.approx(0.5)
     assert mixed["pass"] is False
     assert report["pass"] is False
+
+
+def skipped_zero_digit_blocks(monkeypatch) -> None:
+    """The ladder leaves out every digit block m >= 2 whose digit is 0."""
+    ladder = Session.ladder
+    monkeypatch.setattr(
+        Session, "ladder", lambda self, transit, blocks, server: ladder(
+            self, transit, [b for b in blocks if b[0].nonzero], server))
+
+
+def test_skipped_zero_digit_blocks_fail_view_invariance(monkeypatch):
+    plain = run_protocol(CIRCUIT, EPSILON, SEED)
+    skipped_zero_digit_blocks(monkeypatch)
+    # through ``run_protocol`` only: a checkpointed run walks every block
+    mutant = run_protocol(CIRCUIT, EPSILON, SEED)
+    # a zero digit turns nothing, so the working state is the same ...
+    assert oracles.fidelity(mutant.working_state,
+                            plain.working_state) == pytest.approx(1.0)
+    assert (mutant.transcript.round_trips(),
+            plain.transcript.round_trips()) == (24, 48)
+    # ... and only the view shows which digits were zero
+    other = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.9, 1), sv.h(1)))
+    with pytest.raises(ViewMismatch, match="round 3:"):
+        view_invariance(CIRCUIT, other, EPSILON, SEED)
+
+
+def test_skipped_parity_z_passes_the_audit(monkeypatch):
+    # the audit certifies blindness, not the result: a run that skips
+    # the parity Z still passes it, and only a reference simulation
+    # sees the half turn
+    circ = Circuit(1, (sv.h(0), sv.rz(-0.9, 0), sv.h(0)))
+    digitize = protocol.digitize
+
+    def even_half_turns(*args):
+        d = digitize(*args)
+        return dataclasses.replace(d, half_turns=d.half_turns & ~1)
+
+    monkeypatch.setattr(protocol, "digitize", even_half_turns)
+    assert digitize(-0.9, 1).parity == 1
+    assert audit_circuit(circ, EPSILON, SEED)["pass"] is True
+    want = oracles.apply(oracles.new_state(1), *circ.ops)
+    got = run_protocol(circ, EPSILON, SEED).working_state
+    assert 1 - oracles.fidelity(got, want) == pytest.approx(1.0, abs=1e-5)

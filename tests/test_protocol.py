@@ -137,6 +137,23 @@ class TestHygiene:
         assert oracles.phase_aligned_distance(
             padded.working_state, bare.working_state) < 1e-10
 
+    def test_a_run_draws_each_pad_label_once(self, monkeypatch):
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
+        draws = []
+        pad_pair = KeySource.pad_pair
+
+        def counted_pad_pair(self, label):
+            draws.append(label)
+            return pad_pair(self, label)
+
+        monkeypatch.setattr(KeySource, "pad_pair", counted_pad_pair)
+        rounds = run_protocol(circ, 1e-2, seed=0).transcript.rounds
+        labels = [label for rnd in rounds for _, label in rnd.pad_labels]
+        # h and cz four slots each, rz three slots and 45 digit rounds
+        assert len(labels) == len(set(labels)) == 4 + 4 + 3 + 45 + 4
+        # a block's pads are drawn to pad and reused to decrypt
+        assert sorted(draws) == sorted(labels)
+
     def test_same_seed_same_digest(self):
         circ = Circuit(2, (sv.h(0), sv.rz(0.4, 1), sv.measure(0)))
         a = run_protocol(circ, 1e-2, seed=8).transcript.digest()

@@ -1,5 +1,6 @@
 """Key sourcing, transcripts, and channel bookkeeping."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -244,63 +245,52 @@ class TestSession:
                 assert np.array_equal(a.sent, b.sent)
                 assert np.array_equal(a.received, b.received)
 
-    def test_fork_starts_empty_with_only_its_label_pinned(self):
+    def test_fork_starts_empty_with_only_its_label_pinned(self, monkeypatch):
         sess = Session(2, seed=0, epsilon=0.1)
         sess.keys = KeySource(0, {"q": (0, 1)})
         sess.client_apply([sv.h(0)])
         sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
-        pairs = ((1, 0), (0, 0), (1, 1))
-        fork = sess.fork("p", pairs, sess.amps)
+        fork = sess.fork()
         t = fork.transcript
         assert (t.rounds, t.markers, t.client_op_kinds,
                 t.server_op_kinds) == ([], [], [], [])
         # the same header and an empty running hash as a fresh session's
         assert t.digest() == Session(2, seed=0,
                                      epsilon=0.1).transcript.digest()
-        # register b draws the label as pairs[b], all else as the session
-        assert [keys.overrides for keys in fork.stack_keys] == [
-            {"q": (0, 1), "p": pair} for pair in pairs]
-        assert fork.keys is fork.stack_keys[0]
-        assert all(keys.pad_pair("r") == sess.keys.pad_pair("r")
-                   for keys in fork.stack_keys)
-        assert sess.keys.overrides == {"q": (0, 1)}
-        # one copy of the register per pair, in one buffer
-        assert not np.shares_memory(fork.amps, sess.amps)
-        assert np.array_equal(fork.amps.reshape(3, -1), [sess.amps] * 3)
-        assert fork.wire_pair is None
-        # a fork from the split pair has no register and holds no pair:
-        # its rounds run one pair at a time, each on its own copy
-        sess.split_pair(0, 1)
-        fork = sess.fork("p", pairs, sess.wire_pair)
         assert fork.amps is None and fork.wire_pair is None
-        assert fork.transcript.rounds == [] and len(fork.stack_keys) == 3
+        assert sess.keys.overrides == {"q": (0, 1)}
+        # each replayed pair draws the label as pinned, all else as the run
+        run = CheckpointedRun(Circuit(2, (sv.h(0), sv.rz(1.1, 1))), 0.1,
+                              seed=3)
+        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
+        draws = []
+        pad_pair = KeySource.pad_pair
 
-    def test_stacked_round_trip_records_each_register_as_its_own(self):
-        # one pad label per wire; "p" is pinned per register, and the
-        # server's gates act once on the stack
-        pad_labels = ((0, "a"), (1, "p"), (2, "b"))
-        server_ops = (sv.h(0), sv.cz(1, 2), sv.rz(0.3, 1))
-        sess = Session(3, seed=4)
-        sess.client_apply([sv.h(1), sv.cz(0, 1), sv.h(2)])
-        pairs = ((0, 1), (1, 0), (1, 1))
-        fork = sess.fork("p", pairs, sess.amps)
-        fork.pad(pad_labels)
-        fork.round_trip((0, 1, 2), "t", server_ops, pad_labels)
-        got = fork.transcript.rounds
-        assert len(got) == len(pairs)
-        for b, pair in enumerate(pairs):
-            one = Session(3, seed=4)
-            one.keys = KeySource(4, {"p": pair})
-            one.amps = sess.amps.copy()
-            one.pad(pad_labels)
-            one.round_trip((0, 1, 2), "t", server_ops, pad_labels)
-            (want,) = one.transcript.rounds
-            assert got[b].pad_labels == want.pad_labels
-            assert np.array_equal(got[b].sent, want.sent)
-            assert np.array_equal(got[b].received, want.received)
-            assert np.array_equal(fork.amps.reshape(3, -1)[b], one.amps)
-        # the shared pads and the server's gates were applied once
-        assert fork.transcript.server_op_kinds == ["h", "cz", "rz"]
+        def logged_pad_pair(self, label):
+            draws.append((self, label, pad_pair(self, label)))
+            return draws[-1][2]
+
+        monkeypatch.setattr(KeySource, "pad_pair", logged_pad_pair)
+        pairs = ((1, 0), (0, 0), (1, 1))
+        for i, rnd in enumerate(run.result.transcript.rounds):
+            for _, label in rnd.pad_labels:
+                draws.clear()
+                run.replay(i, label, pairs)
+                sources = list(dict.fromkeys(keys for keys, _, _ in draws))
+                assert len(sources) == len(pairs)
+                for keys, pair in zip(sources, pairs):
+                    assert keys.overrides == {label: pair}
+                    assert (label, pair) in [(lbl, got) for k, lbl, got
+                                             in draws if k is keys]
+                for _, lbl, got in draws:
+                    if lbl != label:
+                        assert got == pad_pair(run.keys, lbl)
+        # no replay wrote to the states the checkpoints saved
+        for cp, state in zip(run._checkpoints, saved, strict=True):
+            if isinstance(state, sv.WirePair):
+                assert vars(cp.state) == vars(state)
+            else:
+                assert np.array_equal(cp.state, state)
 
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))

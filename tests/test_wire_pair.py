@@ -23,6 +23,7 @@ import pytest
 from blindqc import paulis, protocol
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
+from blindqc.audit import ALL_PAIRS
 from blindqc.circuits import Circuit
 from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
                               run_protocol)
@@ -279,6 +280,31 @@ class TestCheckpoints:
                 assert vars(cp.state) == vars(state)
             else:
                 assert np.array_equal(cp.state, state)
+
+    def test_replays_feed_no_running_hash(self, monkeypatch):
+        # a fork never reaches a gate boundary, so its stream takes nothing
+        run = CheckpointedRun(self.CIRC, 1e-2, seed=5)
+        forks, updates = [], []
+        fork = Session.fork
+
+        class WatchedStream:
+            def update(self, data):
+                updates.append(len(data))
+
+        def watched_fork(self, *args):
+            forks.append(fork(self, *args))
+            forks[-1].transcript._stream = WatchedStream()
+            return forks[-1]
+
+        monkeypatch.setattr(Session, "fork", watched_fork)
+        kinds = Counter()
+        for i, rnd in enumerate(run.result.transcript.rounds):
+            for _, label in rnd.pad_labels:
+                assert len(run.replay(i, label, ALL_PAIRS)) == 4
+                kinds[type(run._checkpoints[i].state)] += 1
+        assert kinds[np.ndarray] > 0 and kinds[sv.WirePair] > 0
+        assert len(forks) == sum(kinds.values())
+        assert updates == []
 
     def test_a_run_and_its_checkpoints_form_no_cycle(self):
         # a step bound to the run would tie the run to its own checkpoint
