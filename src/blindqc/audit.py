@@ -12,7 +12,9 @@ checks both halves:
   crosses the channel.  The audit averages the protocol run under all
   four values of each pad label, so the twirl is exact (tolerance 1e-10)
   and its cost is linear in round trips.  A pad hides only if used
-  once, so each label must pad exactly one wire of one round.
+  once, so each label must pad exactly one wire of one round, and the
+  audit checks each key the run drew against its label's derivation
+  from the seed, so two labels cannot share a key.
 
 A negative control reads each wire under its label pinned to (0, 0),
 that is unpadded, and requires some wire far from maximally mixed, so
@@ -122,9 +124,12 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
     gives the baseline's own round, and one ``replay`` re-runs only the
     round the label pads for the other three pairs, from the state the
     baseline saved just before it, so audit cost is linear in round
-    trips.  The wire's states are read off the four rounds' stacked
-    densities at once, and all the averages go through one stacked
-    eigen-solve.  The check passes when the worst outbound distance is
+    trips.  The baseline's round goes into the twirl under the pair the
+    key spec (``KeySource``) derives for the label, from the audit's own
+    BLAKE2b of ``"{seed}/pad/{label}"``, not the run's draw: a run whose
+    keys stray from the spec lands a pair twice and fails the twirl.  The
+    wire's states are read off the four rounds' stacked densities at
+    once, and all the averages go through one stacked eigen-solve.  The check passes when the worst outbound distance is
     within ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad
     label and no label pads more than once.
     """
@@ -137,7 +142,9 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
         uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
                       if wire not in padded_wires]
         for wire, label in rnd.pad_labels:
-            own = ALL_PAIRS.index(baseline.keys.pad_pair(label))
+            b = hashlib.blake2b(f"{baseline.keys.seed}/pad/{label}".encode(),
+                                digest_size=1).digest()[0]
+            own = ALL_PAIRS.index((b & 1, (b >> 1) & 1))
             # round i under each pair of the label, in ALL_PAIRS order
             twirl = baseline.replay(i, label, ALL_PAIRS[:own]
                                     + ALL_PAIRS[own + 1:])

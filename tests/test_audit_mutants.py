@@ -17,6 +17,13 @@ slot or the rz ladder) and leave its labels distinct.  The audit
 certifies that same run, so the twirl over each label's replays must
 see the broken pads.
 
+Key-derivation mutants keep every label distinct but draw one key for
+several of them: a label's pad is the key the seed derives for another
+label.  Pinning a label by override bypasses the derivation, so every
+replay looks right; only checking the run's own draw against the key
+spec (the baseline round sits in the twirl under the pair the spec
+gives) sees that a pair counts twice.
+
 The replay mutant leaves the run alone and breaks the replay of a
 label's pairs: every pair is replayed under the first one.
 
@@ -162,6 +169,50 @@ def test_run_path_mutants_fail_the_audit(monkeypatch, name):
     report = audit_circuit(CIRCUIT, EPSILON, SEED)
     mixed = report["mixedness"]
     # no label pads twice: the twirl itself sees the broken pads
+    assert mixed["reused"] == [] and mixed["uncovered"] == []
+    assert mixed["worst_distance"] > 0.1
+    assert mixed["pass"] is False
+    assert report["pass"] is False
+
+
+def slot_one_key(label: str) -> str:
+    """Every ``gate{j}:slot{i}`` draws the key of ``gate{j}:slot1``."""
+    return re.sub(r":slot\d+$", ":slot1", label)
+
+
+def first_round_key(label: str) -> str:
+    """Every round ``gate{j}:m{m}:k{k}`` draws the key of its block's
+    ``k1``."""
+    return re.sub(r":k\d+$", ":k1", label)
+
+
+KEY_MUTANTS = {"slots-share-key": slot_one_key,
+               "block-shares-key": first_round_key}
+
+
+def patch_key_derivation(monkeypatch, f) -> None:
+    """Draw each label's pad as the seed's key of ``f(label)``; a pinned
+    label keeps its pin, and nothing else is pinned along with it."""
+    pad_pair = KeySource.pad_pair
+
+    def shared_pad_pair(self, label):
+        if label in self.overrides:
+            return self.overrides[label]
+        return pad_pair(KeySource(self.seed), f(label))
+
+    monkeypatch.setattr(KeySource, "pad_pair", shared_pad_pair)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(KEY_MUTANTS))
+def test_shared_keys_fail_the_audit(monkeypatch, name, seed):
+    plain = run_protocol(CIRCUIT, EPSILON, seed).transcript.digest()
+    patch_key_derivation(monkeypatch, KEY_MUTANTS[name])
+    assert run_protocol(CIRCUIT, EPSILON, seed).transcript.digest() != plain
+    report = audit_circuit(CIRCUIT, EPSILON, seed)
+    mixed = report["mixedness"]
+    # labels stay distinct and every replay is right: only the run's own
+    # draws stray from the key spec
     assert mixed["reused"] == [] and mixed["uncovered"] == []
     assert mixed["worst_distance"] > 0.1
     assert mixed["pass"] is False
