@@ -12,9 +12,8 @@ checks both halves:
   crosses the channel.  The audit averages the protocol run under all
   four values of each pad label, so the twirl is exact (tolerance 1e-10)
   and its cost is linear in round trips.  A pad hides only if used
-  once, so each label must pad exactly one wire of one round, and the
-  audit checks each key the run drew against its label's derivation
-  from the seed, so two labels cannot share a key.
+  once, so each label must pad one wire of one round with the key its
+  derivation from the seed gives, which no other label shares.
 
 A negative control reads each wire under its label pinned to (0, 0),
 that is unpadded, and requires some wire far from maximally mixed, so
@@ -35,7 +34,7 @@ from .protocol import CheckpointedRun, run_protocol
 from .session import Transcript
 from .statevec import Gate
 
-AUDIT_VERSION = 4
+AUDIT_VERSION = 5
 NEGATIVE_CONTROL_THRESHOLD = 0.4
 EXHAUSTIVE_TOLERANCE = 1e-10
 
@@ -124,14 +123,13 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
     gives the baseline's own round, and one ``replay`` re-runs only the
     round the label pads for the other three pairs, from the state the
     baseline saved just before it, so audit cost is linear in round
-    trips.  The baseline's round goes into the twirl under the pair the
-    key spec (``KeySource``) derives for the label, from the audit's own
-    BLAKE2b of ``"{seed}/pad/{label}"``, not the run's draw: a run whose
-    keys stray from the spec lands a pair twice and fails the twirl.  The
-    wire's states are read off the four rounds' stacked densities at
-    once, and all the averages go through one stacked eigen-solve.  The check passes when the worst outbound distance is
-    within ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad
-    label and no label pads more than once.
+    trips.  The baseline's round counts under the pair the key spec
+    (``KeySource``) gives, from the audit's own BLAKE2b: a run whose keys
+    stray from it counts a pair twice.  The wire's states are read off the
+    four rounds' stacked densities at once, and all the averages go
+    through one stacked eigen-solve.  The check passes when the worst
+    outbound distance is within ``EXHAUSTIVE_TOLERANCE``, every
+    transmitted wire carries a pad label and no label pads more than once.
     """
     base_rounds = baseline.result.transcript.rounds
 
@@ -216,8 +214,9 @@ def capability_confinement(transcript: Transcript) -> dict:
 
 
 def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
-                  mode: str = "exhaustive") -> dict:
-    """Full audit report as a JSON-ready dict; deterministic per seed.
+                  mode: str = "exhaustive", extractor: str = "floor") -> dict:
+    """Full audit report, as a JSON-ready dict, of the run ``blindqc run``
+    makes with the digit ``extractor``; deterministic per seed.
 
     ``mode`` selects nothing: ``"exhaustive"`` is the only mixedness
     check.  The keyword stays only because the benchmark's audit workload
@@ -229,7 +228,7 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
         raise ValueError(f"unknown mixedness mode {mode!r}")
     if not circuit_skeleton(circuit):
         raise ValueError("circuit delegates no gates to audit")
-    baseline = CheckpointedRun(circuit, epsilon, seed)
+    baseline = CheckpointedRun(circuit, epsilon, seed, extractor)
     result = baseline.result
     view = classical_view(result.transcript)
     mixed, bare = payload_mixedness(baseline)
@@ -241,6 +240,7 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
         "epsilon": epsilon,
         "seed": seed,
         "precision_bits": precision_bits(epsilon),
+        "extractor": extractor,
         "n_gates": len(circuit.ops),
         "round_trips": result.transcript.round_trips(),
         "rounds_per_gate": count_rounds(result.transcript),

@@ -47,7 +47,9 @@ EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED_GATE = 3
 EXIT_REGISTER_CAP = 4
 
-RUN_REPORT_VERSION = 5
+EXTRACTORS = ("floor", "balanced")
+
+RUN_REPORT_VERSION = 6
 COST_REPORT_VERSION = 1
 
 
@@ -110,7 +112,8 @@ def cmd_run(args) -> int:
 def cmd_audit(args) -> int:
     circuit = _read_circuit(args.circuit)
     lowered = _prepare(circuit, args.strict)
-    report = audit_circuit(lowered, args.epsilon, args.seed)
+    report = audit_circuit(lowered, args.epsilon, args.seed,
+                           extractor=args.extractor)
     _emit(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report["pass"] else EXIT_AUDIT_FAILED
 
@@ -164,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("circuit")
     p_run.add_argument("--epsilon", type=float, default=1e-2)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--extractor", choices=("floor", "balanced"),
-                       default="floor")
+    p_run.add_argument("--extractor", choices=EXTRACTORS, default="floor")
     p_run.add_argument("--strict", action="store_true",
                        help="reject circuits outside {h, cz, rz, measure}")
     p_run.add_argument("--out")
@@ -175,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("circuit")
     p_audit.add_argument("--epsilon", type=float, default=1e-2)
     p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--extractor", choices=EXTRACTORS, default="floor")
     p_audit.add_argument("--strict", action="store_true")
     p_audit.add_argument("--out")
     p_audit.set_defaults(func=cmd_audit)

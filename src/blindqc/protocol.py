@@ -1,9 +1,9 @@
 """End-to-end delegated execution of lowered circuits.
 
-The register holds the n working wires plus four block slots.  Every
-delegated gate opens with the same server action, one uniform block
-J = H(slot 1) . CZ(slot 2, slot 3) . Rz(slot 4), applied to freshly
-padded slot qubits:
+The register holds the n working wires; the channel names four block
+slots n..n+3 above them.  Every delegated gate opens with the same
+server action, one uniform block J = H(slot 1) . CZ(slot 2, slot 3) .
+Rz(slot 4), applied to freshly padded slots:
 
 * h gate: the working qubit rides slot 1; slots 2-4 are dummies.
 * cz gate: the working pair rides slots 2 and 3 (first operand in
@@ -11,6 +11,9 @@ padded slot qubits:
 * rz gate: slots 1-3 are dummies and slot 4 becomes the transit wire
   for the digit blocks; the first round (m=1, k=1) rides the block
   round and the remaining rounds send the transit wire alone.
+
+A slot a working qubit rides is that register wire under the slot's
+name; a dummy is a product state of two amplitudes (``Session``).
 
 Slot pads are one-time keys drawn per (gate, slot) or (gate, round)
 label, so the quantum payload of every round's outbound half is exactly
@@ -33,11 +36,12 @@ executed, i.e. i > k, and the final round's unpad needs an extra Z when
 the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
 
 Blocks m >= 2 touch only the working wire and transit, so the engine
-splits that pair off the register at block 2, runs the ladder on its 4x4
-reduced density (``statevec.WirePair``) and applies the ladder's net op
-to the register once, after block M.  That is exact, product state or
-not: unitaries on two wires act on their reduced density by conjugation,
-and the other wires see no gate until the pair is joined back.  The
+splits that pair off at block 2, runs the ladder on its 4x4 density,
+rho_q (x) |0><0| (``statevec.WirePair``), and applies the ladder's net
+op to the working wire once, after block M, which leaves transit in |0>.
+That is exact, product state or not: unitaries on two wires act on their
+reduced density by conjugation, and the other wires see no gate until
+the pair is joined back.  The
 client draws the pads of blocks 2..M and plans them up front, so the
 whole ladder goes to the session as one step (``Session.ladder``), which
 takes each tag's rotation from ``BlindServer.ops_for`` once and records
@@ -162,7 +166,6 @@ class BlindServer:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    state: sv.Statevector
     working_state: sv.Statevector
     transcript: Transcript
     digits: dict[int, AngleDigits] = field(default_factory=dict)
@@ -188,7 +191,7 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int) -> Session:
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
-    return Session(n + N_SLOTS, seed, epsilon=epsilon)
+    return Session(n, seed, epsilon=epsilon, n_slots=N_SLOTS)
 
 
 class _Run:
@@ -218,9 +221,10 @@ class _Run:
 
     # -- rounds: each runs on the session it is given ----------------------
 
-    def _block_trip(self, sess: Session, pad_labels, tag: str) -> list:
-        """Pad each (wire, label) in ``pad_labels`` and send the uniform
-        block with ``tag``: the step ends at the send, with the pairs."""
+    def _block_trip(self, sess: Session, swaps, pad_labels, tag: str) -> list:
+        """Swap wires into slots, pad each (wire, label) in ``pad_labels``
+        and send the uniform block with ``tag``: it ends at the send."""
+        sess.client_apply(swaps)
         pairs = sess.pad(pad_labels)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
                         pad_labels=pad_labels)
@@ -276,13 +280,12 @@ class _Run:
             slots = self.slots[:1] if op.kind is Gate.H else self.slots[1:3]
             swaps = [sv.swap(q, slot) for q, slot in zip(op.qubits, slots)]
             padded, tag = self.slots, BLOCK_TAG
-        sess.client_apply(swaps)
         pad_labels = tuple((slot, f"gate{gate_index}:slot{i}")
                            for i, slot in enumerate(padded, start=1))
         if digits:
             pad_labels += ((transit, f"gate{gate_index}:m1:k1"),)
-        step = functools.partial(_Run._block_trip, pad_labels=pad_labels,
-                                 tag=tag)
+        step = functools.partial(_Run._block_trip, swaps=swaps,
+                                 pad_labels=pad_labels, tag=tag)
         if self.checkpoints is not None:
             self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
         self._unpad_block(step(self, sess), digits[0] if digits else None)
@@ -324,12 +327,9 @@ class _Run:
             else:
                 self._delegate(j, op)
             self.session.mark_gate(j, op.kind.value, start)
-        state = self.session.state()
-        working = state
-        for slot in reversed(self.slots):
-            working = sv.drop_qubit(working, slot, 0)
-        return ProtocolResult(state, working, self.session.finish(),
-                              self.digits, self.outcomes)
+        working = sv.Statevector(self.n, self.session.amps.copy())
+        return ProtocolResult(working, self.session.finish(), self.digits,
+                              self.outcomes)
 
 
 def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
@@ -348,17 +348,18 @@ class CheckpointedRun:
     label can be replayed by re-running the one round it pads.
 
     The run is the one ``run_protocol`` makes.  A checkpoint holds the
-    state just before its round draws its pads and the round itself as a
-    step: the block round of an h or cz gate (after the slot swaps), the
-    opening round of an rz gate (digit block 1, after the parity Z and the
-    plan's first swap), or one round of a later digit block.  A block
-    round keeps a register copy; its step ends at its round trip, and the
-    run decrypts the slots after it returns.  A ladder stays one
-    ``Session.ladder`` step; the run walks the folds it returns, one
-    ``run_block`` call each (the same bytes), on a copy of the split pair,
-    the one state a ladder round touches, and saves the copy before each
-    round.  A ladder round's step holds the baseline's plans, so a replay
-    re-plans only its round, with the baseline's carry.  A label's pair
+    state just before its round and the round itself as a step: the block
+    round of an h or cz gate, the opening round of an rz gate (digit block
+    1, after the parity Z), or one round of a later digit block.  Every
+    block round starts with the four slots in |0>, so it keeps a copy of
+    the working register alone; its step swaps the riding wires into
+    their slots and ends at its round trip, and the run decrypts the slots
+    after it returns.  A ladder stays one ``Session.ladder`` step; the run
+    walks the folds it returns, one ``run_block`` call each (the same
+    bytes), on a copy of the split pair, the one state a ladder round
+    touches, and saves the copy before each round.  A ladder round's step
+    holds the baseline's plans, so a replay re-plans only its round, with
+    the baseline's carry.  A label's pair
     changes nothing before its own round, and the carry is a product over
     the block's earlier rounds' pads, so a replay records the round a
     whole-circuit replay with the label pinned records, bit for bit.  All
@@ -366,12 +367,13 @@ class CheckpointedRun:
     own pads, the same pairs the baseline drew.
     """
 
-    def __init__(self, circuit: Circuit, epsilon: float, seed: int):
+    def __init__(self, circuit: Circuit, epsilon: float, seed: int,
+                 extractor: str = "floor"):
         self._session = _open_session(circuit, epsilon, seed)
         self.keys = self._session.keys
         self._checkpoints: list[_Checkpoint] = []
-        self._run = _Run(circuit, epsilon, self._session,
-                         checkpoints=self._checkpoints)
+        self._run = _Run(circuit, epsilon, self._session, extractor,
+                         self._checkpoints)
         self.result = self._run.run()
 
     def replay(self, index: int, label: str, pairs) -> list[Round]:
@@ -380,8 +382,8 @@ class CheckpointedRun:
 
         All the pairs run on one fork, one at a time, block and ladder
         rounds alike: the fork takes the key source with ``label`` pinned
-        to the pair and a fresh copy of the checkpoint's state (a register
-        copy, or the split pair), and runs the checkpoint's step.
+        to the pair, a fresh copy of the checkpoint's state (a register
+        copy, or the split pair) and fresh slots, and runs the step.
         """
         pads = self.result.transcript.rounds[index].pad_labels
         if label not in [lbl for _, lbl in pads]:
@@ -395,6 +397,7 @@ class CheckpointedRun:
             fork.keys = self.keys.pinned(label, pair)
             copy = state.copy()
             fork.amps, fork.wire_pair = (None, copy) if split else (copy, None)
+            fork.slots.clear()
             step(self._run, fork)
         # a new list: what a caller adds to it stays off the fork's record
         return list(fork.transcript.rounds)

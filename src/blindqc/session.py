@@ -15,9 +15,11 @@ fresh copy of the state saved just before that round (the register, or
 the wire pair split off it), and runs the round.  A fork draws its own
 pads; keys are label-addressed, so each draw gives the pair the run drew.
 
-The channel is in-process: a round trip takes the transmitted wires'
-state as the client sends them, applies the server's gates to the shared
-state, and takes their state again as the reply comes back.  Each round
+The register holds the working wires only; a slot of the channel carries
+one of them (a swap relabels it) or holds a dummy, a product state of two
+amplitudes.  The channel is in-process: a round trip takes the
+transmitted wires' state as the client sends them, applies the server's
+gates, and takes their state again as the reply comes back.  Each round
 trip is one ``Round`` record holding both reduced densities, which are
 what the channel carries and all the audit reads; ``Transcript.record``
 stacks them and keeps the stack for the running hash.  The digit blocks
@@ -47,7 +49,6 @@ import numpy as np
 
 from . import paulis
 from . import statevec as sv
-from .statevec import Statevector
 
 # the transcript's name of each gate kind, read without the Enum descriptor
 _KIND_NAMES = {kind: kind.value for kind in sv.Gate}
@@ -148,6 +149,35 @@ class Round(NamedTuple):
             density[..., rows[w], cols[w]]).sum(axis=-1)
 
 
+# a dummy slot's two amplitudes after each one-wire gate
+_DUMMY_GATES = {
+    sv.Gate.X: lambda op, a, b: (b, a),
+    sv.Gate.Z: lambda op, a, b: (a, -b),
+    sv.Gate.H: lambda op, a, b: ((a + b) * sv.SQRT_HALF,
+                                 (a - b) * sv.SQRT_HALF),
+    sv.Gate.RZ: lambda op, a, b: (a * sv.rz_phases(op.angle)[0],
+                                  b * sv.rz_phases(op.angle)[1]),
+}
+
+
+def _product(held) -> list:
+    """The dummies' product state among ``held``, the first one's bit low."""
+    state = [1.0]
+    for h in held:
+        if type(h) is not int:
+            state = [x * y for x in h for y in state]
+    return state
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_order(carried: tuple[bool, ...]) -> np.ndarray:
+    """For each row t of a joint state (bit j for wire j), its row in the
+    dummies' product state times the carried rows, carried bits low."""
+    t = np.arange(1 << len(carried))
+    order = sorted(range(len(carried)), key=lambda j: not carried[j])
+    return sum(((t >> j) & 1) << i for i, j in enumerate(order))
+
+
 def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
     """The phases of ``server_ops``, which must be one rz on ``wire``."""
     if (len(server_ops) != 1 or server_ops[0].kind is not sv.Gate.RZ
@@ -241,44 +271,81 @@ class Transcript:
 
 
 class Session:
-    """One protocol run: register buffer, key source, growing transcript,
-    and the ``WirePair`` split off the register, if any.  A fork's
-    replay sets its key source and state before each round it runs."""
+    """One protocol run: ``n_qubits`` working wires, what the ``n_slots``
+    slots above them hold, key source, growing transcript, and the split
+    ``WirePair``.  A fork's replay sets its keys and state per round."""
 
     def __init__(self, n_qubits: int, seed: int, *,
-                 epsilon: float | None = None):
+                 epsilon: float | None = None, n_slots: int = 0):
         if not 1 <= n_qubits <= sv.MAX_QUBITS:
             raise ValueError(f"register must hold 1..{sv.MAX_QUBITS} qubits")
-        self.n_qubits = n_qubits
+        self.n_qubits, self.n_slots = n_qubits, n_slots
         self.amps = np.zeros(2**n_qubits, dtype=complex)
         self.amps[0] = 1.0
+        self.slots: dict[int, int | list] = {}
         self.wire_pair: sv.WirePair | None = None
         self.keys = KeySource(seed)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 
-    def state(self) -> Statevector:
-        return Statevector(self.n_qubits, self.amps.copy())
+    def _held(self, wire: int) -> int | list:
+        """The register wire ``wire`` is or carries, or its dummy state."""
+        if not 0 <= wire < self.n_qubits + self.n_slots:
+            raise ProtocolError(f"wire {wire} out of range")
+        return (wire if wire < self.n_qubits
+                else self.slots.setdefault(wire, [1.0, 0.0]))
 
-    def split_pair(self, lo: int, hi: int) -> None:
-        """Split wires ``lo < hi`` off the register, for ``ladder`` to run
-        the rest of an rz gate's digit ladder on in one step."""
-        self.wire_pair = sv.WirePair(self.amps, lo, hi)
+    def _apply(self, op) -> None:
+        """Apply ``op`` to the register wires it names or its slots carry,
+        or to its slots' dummies; a swap with a slot relabels the slot."""
+        held = [self._held(w) for w in op.qubits]
+        if len(held) == 1 and type(held[0]) is list:
+            held[0][:] = _DUMMY_GATES[op.kind](op, *held[0])
+        elif op.kind is sv.Gate.SWAP and max(op.qubits) >= self.n_qubits:
+            q, slot = sorted(op.qubits)
+            if self.slots[slot] not in (q, [1, 0]) or q >= self.n_qubits:
+                raise ProtocolError(f"swap({q}, {slot}) is no relabelling")
+            self.slots[slot] = [1.0, 0.0] if self.slots[slot] == q else q
+        elif all(type(h) is int for h in held):
+            sv._apply_op(self.amps, op, held)
+        elif op.kind is sv.Gate.CZ and not any(
+                type(d) is int or d[0] and d[1] for d in held):
+            # on basis states, the -1 of |11> is a phase of either factor
+            if held[0][1] and held[1][1]:
+                held[0][1] = -held[0][1]
+        else:
+            raise ProtocolError(f"{op.kind.value} would entangle a dummy slot")
+
+    def split_pair(self, q: int, transit: int) -> None:
+        """Split working wire ``q`` and the ``transit`` slot in |0> off the
+        register, for ``ladder`` to run an rz gate's ladder on in one step."""
+        if type(held := self._held(transit)) is int or held[1]:
+            raise ProtocolError(f"transit {transit} is not in |0>")
+        self.wire_pair = sv.WirePair(self.amps, q, transit)
 
     def join_pair(self) -> None:
-        """Apply the split pair's net op to the register, once."""
+        """Apply the pair's net op to wire q, once; transit must end in |0>."""
+        if max(self.wire_pair.perm[:2]) > 1:
+            raise ProtocolError("the ladder leaves transit outside |0>")
         self.wire_pair.apply_to(self.amps)
         self.wire_pair = None
 
     def client_apply(self, ops) -> None:
         for op in ops:
-            sv._apply_op(self.amps, op)
+            self._apply(op)
             self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
-        if not 0 <= wire < self.n_qubits:
-            raise ProtocolError(f"wire {wire} out of range")
-        outcome = sv._measure(self.amps, wire, self.keys.measure_u(label))
+        held = self._held(wire)
+        u = self.keys.measure_u(label)
+        if type(held) is int:
+            outcome = sv._measure(self.amps, held, u)
+        else:
+            # a product factor: the register takes the kept amplitude's phase
+            outcome = int(u < abs(held[1]) ** 2)
+            if (amp := held[outcome]) != 1:
+                self.amps *= amp / abs(amp)
+            held[:] = (1.0 - outcome, float(outcome))
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
@@ -292,18 +359,20 @@ class Session:
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
         """Send ``transmitted`` wires with ``tag``; server applies its gates.
-        The sent and received densities go into one (2, d, d) stack."""
+        Both densities, of carried rows times dummies, go into one stack."""
         transmitted = tuple(transmitted)
-        keep = tuple(sorted(transmitted))
-        d = 1 << len(keep)
-        densities = np.empty((2, d, d), dtype=complex)
-        sv._partial_trace(self.amps, keep, densities[0])
+        held = [self._held(w) for w in sorted(transmitted)]
+        carried = tuple(type(h) is int for h in held)
+        wires = [h for h in held if type(h) is int]
+        sent = np.multiply.outer(_product(held), sv._rows(self.amps, wires))
         for op in server_ops:
-            sv._apply_op(self.amps, op)
+            self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        sv._partial_trace(self.amps, keep, densities[1])
+        rows = np.array((sent, np.multiply.outer(
+            _product(held), sv._rows(self.amps, wires)))).reshape(
+                2, 1 << len(held), -1)[:, _bit_order(carried)]
         self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
-                               densities)
+                               rows @ rows.conj().transpose(0, 2, 1))
 
     def ladder(self, transit: int, blocks, server) -> list:
         """Run digit blocks' rounds on the split pair in one step, and
@@ -350,8 +419,9 @@ class Session:
         register and no pair: ``CheckpointedRun.replay`` runs rounds on it."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
-        fork.n_qubits = self.n_qubits
+        fork.n_qubits, fork.n_slots = self.n_qubits, self.n_slots
         fork.amps = fork.wire_pair = None
+        fork.slots = {}
         fork.keys = self.keys
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)

@@ -8,14 +8,15 @@ Conventions used across the package:
 * ``S = diag(1, i)`` and ``T = diag(1, exp(i pi/4))``;
 * registers are capped at ``MAX_QUBITS`` qubits.
 
-States are value objects: ``measure_qubit`` and ``drop_qubit`` return a
-fresh ``Statevector`` and never mutate their input.  Ops are too: a
+States are value objects: ``measure_qubit`` returns a fresh
+``Statevector`` and never mutates its input.  Ops are too: a
 ``GateOp`` is frozen, and the ``x``, ``z``, ``h``, ``cz`` and ``swap``
 factories return one shared op per qubit tuple (qubits normalised to plain
 ``int``), so the protocol's round loop builds no op twice.  The in-place
 ``_apply_*`` kernels serve the protocol engine, which owns a private
 buffer, and cover only the six kinds the protocol applies: the client's
-x, z and swap and the server's h, cz and rz.  Lowering rewrites a
+x, z and swap and the server's h, cz and rz, on an op's own wires or
+on the ones a caller names.  Lowering rewrites a
 circuit's gates into h, cz and rz before a run.  The reference simulator
 the tests compare against (``apply`` with its own gate matrices, random
 states, mixtures and distances) lives in ``tests/oracles.py``.
@@ -34,8 +35,6 @@ import numpy as np
 MAX_QUBITS = 12
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-H_MAT = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
 
 
 class Gate(str, Enum):
@@ -194,12 +193,13 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> None:
+def _apply_h(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * lo + mat[0, 1] * hi
-    view[:, 1, :] = mat[1, 0] * lo + mat[1, 1] * hi
+    lo, hi = view[:, 0, :], view[:, 1, :]
+    diff = lo - hi
+    lo += hi
+    hi[...] = diff
+    view *= SQRT_HALF
 
 
 def _apply_x(amps: np.ndarray, q: int) -> None:
@@ -214,10 +214,11 @@ def _apply_z(amps: np.ndarray, q: int) -> None:
     view[:, 1, :] *= -1.0
 
 
-def _apply_rz(amps: np.ndarray, theta: float, q: int) -> None:
+def _apply_rz(amps: np.ndarray, phases: tuple[complex, complex],
+              q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
-    view[:, 0, :] *= np.exp(-0.5j * theta)
-    view[:, 1, :] *= np.exp(0.5j * theta)
+    view[:, 0, :] *= phases[0]
+    view[:, 1, :] *= phases[1]
 
 
 def _apply_cz(amps: np.ndarray, a: int, b: int) -> None:
@@ -244,46 +245,40 @@ def _measure(amps: np.ndarray, q: int, u: float) -> int:
     return outcome
 
 
-def _partial_trace(amps: np.ndarray, keep: tuple[int, ...],
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Reduced density matrix of the distinct ascending wires ``keep``,
-    written into ``out`` when given.
-
-    Qubit ``keep[j]`` is bit j of the row index.  The kept amplitudes are
-    gathered into rows and multiplied once by their adjoint.  Top wires
-    already sit in row order; that shortcut builds the same rows as the
-    general transpose, so the result is bit-for-bit the same.
-    """
+def _rows(amps: np.ndarray, keep) -> np.ndarray:
+    """The amplitudes as a (2^k, rest) matrix, bit j of the row for wire
+    ``keep[j]``; the shortcuts build the general transpose's rows."""
     n = amps.size.bit_length() - 1
     k = len(keep)
-    if keep[0] == n - k:
-        moved = amps.reshape(1 << k, -1)
-    else:
-        # axis n-1-q corresponds to qubit q after reshape
-        keep_axes = [n - 1 - q for q in reversed(keep)]
-        other_axes = [ax for ax in range(n) if ax not in keep_axes]
-        moved = np.transpose(amps.reshape([2] * n),
-                             keep_axes + other_axes).reshape(1 << k, -1)
-    return np.matmul(moved, moved.conj().T, out=out)
+    if tuple(keep) == tuple(range(n - k, n)):
+        return amps.reshape(1 << k, -1)
+    if k == 1:
+        return amps.reshape(-1, 2, 1 << keep[0]).swapaxes(0, 1).reshape(2, -1)
+    # axis n-1-q corresponds to qubit q after reshape
+    keep_axes = [n - 1 - q for q in reversed(keep)]
+    other_axes = [ax for ax in range(n) if ax not in keep_axes]
+    return np.transpose(amps.reshape([2] * n),
+                        keep_axes + other_axes).reshape(1 << k, -1)
 
 
-# kind -> in-place kernel, for the six kinds the protocol applies
+# kind -> in-place kernel on wires q, for the six kinds the protocol applies
 _KERNELS = {
-    Gate.RZ: lambda amps, op: _apply_rz(amps, op.angle, op.qubits[0]),
-    Gate.X: lambda amps, op: _apply_x(amps, op.qubits[0]),
-    Gate.Z: lambda amps, op: _apply_z(amps, op.qubits[0]),
-    Gate.H: lambda amps, op: _apply_1q(amps, H_MAT, op.qubits[0]),
-    Gate.CZ: lambda amps, op: _apply_cz(amps, op.qubits[0], op.qubits[1]),
-    Gate.SWAP: lambda amps, op: _apply_swap(amps, op.qubits[0], op.qubits[1]),
+    Gate.RZ: lambda amps, op, q: _apply_rz(amps, rz_phases(op.angle), q[0]),
+    Gate.X: lambda amps, op, q: _apply_x(amps, q[0]),
+    Gate.Z: lambda amps, op, q: _apply_z(amps, q[0]),
+    Gate.H: lambda amps, op, q: _apply_h(amps, q[0]),
+    Gate.CZ: lambda amps, op, q: _apply_cz(amps, q[0], q[1]),
+    Gate.SWAP: lambda amps, op, q: _apply_swap(amps, q[0], q[1]),
 }
 
 
-def _apply_op(amps: np.ndarray, op: GateOp) -> None:
+def _apply_op(amps: np.ndarray, op: GateOp, qubits=None) -> None:
+    """Apply ``op`` in place, on ``qubits`` instead of its own when given."""
     if op.kind not in _KERNELS:
         kinds = ", ".join(kind.value for kind in _KERNELS)
         raise ValueError(f"no kernel for {op.kind.value}: the protocol "
                          f"applies only {kinds}")
-    _KERNELS[op.kind](amps, op)
+    _KERNELS[op.kind](amps, op, qubits or op.qubits)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -293,19 +288,21 @@ def rz_phases(theta: float) -> tuple[complex, complex]:
 
 
 class WirePair:
-    """Wires ``lo < hi`` split off a register while only x, z, rz and swap
-    act on them.
+    """Register wire ``q`` and a wire ``transit > q`` in |0>, split off
+    while only x, z, rz and swap act on them.
 
-    ``rho`` is their reduced density at the split (basis index bit(lo) +
-    2 bit(hi)).  The gates are monomial, so the net op since the split is
-    U|j> = phases[j]|perm[j]>, and the pair's state is U rho U^dagger
-    exactly, however entangled with wires that see no gate meanwhile.
+    ``rho`` is their density at the split, rho_q (x) |0><0| (basis index
+    bit(q) + 2 bit(transit)).  The gates are monomial, so the net op since
+    the split is U|j> = phases[j]|perm[j]>, and the pair's state is
+    U rho U^dagger exactly, however entangled q is with the rest.
     ``run_block`` rebinds U's tuples, so a shallow copy is a snapshot.
     """
 
-    def __init__(self, amps: np.ndarray, lo: int, hi: int):
-        self.wires = (lo, hi)
-        self.rho = _partial_trace(amps, self.wires).tolist()
+    def __init__(self, amps: np.ndarray, q: int, transit: int):
+        self.wires = (q, transit)
+        rows = _rows(amps, (q,))
+        (a, b), (c, d) = (rows @ rows.conj().T).tolist()
+        self.rho = [[a, b, 0j, 0j], [c, d, 0j, 0j], [0j] * 4, [0j] * 4]
         self.perm, self.phases = (0, 1, 2, 3), (1.0, 1.0, 1.0, 1.0)
 
     def copy(self) -> WirePair:
@@ -358,12 +355,13 @@ class WirePair:
         return states
 
     def apply_to(self, amps: np.ndarray) -> None:
-        """Apply U to the register ``amps`` in place."""
-        lo, hi = self.wires
-        view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        old = [view[:, j >> 1, :, j & 1, :].copy() for j in range(4)]
-        for j, k in enumerate(self.perm):
-            view[:, k >> 1, :, k & 1, :] = self.phases[j] * old[j]
+        """Apply U, which must keep transit in |0>, to wire q of ``amps``,
+        each phase, a product of many rounds', back on the unit circle."""
+        view = amps.reshape(-1, 2, 1 << self.wires[0])
+        old = [view[:, 0, :].copy(), view[:, 1, :].copy()]
+        for j in (0, 1):
+            view[:, self.perm[j], :] = self.phases[j] / abs(
+                self.phases[j]) * old[j]
 
 
 # swap of the pair's two wires, as a map of basis states
@@ -439,14 +437,5 @@ def reduced_density(state: Statevector, keep) -> DensityMatrix:
         raise ValueError("keep set out of range")
     if not keep:
         raise ValueError("keep set is empty")
-    return DensityMatrix(2 ** len(keep), _partial_trace(state.amps, tuple(keep)))
-
-
-def drop_qubit(state: Statevector, q: int, bit: int) -> Statevector:
-    """Remove qubit ``q``, which must hold the basis state ``bit`` exactly."""
-    view = state.amps.reshape(-1, 2, 1 << q)
-    gone = view[:, 1 - bit, :]
-    if float(np.linalg.norm(gone)) > 1e-9:
-        raise ValueError(f"qubit {q} is not in |{bit}>")
-    kept = view[:, bit, :].reshape(-1)
-    return Statevector(state.n_qubits - 1, kept)
+    rows = _rows(state.amps, keep)
+    return DensityMatrix(2 ** len(keep), rows @ rows.conj().T)

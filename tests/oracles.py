@@ -274,7 +274,17 @@ def run_t_gadget(padded: Statevector, y: int, d: int, *,
         prep.append(sv.s(1))
     reg = apply(reg, *prep, sv.t(0), sv.cx(1, 0))
     reg, m = sv.measure_qubit(reg, 0, u=u, rng=rng)
-    return sv.drop_qubit(reg, 0, m), m
+    return drop_qubit(reg, 0, m), m
+
+
+def drop_qubit(state: Statevector, q: int, bit: int) -> Statevector:
+    """Remove qubit ``q``, which must hold the basis state ``bit`` exactly."""
+    view = state.amps.reshape(-1, 2, 1 << q)
+    gone = view[:, 1 - bit, :]
+    if float(np.linalg.norm(gone)) > 1e-9:
+        raise ValueError(f"qubit {q} is not in |{bit}>")
+    kept = view[:, bit, :].reshape(-1)
+    return Statevector(state.n_qubits - 1, kept)
 
 
 def nonzero_flags(d: AngleDigits) -> tuple[int, ...]:

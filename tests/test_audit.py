@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blindqc import angles, audit, protocol
+from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import (
@@ -120,21 +120,21 @@ class TestMixedness:
         res, _ = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
         assert res["pass"] and res["worst_distance"] < 1e-10
 
-    def test_signed_digits_are_audited(self, monkeypatch):
-        # the audit takes no extractor, so balanced digits, whose -1 takes
-        # the negative branches of the round plans, are patched in
-        monkeypatch.setattr(protocol, "digitize", lambda theta, n, _:
-                            angles.digitize(theta, n, "balanced"))
+    def test_signed_digits_are_audited(self):
+        # balanced digits, whose -1 takes the negative branches of the
+        # round plans, under the extractor the audit takes
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1),
                            sv.rz(-2.2, 0)))
         for epsilon, n_checks in ((1e-1, 48), (1e-2, 108)):
-            base = CheckpointedRun(circ, epsilon, 0)
+            base = CheckpointedRun(circ, epsilon, 0, "balanced")
             assert any(-1 in d.digits for d in base.result.digits.values())
-            report = audit_circuit(circ, epsilon, 0)
+            report = audit_circuit(circ, epsilon, 0, extractor="balanced")
+            assert report["extractor"] == "balanced"
             assert report["mixedness"]["n_checks"] == n_checks
             assert report["mixedness"]["worst_distance"] < 1e-10
             assert report["pass"] is True
-        assert assert_replays_match_whole_circuit(circ, 1e-1, 0) == 4 * 48
+        assert assert_replays_match_whole_circuit(
+            circ, 1e-1, 0, "balanced") == 4 * 48
 
     def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
         # the first block round leaves slot 2 (wire 3) out of its pad labels
@@ -265,12 +265,13 @@ class TestReplayReuse:
             base.replay(0, "gate0:slot1", [])
 
 
-def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
+def assert_replays_match_whole_circuit(circ, epsilon, seed,
+                                      extractor="floor") -> int:
     """Replay every pad label of the seeded run under all four pairs, in
     one ``replay`` call, and require the baseline's rounds before the
     label's, then each replayed round, to equal a whole-circuit replay's,
     bit for bit; return the number of replayed rounds."""
-    base = CheckpointedRun(circ, epsilon, seed)
+    base = CheckpointedRun(circ, epsilon, seed, extractor)
     rounds = base.result.transcript.rounds
     n_replays = 0
     for i, rnd in enumerate(rounds):
@@ -280,8 +281,9 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed) -> int:
             for pair, replay in zip(ALL_PAIRS, replays):
                 # pinning a label changes no round before its own
                 got = rounds[:i] + [replay]
-                want = run_pinned(circ, epsilon, seed,
-                                  {label: pair}).transcript.rounds[:i + 1]
+                want = run_pinned(circ, epsilon, seed, {label: pair},
+                                  extractor=extractor).transcript.rounds
+                want = want[:i + 1]
                 assert len(want) == i + 1
                 n_replays += 1
                 for a, b in zip(got, want):
@@ -391,10 +393,11 @@ def reference_audit(circuit, epsilon, seed):
     view = classical_view(base.transcript)
     control_ok = control >= audit.NEGATIVE_CONTROL_THRESHOLD
     return {
-        "version": 4,
+        "version": 5,
         "epsilon": epsilon,
         "seed": seed,
         "precision_bits": precision_bits(epsilon),
+        "extractor": "floor",
         "n_gates": len(circuit.ops),
         "round_trips": base.transcript.round_trips(),
         "rounds_per_gate": count_rounds(base.transcript),
@@ -444,7 +447,7 @@ class TestReport:
         b = audit_circuit(circ, EPS_M2, seed=9)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["pass"] is True
-        assert a["version"] == 4
+        assert a["version"] == 5
 
     def test_round_accounting(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.3, 0),

@@ -55,7 +55,7 @@ class TestRun:
                      "--seed", "5"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("blindqc run report v5\n")
+        assert out.startswith("blindqc run report v6\n")
         # h and cz cost one trip each, rz costs M(M+1)/2 = 6 at M = 3
         assert "round-trips: 8" in out
         assert "transcript-digest: " in out
@@ -124,8 +124,16 @@ class TestAudit:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
-        assert report["version"] == 4
+        assert report["version"] == 5
+        assert report["extractor"] == "floor"
         assert report["mixedness"]["worst_distance"] < 1e-10
+
+    def test_audit_records_its_extractor(self, lowered_path, capsys):
+        code = main(["audit", lowered_path, "--epsilon", "0.4", "--seed", "1",
+                     "--extractor", "balanced"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["extractor"] == "balanced"
 
     def test_audit_is_deterministic(self, lowered_path, capsys):
         main(["audit", lowered_path, "--epsilon", "0.4"])

@@ -10,9 +10,9 @@ A second, three-qubit circuit puts its `h`, `cz` and lowered `swap` on
 non-adjacent wires and adds a `t`, so the protocol's shared x, z, h, cz and
 swap ops are drawn for many wire pairs.
 
-A third, eight-qubit circuit fills the whole 12-wire register (4096
-amplitudes) and at epsilon 1e-6 runs 22 digit blocks per `rz`, 511 round
-trips in all, so the pins cover the full register and long ladders.
+A third, eight-qubit circuit fills the register cap (8 working wires and
+the four slots) and at epsilon 1e-6 runs 22 digit blocks per `rz`, 511
+round trips in all, so the pins cover the full register and long ladders.
 """
 
 import hashlib
@@ -24,28 +24,28 @@ from blindqc.cli import EXIT_OK, main
 CIRCUIT = "version 1\nqubits 2\nh 0\ncz 0 1\nrz 1 -2.6\nrz 0 0.7\nmeasure 1\n"
 
 RUN_SHA256 = {
-    "floor": "240ee7f81eb3755aab7375618b54d67f28ce69e4c4f6c2089ff21e1876d927be",
-    "balanced": "816ed6c2788f1ba654f980e0831bdbc3dfc7428973509747943be43d4abaf2cb",
+    "floor": "fb5339089e5b6284c7eb2c240b07115ceb61de9f307283e58ed783d616e15759",
+    "balanced": "7f9e48c9331c9ab307ec0eb1e1e846bc0f7a299cfcfdfee760ac21cdaf71750b",
 }
-AUDIT_SHA256 = "c008fcf17c722122f7fdc016cd7f74de88ba3a06f4bd4518f189e02360c3202e"
+AUDIT_SHA256 = "a52414dfead0cf69b4f1c4234755192b9709e80ebab803306f33e1dca4ef6a10"
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
 
 WIDE_RUN_SHA256 = {
-    "floor": "55ecd222ebe9d5cc48cbd042a7d3f90e9be9941fa380cf2e82c4939658cd529d",
-    "balanced": "e238d2bfca58421e92f7165c089ba02a0d93d201c6183216f74a9592ac3f2e08",
+    "floor": "f28bbdd1cfd676fa00bb2569de52a9bcd33507829e8620306a3de5c02877058b",
+    "balanced": "304604d758d367f24982bd1dd4553efb7088dc25277771677c80b78073d048ab",
 }
-WIDE_AUDIT_SHA256 = "2f9193c8b91e91c5e185e8c2c8a6bc4eef81ff886089ddea76684a6a8c79fd8d"
+WIDE_AUDIT_SHA256 = "6ced5aeb435a5b378b1a3ea19e3ed29b42d13b297e86e51226d4ceb452cff581"
 
 FULL_CIRCUIT = ("version 1\nqubits 8\nh 0\nh 7\ncz 0 7\nrz 3 2.1\ncz 2 5\n"
                 "rz 7 -0.4\nh 4\nmeasure 5\n")
 
 FULL_RUN_SHA256 = {
-    "floor": "f1bd168d671bf23adcfdc8c34dadfda6416dc6f745c5c42c25e5fab78e0008fc",
-    "balanced": "a268e3b0c93d69febfaba98b86e4018440dbbe623e81b985061520c80809f7d3",
+    "floor": "6b2a1eb07bdc52143f8844714f96b3a32104723783c7cc3fea9bda4ccd1394a7",
+    "balanced": "a0784d1ad377dd952837ec177bcf712f777220eb20f8c119489f9e0f2b8c6405",
 }
-FULL_AUDIT_SHA256 = "0338d73c208a70866f14e0b53e4904dcab830bd59830edc3619a6563fa7b8282"
+FULL_AUDIT_SHA256 = "da1a090f217ac28f9a8fea953f483a438d8986243f528ff7abe2645cb8f1e66a"
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:

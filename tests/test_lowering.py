@@ -30,7 +30,7 @@ class TestEulerSplit:
             alpha, beta, gamma = euler_zxz(u)
             rebuilt = (
                 oracles.rz_matrix(alpha)
-                @ sv.H_MAT @ oracles.rz_matrix(beta) @ sv.H_MAT
+                @ oracles.H_MAT @ oracles.rz_matrix(beta) @ oracles.H_MAT
                 @ oracles.rz_matrix(gamma)
             )
             ip = np.trace(rebuilt.conj().T @ u)
@@ -38,11 +38,11 @@ class TestEulerSplit:
 
     def test_handles_diagonal_and_antidiagonal_corners(self):
         for u in (np.eye(2), oracles.Z_MAT, oracles.X_MAT, oracles.S_MAT,
-                  sv.H_MAT):
+                  oracles.H_MAT):
             alpha, beta, gamma = euler_zxz(u.astype(complex))
             rebuilt = (
                 oracles.rz_matrix(alpha)
-                @ sv.H_MAT @ oracles.rz_matrix(beta) @ sv.H_MAT
+                @ oracles.H_MAT @ oracles.rz_matrix(beta) @ oracles.H_MAT
                 @ oracles.rz_matrix(gamma)
             )
             ip = np.trace(rebuilt.conj().T @ u)

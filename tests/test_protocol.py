@@ -24,6 +24,7 @@ from blindqc.protocol import (
 from blindqc.session import KeySource, ProtocolError, Session
 from conftest import digitized_reference, random_lowered_circuit, rz_error_budget
 import oracles
+from register_engine import run_reference
 
 PI = math.pi
 EPS_M3 = PI / 8  # three digit blocks
@@ -119,17 +120,49 @@ class TestAgainstReference:
 class TestHygiene:
     def test_slots_end_clean(self):
         circ = Circuit(2, (sv.h(0), sv.rz(0.7, 1), sv.cz(0, 1)))
-        res = run_protocol(circ, EPS_M3, seed=6)
-        # full state must factor as working x |0000> exactly
         n = circ.n_qubits
-        full = res.state.amps.reshape(2**4, 2**n)
+        session = Session(n, 6, epsilon=EPS_M3, n_slots=N_SLOTS)
+        res = _Run(circ, EPS_M3, session).run()
+        # every slot ends in |0>, carrying no wire and holding no phase
+        assert session.amps.size == 2**n
+        assert all(session.slots.get(w, [1, 0]) == [1, 0]
+                   for w in range(n, n + N_SLOTS))
+        # the slot-ful engine's full state factors as working x |0000>
+        full = run_reference(circ, EPS_M3, 6).state.amps.reshape(2**4, 2**n)
         assert np.abs(full[1:]).max() < 1e-12
         assert np.abs(full[0] - res.working_state.amps).max() < 1e-12
+
+    def test_a_run_simulates_only_the_working_wires(self, monkeypatch):
+        # the slots stay off the register: it holds 2**n amplitudes at
+        # every gate boundary, and only the circuit's own measure gates
+        # collapse it, never a slot reset
+        circ = Circuit(3, (sv.h(0), sv.cz(0, 2), sv.rz(0.7, 1), sv.measure(2),
+                           sv.h(1), sv.rz(-2.2, 0), sv.cz(1, 0),
+                           sv.measure(0)))
+        sizes, measured = [], []
+        mark_gate, measure = Session.mark_gate, sv._measure
+
+        def watched_mark_gate(self, *args):
+            sizes.append(self.amps.size)
+            mark_gate(self, *args)
+
+        def watched_measure(amps, q, u):
+            measured.append(q)
+            return measure(amps, q, u)
+
+        monkeypatch.setattr(Session, "mark_gate", watched_mark_gate)
+        monkeypatch.setattr(sv, "_measure", watched_measure)
+        for epsilon in (1e-1, 1e-6):
+            sizes.clear()
+            measured.clear()
+            run_protocol(circ, epsilon, seed=4)
+            assert sizes == [2**3] * len(circ.ops)
+            assert measured == [2, 0]
 
     def test_pads_do_not_change_the_computation(self):
         circ = Circuit(2, (sv.h(0), sv.rz(-1.3, 0), sv.cz(0, 1)))
         padded = run_protocol(circ, EPS_M3, seed=7)
-        session = Session(circ.n_qubits + N_SLOTS, 7, epsilon=EPS_M3)
+        session = Session(circ.n_qubits, 7, epsilon=EPS_M3, n_slots=N_SLOTS)
         session.keys = ZeroPadKeys(7)
         bare = _Run(circ, EPS_M3, session).run()
         # the unpadded run's traffic differs, its result does not

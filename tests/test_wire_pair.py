@@ -1,12 +1,14 @@
-"""The two-wire rz ladder against the per-op register engine.
+"""The package's engine against the slot-ful register engine.
 
-Digit blocks m >= 2 of an rz gate run as one step per gate on the
-reduced density of the working wire and transit (``Session.ladder`` and
-``statevec.WirePair.run_block``); ``register_engine`` runs the same
-blocks op by op on the whole register.  Both must record the same
-rounds and reach the same register, within float rounding.  The
-table-driven fold must match the list-based one in ``oracles`` byte for
-byte.
+The package keeps the four block slots off its register: a carried slot
+is a relabelling of its working wire and a dummy slot a two-amplitude
+state, and digit blocks m >= 2 of an rz gate run as one step per gate on
+the working wire and transit, rho_q (x) |0><0| (``Session.ladder`` and
+``statevec.WirePair.run_block``).  ``register_engine.run_reference`` keeps
+the slots on the register and runs every round op by op.  Both must
+record the same rounds, within 1e-14 per density, and reach the same
+working state, within 1e-12.  The table-driven fold must match the
+list-based one in ``oracles`` byte for byte.
 """
 
 import copy
@@ -25,13 +27,15 @@ from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import ALL_PAIRS
 from blindqc.circuits import Circuit
-from blindqc.protocol import (CheckpointedRun, digit_block_plan, round_tag,
-                              run_protocol)
+from blindqc.protocol import (N_SLOTS, CheckpointedRun, digit_block_plan,
+                              round_tag, run_protocol)
 from blindqc.session import ProtocolError, Session, Transcript
 import oracles
-from register_engine import RegisterSession, run_pinned
+from register_engine import RegisterSession, run_pinned, run_reference
 
 TOL = 1e-12
+# a density of the slot-free engine against the slot-ful one
+DENSITY_TOL = 1e-14
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -73,10 +77,10 @@ def assert_rounds_match(got, want):
             b.tag, b.transmitted, b.pad_labels)
         for half in ("sent", "received"):
             x, y = getattr(a, half), getattr(b, half)
-            assert np.abs(x - y).max() <= TOL
+            assert np.abs(x - y).max() <= DENSITY_TOL
             for wire in a.transmitted:
                 assert np.abs(a.wire_state(x, wire)
-                              - b.wire_state(y, wire)).max() <= TOL
+                              - b.wire_state(y, wire)).max() <= DENSITY_TOL
 
 
 def assert_runs_match(got, want):
@@ -87,7 +91,6 @@ def assert_runs_match(got, want):
     assert got.transcript.round_trips() == want.transcript.round_trips()
     assert got.outcomes == want.outcomes
     assert got.digits == want.digits
-    assert np.abs(got.state.amps - want.state.amps).max() <= TOL
     assert np.abs(got.working_state.amps
                   - want.working_state.amps).max() <= TOL
 
@@ -100,16 +103,14 @@ class TestAgainstRegisterEngine:
         circ, seed = random_case(case, epsilon)
         assert_runs_match(
             run_protocol(circ, epsilon, seed, extractor=extractor),
-            run_pinned(circ, epsilon, seed, extractor=extractor,
-                       session_type=RegisterSession))
+            run_reference(circ, epsilon, seed, extractor=extractor))
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
     def test_full_register_with_rz_next_to_the_slots(self, epsilon, extractor):
         assert_runs_match(
             run_protocol(FULL_REGISTER, epsilon, 9, extractor=extractor),
-            run_pinned(FULL_REGISTER, epsilon, 9, extractor=extractor,
-                       session_type=RegisterSession))
+            run_reference(FULL_REGISTER, epsilon, 9, extractor=extractor))
 
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
     def test_each_pad_label_pads_one_wire_of_one_round(self, epsilon):
@@ -142,8 +143,7 @@ class TestAgainstRegisterEngine:
             pairs = ((0, 1), (1, 1))
             for pair, replay in zip(pairs, base.replay(i, label, pairs),
                                     strict=True):
-                want = run_pinned(circ, epsilon, 2, {label: pair},
-                                  session_type=RegisterSession)
+                want = run_reference(circ, epsilon, 2, {label: pair})
                 # pinning a label changes no round before its own
                 assert_rounds_match(rounds[:i] + [replay],
                                     want.transcript.rounds[:i + 1])
@@ -338,39 +338,43 @@ LABELS = ["gate0:m2:k1", "gate0:m2:k2"]
 
 
 class TestWirePair:
-    # (before, rz angle, after) per round
+    # (before, rz angle, after) per round; the last round brings the
+    # working qubit back, so transit ends in |0> under x on either wire
     ROUNDS = ((("x", "z"), 0.7, ("swap",)), (("swap", "z"), -1.3, ("x", "z")),
-              ((), math.pi / 8, ("x",)), (("x",), 2.1, ("z", "swap")))
+              ((), math.pi / 8, ("x",)), (("x", "swap"), 2.1, ("z", "swap")))
 
     def test_matches_the_register_kernels(self):
-        state = oracles.random_state(4, np.random.default_rng(8))
+        # working wire 1 of three, transit wire 3 above them in |0>
+        state = oracles.random_state(3, np.random.default_rng(8))
         steps = [(before, sv.rz_phases(theta), after)
                  for before, theta, after in self.ROUNDS]
-        for wire in (0, 2):
-            amps = state.amps.copy()
-            pair = sv.WirePair(amps, 0, 2)
+        for wire in (1, 3):
+            amps = np.kron([1.0, 0.0], state.amps)
+            pair = sv.WirePair(state.amps, 1, 3)
             # two blocks in a row continue from the first one's net op
             got = np.concatenate([pair.run_block(wire, steps[:1]),
                                   pair.run_block(wire, steps[1:])])
-            ops = {"x": sv.x(wire), "z": sv.z(wire), "swap": sv.swap(0, 2)}
+            ops = {"x": sv.x(wire), "z": sv.z(wire), "swap": sv.swap(1, 3)}
             want = []
             for before, theta, after in self.ROUNDS:
                 for kind in before:
                     sv._apply_op(amps, ops[kind])
-                want.append(sv._partial_trace(amps, (wire,)))
+                want.append(oracles.reduced_density(amps, (wire,)))
                 sv._apply_op(amps, sv.rz(theta, wire))
-                want.append(sv._partial_trace(amps, (wire,)))
+                want.append(oracles.reduced_density(amps, (wire,)))
                 for kind in after:
                     sv._apply_op(amps, ops[kind])
             assert got.shape == (2 * len(self.ROUNDS), 2, 2)
             assert np.abs(got - np.array(want)).max() <= TOL
+            # transit is back in |0>, so U acts on the working wire alone
+            assert not amps[8:].any() and max(pair.perm[:2]) <= 1
             landed = state.amps.copy()
             pair.apply_to(landed)
-            assert np.abs(landed - amps).max() <= TOL
+            assert np.abs(landed - amps[:8]).max() <= TOL
 
     def test_refuses_gates_it_cannot_fold(self):
-        pair = sv.WirePair(oracles.random_state(3, np.random.default_rng(2)).amps,
-                           0, 2)
+        amps = oracles.random_state(2, np.random.default_rng(2)).amps
+        pair = sv.WirePair(amps, 0, 2)
         phases = sv.rz_phases(0.3)
         with pytest.raises(ValueError, match="monomial"):
             pair.run_block(2, [(("h",), phases, ())])
@@ -382,7 +386,8 @@ class TestWirePair:
                                (("z",), phases, ("h",))])
         assert pair.perm == (0, 1, 2, 3)
         assert pair.phases == (1.0, 1.0, 1.0, 1.0)
-        sess = Session(3, seed=0)
+        # two working wires and the transit slot 2 above them
+        sess = Session(2, seed=0, n_slots=1)
         sess.split_pair(0, 2)
         for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
                            [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
@@ -425,17 +430,17 @@ class TestWirePair:
         rng = np.random.default_rng(31 if start == "product" else 32)
         for _ in range(12):
             if start == "product":
-                # a qubit beside a wire in |0>, like the working wire beside
-                # a reset transit: rho = rho_q (x) |0><0| has exact zeros
-                q = oracles.random_state(1, rng).amps
-                zero = np.array([1.0, 0.0], dtype=complex)
-                amps = np.kron(*((zero, q) if rng.integers(2) else (q, zero)))
-                wires = (0, 1)
+                # the working wire beside a reset transit, as a run splits
+                # them: rho = rho_q (x) |0><0| has exact zeros
+                amps, wires = oracles.random_state(1, rng).amps, (0, 1)
             else:
-                amps = oracles.random_state(3, rng).amps
-                wires = (0, 2)
+                amps, wires = oracles.random_state(3, rng).amps, (0, 3)
             for wire in wires:
                 pair = sv.WirePair(amps, *wires)
+                if start == "entangled":
+                    # the fold takes any density at the split: here wires
+                    # 0 and 2 of a random register
+                    pair.rho = oracles.reduced_density(amps, (0, 2)).tolist()
                 # the fold's input, the density at the split, is handed
                 # over; test_statevec pins it against an einsum oracle
                 ref = oracles.ListPair(wires, pair.rho)
@@ -453,16 +458,17 @@ class TestWirePair:
                             == np.array(ref.phases, dtype=complex).tobytes())
 
     def test_session_routes_ops_to_the_split_pair(self):
-        state = oracles.random_state(3, np.random.default_rng(4))
+        # two working wires and the transit slot 2, which the register
+        # engine holds on its register in |0>
+        state = oracles.random_state(2, np.random.default_rng(4))
         server = StubServer([sv.rz(math.pi / 4, 2)], 2)
-        sessions = []
-        for session_type in (Session, RegisterSession):
-            sess = session_type(3, seed=0)
-            sess.amps[:] = state.amps
-            sess.split_pair(0, 2)
-            sess.ladder(2, [(BLOCK, LABELS)], server)
-            sessions.append(sess)
-        pair, register = sessions
+        pair = Session(2, seed=0, n_slots=1)
+        pair.amps[:] = state.amps
+        pair.split_pair(0, 2)
+        pair.ladder(2, [(BLOCK, LABELS)], server)
+        register = RegisterSession(3, seed=0)
+        register.amps[:4] = state.amps
+        register.ladder(2, 0, [(BLOCK, LABELS)], server)
         # the register waits for the join
         assert np.array_equal(pair.amps, state.amps)
         assert pair.transcript.rounds[0].pad_labels == ((2, LABELS[1]),)
@@ -473,7 +479,24 @@ class TestWirePair:
                     == getattr(register.transcript, log))
         assert pair.transcript.server_op_kinds == ["rz", "rz"]
         pair.join_pair()
-        assert np.abs(pair.amps - register.amps).max() <= TOL
+        assert not register.amps[4:].any()
+        assert np.abs(pair.amps - register.amps[:4]).max() <= TOL
+
+    def test_split_and_join_need_transit_in_zero(self):
+        server = StubServer([sv.rz(math.pi / 4, 1)], 2)
+        sess = Session(1, seed=0, n_slots=1)
+        sess.client_apply([sv.h(0), sv.x(1)])
+        with pytest.raises(ProtocolError, match="not in"):
+            sess.split_pair(0, 1)
+        sess.client_apply([sv.x(1)])
+        sess.split_pair(0, 1)
+        # the block's last round leaves the working qubit in transit
+        last = BLOCK.rounds[-1]
+        stuck = BLOCK._replace(rounds=(*BLOCK.rounds[:-1],
+                                       last._replace(swap_after=0)))
+        sess.ladder(1, [(stuck, LABELS)], server)
+        with pytest.raises(ProtocolError, match="outside"):
+            sess.join_pair()
 
     def test_a_block_needs_a_split_pair(self):
         with pytest.raises(ProtocolError, match="split"):
@@ -545,7 +568,7 @@ class TestBlockStep:
     def test_block_densities_are_read_only(self):
         res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
                            math.pi / 2**5, seed=6)
-        transit = res.state.n_qubits - 1
+        transit = res.working_state.n_qubits + N_SLOTS - 1
         rounds = [r for r in res.transcript.rounds
                   if r.transmitted == (transit,)]
         # blocks 2..5 hold all 15 rounds but the opening one
@@ -578,58 +601,49 @@ class TestBlockStep:
                 pairs = ((0, 0), (1, 1))
                 for pair, replay in zip(pairs, base.replay(i, label, pairs),
                                         strict=True):
-                    want = run_pinned(circ, epsilon, 7, {label: pair},
-                                      session_type=RegisterSession)
+                    want = run_reference(circ, epsilon, 7, {label: pair})
                     assert_rounds_match(rounds[:i] + [replay],
                                         want.transcript.rounds[:i + 1])
         assert seen == {(m, k) for m in range(1, 6) for k in range(1, m + 1)}
 
     @staticmethod
-    def _counts(monkeypatch, epsilon, session_type):
+    def _counts(monkeypatch, epsilon, run):
         """(running-hash updates, _apply_op calls) of one run."""
         updates, applied = [], []
+        hash_register = Transcript.hash_register
 
-        class CountingStream:
-            def __init__(self, stream):
-                self.stream = stream
-
-            def update(self, data):
-                updates.append(len(data))
-                self.stream.update(data)
-
-            def digest(self):
-                return self.stream.digest()
-
-        def counting_session(*args, **kwargs):
-            sess = session_type(*args, **kwargs)
-            sess.transcript._stream = CountingStream(sess.transcript._stream)
-            return sess
+        def counting_hash(self, amps):
+            # one update per stack recorded since the last boundary, one
+            # for the register
+            updates.append(len(self._unhashed) + 1)
+            hash_register(self, amps)
 
         apply_op = sv._apply_op
 
-        def counting_apply(amps, op):
+        def counting_apply(amps, op, qubits=None):
             applied.append(op)
-            apply_op(amps, op)
+            apply_op(amps, op, qubits)
 
         circ = Circuit(1, (sv.h(0), sv.rz(0.7, 0)))
         with monkeypatch.context() as patched:
+            patched.setattr(Transcript, "hash_register", counting_hash)
             patched.setattr(sv, "_apply_op", counting_apply)
-            run_pinned(circ, epsilon, 3, session_type=counting_session)
-        return len(updates), len(applied)
+            run(circ, epsilon, 3)
+        return sum(updates), len(applied)
 
     def test_hash_updates_and_kernels_do_not_grow_with_rounds(self,
                                                               monkeypatch):
         eps = {m: math.pi / 2**m for m in (4, 8)}
         blocks = 8 - 4
         rounds = 8 * 9 // 2 - 4 * 5 // 2
-        engine = {m: self._counts(monkeypatch, eps[m], Session)
+        engine = {m: self._counts(monkeypatch, eps[m], run_pinned)
                   for m in (4, 8)}
         # no hash update more, since the gate's ladder is recorded at once,
         # and at most one kernel more per extra digit block
         assert engine[8][0] <= engine[4][0]
         assert engine[8][1] - engine[4][1] <= blocks
         # the per-op reference pays per round, so the counters can see it
-        reference = {m: self._counts(monkeypatch, eps[m], RegisterSession)
+        reference = {m: self._counts(monkeypatch, eps[m], run_reference)
                      for m in (4, 8)}
         assert reference[8][0] - reference[4][0] >= rounds
         assert reference[8][1] - reference[4][1] >= rounds
