@@ -35,18 +35,18 @@ a_k == q rather than a_k != q, the carry product runs over rounds already
 executed, i.e. i > k, and the final round's unpad needs an extra Z when
 the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
 
-Blocks m >= 2 touch only the working wire and transit, so the engine
-splits that pair off at block 2, runs the ladder on its 4x4 density,
-rho_q (x) |0><0| (``statevec.WirePair``), and applies the ladder's net
-op to the working wire once, after block M, which leaves transit in |0>.
-That is exact, product state or not: unitaries on two wires act on their
-reduced density by conjugation, and the other wires see no gate until
-the pair is joined back.  The
-client draws the pads of blocks 2..M and plans them up front, so the
-whole ladder goes to the session as one step (``Session.ladder``), which
-takes each tag's rotation from ``BlindServer.ops_for`` once and records
-every round at once; a ``CheckpointedRun`` takes the same step and walks
-its folds on a copy of the pair for its per-round checkpoints.
+Blocks m >= 2 touch only the working wire and transit, so the engine splits
+that pair off at block 2, runs the ladder on its 4x4 density, rho_q (x)
+|0><0| (``statevec.WirePair``), and applies the ladder's net op to the
+working wire once, after block M, which leaves transit in |0>.  That is
+exact, product state or not: unitaries on two wires act on their reduced
+density by conjugation, and the other wires see no gate until the pair is
+joined back.  The client draws the pads of blocks 2..M and plans them up
+front, so the whole ladder goes to the session as one step
+(``Session.ladder``), which takes each tag's rotation from
+``BlindServer.ops_for`` once and records every round at once; a
+``CheckpointedRun`` takes the same step and walks its folds on a copy of
+the pair for its per-round checkpoints.
 """
 
 from __future__ import annotations
@@ -352,19 +352,19 @@ class CheckpointedRun:
     round of an h or cz gate, the opening round of an rz gate (digit block
     1, after the parity Z), or one round of a later digit block.  Every
     block round starts with the four slots in |0>, so it keeps a copy of
-    the working register alone; its step swaps the riding wires into
-    their slots and ends at its round trip, and the run decrypts the slots
-    after it returns.  A ladder stays one ``Session.ladder`` step; the run
-    walks the folds it returns, one ``run_block`` call each (the same
-    bytes), on a copy of the split pair, the one state a ladder round
-    touches, and saves the copy before each round.  A ladder round's step
-    holds the baseline's plans, so a replay re-plans only its round, with
-    the baseline's carry.  A label's pair
-    changes nothing before its own round, and the carry is a product over
-    the block's earlier rounds' pads, so a replay records the round a
-    whole-circuit replay with the label pinned records, bit for bit.  All
-    of a label's pairs replay on one fork (``replay``), which draws its
-    own pads, the same pairs the baseline drew.
+    the working register alone; its step swaps the riding wires into their
+    slots and ends at its round trip, and the run decrypts the slots after
+    it returns.  A ladder stays one ``Session.ladder`` step; the run walks
+    the folds it returns, one ``run_block`` call each (the same bytes), on
+    a copy of the split pair, the one state a ladder round touches, and
+    saves the copy before each round.  A ladder round's step holds the
+    baseline's plans, so a replay re-plans only its round, with the
+    baseline's carry.  A label's pair changes nothing before its own round,
+    and the carry is a product over the block's earlier rounds' pads, so a
+    replay records the round a whole-circuit replay with the label pinned
+    records, bit for bit.  All of a label's pairs replay on one fork
+    (``replay``), which draws its own pads, the same pairs the baseline
+    drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int,

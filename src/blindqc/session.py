@@ -160,15 +160,6 @@ _DUMMY_GATES = {
 }
 
 
-def _product(held) -> list:
-    """The dummies' product state among ``held``, the first one's bit low."""
-    state = [1.0]
-    for h in held:
-        if type(h) is not int:
-            state = [x * y for x in h for y in state]
-    return state
-
-
 @functools.lru_cache(maxsize=None)
 def _bit_order(carried: tuple[bool, ...]) -> np.ndarray:
     """For each row t of a joint state (bit j for wire j), its row in the
@@ -296,8 +287,8 @@ class Session:
                 else self.slots.setdefault(wire, [1.0, 0.0]))
 
     def _apply(self, op) -> None:
-        """Apply ``op`` to the register wires it names or its slots carry,
-        or to its slots' dummies; a swap with a slot relabels the slot."""
+        """Apply ``op`` to the wires it names or its slots carry, or to its
+        slots' dummies; a swap with a slot relabels the slot."""
         held = [self._held(w) for w in op.qubits]
         if len(held) == 1 and type(held[0]) is list:
             held[0][:] = _DUMMY_GATES[op.kind](op, *held[0])
@@ -364,13 +355,21 @@ class Session:
         held = [self._held(w) for w in sorted(transmitted)]
         carried = tuple(type(h) is int for h in held)
         wires = [h for h in held if type(h) is int]
-        sent = np.multiply.outer(_product(held), sv._rows(self.amps, wires))
+
+        def joint():
+            # the dummies' product state, the first one's bit lowest, times
+            # the carried wires' register rows
+            state = [1.0]
+            for h in held:
+                if type(h) is not int:
+                    state = [x * y for x in h for y in state]
+            return np.multiply.outer(state, sv._rows(self.amps, wires))
+        sent = joint()
         for op in server_ops:
             self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        rows = np.array((sent, np.multiply.outer(
-            _product(held), sv._rows(self.amps, wires)))).reshape(
-                2, 1 << len(held), -1)[:, _bit_order(carried)]
+        rows = np.array((sent, joint())).reshape(
+            2, 1 << len(held), -1)[:, _bit_order(carried)]
         self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
                                rows @ rows.conj().transpose(0, 2, 1))
 
