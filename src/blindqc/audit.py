@@ -123,13 +123,13 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
     gives the baseline's own round, and one ``replay`` re-runs only the
     round the label pads for the other three pairs, from the state the
     baseline saved just before it, so audit cost is linear in round
-    trips.  The baseline's round counts under the pair the key spec
-    (``KeySource``) gives, from the audit's own BLAKE2b: a run whose keys
-    stray from it counts a pair twice.  The wire's states are read off the
-    four rounds' stacked densities at once, and all the averages go
-    through one stacked eigen-solve.  The check passes when the worst
-    outbound distance is within ``EXHAUSTIVE_TOLERANCE``, every
-    transmitted wire carries a pad label and no label pads more than once.
+    trips.  The baseline's round counts under the pair the audit derives
+    from the key spec (``KeySource``), so keys that stray from it count a
+    pair twice.  The wire's states are read off the four rounds' stacked
+    densities at once, and all the averages go through one stacked
+    eigen-solve.  The check passes when the worst outbound distance is
+    within ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad
+    label and no label pads more than once.
     """
     base_rounds = baseline.result.transcript.rounds
 

@@ -48,7 +48,6 @@ EXIT_UNSUPPORTED_GATE = 3
 EXIT_REGISTER_CAP = 4
 
 EXTRACTORS = ("floor", "balanced")
-
 RUN_REPORT_VERSION = 6
 COST_REPORT_VERSION = 1
 

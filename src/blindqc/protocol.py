@@ -1,9 +1,9 @@
 """End-to-end delegated execution of lowered circuits.
 
-The register holds the n working wires; the channel names four block
-slots n..n+3 above them.  Every delegated gate opens with the same
-server action, one uniform block J = H(slot 1) . CZ(slot 2, slot 3) .
-Rz(slot 4), applied to freshly padded slots:
+The register holds the n working wires, and four block slots n..n+3
+above them hold dummies or ride working wires (``Session``).  Every
+delegated gate opens with the same server action, one uniform block
+J = H(slot 1) . CZ(slot 2, slot 3) . Rz(slot 4), on freshly padded slots:
 
 * h gate: the working qubit rides slot 1; slots 2-4 are dummies.
 * cz gate: the working pair rides slots 2 and 3 (first operand in
@@ -11,9 +11,6 @@ Rz(slot 4), applied to freshly padded slots:
 * rz gate: slots 1-3 are dummies and slot 4 becomes the transit wire
   for the digit blocks; the first round (m=1, k=1) rides the block
   round and the remaining rounds send the transit wire alone.
-
-A slot a working qubit rides is that register wire under the slot's
-name; a dummy is a product state of two amplitudes (``Session``).
 
 Slot pads are one-time keys drawn per (gate, slot) or (gate, round)
 label, so the quantum payload of every round's outbound half is exactly
@@ -35,18 +32,17 @@ a_k == q rather than a_k != q, the carry product runs over rounds already
 executed, i.e. i > k, and the final round's unpad needs an extra Z when
 the digit is negative).  ``tests/test_rzprotocol.py`` pins all three.
 
-Blocks m >= 2 touch only the working wire and transit, so the engine splits
-that pair off at block 2, runs the ladder on its 4x4 density, rho_q (x)
-|0><0| (``statevec.WirePair``), and applies the ladder's net op to the
-working wire once, after block M, which leaves transit in |0>.  That is
-exact, product state or not: unitaries on two wires act on their reduced
-density by conjugation, and the other wires see no gate until the pair is
-joined back.  The client draws the pads of blocks 2..M and plans them up
-front, so the whole ladder goes to the session as one step
-(``Session.ladder``), which takes each tag's rotation from
-``BlindServer.ops_for`` once and records every round at once; a
-``CheckpointedRun`` takes the same step and walks its folds on a copy of
-the pair for its per-round checkpoints.
+Blocks m >= 2 touch only the working wire and transit, so the engine
+splits that pair off at block 2, runs the ladder on its 4x4 density
+rho_q (x) |0><0| (``statevec.WirePair``) and applies the ladder's net op,
+which leaves transit in |0>, to the working wire once, after block M.
+That is exact: unitaries on two wires act on their reduced density by
+conjugation, and the other wires see no gate until the pair is joined
+back.  The client draws the pads of blocks 2..M and plans them up front,
+so the whole ladder goes to the session as one step (``Session.ladder``),
+which takes each tag's rotation from ``BlindServer.ops_for`` once and
+records every round at once; a ``CheckpointedRun`` takes the same step
+and walks its folds on a copy of the pair for its per-round checkpoints.
 """
 
 from __future__ import annotations
@@ -63,11 +59,10 @@ from . import statevec as sv
 from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
 from .lowering import first_undelegable
-from .session import ProtocolError, Round, Session, Transcript
+from .session import N_SLOTS, ProtocolError, Round, Session, Transcript
 from .statevec import Gate, GateOp
 
 PI = math.pi
-N_SLOTS = 4
 
 # The server's whole classical vocabulary, spelled as the canonical JSON
 # (sorted keys, no spaces) that crosses the channel.
@@ -191,7 +186,7 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int) -> Session:
             f"{n} working qubits need {n + N_SLOTS} wires; "
             f"the cap is {sv.MAX_QUBITS}"
         )
-    return Session(n, seed, epsilon=epsilon, n_slots=N_SLOTS)
+    return Session(n, seed, epsilon=epsilon)
 
 
 class _Run:
@@ -350,21 +345,20 @@ class CheckpointedRun:
     The run is the one ``run_protocol`` makes.  A checkpoint holds the
     state just before its round and the round itself as a step: the block
     round of an h or cz gate, the opening round of an rz gate (digit block
-    1, after the parity Z), or one round of a later digit block.  Every
-    block round starts with the four slots in |0>, so it keeps a copy of
-    the working register alone; its step swaps the riding wires into their
-    slots and ends at its round trip, and the run decrypts the slots after
-    it returns.  A ladder stays one ``Session.ladder`` step; the run walks
-    the folds it returns, one ``run_block`` call each (the same bytes), on
-    a copy of the split pair, the one state a ladder round touches, and
-    saves the copy before each round.  A ladder round's step holds the
-    baseline's plans, so a replay re-plans only its round, with the
-    baseline's carry.  A label's pair changes nothing before its own round,
-    and the carry is a product over the block's earlier rounds' pads, so a
-    replay records the round a whole-circuit replay with the label pinned
-    records, bit for bit.  All of a label's pairs replay on one fork
-    (``replay``), which draws its own pads, the same pairs the baseline
-    drew.
+    1, after the parity Z), or one round of a later digit block.  A block
+    round starts with the slots fresh, so it keeps a register copy; its
+    step swaps the riding wires in and ends at its round trip, and the run
+    decrypts the slots after it returns.  A ladder stays one
+    ``Session.ladder`` step; the run walks the folds it returns, one
+    ``run_block`` call each (the same bytes), on a copy of the split pair,
+    the one state a ladder round touches, and saves the copy before each
+    round.  A ladder round's step holds the baseline's plans, so a replay
+    re-plans only its round, with the baseline's carry.  A label's pair
+    changes nothing before its own round, and the carry is a product over
+    the block's earlier rounds' pads, so a replay records the round a
+    whole-circuit replay with the label pinned records, bit for bit.  All
+    of a label's pairs replay on one fork (``replay``), which draws its
+    own pads, the same pairs the baseline drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int,
@@ -391,13 +385,10 @@ class CheckpointedRun:
         if not pairs:
             raise ValueError("a replay needs at least one pair")
         state, step = self._checkpoints[index]
-        split = isinstance(state, sv.WirePair)
         fork = self._session.fork()
         for pair in pairs:
             fork.keys = self.keys.pinned(label, pair)
-            copy = state.copy()
-            fork.amps, fork.wire_pair = (None, copy) if split else (copy, None)
-            fork.slots.clear()
+            fork.restore(state.copy())
             step(self._run, fork)
         # a new list: what a caller adds to it stays off the fork's record
         return list(fork.transcript.rounds)

@@ -15,26 +15,27 @@ fresh copy of the state saved just before that round (the register, or
 the wire pair split off it), and runs the round.  A fork draws its own
 pads; keys are label-addressed, so each draw gives the pair the run drew.
 
-The register holds the working wires only; a slot of the channel carries
-one of them (a swap relabels it) or holds a dummy, a product state of two
-amplitudes.  The channel is in-process: a round trip takes the
-transmitted wires' state as the client sends them, applies the server's
-gates, and takes their state again as the reply comes back.  Each round
-trip is one ``Round`` record holding both reduced densities, which are
-what the channel carries and all the audit reads; ``Transcript.record``
-stacks them and keeps the stack for the running hash.  The digit blocks
-m >= 2 of an ``rz`` gate run as one step instead (``ladder``): on the
-``WirePair`` split off the register, all their rounds fold into the
-pair's net op, and one ``record`` call takes them all from one stacked
-array.  At every gate boundary and at the end of the run the stacks
-recorded since the last boundary enter the hash, in order, and then the
-whole register: the same bytes as hashing each stack when it is
-recorded, since sha256 streams.  So the digest covers every transmitted
-density of every round and every amplitude at every gate boundary, and
-a fork, which never reaches a gate boundary, hashes nothing.
-Register copies stay flat in the number of round trips, but the
-``Round`` list grows with it, by about 0.7 KB per round trip.
-Off-channel amplitudes between two rounds of one gate are not hashed.
+The register holds the working wires only; every wire of the channel
+holds one of them or a dummy, a product state of two amplitudes (a swap
+with a dummy relabels the two).  The channel is in-process: a round trip
+takes the transmitted wires' joint rows as the client sends them, and
+the server's gates J times them as the reply comes back, and applies J.
+Each round trip is one ``Round`` record holding both reduced densities,
+which are what the channel carries and all the audit reads;
+``Transcript.record`` stacks them and keeps the stack for the running
+hash.  The digit blocks m >= 2 of an ``rz`` gate run as one step instead
+(``ladder``): on the ``WirePair`` split off the register, all their
+rounds fold into the pair's net op, and one ``record`` call takes them
+all from one stacked array.  At every gate boundary and at the end of
+the run the stacks recorded since the last boundary enter the hash, in
+order, and then the whole register, renormalized: the same bytes as
+hashing each stack when it is recorded, since sha256 streams.  So the
+digest covers every transmitted density of every round and every
+amplitude at every gate boundary, and a fork, which never reaches a gate
+boundary, hashes nothing.  Register copies stay flat in the number of
+round trips, but the ``Round`` list grows with it, by about 0.7 KB per
+round trip.  Off-channel amplitudes between two rounds of one gate are
+not hashed.
 """
 
 from __future__ import annotations
@@ -149,7 +150,9 @@ class Round(NamedTuple):
             density[..., rows[w], cols[w]]).sum(axis=-1)
 
 
-# a dummy slot's two amplitudes after each one-wire gate
+# the slots above the working wires, each a dummy in |0> when fresh
+N_SLOTS, _FRESH = 4, (1.0, 0.0)
+# a dummy's two amplitudes after each one-wire gate
 _DUMMY_GATES = {
     sv.Gate.X: lambda op, a, b: (b, a),
     sv.Gate.Z: lambda op, a, b: (a, -b),
@@ -160,13 +163,14 @@ _DUMMY_GATES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_order(carried: tuple[bool, ...]) -> np.ndarray:
-    """For each row t of a joint state (bit j for wire j), its row in the
-    dummies' product state times the carried rows, carried bits low."""
-    t = np.arange(1 << len(carried))
-    order = sorted(range(len(carried)), key=lambda j: not carried[j])
-    return sum(((t >> j) & 1) << i for i, j in enumerate(order))
+@functools.lru_cache(maxsize=256)
+def _server_matrix(server_ops, wires) -> np.ndarray:
+    """``server_ops``, on ``wires`` only, as J: bit j of a row for wires[j]."""
+    k = len(wires)
+    j = np.eye(1 << k, dtype=complex).reshape(-1)
+    for op in server_ops:
+        sv._apply_op(j, op, [k + wires.index(q) for q in op.qubits])
+    return j.reshape(1 << k, 1 << k)
 
 
 def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
@@ -262,48 +266,47 @@ class Transcript:
 
 
 class Session:
-    """One protocol run: ``n_qubits`` working wires, what the ``n_slots``
-    slots above them hold, key source, growing transcript, and the split
-    ``WirePair``.  A fork's replay sets its keys and state per round."""
+    """One protocol run: register, what each wire holds, key source,
+    growing transcript, and the ``WirePair`` split off the register, if
+    any.  A fork's replay sets its key source and state per round."""
 
     def __init__(self, n_qubits: int, seed: int, *,
-                 epsilon: float | None = None, n_slots: int = 0):
+                 epsilon: float | None = None):
         if not 1 <= n_qubits <= sv.MAX_QUBITS:
             raise ValueError(f"register must hold 1..{sv.MAX_QUBITS} qubits")
-        self.n_qubits, self.n_slots = n_qubits, n_slots
-        self.amps = np.zeros(2**n_qubits, dtype=complex)
-        self.amps[0] = 1.0
-        self.slots: dict[int, int | list] = {}
-        self.wire_pair: sv.WirePair | None = None
+        self.n_qubits = n_qubits
+        self.restore(np.eye(1, 2**n_qubits, dtype=complex)[0])
         self.keys = KeySource(seed)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
 
-    def _held(self, wire: int) -> int | list:
-        """The register wire ``wire`` is or carries, or its dummy state."""
-        if not 0 <= wire < self.n_qubits + self.n_slots:
+    def restore(self, state) -> None:
+        """Hold ``state`` (no copy): a split pair, or a register, slots fresh."""
+        split = isinstance(state, sv.WirePair)
+        self.amps, self.wire_pair = (None, state) if split else (state, None)
+        self.held = [*range(self.n_qubits), *[_FRESH] * N_SLOTS]
+
+    def _held(self, wire: int) -> int | tuple:
+        """The register wire ``wire`` holds, or its dummy's amplitudes."""
+        if not 0 <= wire < len(self.held):
             raise ProtocolError(f"wire {wire} out of range")
-        return (wire if wire < self.n_qubits
-                else self.slots.setdefault(wire, [1.0, 0.0]))
+        return self.held[wire]
 
     def _apply(self, op) -> None:
-        """Apply ``op`` to the wires it names or its slots carry, or to its
-        slots' dummies; a swap with a slot relabels the slot."""
+        """Apply ``op`` to the register wires its wires hold, or to their
+        dummies; a swap with a dummy relabels the two wires."""
         held = [self._held(w) for w in op.qubits]
-        if len(held) == 1 and type(held[0]) is list:
-            held[0][:] = _DUMMY_GATES[op.kind](op, *held[0])
-        elif op.kind is sv.Gate.SWAP and max(op.qubits) >= self.n_qubits:
-            q, slot = sorted(op.qubits)
-            if self.slots[slot] not in (q, [1, 0]) or q >= self.n_qubits:
-                raise ProtocolError(f"swap({q}, {slot}) is no relabelling")
-            self.slots[slot] = [1.0, 0.0] if self.slots[slot] == q else q
-        elif all(type(h) is int for h in held):
+        if type(held[0]) is int and type(held[-1]) is int:
             sv._apply_op(self.amps, op, held)
+        elif op.kind is sv.Gate.SWAP:
+            self.held[op.qubits[0]], self.held[op.qubits[1]] = held[::-1]
+        elif len(held) == 1:
+            self.held[op.qubits[0]] = _DUMMY_GATES[op.kind](op, *held[0])
         elif op.kind is sv.Gate.CZ and not any(
                 type(d) is int or d[0] and d[1] for d in held):
             # on basis states, the -1 of |11> is a phase of either factor
             if held[0][1] and held[1][1]:
-                held[0][1] = -held[0][1]
+                self.held[op.qubits[0]] = (held[0][0], -held[0][1])
         else:
             raise ProtocolError(f"{op.kind.value} would entangle a dummy slot")
 
@@ -334,9 +337,8 @@ class Session:
         else:
             # a product factor: the register takes the kept amplitude's phase
             outcome = int(u < abs(held[1]) ** 2)
-            if (amp := held[outcome]) != 1:
-                self.amps *= amp / abs(amp)
-            held[:] = (1.0 - outcome, float(outcome))
+            self.amps *= held[outcome] / abs(held[outcome])
+            self.held[wire] = (1.0 - outcome, float(outcome))
         self.transcript.client_op_kinds.append("measure")
         return outcome
 
@@ -350,26 +352,26 @@ class Session:
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
         """Send ``transmitted`` wires with ``tag``; server applies its gates.
-        Both densities, of carried rows times dummies, go into one stack."""
+        Their joint rows are the carried wires' register rows times the
+        dummies' product state as sent, and J times that as received."""
         transmitted = tuple(transmitted)
-        held = [self._held(w) for w in sorted(transmitted)]
-        carried = tuple(type(h) is int for h in held)
-        wires = [h for h in held if type(h) is int]
-
-        def joint():
-            # the dummies' product state, the first one's bit lowest, times
-            # the carried wires' register rows
-            state = [1.0]
-            for h in held:
-                if type(h) is not int:
-                    state = [x * y for x in h for y in state]
-            return np.multiply.outer(state, sv._rows(self.amps, wires))
-        sent = joint()
+        wires = tuple(sorted(transmitted))
+        held = [self._held(w) for w in wires]
+        state = [1.0]
+        for h in held:
+            if type(h) is not int:
+                state = [x * y for x in h for y in state]
+        # one axis per wire, the highest first, then the register's rest
+        axes = [type(h) is int for h in reversed(held)]
+        sent = (np.array(state).reshape([1 if c else 2 for c in axes] + [1])
+                * sv._rows(self.amps, [h for h in held if type(h) is int])
+                .reshape([2 if c else 1 for c in axes] + [-1])
+                ).reshape(1 << len(wires), -1)
+        j = _server_matrix(tuple(server_ops), wires)
+        rows = np.array((sent, j @ sent))
         for op in server_ops:
             self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
-        rows = np.array((sent, joint())).reshape(
-            2, 1 << len(held), -1)[:, _bit_order(carried)]
         self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
                                rows @ rows.conj().transpose(0, 2, 1))
 
@@ -418,9 +420,8 @@ class Session:
         register and no pair: ``CheckpointedRun.replay`` runs rounds on it."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
-        fork.n_qubits, fork.n_slots = self.n_qubits, self.n_slots
-        fork.amps = fork.wire_pair = None
-        fork.slots = {}
+        fork.n_qubits = self.n_qubits
+        fork.amps = fork.wire_pair = fork.held = None
         fork.keys = self.keys
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
@@ -429,6 +430,7 @@ class Session:
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:
         self.transcript.markers.append(GateMarker(
             gate_index, kind, round_start, len(self.transcript.rounds)))
+        self.amps /= np.linalg.norm(self.amps)
         self.transcript.hash_register(self.amps)
 
     def finish(self) -> Transcript:

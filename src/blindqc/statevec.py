@@ -14,12 +14,12 @@ States are value objects: ``measure_qubit`` returns a fresh
 factories return one shared op per qubit tuple (qubits normalised to plain
 ``int``), so the protocol's round loop builds no op twice.  The in-place
 ``_apply_*`` kernels serve the protocol engine, which owns a private
-buffer, and cover only the six kinds the protocol applies: the client's
-x, z and swap and the server's h, cz and rz, on an op's own wires or
-on the ones a caller names.  Lowering rewrites a
-circuit's gates into h, cz and rz before a run.  The reference simulator
-the tests compare against (``apply`` with its own gate matrices, random
-states, mixtures and distances) lives in ``tests/oracles.py``.
+buffer, and cover only the six kinds the protocol applies (the client's
+x, z and swap, the server's h, cz and rz), on an op's wires or on ones a
+caller names.  Lowering rewrites a circuit's gates into h, cz and rz.
+The reference simulator the tests compare against (``apply`` with its
+own gate matrices, random states, mixtures and distances) lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -196,9 +196,7 @@ class DensityMatrix:
 def _apply_h(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     lo, hi = view[:, 0, :], view[:, 1, :]
-    diff = lo - hi
-    lo += hi
-    hi[...] = diff
+    lo[...], hi[...] = lo + hi, lo - hi
     view *= SQRT_HALF
 
 
@@ -247,13 +245,11 @@ def _measure(amps: np.ndarray, q: int, u: float) -> int:
 
 def _rows(amps: np.ndarray, keep) -> np.ndarray:
     """The amplitudes as a (2^k, rest) matrix, bit j of the row for wire
-    ``keep[j]``; the shortcuts build the general transpose's rows."""
+    ``keep[j]``; the top-wire shortcut builds the transpose's rows."""
     n = amps.size.bit_length() - 1
     k = len(keep)
     if tuple(keep) == tuple(range(n - k, n)):
         return amps.reshape(1 << k, -1)
-    if k == 1:
-        return amps.reshape(-1, 2, 1 << keep[0]).swapaxes(0, 1).reshape(2, -1)
     # axis n-1-q corresponds to qubit q after reshape
     keep_axes = [n - 1 - q for q in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in keep_axes]

@@ -24,28 +24,28 @@ from blindqc.cli import EXIT_OK, main
 CIRCUIT = "version 1\nqubits 2\nh 0\ncz 0 1\nrz 1 -2.6\nrz 0 0.7\nmeasure 1\n"
 
 RUN_SHA256 = {
-    "floor": "fb5339089e5b6284c7eb2c240b07115ceb61de9f307283e58ed783d616e15759",
-    "balanced": "7f9e48c9331c9ab307ec0eb1e1e846bc0f7a299cfcfdfee760ac21cdaf71750b",
+    "floor": "e10be084b1cb5b64515646c648d157389677fbba428fa8a63bb2e6b81a29ab72",
+    "balanced": "a84c15c9eacb92f08414bc6b3d6a4f1def8270a84563845374af38d35e35e4d5",
 }
-AUDIT_SHA256 = "a52414dfead0cf69b4f1c4234755192b9709e80ebab803306f33e1dca4ef6a10"
+AUDIT_SHA256 = "72f8098d3ceb8f1d110a0013accd0a4a5cbd02c8295e111528a4cd198f5fec7a"
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
 
 WIDE_RUN_SHA256 = {
-    "floor": "f28bbdd1cfd676fa00bb2569de52a9bcd33507829e8620306a3de5c02877058b",
-    "balanced": "304604d758d367f24982bd1dd4553efb7088dc25277771677c80b78073d048ab",
+    "floor": "83db92667c112390653d199d1b798e85e317293d80949a268da6c13757e1665e",
+    "balanced": "7b3c851d4865808f8219a90a6b814022bb974e9612565b0484c7340ba80a5710",
 }
-WIDE_AUDIT_SHA256 = "6ced5aeb435a5b378b1a3ea19e3ed29b42d13b297e86e51226d4ceb452cff581"
+WIDE_AUDIT_SHA256 = "4f6d6156b7b1664ae41dd9fa0d15ccb436abd1a50280406dee5e7563cbafd6f0"
 
 FULL_CIRCUIT = ("version 1\nqubits 8\nh 0\nh 7\ncz 0 7\nrz 3 2.1\ncz 2 5\n"
                 "rz 7 -0.4\nh 4\nmeasure 5\n")
 
 FULL_RUN_SHA256 = {
-    "floor": "6b2a1eb07bdc52143f8844714f96b3a32104723783c7cc3fea9bda4ccd1394a7",
-    "balanced": "a0784d1ad377dd952837ec177bcf712f777220eb20f8c119489f9e0f2b8c6405",
+    "floor": "4be0c5c713dd8accd7bdab6da4720f93332be1a762ec349c09ece25e9c3b3906",
+    "balanced": "af82e68314587df242736249f37c087cf186648ffa7aea3bc243fcd70260030e",
 }
-FULL_AUDIT_SHA256 = "da1a090f217ac28f9a8fea953f483a438d8986243f528ff7abe2645cb8f1e66a"
+FULL_AUDIT_SHA256 = "0c4cbfbdd96601298f93521c869754b8a0fc933a4093ad87c4b67661189439c5"
 
 
 def _report_sha256(tmp_path, argv, circuit=CIRCUIT) -> str:

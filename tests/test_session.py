@@ -324,4 +324,4 @@ class TestSession:
     def test_measure_needs_wire_in_range(self):
         sess = Session(1, seed=0)
         with pytest.raises(ProtocolError):
-            sess.client_measure(3, "bad")
+            sess.client_measure(1 + N_SLOTS, "bad")
