@@ -164,7 +164,7 @@ _DUMMY_GATES = {
 
 
 @functools.lru_cache(maxsize=256)
-def _server_matrix(server_ops, wires) -> np.ndarray:
+def _ops_matrix(server_ops, wires) -> np.ndarray:
     """``server_ops``, on ``wires`` only, as J: bit j of a row for wires[j]."""
     k = len(wires)
     j = np.eye(1 << k, dtype=complex).reshape(-1)
@@ -281,10 +281,12 @@ class Session:
                                      n_qubits=n_qubits)
 
     def restore(self, state) -> None:
-        """Hold ``state`` (no copy): a split pair, or a register, slots fresh."""
-        split = isinstance(state, sv.WirePair)
-        self.amps, self.wire_pair = (None, state) if split else (state, None)
-        self.held = [*range(self.n_qubits), *[_FRESH] * N_SLOTS]
+        """Hold ``state`` (no copy): a split pair, or a fresh-slot register."""
+        if isinstance(state, sv.WirePair):
+            self.wire_pair = state
+        else:
+            self.amps, self.wire_pair = state, None
+            self.held = [*range(self.n_qubits), *[_FRESH] * N_SLOTS]
 
     def _held(self, wire: int) -> int | tuple:
         """The register wire ``wire`` holds, or its dummy's amplitudes."""
@@ -330,9 +332,8 @@ class Session:
             self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
-        held = self._held(wire)
         u = self.keys.measure_u(label)
-        if type(held) is int:
+        if type(held := self._held(wire)) is int:
             outcome = sv._measure(self.amps, held, u)
         else:
             # a product factor: the register takes the kept amplitude's phase
@@ -367,8 +368,7 @@ class Session:
                 * sv._rows(self.amps, [h for h in held if type(h) is int])
                 .reshape([2 if c else 1 for c in axes] + [-1])
                 ).reshape(1 << len(wires), -1)
-        j = _server_matrix(tuple(server_ops), wires)
-        rows = np.array((sent, j @ sent))
+        rows = np.array((sent, _ops_matrix(tuple(server_ops), wires) @ sent))
         for op in server_ops:
             self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])

@@ -202,9 +202,8 @@ def _apply_h(amps: np.ndarray, q: int) -> None:
 
 def _apply_x(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
-    lo = view[:, 0, :].copy()
-    view[:, 0, :] = view[:, 1, :]
-    view[:, 1, :] = lo
+    # numpy buffers an assignment from memory it overlaps
+    view[...] = view[:, ::-1, :]
 
 
 def _apply_z(amps: np.ndarray, q: int) -> None:
@@ -228,9 +227,8 @@ def _apply_cz(amps: np.ndarray, a: int, b: int) -> None:
 def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
     lo, hi = sorted((a, b))
     view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    one_zero = view[:, 1, :, 0, :].copy()
-    view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
-    view[:, 0, :, 1, :] = one_zero
+    one_zero, zero_one = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
+    one_zero[...], zero_one[...] = zero_one.copy(), one_zero.copy()
 
 
 def _measure(amps: np.ndarray, q: int, u: float) -> int:
@@ -245,11 +243,13 @@ def _measure(amps: np.ndarray, q: int, u: float) -> int:
 
 def _rows(amps: np.ndarray, keep) -> np.ndarray:
     """The amplitudes as a (2^k, rest) matrix, bit j of the row for wire
-    ``keep[j]``; the top-wire shortcut builds the transpose's rows."""
+    ``keep[j]``; the shortcuts build the general transpose's rows."""
     n = amps.size.bit_length() - 1
     k = len(keep)
     if tuple(keep) == tuple(range(n - k, n)):
         return amps.reshape(1 << k, -1)
+    if k == 1:
+        return amps.reshape(-1, 2, 1 << keep[0]).swapaxes(0, 1).reshape(2, -1)
     # axis n-1-q corresponds to qubit q after reshape
     keep_axes = [n - 1 - q for q in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in keep_axes]
