@@ -165,7 +165,8 @@ _DUMMY_GATES = {
 
 @functools.lru_cache(maxsize=256)
 def _ops_matrix(server_ops, wires) -> np.ndarray:
-    """``server_ops``, on ``wires`` only, as J: bit j of a row for wires[j]."""
+    """``server_ops``, on ``wires`` only, as one matrix J (bit j of a row for
+    ``wires[j]``), made by applying them to the rows of the identity."""
     k = len(wires)
     j = np.eye(1 << k, dtype=complex).reshape(-1)
     for op in server_ops:
@@ -352,9 +353,8 @@ class Session:
 
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
-        """Send ``transmitted`` wires with ``tag``; server applies its gates.
-        Their joint rows are the carried wires' register rows times the
-        dummies' product state as sent, and J times that as received."""
+        """Send ``transmitted`` wires with ``tag``; server applies its gates
+        J.  The sent rows: carried wires' register rows times dummies."""
         transmitted = tuple(transmitted)
         wires = tuple(sorted(transmitted))
         held = [self._held(w) for w in wires]
