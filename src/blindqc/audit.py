@@ -64,7 +64,7 @@ def circuit_skeleton(circuit: Circuit) -> tuple[str, ...]:
 
 def classical_view(transcript: Transcript) -> tuple[str, ...]:
     """Everything classical the server sees: its tags, in order."""
-    return tuple(r.tag for r in transcript.rounds)
+    return tuple(transcript.tags)
 
 
 def view_digest(view: tuple[str, ...]) -> str:

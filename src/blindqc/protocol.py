@@ -38,11 +38,12 @@ rho_q (x) |0><0| (``statevec.WirePair``) and applies the ladder's net op,
 which leaves transit in |0>, to the working wire once, after block M.
 That is exact: unitaries on two wires act on their reduced density by
 conjugation, and the other wires see no gate until the pair is joined
-back.  The client draws the pads of blocks 2..M and plans them up front,
-so the whole ladder goes to the session as one step (``Session.ladder``),
-which takes each tag's rotation from ``BlindServer.ops_for`` once and
-records every round at once; a ``CheckpointedRun`` takes the same step
-and walks its folds on a copy of the pair for its per-round checkpoints.
+back.  The client draws and plans the pads of whole blocks, at least
+``LADDER_ROUNDS`` rounds at a time, and each such chunk goes to the
+session as one step (``Session.ladder``), which takes each tag's
+rotation from ``BlindServer.ops_for`` once and records the chunk's
+rounds at once; a ``CheckpointedRun`` takes the same steps and walks
+their folds on a copy of the pair for its per-round checkpoints.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ from .session import N_SLOTS, ProtocolError, Round, Session, Transcript
 from .statevec import Gate, GateOp
 
 PI = math.pi
+# an rz gate's digit blocks 2..M go to ``Session.ladder`` in runs of whole
+# blocks of at least this many rounds, so what one step holds stays bounded
+LADDER_ROUNDS = 1000
 
 # The server's whole classical vocabulary, spelled as the canonical JSON
 # (sorted keys, no spaces) that crosses the channel.
@@ -167,6 +171,14 @@ class ProtocolResult:
     outcomes: dict[int, int] = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=1024)
+def _block_unpad(pairs, slots) -> list[GateOp]:
+    """The unpad of ``slots`` padded by ``pairs`` after the uniform block."""
+    upd = paulis.key_update_circuit((sv.h(0), sv.cz(1, 2)),
+                                    paulis.PauliKey(pairs))
+    return paulis.unpad_ops(upd.new_key.pairs, slots[:len(pairs)])
+
+
 class _Checkpoint(NamedTuple):
     """The state one round starts from, and the round as a step."""
 
@@ -208,10 +220,8 @@ class _Run:
     def _reset_slots(self, gate_index: int) -> None:
         # wipe whatever the block left behind; slots come back as |0>
         for i, slot in enumerate(self.slots, start=1):
-            out = self.session.client_measure(
-                slot, f"gate{gate_index}:reset:slot{i}"
-            )
-            if out:
+            if self.session.client_measure(slot,
+                                           f"gate{gate_index}:reset:slot{i}"):
                 self.session.client_apply([sv.x(slot)])
 
     # -- rounds: each runs on the session it is given ----------------------
@@ -225,20 +235,6 @@ class _Run:
                         pad_labels=pad_labels)
         return pairs
 
-    def _unpad_block(self, pairs, digit: tuple[int, int] | None) -> None:
-        """Decrypt after ``_block_trip`` under the ``pairs`` it drew:
-        transit when ``digit`` (nonzero, negative) rode it, then the padded
-        slots through the block's key update."""
-        sess = self.session
-        if digit:
-            r = plan_round(1, pairs.pop(), *digit, 1)
-            sess.client_apply(
-                paulis.unpad_ops(((r.pair[0], r.unpad_z),), (self.slots[3],)))
-        upd = paulis.key_update_circuit([sv.h(0), sv.cz(1, 2)],
-                                        paulis.PauliKey(tuple(pairs)))
-        sess.client_apply(paulis.unpad_ops(upd.new_key.pairs,
-                                           qubits=self.slots[:len(pairs)]))
-
     def _ladder_round(self, sess: Session, plan: BlockPlan,
                       labels: list[str], r: RoundPlan) -> None:
         """Round ``r`` of the baseline's digit block ``plan``, padded by
@@ -251,6 +247,33 @@ class _Run:
             (plan_round(r.index, sess.keys.pad_pair(labels[r.index - 1]),
                         plan.nonzero, plan.negative, r.carry),))
         sess.ladder(self.slots[3], ((one, labels),), self.server)
+
+    def _ladder(self, gate_index: int, q: int, digits) -> None:
+        """Digit blocks 2..M on (q, transit), split off: ``Session.ladder``
+        steps of whole blocks, each of at least ``LADDER_ROUNDS`` rounds but
+        the last, their pads drawn and planned per step."""
+        sess, transit, plans = self.session, self.slots[3], []
+        sess.split_pair(q, transit)
+        for m, digit in enumerate(digits[1:], start=2):
+            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
+            plans.append((digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
+                                                    for lbl in labels]),
+                          labels))
+            if (m < len(digits) and sum(len(p.rounds) for p, _ in plans)
+                    < LADDER_ROUNDS):
+                continue
+            pair = None if self.checkpoints is None else sess.wire_pair.copy()
+            folds = iter(sess.ladder(transit, plans, self.server))
+            # the pair before each round, from the ladder's own folds
+            for plan, labels in plans if pair is not None else ():
+                for r in plan.rounds:
+                    self.checkpoints.append(_Checkpoint(
+                        pair.copy(), functools.partial(
+                            _Run._ladder_round, plan=plan, labels=labels,
+                            r=r)))
+                    pair.run_block(transit, [next(folds)])
+            plans = []
+        sess.join_pair()
 
     # -- gate delegation --------------------------------------------------
 
@@ -283,42 +306,27 @@ class _Run:
                                  pad_labels=pad_labels, tag=tag)
         if self.checkpoints is not None:
             self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
-        self._unpad_block(step(self, sess), digits[0] if digits else None)
+        # decrypt: transit when digit 1 rode it, then the padded slots
+        pairs = step(self, sess)
+        if digits:
+            r = plan_round(1, pairs.pop(), *digits[0], 1)
+            sess.client_apply(
+                paulis.unpad_ops(((r.pair[0], r.unpad_z),), (transit,)))
+        sess.client_apply(_block_unpad(tuple(pairs), self.slots))
         sess.client_apply(swaps)
         if len(digits) > 1:
-            # later blocks touch only q and transit
-            sess.split_pair(q, transit)
-            blocks = [([f"gate{gate_index}:m{m}:k{k}"
-                        for k in range(1, m + 1)], digit)
-                      for m, digit in enumerate(digits[1:], start=2)]
-            plans = [(digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
-                                                for lbl in labels]), labels)
-                     for labels, digit in blocks]
-            pair = None if self.checkpoints is None else sess.wire_pair.copy()
-            folds = sess.ladder(transit, plans, self.server)
-            if pair is not None:
-                # the pair before each round, from the ladder's own folds
-                folds = iter(folds)
-                for plan, labels in plans:
-                    for r in plan.rounds:
-                        self.checkpoints.append(_Checkpoint(
-                            pair.copy(), functools.partial(
-                                _Run._ladder_round, plan=plan,
-                                labels=labels, r=r)))
-                        pair.run_block(transit, [next(folds)])
-            sess.join_pair()
+            self._ladder(gate_index, q, digits)
         self._reset_slots(gate_index)
 
     # -- driver -----------------------------------------------------------
 
     def run(self) -> ProtocolResult:
         for j, op in enumerate(self.circuit.ops):
-            start = len(self.session.transcript.rounds)
+            start = self.session.transcript.round_trips()
             if op.kind is Gate.MEASURE:
                 wire = op.qubits[0]
                 self.outcomes[j] = self.session.client_measure(
-                    wire, f"gate{j}:measure:q{wire}"
-                )
+                    wire, f"gate{j}:measure:q{wire}")
             else:
                 self._delegate(j, op)
             self.session.mark_gate(j, op.kind.value, start)
@@ -339,31 +347,30 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
 
 
 class CheckpointedRun:
-    """A seeded run that keeps a checkpoint before every round, so one pad
-    label can be replayed by re-running the one round it pads.
+    """The run ``run_protocol`` makes, keeping every ``Round``, densities
+    included, and a checkpoint before every round, so one pad label can be
+    replayed by re-running the one round it pads.
 
-    The run is the one ``run_protocol`` makes.  A checkpoint holds the
-    state just before its round and the round itself as a step: the block
-    round of an h or cz gate, the opening round of an rz gate (digit block
-    1, after the parity Z), or one round of a later digit block.  A block
-    round starts with the slots fresh, so it keeps a register copy; its
-    step swaps the riding wires in and ends at its round trip, and the run
-    decrypts the slots after it returns.  A ladder stays one
-    ``Session.ladder`` step; the run walks the folds it returns, one
-    ``run_block`` call each (the same bytes), on a copy of the split pair,
-    the one state a ladder round touches, and saves the copy before each
+    A checkpoint holds the state just before its round and the round as a
+    step: the block round of an h or cz gate, the opening round of an rz
+    gate (digit block 1, after the parity Z), or one round of a later
+    digit block.  A block round keeps a register copy; its step swaps the
+    riding wires in and ends at its round trip.  Ladder pads are drawn and
+    planned per chunk, as in a plain run, and each chunk is one
+    ``Session.ladder`` step; the run walks the folds it returns (the same
+    bytes) on a copy of the split pair and saves the copy before each
     round.  A ladder round's step holds the baseline's plans, so a replay
-    re-plans only its round, with the baseline's carry.  A label's pair
-    changes nothing before its own round, and the carry is a product over
-    the block's earlier rounds' pads, so a replay records the round a
-    whole-circuit replay with the label pinned records, bit for bit.  All
-    of a label's pairs replay on one fork (``replay``), which draws its
-    own pads, the same pairs the baseline drew.
+    re-plans only its round, with the baseline's carry, a product over
+    pads drawn before it; a label's pair changes nothing before its own
+    round, so a replay records the round a whole-circuit replay with the
+    label pinned records, bit for bit.  All of a label's pairs replay on
+    one fork (``replay``), which draws the pairs the baseline drew.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int,
                  extractor: str = "floor"):
         self._session = _open_session(circuit, epsilon, seed)
+        self._session.transcript._rounds = []  # the audit reads every round
         self.keys = self._session.keys
         self._checkpoints: list[_Checkpoint] = []
         self._run = _Run(circuit, epsilon, self._session, extractor,

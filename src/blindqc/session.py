@@ -20,22 +20,18 @@ holds one of them or a dummy, a product state of two amplitudes (a swap
 with a dummy relabels the two).  The channel is in-process: a round trip
 takes the transmitted wires' joint rows as the client sends them, and
 the server's gates J times them as the reply comes back, and applies J.
-Each round trip is one ``Round`` record holding both reduced densities,
-which are what the channel carries and all the audit reads;
-``Transcript.record`` stacks them and keeps the stack for the running
-hash.  The digit blocks m >= 2 of an ``rz`` gate run as one step instead
-(``ladder``): on the ``WirePair`` split off the register, all their
-rounds fold into the pair's net op, and one ``record`` call takes them
-all from one stacked array.  At every gate boundary and at the end of
-the run the stacks recorded since the last boundary enter the hash, in
-order, and then the whole register, renormalized: the same bytes as
-hashing each stack when it is recorded, since sha256 streams.  So the
-digest covers every transmitted density of every round and every
-amplitude at every gate boundary, and a fork, which never reaches a gate
-boundary, hashes nothing.  Register copies stay flat in the number of
-round trips, but the ``Round`` list grows with it, by about 0.7 KB per
-round trip.  Off-channel amplitudes between two rounds of one gate are
-not hashed.
+``Transcript.record`` takes both reduced densities of each round, what
+the channel carries and all the audit reads; the digit blocks m >= 2 of
+an ``rz`` gate fold on the ``WirePair`` split off the register, and one
+``record`` takes a ``ladder`` step's rounds as one stack.  The running
+hash takes every stack in record order and, at every gate boundary and
+at the end, the whole register, renormalized: the digest covers every
+transmitted density and every amplitude at every gate boundary, not
+off-channel amplitudes between two rounds of one gate.  A plain run
+(``run_protocol``) keeps each round's tag and wires alone: it hashes
+each stack when recorded and drops it.  A ``CheckpointedRun`` and its
+forks keep every ``Round`` for the audit and hash the stacks at the
+next gate boundary, which a fork never reaches.
 """
 
 from __future__ import annotations
@@ -206,11 +202,14 @@ class Transcript:
     seed: int
     epsilon: float | None
     n_qubits: int
-    rounds: list[Round] = field(default_factory=list)
     markers: list[GateMarker] = field(default_factory=list)
     client_op_kinds: list[str] = field(default_factory=list)
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
+    # each round's tag (the classical view) and wires; each Round if kept
+    tags: list[str] = field(default_factory=list)
+    _wires: list = field(default_factory=list, init=False, repr=False)
+    _rounds: list | None = field(default=None, init=False, compare=False)
     # running hash of each round's two joint densities and of the full
     # register at every gate boundary, which feeds it ``_unhashed`` first
     _stream: object = field(default_factory=hashlib.sha256, init=False,
@@ -218,21 +217,34 @@ class Transcript:
     _unhashed: list = field(default_factory=list, init=False, repr=False,
                             compare=False)
 
+    @property
+    def rounds(self) -> list[Round]:
+        """Every round, kept by a ``CheckpointedRun`` and its forks only."""
+        if self._rounds is None:
+            raise ProtocolError("a plain run keeps no rounds")
+        return self._rounds
+
     def record(self, transmitted, tags, densities: np.ndarray) -> None:
         """Append r >= 1 rounds on the same wires.
 
         ``tags`` holds each round's (tag, pad_labels) and ``densities``
         stacks the transmitted wires' joint state as each round goes out
         and comes back, (2r, d, d), the lowest wire as the least
-        significant bit.  The stack is made read-only and kept for the
-        next ``hash_register``; each round holds views of it.
+        significant bit.  A transcript that keeps rounds makes the stack
+        read-only, for rounds to view and ``hash_register`` to hash; any
+        other hashes it now and drops it.
         """
+        self.tags += [tag for tag, _ in tags]
+        self._wires += [transmitted] * len(tags)
+        if self._rounds is None:
+            self._stream.update(densities)
+            return
         densities.setflags(write=False)
         self._unhashed.append(densities)
         views = iter(densities)
-        self.rounds += [Round(tag, transmitted, sent, received, pad_labels)
-                        for (tag, pad_labels), sent, received
-                        in zip(tags, views, views)]
+        self._rounds += [Round(tag, transmitted, sent, received, pad_labels)
+                         for (tag, pad_labels), sent, received
+                         in zip(tags, views, views)]
 
     def hash_register(self, amps: np.ndarray) -> None:
         """Feed the stacks recorded since the last call, one update each,
@@ -245,7 +257,7 @@ class Transcript:
         self._stream.update(amps)
 
     def round_trips(self) -> int:
-        return len(self.rounds)
+        return len(self.tags)
 
     def digest(self) -> str:
         """Canonical sha256 of the whole exchange; replays must match it."""
@@ -254,8 +266,7 @@ class Transcript:
         h.update(head.encode())
         # each round is spelled as its two directed messages, and markers
         # count messages, so the v5 run-report bytes stay the same
-        h.update("".join([_round_text(r.tag, r.transmitted)
-                          for r in self.rounds]).encode())
+        h.update("".join(map(_round_text, self.tags, self._wires)).encode())
         h.update(self._stream.digest())
         for mk in self.markers:
             h.update(f"{mk.gate_index}:{mk.kind}:"
@@ -289,16 +300,13 @@ class Session:
             self.amps, self.wire_pair = state, None
             self.held = [*range(self.n_qubits), *[_FRESH] * N_SLOTS]
 
-    def _held(self, wire: int) -> int | tuple:
-        """The register wire ``wire`` holds, or its dummy's amplitudes."""
-        if not 0 <= wire < len(self.held):
-            raise ProtocolError(f"wire {wire} out of range")
-        return self.held[wire]
-
     def _apply(self, op) -> None:
         """Apply ``op`` to the register wires its wires hold, or to their
         dummies; a swap with a dummy relabels the two wires."""
-        held = [self._held(w) for w in op.qubits]
+        try:
+            held = [self.held[w] for w in op.qubits]
+        except IndexError:
+            raise ProtocolError(f"wire {max(op.qubits)} out of range") from None
         if type(held[0]) is int and type(held[-1]) is int:
             sv._apply_op(self.amps, op, held)
         elif op.kind is sv.Gate.SWAP:
@@ -316,7 +324,7 @@ class Session:
     def split_pair(self, q: int, transit: int) -> None:
         """Split working wire ``q`` and the ``transit`` slot in |0> off the
         register, for ``ladder`` to run an rz gate's ladder on in one step."""
-        if type(held := self._held(transit)) is int or held[1]:
+        if type(held := self.held[transit]) is int or held[1]:
             raise ProtocolError(f"transit {transit} is not in |0>")
         self.wire_pair = sv.WirePair(self.amps, q, transit)
 
@@ -333,8 +341,10 @@ class Session:
             self.transcript.client_op_kinds.append(_KIND_NAMES[op.kind])
 
     def client_measure(self, wire: int, label: str) -> int:
+        if not 0 <= wire < len(self.held):
+            raise ProtocolError(f"wire {wire} out of range")
         u = self.keys.measure_u(label)
-        if type(held := self._held(wire)) is int:
+        if type(held := self.held[wire]) is int:
             outcome = sv._measure(self.amps, held, u)
         else:
             # a product factor: the register takes the kept amplitude's phase
@@ -357,7 +367,9 @@ class Session:
         J.  The sent rows: carried wires' register rows times dummies."""
         transmitted = tuple(transmitted)
         wires = tuple(sorted(transmitted))
-        held = [self._held(w) for w in wires]
+        if wires[0] < 0 or wires[-1] >= len(self.held):
+            raise ProtocolError(f"wires {wires} out of range")
+        held = [self.held[w] for w in wires]
         state = [1.0]
         for h in held:
             if type(h) is not int:
@@ -379,15 +391,13 @@ class Session:
         """Run digit blocks' rounds on the split pair in one step, and
         return the rounds as ``WirePair.run_block`` folded them.
 
-        ``blocks`` lists (plan, labels) per block: the block's
-        ``protocol.BlockPlan``, whose round k is padded by
-        ``labels[k - 1]``.  ``server`` is the ``protocol.BlindServer``.
-        Round k pads ``transit`` under its pair, sends it with
-        ``server.round_tags[k - 1]``, takes the server's one rz on transit
-        from ``ops_for`` (checked once per tag) and unpads; the client
-        swaps the pair where the plan says.  The pair folds every op, and
-        the transcript takes all the rounds in one ``record``; the op
-        kinds logged are the ones the same ops would log one by one.
+        ``blocks`` lists (plan, labels) per block: a ``protocol.BlockPlan``
+        whose round k, padded by ``labels[k - 1]``, pads ``transit`` under
+        its pair, sends it with ``server.round_tags[k - 1]``, takes the
+        server's one rz on transit (``server.ops_for``, checked once per
+        tag) and unpads; the client swaps the pair where the plan says.
+        The pair folds every op, one ``record`` takes all the rounds, and
+        the op kinds logged are the ones the same ops would log one by one.
         """
         pair = self.wire_pair
         if pair is None:
@@ -425,11 +435,12 @@ class Session:
         fork.keys = self.keys
         fork.transcript = Transcript(self.transcript.seed,
                                      self.transcript.epsilon, self.n_qubits)
+        fork.transcript._rounds = []
         return fork
 
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:
         self.transcript.markers.append(GateMarker(
-            gate_index, kind, round_start, len(self.transcript.rounds)))
+            gate_index, kind, round_start, self.transcript.round_trips()))
         self.amps /= np.linalg.norm(self.amps)
         self.transcript.hash_register(self.amps)
 

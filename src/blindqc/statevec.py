@@ -88,6 +88,8 @@ class GateOp:
                 f"{self.kind.value} takes {GATE_ARITY[self.kind]} qubit(s), "
                 f"got {self.qubits}"
             )
+        if min(self.qubits) < 0:
+            raise ValueError(f"negative qubit in {self.kind.value}{self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {self.kind.value}{self.qubits}")
         if (self.angle is not None) != (self.kind is Gate.RZ):

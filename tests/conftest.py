@@ -7,6 +7,8 @@ import numpy as np
 from blindqc import statevec as sv
 from blindqc.angles import digitize
 from blindqc.circuits import Circuit
+from blindqc.protocol import CheckpointedRun, run_protocol
+from blindqc.session import Session
 from blindqc.statevec import Gate
 import oracles
 
@@ -56,3 +58,25 @@ def rz_error_budget(circuit: Circuit, n_digits: int,
             d = digitize(op.angle, n_digits, extractor)
             half_angle += abs(op.angle - oracles.reconstruct(d)) / 2
     return math.sin(min(half_angle, math.pi / 2)) ** 2
+
+
+def keeping_session(*args, **kwargs) -> Session:
+    """A ``Session`` whose transcript keeps every ``Round``, as a
+    ``CheckpointedRun``'s does; a plain session keeps tags and wires."""
+    sess = Session(*args, **kwargs)
+    sess.transcript._rounds = []
+    return sess
+
+
+def kept_run(circuit: Circuit, epsilon: float, seed: int,
+             extractor: str = "floor"):
+    """The result of ``run_protocol`` with every ``Round`` kept: the
+    checkpointed run, checked to be the plain run by its digest, its
+    transcript's tags, wires, markers and op kinds, and its working state."""
+    plain = run_protocol(circuit, epsilon, seed, extractor=extractor)
+    kept = CheckpointedRun(circuit, epsilon, seed, extractor).result
+    assert kept.transcript.digest() == plain.transcript.digest()
+    assert kept.transcript == plain.transcript
+    assert np.array_equal(kept.working_state.amps, plain.working_state.amps)
+    assert (kept.digits, kept.outcomes) == (plain.digits, plain.outcomes)
+    return kept

@@ -38,6 +38,7 @@ class RegisterSession:
         self.keys = KeySource(seed, overrides)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
+        self.transcript._rounds = []  # keep every Round, as the audit does
 
     def client_apply(self, ops):
         for op in ops:
@@ -81,7 +82,7 @@ class RegisterSession:
 
     def mark_gate(self, gate_index, kind, round_start):
         self.transcript.markers.append(GateMarker(
-            gate_index, kind, round_start, len(self.transcript.rounds)))
+            gate_index, kind, round_start, self.transcript.round_trips()))
         self.transcript.hash_register(self.amps)
 
 
@@ -160,7 +161,7 @@ class RegisterRun:
     def run(self) -> ReferenceResult:
         sess = self.session
         for j, op in enumerate(self.circuit.ops):
-            start = len(sess.transcript.rounds)
+            start = sess.transcript.round_trips()
             if op.kind is sv.Gate.MEASURE:
                 wire = op.qubits[0]
                 self.outcomes[j] = sess.client_measure(
@@ -187,7 +188,9 @@ def run_reference(circuit, epsilon, seed, overrides=None, *,
 
 def run_pinned(circuit, epsilon, seed, overrides=None, *, extractor="floor"):
     """``protocol.run_protocol`` with the pad labels in ``overrides`` pinned:
-    a whole-circuit replay from |0...0>."""
+    a whole-circuit replay from |0...0>, whose transcript keeps every
+    ``Round``."""
     session = protocol._open_session(circuit, epsilon, seed)
     session.keys = KeySource(seed, overrides)
+    session.transcript._rounds = []
     return protocol._Run(circuit, epsilon, session, extractor).run()

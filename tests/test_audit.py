@@ -26,6 +26,7 @@ from blindqc.audit import (
 from blindqc.circuits import Circuit
 from blindqc.protocol import CheckpointedRun, run_protocol
 from blindqc.session import KeySource, Round, Session, Transcript
+from conftest import kept_run
 from register_engine import run_pinned
 
 PI = math.pi
@@ -183,7 +184,7 @@ class TestReplayReuse:
     CIRC = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
 
     def test_pinning_a_label_to_its_own_draw_reproduces_the_baseline(self):
-        base = run_protocol(self.CIRC, EPS_M2, seed=4)
+        base = kept_run(self.CIRC, EPS_M2, seed=4)
         keys = KeySource(4)
         labels = [label for rnd in base.transcript.rounds
                   for _, label in rnd.pad_labels]
@@ -357,7 +358,7 @@ def reference_audit(circuit, epsilon, seed):
     (round, wire)s, so nothing is uncovered or reused, and the mixedness
     check passes within the exact twirl's 1e-10.
     """
-    base = run_protocol(circuit, epsilon, seed)
+    base = run_pinned(circuit, epsilon, seed)
     rounds = base.transcript.rounds
     worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
     control = 0.0

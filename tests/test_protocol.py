@@ -15,6 +15,7 @@ from blindqc.protocol import (
     N_SLOTS,
     OPENING_TAG,
     BlindServer,
+    CheckpointedRun,
     RegisterCapacityError,
     UnsupportedGateError,
     _Run,
@@ -69,7 +70,7 @@ class TestSingleGates:
         res = run_protocol(circ, EPS_M3, seed=3)
         # h costs one trip, rz costs M(M+1)/2 = 6
         assert res.transcript.round_trips() == 7
-        tags = [r.tag for r in res.transcript.rounds]
+        tags = res.transcript.tags
         assert tags[0] == '{"kind":"block"}'
         assert tags[1] == '{"k":1,"kind":"block"}'
         assert tags[2:] == [f'{{"k":{k},"kind":"round"}}'
@@ -190,9 +191,10 @@ class TestHygiene:
             draws.append(label)
             return pad_pair(self, label)
 
-        monkeypatch.setattr(KeySource, "pad_pair", counted_pad_pair)
-        rounds = run_protocol(circ, 1e-2, seed=0).transcript.rounds
+        rounds = CheckpointedRun(circ, 1e-2, seed=0).result.transcript.rounds
         labels = [label for rnd in rounds for _, label in rnd.pad_labels]
+        monkeypatch.setattr(KeySource, "pad_pair", counted_pad_pair)
+        run_protocol(circ, 1e-2, seed=0)
         # h and cz four slots each, rz three slots and 45 digit rounds
         assert len(labels) == len(set(labels)) == 4 + 4 + 3 + 45 + 4
         # a block's pads are drawn to pad and reused to decrypt

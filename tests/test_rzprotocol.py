@@ -148,7 +148,7 @@ class TestBlindRz:
             res = run_protocol(Circuit(1, (sv.rz(theta, 0),)), PI / 8, seed=4)
             t = res.transcript
             assert t.round_trips() == 6
-            tags = [r.tag for r in t.rounds]
+            tags = t.tags
             assert tags == [OPENING_TAG] + [round_tag(k)
                                             for k in (2, 1, 3, 2, 1)]
 

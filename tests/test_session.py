@@ -1,15 +1,20 @@
 """Key sourcing, transcripts, and channel bookkeeping."""
 
 import copy
+import gc
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import N_SLOTS, CheckpointedRun, run_protocol
-from blindqc.session import KeySource, ProtocolError, Session
+from blindqc.session import KeySource, ProtocolError, Round, Session
+from conftest import keeping_session
 import oracles
 
 
@@ -84,7 +89,7 @@ class TestKeyDerivation:
 
 class TestSession:
     def test_round_trip_records_both_directions(self):
-        sess = Session(1, seed=0)
+        sess = keeping_session(1, seed=0)
         sess.amps[:] = [0.6, 0.8j]
         sess.round_trip((0,), '{"angle":1.0,"kind":"rotate"}',
                         [sv.rz(1.0, 0)])
@@ -98,7 +103,7 @@ class TestSession:
                                       [0.48j * np.exp(1j), 0.64]]).max() < 1e-12
 
     def test_stored_densities_are_frozen_copies(self):
-        sess = Session(2, seed=0)
+        sess = keeping_session(2, seed=0)
         sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
         sess.round_trip((0, 1), '{"angle":0.5,"kind":"rotate"}',
                         [sv.rz(0.5, 1)])
@@ -150,7 +155,7 @@ class TestSession:
         assert outcomes == {0, 1}
 
     def test_payload_density_is_reduced_state_of_transmitted_wires(self):
-        sess = Session(2, seed=1)
+        sess = keeping_session(2, seed=1)
         sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
         rho = sess.transcript.rounds[0].sent
@@ -160,7 +165,7 @@ class TestSession:
         # wires below the top of the register take the transposing path
         state = oracles.random_state(3, np.random.default_rng(5))
         tensor = state.amps.reshape(2, 2, 2)  # axes: qubit 2, 1, 0
-        sess = Session(3, seed=0)
+        sess = keeping_session(3, seed=0)
         sess.amps = state.amps.copy()
         sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
         sess.round_trip((0, 2), '{"angle":0.0,"kind":"rotate"}', [])
@@ -179,7 +184,7 @@ class TestSession:
 
     def test_digest_covers_wires_off_the_channel(self):
         def run(working):
-            sess = Session(3, seed=0)
+            sess = keeping_session(3, seed=0)
             sess.amps = working.amps.copy()
             sess.round_trip((2,), '{"angle":0.3,"kind":"rotate"}',
                             [sv.rz(0.3, 2)])
@@ -196,7 +201,7 @@ class TestSession:
         # the x lands between two rounds of one gate and is undone after
         # the gate, so tags, op kinds, densities and final register all agree
         def run(wire):
-            sess = Session(3, seed=0)
+            sess = keeping_session(3, seed=0)
             tag = '{"angle":0.3,"kind":"rotate"}'
             sess.round_trip((2,), tag, [sv.rz(0.3, 2)])
             sess.client_apply([sv.x(wire)])
@@ -215,7 +220,7 @@ class TestSession:
     def test_digest_covers_transmitted_densities(self):
         # same tags, op kinds and final register; only the channel differs
         def run(wire):
-            sess = Session(2, seed=0)
+            sess = keeping_session(2, seed=0)
             sess.client_apply([sv.x(wire)])
             sess.round_trip((0,), '{"angle":0.0,"kind":"rotate"}', [])
             sess.client_apply([sv.x(wire)])
@@ -227,24 +232,56 @@ class TestSession:
                                   b.transcript.rounds[0].sent)
         assert a.finish().digest() != b.finish().digest()
 
-    def test_checkpointed_run_digest_matches_plain_run(self):
+    def test_checkpointed_run_digest_matches_plain_run(self, monkeypatch):
         # the checkpointed run is the plain run, round by round; pad labels
-        # are not in the digest
+        # are not in the digest.  At M = 60 the ladder's 1829 rounds run in
+        # two chunks, and the checkpoints are walked across both
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1),
                            sv.measure(0)))
-        for epsilon in (0.1, 1e-6):
+        chunks = []
+        ladder = Session.ladder
+
+        def logged_ladder(self, transit, blocks, server):
+            chunks.append([len(plan.rounds) for plan, _ in blocks])
+            return ladder(self, transit, blocks, server)
+
+        monkeypatch.setattr(Session, "ladder", logged_ladder)
+        for epsilon, m_bits in ((0.1, 5), (1e-6, 22), (math.pi / 2**60, 60)):
+            chunks.clear()
             plain = run_protocol(circ, epsilon, seed=6)
-            base = CheckpointedRun(circ, epsilon, 6).result
+            # whole blocks of at least 1000 rounds, then the rest
+            want = ([list(range(2, 46)), list(range(46, 61))] if m_bits > 45
+                    else [list(range(2, m_bits + 1))])
+            assert chunks == want
+            run = CheckpointedRun(circ, epsilon, 6)
+            assert chunks == want * 2
+            base = run.result
             assert base.transcript.digest() == plain.transcript.digest()
+            # tags, transmitted wires, markers and op kinds
+            assert base.transcript == plain.transcript
             assert np.array_equal(base.working_state.amps,
                                   plain.working_state.amps)
-            got, want = base.transcript.rounds, plain.transcript.rounds
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert (a.tag, a.transmitted, a.pad_labels) == (
-                    b.tag, b.transmitted, b.pad_labels)
-                assert np.array_equal(a.sent, b.sent)
-                assert np.array_equal(a.received, b.received)
+            # each ladder chunk's first and last round replay to themselves
+            rounds = base.transcript.rounds
+            starts = {f"gate2:m{c[0]}:k{c[0]}" for c in want}
+            firsts = [i for i, rnd in enumerate(rounds)
+                      if rnd.pad_labels[-1][1] in starts]
+            assert len(firsts) == len(want)
+            for i in firsts + [j - 1 for j in firsts[1:]] + [len(rounds) - 1]:
+                label = rounds[i].pad_labels[-1][1]
+                (again,) = run.replay(i, label, [run.keys.pad_pair(label)])
+                assert again.sent.tobytes() == rounds[i].sent.tobytes()
+                assert again.received.tobytes() == rounds[i].received.tobytes()
+            # chunking moves no byte: the whole ladder as one step
+            chunks.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(protocol, "LADDER_ROUNDS", math.inf)
+                whole = run_protocol(circ, epsilon, seed=6)
+            assert chunks == [list(range(2, m_bits + 1))]
+            assert whole.transcript.digest() == plain.transcript.digest()
+            assert whole.transcript.tags == plain.transcript.tags
+            assert np.array_equal(whole.working_state.amps,
+                                  plain.working_state.amps)
 
     def test_fork_starts_empty_with_only_its_label_pinned(self, monkeypatch):
         sess = Session(2, seed=0, epsilon=0.1)
@@ -296,7 +333,7 @@ class TestSession:
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         # 8 working qubits and the four slots fill the cap
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))
-        t = run_protocol(circ, 1e-2, seed=1).transcript
+        t = CheckpointedRun(circ, 1e-2, seed=1).result.transcript
         assert t.n_qubits + N_SLOTS == sv.MAX_QUBITS
         for rnd in t.rounds:
             for value in rnd:
@@ -306,7 +343,7 @@ class TestSession:
 
     def test_gate_markers_track_round_spans(self):
         sess = Session(1, seed=0)
-        start = len(sess.transcript.rounds)
+        start = sess.transcript.round_trips()
         sess.round_trip((0,), '{"angle":0.2,"kind":"rotate"}',
                         [sv.rz(0.2, 0)])
         sess.mark_gate(0, "rz", start)
@@ -325,3 +362,71 @@ class TestSession:
         sess = Session(1, seed=0)
         with pytest.raises(ProtocolError):
             sess.client_measure(1 + N_SLOTS, "bad")
+        # the client's ops and the channel read the wires directly, and
+        # refuse the same wire; no op names a negative one
+        with pytest.raises(ProtocolError, match="out of range"):
+            sess.client_apply([sv.x(1 + N_SLOTS)])
+        for wires in ((1 + N_SLOTS,), (-1, 0)):
+            with pytest.raises(ProtocolError, match="out of range"):
+                sess.round_trip(wires, '{"kind":"block"}', [])
+        with pytest.raises(ValueError, match="negative"):
+            sv.x(-1)
+
+
+def reachable(obj):
+    """Every object ``obj`` holds, through containers and attributes."""
+    seen, todo = set(), [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        yield item
+        if isinstance(item, dict):
+            todo += [*item.keys(), *item.values()]
+        elif isinstance(item, (list, tuple)):
+            todo += item
+        elif hasattr(item, "__dict__"):
+            todo += vars(item).values()
+
+
+class TestPlainRunMemory:
+    """A plain run keeps each round's tag and wires, not its densities."""
+
+    CIRC = Circuit(1, (sv.h(0), sv.rz(0.7, 0)))
+
+    def test_transcript_holds_no_density_and_no_round(self):
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1)))
+        t = run_protocol(circ, 1e-2, seed=3).transcript
+        held = list(reachable(t))
+        assert not any(isinstance(x, (np.ndarray, Round)) for x in held)
+        assert t._unhashed == []
+        assert t.round_trips() == 2 + 45
+
+    def test_retained_memory_per_round_trip(self):
+        epsilon = math.pi / 2**100
+        run_protocol(self.CIRC, epsilon, seed=1)  # fill the bounded caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_protocol(self.CIRC, epsilon, seed=1)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.transcript.round_trips() == 1 + 100 * 101 // 2 == 5051
+        assert kept / res.transcript.round_trips() <= 200
+
+    def test_rounds_of_a_plain_run_are_refused(self):
+        other = Circuit(1, (sv.h(0), sv.rz(-2.1, 0)))
+        plain = run_protocol(self.CIRC, 1e-2, seed=4).transcript
+        kept = CheckpointedRun(self.CIRC, 1e-2, 4).result.transcript
+        with pytest.raises(ProtocolError, match="keeps no rounds"):
+            plain.rounds
+        assert plain.round_trips() == len(kept.rounds) == 1 + 45
+        assert plain.digest() == kept.digest()
+        assert audit.classical_view(plain) == tuple(r.tag for r in kept.rounds)
+        assert audit.count_rounds(plain) == audit.count_rounds(kept)
+        assert audit.view_invariance(self.CIRC, other, 1e-2, 4) == (
+            audit.classical_view(plain))

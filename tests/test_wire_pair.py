@@ -22,7 +22,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blindqc import paulis, protocol
+from blindqc import protocol
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import ALL_PAIRS
@@ -30,8 +30,9 @@ from blindqc.circuits import Circuit
 from blindqc.protocol import (N_SLOTS, CheckpointedRun, digit_block_plan,
                               round_tag, run_protocol)
 from blindqc.session import ProtocolError, Session, Transcript
+from conftest import kept_run, keeping_session
 import oracles
-from register_engine import RegisterSession, run_pinned, run_reference
+from register_engine import RegisterSession, run_reference
 
 TOL = 1e-12
 # a density of the slot-free engine against the slot-ful one
@@ -102,14 +103,14 @@ class TestAgainstRegisterEngine:
     def test_random_circuits(self, case, epsilon, extractor):
         circ, seed = random_case(case, epsilon)
         assert_runs_match(
-            run_protocol(circ, epsilon, seed, extractor=extractor),
+            kept_run(circ, epsilon, seed, extractor=extractor),
             run_reference(circ, epsilon, seed, extractor=extractor))
 
     @pytest.mark.parametrize("extractor", ["floor", "balanced"])
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
     def test_full_register_with_rz_next_to_the_slots(self, epsilon, extractor):
         assert_runs_match(
-            run_protocol(FULL_REGISTER, epsilon, 9, extractor=extractor),
+            kept_run(FULL_REGISTER, epsilon, 9, extractor=extractor),
             run_reference(FULL_REGISTER, epsilon, 9, extractor=extractor))
 
     @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-6])
@@ -120,7 +121,7 @@ class TestAgainstRegisterEngine:
                                        for c in range(4)]
         n_labels = 0
         for circ, seed in runs:
-            uses = Counter(label for rnd in run_protocol(
+            uses = Counter(label for rnd in kept_run(
                 circ, epsilon, seed).transcript.rounds
                 for _, label in rnd.pad_labels)
             assert all(n == 1 for n in uses.values()), uses.most_common(1)
@@ -205,15 +206,19 @@ class TestCheckpoints:
                                                            monkeypatch):
         # the run decrypts the slots after a block round's step returns; a
         # replay, whose state nothing reads after its one round, does not
+        unpads = []
+        unpad = protocol._block_unpad
+
+        def counting_unpad(*args):
+            unpads.append(args)
+            return unpad(*args)
+
+        # counts every decrypt, also those the cache answers
+        monkeypatch.setattr(protocol, "_block_unpad", counting_unpad)
         run = CheckpointedRun(self.CIRC, 1e-1, seed=5)
-        folds = []
-        fold = paulis.key_update_circuit
-
-        def counting_fold(*args):
-            folds.append(args)
-            return fold(*args)
-
-        monkeypatch.setattr(paulis, "key_update_circuit", counting_fold)
+        # the run itself decrypts once per delegated gate
+        assert len(unpads) == len(self.CIRC.ops)
+        unpads.clear()
         blocks = [(i, label) for i, rnd
                   in enumerate(run.result.transcript.rounds)
                   if rnd.transmitted != (run._run.slots[3],)
@@ -222,7 +227,7 @@ class TestCheckpoints:
         assert len(blocks) == 16
         for i, label in blocks:
             run.replay(i, label, [(0, 1), (1, 1)])
-        assert folds == []
+        assert unpads == []
 
     def test_replaying_a_label_twice_returns_identical_messages(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
@@ -387,7 +392,7 @@ class TestWirePair:
         assert pair.perm == (0, 1, 2, 3)
         assert pair.phases == (1.0, 1.0, 1.0, 1.0)
         # two working wires and the transit slot 2 above them
-        sess = Session(2, seed=0)
+        sess = keeping_session(2, seed=0)
         sess.split_pair(0, 2)
         for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
                            [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
@@ -462,7 +467,7 @@ class TestWirePair:
         # engine holds on its register in |0>
         state = oracles.random_state(2, np.random.default_rng(4))
         server = StubServer([sv.rz(math.pi / 4, 2)], 2)
-        pair = Session(2, seed=0)
+        pair = keeping_session(2, seed=0)
         pair.amps[:] = state.amps
         pair.split_pair(0, 2)
         pair.ladder(2, [(BLOCK, LABELS)], server)
@@ -515,12 +520,21 @@ class TestBlockStep:
         rng = np.random.default_rng(5)
         densities = np.array([random_density(rng) for _ in range(6)])
         tags = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
-        one, block = (Transcript(seed=1, epsilon=0.1, n_qubits=4)
-                      for _ in range(2))
+        # a plain pair, which hashes each stack as it is recorded, and a
+        # pair that keeps every round and hashes at the gate boundary
+        one, block, plain_one, plain_block = (
+            Transcript(seed=1, epsilon=0.1, n_qubits=4) for _ in range(4))
+        one._rounds, block._rounds = [], []
         for i, tag in enumerate(tags):
-            one.record((3,), (tag,), densities[2 * i:2 * i + 2].copy())
+            for t in (one, plain_one):
+                t.record((3,), (tag,), densities[2 * i:2 * i + 2].copy())
+        plain_block.record((3,), tags, densities.copy())
         block.record((3,), tags, densities)
-        assert block.digest() == one.digest()
+        for t in (one, block, plain_one, plain_block):
+            t.hash_register(np.ones(2))
+        assert (block.digest() == one.digest() == plain_one.digest()
+                == plain_block.digest())
+        assert block == one == plain_one == plain_block
         assert len(block.rounds) == len(one.rounds) == 3
         for a, b in zip(block.rounds, one.rounds):
             assert (a.tag, a.transmitted, a.pad_labels) == (
@@ -566,8 +580,8 @@ class TestBlockStep:
             assert records == [m_bits * (m_bits + 1) // 2 - 1] * len(steps)
 
     def test_block_densities_are_read_only(self):
-        res = run_protocol(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
-                           math.pi / 2**5, seed=6)
+        res = CheckpointedRun(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
+                              math.pi / 2**5, seed=6).result
         transit = res.working_state.n_qubits + N_SLOTS - 1
         rounds = [r for r in res.transcript.rounds
                   if r.transmitted == (transit,)]
@@ -648,7 +662,7 @@ class TestBlockStep:
         eps = {m: math.pi / 2**m for m in (4, 8)}
         blocks = 8 - 4
         rounds = 8 * 9 // 2 - 4 * 5 // 2
-        engine = {m: self._counts(monkeypatch, eps[m], run_pinned)
+        engine = {m: self._counts(monkeypatch, eps[m], run_protocol)
                   for m in (4, 8)}
         # no hash update more, since the gate's ladder is recorded at once,
         # and at most one kernel more per extra digit block
