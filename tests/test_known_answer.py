@@ -28,6 +28,9 @@ RUN_SHA256 = {
     "balanced": "a84c15c9eacb92f08414bc6b3d6a4f1def8270a84563845374af38d35e35e4d5",
 }
 AUDIT_SHA256 = "72f8098d3ceb8f1d110a0013accd0a4a5cbd02c8295e111528a4cd198f5fec7a"
+# the signed-digit audit: its ladder replays run negative digits
+BALANCED_AUDIT_SHA256 = (
+    "782a81877b6db200dd49dd109e1e76a67c6efa038c7d08e3016addcf7e116330")
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
@@ -67,6 +70,12 @@ def test_exhaustive_audit_bytes(tmp_path):
     got = _report_sha256(tmp_path, ["audit", "--epsilon", "1e-2",
                                     "--seed", "11"])
     assert got == AUDIT_SHA256
+
+
+def test_balanced_exhaustive_audit_bytes(tmp_path):
+    got = _report_sha256(tmp_path, ["audit", "--extractor", "balanced",
+                                    "--epsilon", "1e-2", "--seed", "11"])
+    assert got == BALANCED_AUDIT_SHA256
 
 
 @pytest.mark.parametrize("extractor", sorted(WIDE_RUN_SHA256))
