@@ -103,38 +103,35 @@ def view_invariance(circuit_a: Circuit, circuit_b: Circuit, epsilon: float,
 # ---------------------------------------------------------------------------
 
 
-def _dists_from_mixed(states) -> list[float]:
+def _dists_from_mixed(states: np.ndarray) -> list[float]:
     """Trace distance of each 2x2 density in ``states`` from I/2, from one
     stacked eigen-solve; numpy runs LAPACK per matrix, so each value has
     the bits a single-matrix solve gives."""
-    stack = np.reshape(np.array(states, dtype=complex), (-1, 2, 2))
-    eigs = np.linalg.eigvalsh(stack - np.eye(2) / 2)
+    eigs = np.linalg.eigvalsh(np.reshape(states, (-1, 2, 2)) - np.eye(2) / 2)
     return (0.5 * np.abs(eigs).sum(axis=-1)).tolist()
 
 
-def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
+def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, np.ndarray]:
     """Check every transmitted wire of ``baseline``'s run is maximally mixed
     on the channel; returns the report's ``mixedness`` section and the
     checked wires' unpadded states, for ``negative_control``.
 
-    Each pad label is pinned to all four pairs and the wire's densities on
-    its way out and back are averaged in ``ALL_PAIRS`` order: an exact
-    Pauli twirl.  Keys are label-addressed, so the pair the seed draws
-    gives the baseline's own round, and one ``replay`` re-runs only the
-    round the label pads for the other three pairs, from the state the
-    baseline saved just before it, so audit cost is linear in round
-    trips.  The baseline's round counts under the pair the audit derives
-    from the key spec (``KeySource``), so keys that stray from it count a
-    pair twice.  The wire's states are read off the four rounds' stacked
-    densities at once, and all the averages go through one stacked
-    eigen-solve.  The check passes when the worst outbound distance is
-    within ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad
-    label and no label pads more than once.
+    Each pad label's round runs under all four pairs, in ``ALL_PAIRS``
+    order: the baseline's own round under the pair the key spec derives
+    (``KeySource``), so keys that stray from it count a pair twice, and
+    one ``replay`` of the round alone for the other three, so audit cost
+    is linear in round trips.  Averaging the wire's densities out and back
+    over the four is an exact Pauli twirl.  The states of every label
+    that pads one wire of one round shape are read off their densities at
+    once, and all the averages go through one stacked eigen-solve.  The
+    check passes when the worst outbound distance is within
+    ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad label
+    and no label pads more than once.
     """
     base_rounds = baseline.result.transcript.rounds
-
-    uncovered = []
-    labels, avg_out, avg_in, bare = [], [], [], []
+    # per (transmitted, wire): a round that sends it, the indices of the
+    # labels that pad it, and their twirls' densities, out then back
+    uncovered, labels, groups = [], [], {}
     for i, rnd in enumerate(base_rounds):
         padded_wires = {w for w, _ in rnd.pad_labels}
         uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
@@ -147,17 +144,22 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
             twirl = baseline.replay(i, label, ALL_PAIRS[:own]
                                     + ALL_PAIRS[own + 1:])
             twirl.insert(own, rnd)
-            # (pair, out or back, 2, 2): the wire's state under each pair
-            states = rnd.wire_state(
-                np.array([(r.sent, r.received) for r in twirl]), wire)
-            # summed from 0 in pair order, as ``sum`` adds
-            avg = states.sum(axis=0, initial=0) / 4
+            _, at, densities = groups.setdefault((rnd.transmitted, wire),
+                                                 (rnd, [], []))
+            at.append(len(labels))
             labels.append(label)
-            bare.append(states[0, 0])  # under ALL_PAIRS[0] == (0, 0): unpadded
-            avg_out.append(avg[0])
-            avg_in.append(avg[1])
+            densities += [x for r in twirl for x in (r.sent, r.received)]
 
-    dists = _dists_from_mixed(avg_out + avg_in)
+    # (label, pair, out or back, 2, 2): each label's wire under each pair,
+    # read off each group's densities at once
+    states = np.empty((len(labels), 4, 2, 2, 2), dtype=complex)
+    for (_, wire), (rnd, at, densities) in groups.items():
+        d = len(densities[0])
+        states[at] = rnd.wire_state(
+            np.array(densities).reshape(len(at), 4, 2, d, d), wire)
+    # summed from 0 in pair order, as ``sum`` adds
+    avg = sum(states[:, pair] for pair in range(4)) / 4
+    dists = _dists_from_mixed(np.concatenate((avg[:, 0], avg[:, 1])))
     worst, worst_label = 0.0, None
     for label, dist in zip(labels, dists):
         if dist > worst:
@@ -174,7 +176,7 @@ def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, list]:
         "uncovered": uncovered,
         "reused": reused,
         "pass": worst <= EXHAUSTIVE_TOLERANCE and not (uncovered or reused),
-    }, bare
+    }, states[:, 0, 0]  # under ALL_PAIRS[0] == (0, 0): unpadded
 
 
 def negative_control(states) -> float:

@@ -40,10 +40,8 @@ That is exact: unitaries on two wires act on their reduced density by
 conjugation, and the other wires see no gate until the pair is joined
 back.  The client draws and plans the pads of whole blocks, at least
 ``LADDER_ROUNDS`` rounds at a time, and each such chunk goes to the
-session as one step (``Session.ladder``), which takes each tag's
-rotation from ``BlindServer.ops_for`` once and records the chunk's
-rounds at once; a ``CheckpointedRun`` takes the same steps and walks
-their folds on a copy of the pair for its per-round checkpoints.
+session as one step (``Session.ladder``), which records its rounds at
+once.
 """
 
 from __future__ import annotations
@@ -60,7 +58,8 @@ from . import statevec as sv
 from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
 from .lowering import first_undelegable
-from .session import N_SLOTS, ProtocolError, Round, Session, Transcript
+from .session import (N_SLOTS, KeySource, ProtocolError, Round, Session,
+                      Transcript)
 from .statevec import Gate, GateOp
 
 PI = math.pi
@@ -228,7 +227,8 @@ class _Run:
 
     def _block_trip(self, sess: Session, swaps, pad_labels, tag: str) -> list:
         """Swap wires into slots, pad each (wire, label) in ``pad_labels``
-        and send the uniform block with ``tag``: it ends at the send."""
+        and send the uniform block with ``tag``: it ends at the reply, and
+        the run applies the server's gates after it."""
         sess.client_apply(swaps)
         pairs = sess.pad(pad_labels)
         sess.round_trip(self.slots, tag, self.server.ops_for(tag),
@@ -306,8 +306,9 @@ class _Run:
                                  pad_labels=pad_labels, tag=tag)
         if self.checkpoints is not None:
             self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
-        # decrypt: transit when digit 1 rode it, then the padded slots
         pairs = step(self, sess)
+        sess.server_apply(self.server.ops_for(tag))
+        # decrypt: transit when digit 1 rode it, then the padded slots
         if digits:
             r = plan_round(1, pairs.pop(), *digits[0], 1)
             sess.client_apply(
@@ -352,19 +353,15 @@ class CheckpointedRun:
     replayed by re-running the one round it pads.
 
     A checkpoint holds the state just before its round and the round as a
-    step: the block round of an h or cz gate, the opening round of an rz
-    gate (digit block 1, after the parity Z), or one round of a later
-    digit block.  A block round keeps a register copy; its step swaps the
-    riding wires in and ends at its round trip.  Ladder pads are drawn and
-    planned per chunk, as in a plain run, and each chunk is one
-    ``Session.ladder`` step; the run walks the folds it returns (the same
-    bytes) on a copy of the split pair and saves the copy before each
-    round.  A ladder round's step holds the baseline's plans, so a replay
-    re-plans only its round, with the baseline's carry, a product over
-    pads drawn before it; a label's pair changes nothing before its own
-    round, so a replay records the round a whole-circuit replay with the
-    label pinned records, bit for bit.  All of a label's pairs replay on
-    one fork (``replay``), which draws the pairs the baseline drew.
+    step.  A block round (an h or cz gate's, or an rz gate's opening
+    round, after the parity Z) keeps a register copy; its step swaps the
+    riding wires in, pads and ends at its round trip.  A ladder round of
+    digit block m >= 2 keeps the split pair, which the run gets by walking
+    the folds of its ``Session.ladder`` chunk on a copy; its step re-plans
+    only that round (``plan_round``) with the baseline's carry and runs it
+    as a one-round ``Session.ladder`` step.  A label's pair changes nothing
+    before its own round, so a replay records the round a whole-circuit
+    replay with the label pinned records, bit for bit.
     """
 
     def __init__(self, circuit: Circuit, epsilon: float, seed: int,
@@ -378,23 +375,27 @@ class CheckpointedRun:
         self.result = self._run.run()
 
     def replay(self, index: int, label: str, pairs) -> list[Round]:
-        """Round ``index`` of this run with ``label``, which must pad it,
-        pinned to each pair in ``pairs`` in turn: one round per pair.
-
-        All the pairs run on one fork, one at a time, block and ladder
-        rounds alike: the fork takes the key source with ``label`` pinned
-        to the pair, a fresh copy of the checkpoint's state (a register
-        copy, or the split pair) and fresh slots, and runs the step.
-        """
-        pads = self.result.transcript.rounds[index].pad_labels
-        if label not in [lbl for _, lbl in pads]:
+        """Round ``index`` of this run (0 <= index < its round trips) with
+        ``label``, which must pad it, pinned to each pair in ``pairs`` in
+        turn: one round per pair, all on one fork with one key source that
+        pins the round's other pads to the run's draws.  Per pair the fork
+        takes a fresh copy of the checkpoint's state and runs the step."""
+        if not 0 <= index < len(self._checkpoints):
+            raise ValueError(f"round {index} is not in this run's "
+                             f"{len(self._checkpoints)} rounds")
+        # the round's pads as the run drew them, each drawn once
+        drawn = {lbl: self.keys.pad_pair(lbl) for _, lbl
+                 in self.result.transcript.rounds[index].pad_labels}
+        if label not in drawn:
             raise ValueError(f"'{label}' does not pad round {index}")
         if not pairs:
             raise ValueError("a replay needs at least one pair")
         state, step = self._checkpoints[index]
         fork = self._session.fork()
+        # one key source, with the label pinned to each pair in turn
+        fork.keys = keys = KeySource(self.keys.seed, drawn)
         for pair in pairs:
-            fork.keys = self.keys.pinned(label, pair)
+            keys.overrides[label] = tuple(pair)
             fork.restore(state.copy())
             step(self._run, fork)
         # a new list: what a caller adds to it stays off the fork's record

@@ -3,39 +3,35 @@ client/server channel, and the replayable transcript of its round trips.
 
 Randomness is label-addressed: ``KeySource`` reads each draw straight off
 one BLAKE2b digest of ``"{seed}/{kind}/{label}"``, so the value bound to a
-label never depends on draw order.  Each kind's prefix is hashed once per
-key source; a draw copies that state and feeds it the label, which gives
-the same digest, since BLAKE2b streams.  That is what lets the blindness
-auditor override a single pad and re-run the protocol with every other
-draw unchanged.  Such a replay re-runs only the round the pad protects,
-for all the label's pairs on one fork (``Session.fork``), which starts
-with an empty transcript, no register and no pair.  For each pair the
-replay gives the fork the key source with the label pinned to it and a
-fresh copy of the state saved just before that round (the register, or
-the wire pair split off it), and runs the round.  A fork draws its own
-pads; keys are label-addressed, so each draw gives the pair the run drew.
+label never depends on draw order, and the auditor can pin one pad and
+re-run its round with every other draw unchanged.
 
 The register holds the working wires only; every wire of the channel
 holds one of them or a dummy, a product state of two amplitudes (a swap
-with a dummy relabels the two).  The channel is in-process: a round trip
-takes the transmitted wires' joint rows as the client sends them, and
-the server's gates J times them as the reply comes back, and applies J.
+with a dummy relabels the two).  A round trip records the transmitted
+wires' joint rows as the client sends them and the server's gates J
+times them as the reply comes back; ``server_apply`` then applies J.
 ``Transcript.record`` takes both reduced densities of each round, what
-the channel carries and all the audit reads; the digit blocks m >= 2 of
-an ``rz`` gate fold on the ``WirePair`` split off the register, and one
+the channel carries and all the audit reads; an ``rz`` gate's digit
+blocks m >= 2 fold on the ``WirePair`` split off the register, and one
 ``record`` takes a ``ladder`` step's rounds as one stack.  The running
 hash takes every stack in record order and, at every gate boundary and
 at the end, the whole register, renormalized: the digest covers every
 transmitted density and every amplitude at every gate boundary, not
 off-channel amplitudes between two rounds of one gate.  A plain run
-(``run_protocol``) keeps each round's tag and wires alone: it hashes
-each stack when recorded and drops it.  A ``CheckpointedRun`` and its
-forks keep every ``Round`` for the audit and hash the stacks at the
-next gate boundary, which a fork never reaches.
+(``run_protocol``) keeps each round's tag and wires alone and hashes each
+stack when recorded; a ``CheckpointedRun`` keeps every ``Round`` and
+hashes the stacks at the next gate boundary.
+
+A replay re-runs one round on a fork (``fork``), once per pair: the saved
+state, the client's swaps and pads and the round trip, or the ladder
+round, and one record.  A fork keeps its ``Round``s and nothing else: it
+logs no tag, wire or op kind, applies no server gate, hashes nothing.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -47,6 +43,8 @@ import numpy as np
 from . import paulis
 from . import statevec as sv
 
+# a log that keeps nothing: what a fork adds to its logs is dropped
+_UNKEPT = collections.deque(maxlen=0)
 # the transcript's name of each gate kind, read without the Enum descriptor
 _KIND_NAMES = {kind: kind.value for kind in sv.Gate}
 # the kinds of one wire's pad and unpad for each (x, z) pair, in the order
@@ -79,14 +77,6 @@ class KeySource:
                                     digest_size=1)
         self._u = hashlib.blake2b(f"{self.seed}/u/".encode(), digest_size=8)
 
-    def pinned(self, label: str, pair) -> KeySource:
-        """This key source with ``label`` also pinned to ``pair``, sharing
-        the prefix states, which draws only copy."""
-        twin = object.__new__(KeySource)
-        twin.__dict__.update(self.__dict__)
-        twin.overrides = {**self.overrides, label: tuple(pair)}
-        return twin
-
     def pad_pair(self, label: str) -> tuple[int, int]:
         """One (x_bit, z_bit) pad draw."""
         if label in self.overrides:
@@ -115,15 +105,12 @@ def _marginal_index(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Round(NamedTuple):
-    """One round trip (an immutable record).
-
-    ``tag`` is the classical tag exactly as it crossed the channel, a
-    canonical JSON string.  ``transmitted`` lists the wires actually on the
-    channel.  ``sent`` is their joint reduced state as the client sends
-    them and ``received`` as the server's reply comes back, each with the
-    lowest transmitted wire as the least significant bit; both are
-    read-only.  ``pad_labels`` maps each transmitted wire to the key label
-    protecting it on the way out (used by the mixedness audit).
+    """One round trip (an immutable record): ``tag`` exactly as it crossed
+    the channel, a canonical JSON string; the ``transmitted`` wires; their
+    joint reduced state as the client sends them (``sent``) and as the
+    server's reply comes back (``received``), read-only, the lowest wire
+    as the least significant bit; and the key label protecting each wire
+    on the way out (``pad_labels``, which the mixedness audit reads).
     """
 
     tag: str
@@ -170,6 +157,7 @@ def _ops_matrix(server_ops, wires) -> np.ndarray:
     return j.reshape(1 << k, 1 << k)
 
 
+@functools.lru_cache(maxsize=256)
 def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
     """The phases of ``server_ops``, which must be one rz on ``wire``."""
     if (len(server_ops) != 1 or server_ops[0].kind is not sv.Gate.RZ
@@ -225,15 +213,12 @@ class Transcript:
         return self._rounds
 
     def record(self, transmitted, tags, densities: np.ndarray) -> None:
-        """Append r >= 1 rounds on the same wires.
-
-        ``tags`` holds each round's (tag, pad_labels) and ``densities``
-        stacks the transmitted wires' joint state as each round goes out
-        and comes back, (2r, d, d), the lowest wire as the least
-        significant bit.  A transcript that keeps rounds makes the stack
-        read-only, for rounds to view and ``hash_register`` to hash; any
-        other hashes it now and drops it.
-        """
+        """Append r >= 1 rounds on the same wires: ``tags`` holds each
+        round's (tag, pad_labels), ``densities`` the wires' joint state as
+        each round goes out and comes back, (2r, d, d), the lowest wire as
+        the least significant bit.  A transcript that keeps rounds makes
+        the stack read-only, for rounds to view and ``hash_register`` to
+        hash; any other hashes it now and drops it."""
         self.tags += [tag for tag, _ in tags]
         self._wires += [transmitted] * len(tags)
         if self._rounds is None:
@@ -280,7 +265,8 @@ class Transcript:
 class Session:
     """One protocol run: register, what each wire holds, key source,
     growing transcript, and the ``WirePair`` split off the register, if
-    any.  A fork's replay sets its key source and state per round."""
+    any.  A fork's replay sets its key source once and its state per
+    pair."""
 
     def __init__(self, n_qubits: int, seed: int, *,
                  epsilon: float | None = None):
@@ -363,29 +349,37 @@ class Session:
 
     def round_trip(self, transmitted, tag: str, server_ops,
                    pad_labels=()) -> None:
-        """Send ``transmitted`` wires with ``tag``; server applies its gates
-        J.  The sent rows: carried wires' register rows times dummies."""
+        """Send ``transmitted`` wires with ``tag`` and record the round:
+        the carried wires' register rows times the dummies, then the server's
+        gates J times them.  The state stays as sent; ``server_apply``
+        applies J after the reply, and a replay stops before it."""
         transmitted = tuple(transmitted)
         wires = tuple(sorted(transmitted))
         if wires[0] < 0 or wires[-1] >= len(self.held):
             raise ProtocolError(f"wires {wires} out of range")
         held = [self.held[w] for w in wires]
+        carried = [h for h in held if type(h) is int]
         state = [1.0]
         for h in held:
             if type(h) is not int:
                 state = [x * y for x in h for y in state]
-        # one axis per wire, the highest first, then the register's rest
-        axes = [type(h) is int for h in reversed(held)]
-        sent = (np.array(state).reshape([1 if c else 2 for c in axes] + [1])
-                * sv._rows(self.amps, [h for h in held if type(h) is int])
-                .reshape([2 if c else 1 for c in axes] + [-1])
-                ).reshape(1 << len(wires), -1)
-        rows = np.array((sent, _ops_matrix(tuple(server_ops), wires) @ sent))
-        for op in server_ops:
-            self._apply(op)
-            self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
+        # one axis per wire, the highest first, then the register's rest;
+        # the two rows are written in place
+        axes = [2 if type(h) is int else 1 for h in reversed(held)]
+        rows = np.empty((2, 1 << len(wires), self.amps.size >> len(carried)),
+                        dtype=complex)
+        np.multiply(np.array(state).reshape([3 - a for a in axes] + [1]),
+                    sv._rows(self.amps, carried).reshape(axes + [-1]),
+                    out=rows[0].reshape([2] * len(wires) + [-1]))
+        np.matmul(_ops_matrix(tuple(server_ops), wires), rows[0], out=rows[1])
         self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
                                rows @ rows.conj().transpose(0, 2, 1))
+
+    def server_apply(self, ops) -> None:
+        """The server's gates, applied after the round trip that sent them."""
+        for op in ops:
+            self._apply(op)
+            self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
 
     def ladder(self, transit: int, blocks, server) -> list:
         """Run digit blocks' rounds on the split pair in one step, and
@@ -395,9 +389,10 @@ class Session:
         whose round k, padded by ``labels[k - 1]``, pads ``transit`` under
         its pair, sends it with ``server.round_tags[k - 1]``, takes the
         server's one rz on transit (``server.ops_for``, checked once per
-        tag) and unpads; the client swaps the pair where the plan says.
-        The pair folds every op, one ``record`` takes all the rounds, and
-        the op kinds logged are the ones the same ops would log one by one.
+        server and tag) and unpads; the client swaps the pair where the
+        plan says.  The pair folds every op, one ``record`` takes all the
+        rounds, and the op kinds logged are the ones the same ops would log
+        one by one.
         """
         pair = self.wire_pair
         if pair is None:
@@ -426,16 +421,18 @@ class Session:
         return steps
 
     def fork(self) -> Session:
-        """A session with this one's key source, an empty transcript, no
-        register and no pair: ``CheckpointedRun.replay`` runs rounds on it."""
+        """A session with no register, no pair and no key source, whose
+        transcript keeps the ``Round``s it records and logs no tag, wire or
+        op kind: ``CheckpointedRun.replay`` gives it a key source and runs
+        rounds on it."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
         fork.n_qubits = self.n_qubits
         fork.amps = fork.wire_pair = fork.held = None
-        fork.keys = self.keys
-        fork.transcript = Transcript(self.transcript.seed,
-                                     self.transcript.epsilon, self.n_qubits)
-        fork.transcript._rounds = []
+        t = fork.transcript = Transcript(self.transcript.seed,
+                                         self.transcript.epsilon, self.n_qubits)
+        t._rounds, t._unhashed = [], _UNKEPT
+        t.tags = t._wires = t.client_op_kinds = t.server_op_kinds = _UNKEPT
         return fork
 
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:

@@ -1,5 +1,6 @@
 """Auditor behavior: view invariance, mixedness, negative control."""
 
+import collections
 import json
 import math
 
@@ -264,6 +265,79 @@ class TestReplayReuse:
             base.replay(1, "gate0:slot1", [(1, 1)])
         with pytest.raises(ValueError, match="at least one pair"):
             base.replay(0, "gate0:slot1", [])
+
+    def test_replay_refuses_an_index_outside_the_run(self):
+        # a negative index would count rounds from the end
+        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
+        base = CheckpointedRun(circ, 1e-1, seed=0)
+        rounds = base.result.transcript.rounds
+        assert len(rounds) == 18
+        label = rounds[17].pad_labels[0][1]
+        assert len(base.replay(17, label, [(1, 1)])) == 1
+        for index in (-1, -18, 18):
+            with pytest.raises(ValueError, match="not in this run"):
+                base.replay(index, label, [(1, 1)])
+
+
+class TestLeanReplays:
+    """A replayed pair runs its round and nothing else: the run's own pad,
+    round trip or ladder under the pinned key, and one record."""
+
+    @pytest.mark.parametrize("circ, epsilon", [
+        (Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1))), 1e-2),
+        # M = 60: the ladder's 1829 rounds run in two chunks
+        (Circuit(1, (sv.rz(0.7, 0),)), PI / 2**60),
+    ], ids=["h-cz-rz-h", "two-ladder-chunks"])
+    def test_a_replayed_pair_runs_only_its_round(self, monkeypatch, circ,
+                                                 epsilon):
+        run = CheckpointedRun(circ, epsilon, seed=0)
+        forks, calls = [], collections.defaultdict(list)
+
+        def watch(cls, name):
+            method = getattr(cls, name)
+
+            def watched(self, *args, **kwargs):
+                got = method(self, *args, **kwargs)
+                calls[self].append((name, args, got))
+                return got
+
+            monkeypatch.setattr(cls, name, watched)
+
+        for name in ("pad", "round_trip", "ladder", "_apply"):
+            watch(Session, name)
+        watch(KeySource, "pad_pair")
+        fork = Session.fork
+        monkeypatch.setattr(Session, "fork",
+                            lambda self: forks.append(fork(self)) or forks[-1])
+        # every replay the audit makes, one fork per label
+        payload_mixedness(run)
+        replayed = [(rnd, label) for rnd in run.result.transcript.rounds
+                    for _, label in rnd.pad_labels]
+        assert len(forks) == len(replayed)
+        ms = set()
+        for fork, (rnd, label) in zip(forks, replayed):
+            t = fork.transcript
+            assert len(t.rounds) == 3
+            # no op kind, tag or wire is logged
+            assert not (t.client_op_kinds or t.server_op_kinds)
+            assert not (t.tags or t._wires)
+            # the client's swaps and pads alone touch the fork's state: no
+            # server gate is applied after the reply
+            assert {args[0].kind.value for name, args, _ in calls[fork]
+                    if name == "_apply"} <= {"x", "z", "swap"}
+            names = [name for name, _, _ in calls[fork] if name != "_apply"]
+            if len(rnd.transmitted) > 1:
+                assert names == ["pad", "round_trip"] * 3
+            else:
+                assert names == ["ladder"] * 3
+                ms.add(label.split(":")[1])
+            # the label is drawn once per pair, on the fork's key source,
+            # under each pinned pair in turn
+            own = KeySource(0).pad_pair(label)
+            assert [got for _, (lbl,), got in calls[fork.keys]
+                    if lbl == label] == [p for p in ALL_PAIRS if p != own]
+        if epsilon < 1e-9:
+            assert ms == {f"m{m}" for m in range(2, 61)}
 
 
 def assert_replays_match_whole_circuit(circ, epsilon, seed,

@@ -15,11 +15,26 @@ README = ROOT / "README.md"
 PACKAGE = ROOT / "src" / "blindqc"
 
 
-def documented_names() -> list[str]:
-    text = README.read_text(encoding="utf-8")
+def documented_names(text: str | None = None) -> list[str]:
+    """The names the ``* group: ...`` bullets of the README's Python API
+    section list; backticked names in its prose are not exports."""
+    if text is None:
+        text = README.read_text(encoding="utf-8")
     section = text.split("## Python API", 1)[1].split("\n## ", 1)[0]
-    return [tok for tok in re.findall(r"`([^`]+)`", section)
-            if tok.isidentifier()]
+    # a bullet runs on over the lines indented under it
+    bullets = re.findall(r"^\* [^:`\n]+:.*(?:\n  .*)*", section, re.M)
+    return [tok for bullet in bullets
+            for tok in re.findall(r"`([^`]+)`", bullet) if tok.isidentifier()]
+
+
+def test_documented_names_read_only_the_group_bullets():
+    text = ("# Title\n\n## Python API\n\nThe package exports `Circuit`\n"
+            "and more:\n\n* circuits: `Circuit`, `parse`;\n"
+            "* cost model: `sweep`,\n  `sweep_csv`.\n\n"
+            "Reading `.rounds` raises `ProtocolError`; each is a `Round`.\n"
+            "* not a group `Round`\n\n## Next\n\n* cli: `main`\n")
+    assert documented_names(text) == ["Circuit", "parse", "sweep",
+                                       "sweep_csv"]
 
 
 def test_all_is_the_documented_list():

@@ -283,21 +283,24 @@ class TestSession:
             assert np.array_equal(whole.working_state.amps,
                                   plain.working_state.amps)
 
-    def test_fork_starts_empty_with_only_its_label_pinned(self, monkeypatch):
+    def test_fork_starts_empty_and_pins_its_label_on_one_key_source(
+            self, monkeypatch):
         sess = Session(2, seed=0, epsilon=0.1)
         sess.keys = KeySource(0, {"q": (0, 1)})
         sess.client_apply([sv.h(0)])
         sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
         fork = sess.fork()
         t = fork.transcript
-        assert (t.rounds, t.markers, t.client_op_kinds,
-                t.server_op_kinds) == ([], [], [], [])
+        assert t.rounds == t.markers == []
+        assert not (t.tags or t._wires or t.client_op_kinds
+                    or t.server_op_kinds)
         # the same header and an empty running hash as a fresh session's
         assert t.digest() == Session(2, seed=0,
                                      epsilon=0.1).transcript.digest()
         assert fork.amps is None and fork.wire_pair is None
         assert sess.keys.overrides == {"q": (0, 1)}
-        # each replayed pair draws the label as pinned, all else as the run
+        # each replayed pair draws the label as pinned, all else as the run,
+        # all on one key source that pins nothing but the round's labels
         run = CheckpointedRun(Circuit(2, (sv.h(0), sv.rz(1.1, 1))), 0.1,
                               seed=3)
         saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
@@ -305,24 +308,28 @@ class TestSession:
         pad_pair = KeySource.pad_pair
 
         def logged_pad_pair(self, label):
-            draws.append((self, label, pad_pair(self, label)))
+            draws.append((self, label, pad_pair(self, label),
+                          dict(self.overrides)))
             return draws[-1][2]
 
         monkeypatch.setattr(KeySource, "pad_pair", logged_pad_pair)
         pairs = ((1, 0), (0, 0), (1, 1))
         for i, rnd in enumerate(run.result.transcript.rounds):
+            own = {lbl: pad_pair(run.keys, lbl) for _, lbl in rnd.pad_labels}
             for _, label in rnd.pad_labels:
                 draws.clear()
                 run.replay(i, label, pairs)
-                sources = list(dict.fromkeys(keys for keys, _, _ in draws))
-                assert len(sources) == len(pairs)
-                for keys, pair in zip(sources, pairs):
-                    assert keys.overrides == {label: pair}
-                    assert (label, pair) in [(lbl, got) for k, lbl, got
-                                             in draws if k is keys]
-                for _, lbl, got in draws:
+                sources = list(dict.fromkeys(
+                    keys for keys, *_ in draws if keys is not run.keys))
+                assert len(sources) == 1
+                assert [got for k, lbl, got, _ in draws
+                        if lbl == label and k is sources[0]] == list(pairs)
+                for keys, lbl, got, overrides in draws:
+                    if keys is sources[0]:
+                        assert overrides == {**own, label: overrides[label]}
+                        assert overrides[label] in pairs
                     if lbl != label:
-                        assert got == pad_pair(run.keys, lbl)
+                        assert got == own[lbl]
         # no replay wrote to the states the checkpoints saved
         for cp, state in zip(run._checkpoints, saved, strict=True):
             if isinstance(state, sv.WirePair):
@@ -354,6 +361,10 @@ class TestSession:
     def test_server_op_kinds_are_recorded(self):
         sess = Session(1, seed=0)
         sess.round_trip((0,), '{"kind":"block"}', [sv.h(0)])
+        # the round trip leaves the state as sent; the server's gates follow
+        t = sess.transcript
+        assert t.server_op_kinds == [] and sess.amps[0] == 1.0
+        sess.server_apply([sv.h(0)])
         t = sess.finish()
         assert t.server_op_kinds == ["h"]
         assert "swap" not in t.client_op_kinds
