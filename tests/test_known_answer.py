@@ -12,7 +12,9 @@ swap ops are drawn for many wire pairs.
 
 A third, eight-qubit circuit fills the register cap (8 working wires and
 the four slots) and at epsilon 1e-6 runs 22 digit blocks per `rz`, 511
-round trips in all, so the pins cover the full register and long ladders.
+round trips in all, so the pins cover the full register and long ladders.  One more audit of
+the first circuit runs at epsilon 5e-14 (M = 46), where each rz ladder
+takes two chunks.
 """
 
 import hashlib
@@ -31,6 +33,10 @@ AUDIT_SHA256 = "72f8098d3ceb8f1d110a0013accd0a4a5cbd02c8295e111528a4cd198f5fec7a
 # the signed-digit audit: its ladder replays run negative digits
 BALANCED_AUDIT_SHA256 = (
     "782a81877b6db200dd49dd109e1e76a67c6efa038c7d08e3016addcf7e116330")
+# at epsilon 5e-14 (M = 46) each rz ladder runs as two chunks, blocks
+# 2..45 then block 46, so the audit's per-step check spans both
+LONG_AUDIT_SHA256 = (
+    "ae61bdc4ef1428d0f85bff669ceedfcc3e1db699d9beb9c1cc04ae0796cfa510")
 
 WIDE_CIRCUIT = ("version 1\nqubits 3\nh 2\ncz 0 2\nt 1\nswap 2 0\n"
                 "rz 0 -1.9\ncz 2 1\nmeasure 2\n")
@@ -76,6 +82,12 @@ def test_balanced_exhaustive_audit_bytes(tmp_path):
     got = _report_sha256(tmp_path, ["audit", "--extractor", "balanced",
                                     "--epsilon", "1e-2", "--seed", "11"])
     assert got == BALANCED_AUDIT_SHA256
+
+
+def test_two_chunk_exhaustive_audit_bytes(tmp_path):
+    got = _report_sha256(tmp_path, ["audit", "--epsilon", "5e-14",
+                                    "--seed", "11"])
+    assert got == LONG_AUDIT_SHA256
 
 
 @pytest.mark.parametrize("extractor", sorted(WIDE_RUN_SHA256))
