@@ -11,9 +11,10 @@ checks both halves:
   transmitted wire must be exactly maximally mixed at the moment it
   crosses the channel.  The audit averages the protocol run under all
   four values of each pad label, so the twirl is exact (tolerance 1e-10)
-  and its cost is linear in round trips.  A pad hides only if used
-  once, so each label must pad one wire of one round with the key its
-  derivation from the seed gives, which no other label shares.
+  and its cost is linear in round trips.  It checks each step of the run
+  as the run makes it, so its memory stays flat.  A pad hides only if
+  used once, so each label must pad one wire of one round with the key
+  its derivation from the seed gives, which no other label shares.
 
 A negative control reads each wire under its label pinned to (0, 0),
 that is unpadded, and requires some wire far from maximally mixed, so
@@ -23,14 +24,13 @@ an auditor cannot pass vacuously.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 
 import numpy as np
 
 from .angles import precision_bits
 from .circuits import Circuit
 from .lowering import SERVER_KINDS
-from .protocol import CheckpointedRun, run_protocol
+from .protocol import ProtocolResult, checked_run, replay, run_protocol
 from .session import Transcript
 from .statevec import Gate
 
@@ -111,72 +111,86 @@ def _dists_from_mixed(states: np.ndarray) -> list[float]:
     return (0.5 * np.abs(eigs).sum(axis=-1)).tolist()
 
 
-def payload_mixedness(baseline: CheckpointedRun) -> tuple[dict, np.ndarray]:
-    """Check every transmitted wire of ``baseline``'s run is maximally mixed
-    on the channel; returns the report's ``mixedness`` section and the
-    checked wires' unpadded states, for ``negative_control``.
+def payload_mixedness(circuit: Circuit, epsilon: float, seed: int,
+                      extractor: str = "floor"
+                      ) -> tuple[dict, float, ProtocolResult]:
+    """Run ``circuit`` as ``blindqc run`` does and check every transmitted
+    wire is maximally mixed on the channel; returns the report's
+    ``mixedness`` section, the ``negative_control`` of the checked wires'
+    unpadded states, and the run's result.
 
     Each pad label's round runs under all four pairs, in ``ALL_PAIRS``
-    order: the baseline's own round under the pair the key spec derives
+    order: the run's own round under the pair the key spec derives
     (``KeySource``), so keys that stray from it count a pair twice, and
     one ``replay`` of the round alone for the other three, so audit cost
     is linear in round trips.  Averaging the wire's densities out and back
-    over the four is an exact Pauli twirl.  The states of every label
-    that pads one wire of one round shape are read off their densities at
-    once, and all the averages go through one stacked eigen-solve.  The
-    check passes when the worst outbound distance is within
+    over the four is an exact Pauli twirl.  Each step of the run is
+    checked as the run hands it over: the states of every label that pads
+    one wire of one round shape are read off their densities at once, and
+    the step's averages go through one stacked eigen-solve.  The check
+    passes when the worst outbound distance is within
     ``EXHAUSTIVE_TOLERANCE``, every transmitted wire carries a pad label
     and no label pads more than once.
     """
-    base_rounds = baseline.result.transcript.rounds
-    # per (transmitted, wire): a round that sends it, the indices of the
-    # labels that pad it, and their twirls' densities, out then back
-    uncovered, labels, groups = [], [], {}
-    for i, rnd in enumerate(base_rounds):
-        padded_wires = {w for w, _ in rnd.pad_labels}
-        uncovered += [f"round {i} wire {wire}" for wire in rnd.transmitted
-                      if wire not in padded_wires]
-        for wire, label in rnd.pad_labels:
-            b = hashlib.blake2b(f"{baseline.keys.seed}/pad/{label}".encode(),
-                                digest_size=1).digest()[0]
-            own = ALL_PAIRS.index((b & 1, (b >> 1) & 1))
-            # round i under each pair of the label, in ALL_PAIRS order
-            twirl = baseline.replay(i, label, ALL_PAIRS[:own]
-                                    + ALL_PAIRS[own + 1:])
-            twirl.insert(own, rnd)
-            _, at, densities = groups.setdefault((rnd.transmitted, wire),
-                                                 (rnd, [], []))
-            at.append(len(labels))
-            labels.append(label)
-            densities += [x for r in twirl for x in (r.sent, r.received)]
+    uncovered, seen, reused = [], set(), set()
+    n_checks, worst, worst_label, inbound, control = 0, 0.0, None, 0.0, 0.0
 
-    # (label, pair, out or back, 2, 2): each label's wire under each pair,
-    # read off each group's densities at once
-    states = np.empty((len(labels), 4, 2, 2, 2), dtype=complex)
-    for (_, wire), (rnd, at, densities) in groups.items():
-        d = len(densities[0])
-        states[at] = rnd.wire_state(
-            np.array(densities).reshape(len(at), 4, 2, d, d), wire)
-    # summed from 0 in pair order, as ``sum`` adds
-    avg = sum(states[:, pair] for pair in range(4)) / 4
-    dists = _dists_from_mixed(np.concatenate((avg[:, 0], avg[:, 1])))
-    worst, worst_label = 0.0, None
-    for label, dist in zip(labels, dists):
-        if dist > worst:
-            worst, worst_label = dist, label
-    reused = sorted(lbl for lbl, n in Counter(labels).items() if n > 1)
+    def check(run, rounds) -> None:
+        nonlocal n_checks, worst, worst_label, inbound, control
+        # per (transmitted, wire): a round that sends it, the indices of
+        # the labels that pad it, and their twirls' densities, out then back
+        labels, groups = [], {}
+        for i, (rnd, state, step) in enumerate(
+                rounds, run.session.transcript.round_trips() - len(rounds)):
+            padded_wires = {w for w, _ in rnd.pad_labels}
+            uncovered.extend(f"round {i} wire {wire}" for wire in
+                             rnd.transmitted if wire not in padded_wires)
+            for wire, label in rnd.pad_labels:
+                b = hashlib.blake2b(
+                    f"{run.session.keys.seed}/pad/{label}".encode(),
+                    digest_size=1).digest()[0]
+                own = ALL_PAIRS.index((b & 1, (b >> 1) & 1))
+                # the round under each pair of the label, in ALL_PAIRS order
+                twirl = replay(run, state, step, rnd, label,
+                               ALL_PAIRS[:own] + ALL_PAIRS[own + 1:])
+                twirl.insert(own, (rnd.sent, rnd.received))
+                _, at, densities = groups.setdefault((rnd.transmitted, wire),
+                                                     (rnd, [], []))
+                at.append(len(labels))
+                labels.append(label)
+                densities += [x for pair in twirl for x in pair]
+                (reused if label in seen else seen).add(label)
+        # (label, pair, out or back, 2, 2): each label's wire under each
+        # pair, read off each group's densities at once
+        states = np.empty((len(labels), 4, 2, 2, 2), dtype=complex)
+        for (_, wire), (rnd, at, densities) in groups.items():
+            d = len(densities[0])
+            states[at] = rnd.wire_state(
+                np.array(densities).reshape(len(at), 4, 2, d, d), wire)
+        # summed from 0 in pair order, as ``sum`` adds
+        avg = sum(states[:, pair] for pair in range(4)) / 4
+        dists = _dists_from_mixed(np.concatenate((avg[:, 0], avg[:, 1])))
+        for label, dist in zip(labels, dists):
+            if dist > worst:
+                worst, worst_label = dist, label
+        inbound = max([inbound, *dists[len(labels):]])
+        # under ALL_PAIRS[0] == (0, 0): unpadded
+        control = max(control, negative_control(states[:, 0, 0]))
+        n_checks += len(labels)
+
+    result = checked_run(circuit, epsilon, seed, check, extractor)
     return {
         "mode": "exhaustive",
-        "n_messages": len(base_rounds),
-        "n_checks": len(labels),
+        "n_messages": result.transcript.round_trips(),
+        "n_checks": n_checks,
         "worst_distance": worst,
         "worst_label": worst_label,
-        "inbound_worst_distance": max([0.0, *dists[len(labels):]]),
+        "inbound_worst_distance": inbound,
         "tolerance": EXHAUSTIVE_TOLERANCE,
         "uncovered": uncovered,
-        "reused": reused,
+        "reused": sorted(reused),
         "pass": worst <= EXHAUSTIVE_TOLERANCE and not (uncovered or reused),
-    }, states[:, 0, 0]  # under ALL_PAIRS[0] == (0, 0): unpadded
+    }, control, result
 
 
 def negative_control(states) -> float:
@@ -230,11 +244,9 @@ def audit_circuit(circuit: Circuit, epsilon: float, seed: int, *,
         raise ValueError(f"unknown mixedness mode {mode!r}")
     if not circuit_skeleton(circuit):
         raise ValueError("circuit delegates no gates to audit")
-    baseline = CheckpointedRun(circuit, epsilon, seed, extractor)
-    result = baseline.result
+    mixed, control, result = payload_mixedness(circuit, epsilon, seed,
+                                               extractor)
     view = classical_view(result.transcript)
-    mixed, bare = payload_mixedness(baseline)
-    control = negative_control(bare)
     control_ok = control >= NEGATIVE_CONTROL_THRESHOLD
     caps = capability_confinement(result.transcript)
     return {

@@ -40,8 +40,10 @@ That is exact: unitaries on two wires act on their reduced density by
 conjugation, and the other wires see no gate until the pair is joined
 back.  The client draws and plans the pads of whole blocks, at least
 ``LADDER_ROUNDS`` rounds at a time, and each such chunk goes to the
-session as one step (``Session.ladder``), which records its rounds at
-once.
+session as one step (``Session.ladder``).  The run records each step's
+rounds at once, keeping their tags and wires; an audit's check
+(``checked_run``) gets them with the state each started from, to re-run
+any under pinned pads (``replay``).
 """
 
 from __future__ import annotations
@@ -178,13 +180,6 @@ def _block_unpad(pairs, slots) -> list[GateOp]:
     return paulis.unpad_ops(upd.new_key.pairs, slots[:len(pairs)])
 
 
-class _Checkpoint(NamedTuple):
-    """The state one round starts from, and the round as a step."""
-
-    state: np.ndarray | sv.WirePair  # a copy: the register, or the split pair
-    step: functools.partial  # an unbound ``_Run`` method: step(run, session)
-
-
 def _open_session(circuit: Circuit, epsilon: float, seed: int) -> Session:
     bad = first_undelegable(circuit)
     if bad is not None:
@@ -202,7 +197,7 @@ def _open_session(circuit: Circuit, epsilon: float, seed: int) -> Session:
 
 class _Run:
     def __init__(self, circuit: Circuit, epsilon: float, session: Session,
-                 extractor: str = "floor", checkpoints: list | None = None):
+                 extractor: str = "floor", check=None):
         self.circuit = circuit
         self.n = circuit.n_qubits
         self.n_digits = precision_bits(epsilon)
@@ -210,7 +205,7 @@ class _Run:
         self.extractor = extractor
         self.session = session
         self.server = BlindServer(self.n, self.n_digits)
-        self.checkpoints = checkpoints
+        self.check = check
         self.digits: dict[int, AngleDigits] = {}
         self.outcomes: dict[int, int] = {}
 
@@ -223,20 +218,31 @@ class _Run:
                                            f"gate{gate_index}:reset:slot{i}"):
                 self.session.client_apply([sv.x(slot)])
 
-    # -- rounds: each runs on the session it is given ----------------------
+    def _record(self, transmitted, tags, densities, starts) -> None:
+        """Record one step's rounds, (tag, pad_labels) each in ``tags``; a
+        check gets each as a ``Round`` with its (state, step) in ``starts``."""
+        self.session.transcript.record(transmitted, tags, densities)
+        if self.check is not None:
+            densities.setflags(write=False)
+            views = iter(densities)
+            self.check(self, [
+                (Round(tag, transmitted, sent, received, labels), *start)
+                for (tag, labels), sent, received, start
+                in zip(tags, views, views, starts)])
 
-    def _block_trip(self, sess: Session, swaps, pad_labels, tag: str) -> list:
+    # -- rounds as steps: each runs on the session given, densities first
+
+    def _block_trip(self, sess: Session, swaps, pad_labels, tag: str):
         """Swap wires into slots, pad each (wire, label) in ``pad_labels``
         and send the uniform block with ``tag``: it ends at the reply, and
-        the run applies the server's gates after it."""
+        the run applies the server's gates after it.  Returns the round's
+        densities and the pairs drawn."""
         sess.client_apply(swaps)
         pairs = sess.pad(pad_labels)
-        sess.round_trip(self.slots, tag, self.server.ops_for(tag),
-                        pad_labels=pad_labels)
-        return pairs
+        return sess.round_trip(self.slots, self.server.ops_for(tag)), pairs
 
     def _ladder_round(self, sess: Session, plan: BlockPlan,
-                      labels: list[str], r: RoundPlan) -> None:
+                      labels: list[str], r: RoundPlan):
         """Round ``r`` of the baseline's digit block ``plan``, padded by
         ``labels``, on the split pair: only this round is planned again,
         under the pad ``sess`` draws for its label and the baseline's
@@ -246,7 +252,7 @@ class _Run:
             plan.initial_swap * (r.index == len(labels)),
             (plan_round(r.index, sess.keys.pad_pair(labels[r.index - 1]),
                         plan.nonzero, plan.negative, r.carry),))
-        sess.ladder(self.slots[3], ((one, labels),), self.server)
+        return sess.ladder(self.slots[3], ((one, labels),), self.server)
 
     def _ladder(self, gate_index: int, q: int, digits) -> None:
         """Digit blocks 2..M on (q, transit), split off: ``Session.ladder``
@@ -262,16 +268,16 @@ class _Run:
             if (m < len(digits) and sum(len(p.rounds) for p, _ in plans)
                     < LADDER_ROUNDS):
                 continue
-            pair = None if self.checkpoints is None else sess.wire_pair.copy()
-            folds = iter(sess.ladder(transit, plans, self.server))
+            pair = None if self.check is None else sess.wire_pair.copy()
+            densities, tags, folds = sess.ladder(transit, plans, self.server)
             # the pair before each round, from the ladder's own folds
+            starts, folds = [], iter(folds)
             for plan, labels in plans if pair is not None else ():
                 for r in plan.rounds:
-                    self.checkpoints.append(_Checkpoint(
-                        pair.copy(), functools.partial(
-                            _Run._ladder_round, plan=plan, labels=labels,
-                            r=r)))
+                    starts.append((pair.copy(), functools.partial(
+                        _Run._ladder_round, plan=plan, labels=labels, r=r)))
                     pair.run_block(transit, [next(folds)])
+            self._record((transit,), tags, densities, starts)
             plans = []
         sess.join_pair()
 
@@ -304,9 +310,10 @@ class _Run:
             pad_labels += ((transit, f"gate{gate_index}:m1:k1"),)
         step = functools.partial(_Run._block_trip, swaps=swaps,
                                  pad_labels=pad_labels, tag=tag)
-        if self.checkpoints is not None:
-            self.checkpoints.append(_Checkpoint(sess.amps.copy(), step))
-        pairs = step(self, sess)
+        state = None if self.check is None else sess.amps.copy()
+        densities, pairs = step(self, sess)
+        self._record(self.slots, [(tag, pad_labels)], densities,
+                     [(state, step)])
         sess.server_apply(self.server.ops_for(tag))
         # decrypt: transit when digit 1 rode it, then the padded slots
         if digits:
@@ -343,60 +350,51 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
     The server starts from |0...0>; state preparation belongs to the
     circuit.  Every pad is drawn from ``seed``.
     """
+    return checked_run(circuit, epsilon, seed, None, extractor)
+
+
+def checked_run(circuit: Circuit, epsilon: float, seed: int, check,
+                extractor: str = "floor") -> ProtocolResult:
+    """The run ``run_protocol`` makes, handing ``check(run, rounds)`` the
+    rounds of each step (a block round or a ladder chunk) as it records
+    them: per round the ``Round``, read-only, the state it started from and
+    the round as a step, for ``replay``.  The run keeps none of them."""
     session = _open_session(circuit, epsilon, seed)
-    return _Run(circuit, epsilon, session, extractor).run()
+    return _Run(circuit, epsilon, session, extractor, check).run()
 
 
-class CheckpointedRun:
-    """The run ``run_protocol`` makes, keeping every ``Round``, densities
-    included, and a checkpoint before every round, so one pad label can be
-    replayed by re-running the one round it pads.
+def replay(run: _Run, state, step, rnd: Round, label: str,
+           pairs) -> list[np.ndarray]:
+    """Round ``rnd`` of ``run``, which started from ``state`` as ``step``,
+    with ``label``, which must pad it, pinned to each pair in ``pairs`` in
+    turn: per pair, the round's (2, d, d) densities, sent then received.
 
-    A checkpoint holds the state just before its round and the round as a
-    step.  A block round (an h or cz gate's, or an rz gate's opening
-    round, after the parity Z) keeps a register copy; its step swaps the
-    riding wires in, pads and ends at its round trip.  A ladder round of
-    digit block m >= 2 keeps the split pair, which the run gets by walking
+    A block round (an h or cz gate's, or an rz gate's opening round, after
+    the parity Z) starts from a register copy; its step swaps the riding
+    wires in, pads and ends at its round trip.  A ladder round of digit
+    block m >= 2 starts from the split pair, which the run gets by walking
     the folds of its ``Session.ladder`` chunk on a copy; its step re-plans
     only that round (``plan_round``) with the baseline's carry and runs it
     as a one-round ``Session.ladder`` step.  A label's pair changes nothing
-    before its own round, so a replay records the round a whole-circuit
-    replay with the label pinned records, bit for bit.
+    before its own round, so each pair's densities are those a
+    whole-circuit run with the label pinned records there, bit for bit.
+    All pairs run on one fork, which records nothing, with one key source
+    that pins the round's other pads to the run's draws; per pair the fork
+    takes a fresh copy of ``state`` and runs the step.
     """
-
-    def __init__(self, circuit: Circuit, epsilon: float, seed: int,
-                 extractor: str = "floor"):
-        self._session = _open_session(circuit, epsilon, seed)
-        self._session.transcript._rounds = []  # the audit reads every round
-        self.keys = self._session.keys
-        self._checkpoints: list[_Checkpoint] = []
-        self._run = _Run(circuit, epsilon, self._session, extractor,
-                         self._checkpoints)
-        self.result = self._run.run()
-
-    def replay(self, index: int, label: str, pairs) -> list[Round]:
-        """Round ``index`` of this run (0 <= index < its round trips) with
-        ``label``, which must pad it, pinned to each pair in ``pairs`` in
-        turn: one round per pair, all on one fork with one key source that
-        pins the round's other pads to the run's draws.  Per pair the fork
-        takes a fresh copy of the checkpoint's state and runs the step."""
-        if not 0 <= index < len(self._checkpoints):
-            raise ValueError(f"round {index} is not in this run's "
-                             f"{len(self._checkpoints)} rounds")
-        # the round's pads as the run drew them, each drawn once
-        drawn = {lbl: self.keys.pad_pair(lbl) for _, lbl
-                 in self.result.transcript.rounds[index].pad_labels}
-        if label not in drawn:
-            raise ValueError(f"'{label}' does not pad round {index}")
-        if not pairs:
-            raise ValueError("a replay needs at least one pair")
-        state, step = self._checkpoints[index]
-        fork = self._session.fork()
-        # one key source, with the label pinned to each pair in turn
-        fork.keys = keys = KeySource(self.keys.seed, drawn)
-        for pair in pairs:
-            keys.overrides[label] = tuple(pair)
-            fork.restore(state.copy())
-            step(self._run, fork)
-        # a new list: what a caller adds to it stays off the fork's record
-        return list(fork.transcript.rounds)
+    keys = run.session.keys
+    # the round's pads as the run drew them, each drawn once
+    drawn = {lbl: keys.pad_pair(lbl) for _, lbl in rnd.pad_labels}
+    if label not in drawn:
+        raise ValueError(f"'{label}' does not pad this round")
+    if not pairs:
+        raise ValueError("a replay needs at least one pair")
+    fork = run.session.fork()
+    # one key source, with the label pinned to each pair in turn
+    fork.keys = pinned = KeySource(keys.seed, drawn)
+    densities = []
+    for pair in pairs:
+        pinned.overrides[label] = tuple(pair)
+        fork.restore(state.copy())
+        densities.append(step(run, fork)[0])
+    return densities

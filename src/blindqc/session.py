@@ -8,30 +8,25 @@ re-run its round with every other draw unchanged.
 
 The register holds the working wires only; every wire of the channel
 holds one of them or a dummy, a product state of two amplitudes (a swap
-with a dummy relabels the two).  A round trip records the transmitted
-wires' joint rows as the client sends them and the server's gates J
-times them as the reply comes back; ``server_apply`` then applies J.
-``Transcript.record`` takes both reduced densities of each round, what
-the channel carries and all the audit reads; an ``rz`` gate's digit
-blocks m >= 2 fold on the ``WirePair`` split off the register, and one
-``record`` takes a ``ladder`` step's rounds as one stack.  The running
-hash takes every stack in record order and, at every gate boundary and
-at the end, the whole register, renormalized: the digest covers every
-transmitted density and every amplitude at every gate boundary, not
-off-channel amplitudes between two rounds of one gate.  A plain run
-(``run_protocol``) keeps each round's tag and wires alone and hashes each
-stack when recorded; a ``CheckpointedRun`` keeps every ``Round`` and
-hashes the stacks at the next gate boundary.
+with a dummy relabels the two).  A round trip returns the transmitted
+wires' joint densities as the client sends them and as the server's
+gates J send them back; ``server_apply`` then applies J.  An ``rz``
+gate's digit blocks m >= 2 fold on the ``WirePair`` split off the
+register, and a ``ladder`` step returns its rounds' densities as one
+stack.  The run records each stack (``Transcript.record``): the
+transcript keeps each round's tag and wires, and its running hash takes
+the stack then and there and, at every gate boundary and at the end, the
+whole register, renormalized.  The digest covers every transmitted
+density and every amplitude at every gate boundary, not off-channel
+amplitudes between two rounds of one gate.
 
 A replay re-runs one round on a fork (``fork``), once per pair: the saved
 state, the client's swaps and pads and the round trip, or the ladder
-round, and one record.  A fork keeps its ``Round``s and nothing else: it
-logs no tag, wire or op kind, applies no server gate, hashes nothing.
+round.  A fork records nothing and applies no server gate.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -43,8 +38,6 @@ import numpy as np
 from . import paulis
 from . import statevec as sv
 
-# a log that keeps nothing: what a fork adds to its logs is dropped
-_UNKEPT = collections.deque(maxlen=0)
 # the transcript's name of each gate kind, read without the Enum descriptor
 _KIND_NAMES = {kind: kind.value for kind in sv.Gate}
 # the kinds of one wire's pad and unpad for each (x, z) pair, in the order
@@ -194,51 +187,25 @@ class Transcript:
     client_op_kinds: list[str] = field(default_factory=list)
     server_op_kinds: list[str] = field(default_factory=list)
     complete: bool = False
-    # each round's tag (the classical view) and wires; each Round if kept
+    # each round's tag (the classical view) and wires
     tags: list[str] = field(default_factory=list)
     _wires: list = field(default_factory=list, init=False, repr=False)
-    _rounds: list | None = field(default=None, init=False, compare=False)
     # running hash of each round's two joint densities and of the full
-    # register at every gate boundary, which feeds it ``_unhashed`` first
+    # register at every gate boundary
     _stream: object = field(default_factory=hashlib.sha256, init=False,
                             repr=False, compare=False)
-    _unhashed: list = field(default_factory=list, init=False, repr=False,
-                            compare=False)
-
-    @property
-    def rounds(self) -> list[Round]:
-        """Every round, kept by a ``CheckpointedRun`` and its forks only."""
-        if self._rounds is None:
-            raise ProtocolError("a plain run keeps no rounds")
-        return self._rounds
 
     def record(self, transmitted, tags, densities: np.ndarray) -> None:
         """Append r >= 1 rounds on the same wires: ``tags`` holds each
         round's (tag, pad_labels), ``densities`` the wires' joint state as
         each round goes out and comes back, (2r, d, d), the lowest wire as
-        the least significant bit.  A transcript that keeps rounds makes
-        the stack read-only, for rounds to view and ``hash_register`` to
-        hash; any other hashes it now and drops it."""
+        the least significant bit, which the running hash takes now."""
         self.tags += [tag for tag, _ in tags]
         self._wires += [transmitted] * len(tags)
-        if self._rounds is None:
-            self._stream.update(densities)
-            return
-        densities.setflags(write=False)
-        self._unhashed.append(densities)
-        views = iter(densities)
-        self._rounds += [Round(tag, transmitted, sent, received, pad_labels)
-                         for (tag, pad_labels), sent, received
-                         in zip(tags, views, views)]
+        self._stream.update(densities)
 
     def hash_register(self, amps: np.ndarray) -> None:
-        """Feed the stacks recorded since the last call, one update each,
-        then the whole register into the running hash."""
-        for densities in self._unhashed:
-            # bytes, not the array: exporting its buffer would pin numpy's
-            # buffer-info cache on every stored density
-            self._stream.update(densities.tobytes())
-        self._unhashed.clear()
+        """Feed the whole register into the running hash."""
         self._stream.update(amps)
 
     def round_trips(self) -> int:
@@ -347,13 +314,12 @@ class Session:
         self.client_apply(paulis.pad_ops(pairs, [w for w, _ in pad_labels]))
         return pairs
 
-    def round_trip(self, transmitted, tag: str, server_ops,
-                   pad_labels=()) -> None:
-        """Send ``transmitted`` wires with ``tag`` and record the round:
-        the carried wires' register rows times the dummies, then the server's
-        gates J times them.  The state stays as sent; ``server_apply``
-        applies J after the reply, and a replay stops before it."""
-        transmitted = tuple(transmitted)
+    def round_trip(self, transmitted, server_ops) -> np.ndarray:
+        """Send ``transmitted`` wires and return their joint densities, out
+        then back, (2, d, d): the carried wires' register rows times the
+        dummies, then the server's gates J times them.  The state stays as
+        sent; ``server_apply`` applies J after the reply, and a replay
+        stops before it."""
         wires = tuple(sorted(transmitted))
         if wires[0] < 0 or wires[-1] >= len(self.held):
             raise ProtocolError(f"wires {wires} out of range")
@@ -372,8 +338,7 @@ class Session:
                     sv._rows(self.amps, carried).reshape(axes + [-1]),
                     out=rows[0].reshape([2] * len(wires) + [-1]))
         np.matmul(_ops_matrix(tuple(server_ops), wires), rows[0], out=rows[1])
-        self.transcript.record(transmitted, ((tag, tuple(pad_labels)),),
-                               rows @ rows.conj().transpose(0, 2, 1))
+        return rows @ rows.conj().transpose(0, 2, 1)
 
     def server_apply(self, ops) -> None:
         """The server's gates, applied after the round trip that sent them."""
@@ -381,18 +346,18 @@ class Session:
             self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
 
-    def ladder(self, transit: int, blocks, server) -> list:
+    def ladder(self, transit: int, blocks, server) -> tuple:
         """Run digit blocks' rounds on the split pair in one step, and
-        return the rounds as ``WirePair.run_block`` folded them.
+        return their densities as one stack, each round's (tag,
+        pad_labels), and the rounds as ``WirePair.run_block`` folded them.
 
         ``blocks`` lists (plan, labels) per block: a ``protocol.BlockPlan``
         whose round k, padded by ``labels[k - 1]``, pads ``transit`` under
         its pair, sends it with ``server.round_tags[k - 1]``, takes the
         server's one rz on transit (``server.ops_for``, checked once per
         server and tag) and unpads; the client swaps the pair where the
-        plan says.  The pair folds every op, one ``record`` takes all the
-        rounds, and the op kinds logged are the ones the same ops would log
-        one by one.
+        plan says.  The pair folds every op, and the op kinds logged are
+        the ones the same ops would log one by one.
         """
         pair = self.wire_pair
         if pair is None:
@@ -415,24 +380,19 @@ class Session:
                 client += after
                 before = ()
         densities = pair.run_block(transit, steps)
-        self.transcript.record((transit,), tags, densities)
         self.transcript.client_op_kinds += client
         self.transcript.server_op_kinds += ["rz"] * len(steps)
-        return steps
+        return densities, tags, steps
 
     def fork(self) -> Session:
-        """A session with no register, no pair and no key source, whose
-        transcript keeps the ``Round``s it records and logs no tag, wire or
-        op kind: ``CheckpointedRun.replay`` gives it a key source and runs
-        rounds on it."""
+        """A session with no register, pair or key source, for
+        ``protocol.replay`` to run rounds on; nothing records them."""
         # built field by field: a fork needs no fresh register
         fork = object.__new__(Session)
         fork.n_qubits = self.n_qubits
         fork.amps = fork.wire_pair = fork.held = None
-        t = fork.transcript = Transcript(self.transcript.seed,
-                                         self.transcript.epsilon, self.n_qubits)
-        t._rounds, t._unhashed = [], _UNKEPT
-        t.tags = t._wires = t.client_op_kinds = t.server_op_kinds = _UNKEPT
+        fork.transcript = Transcript(self.transcript.seed,
+                                     self.transcript.epsilon, self.n_qubits)
         return fork
 
     def mark_gate(self, gate_index: int, kind: str, round_start: int) -> None:

@@ -7,8 +7,9 @@ import numpy as np
 from blindqc import statevec as sv
 from blindqc.angles import digitize
 from blindqc.circuits import Circuit
-from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import Session
+from blindqc import protocol
+from blindqc.protocol import checked_run, run_protocol
+from blindqc.session import Round, Session
 from blindqc.statevec import Gate
 import oracles
 
@@ -60,23 +61,50 @@ def rz_error_budget(circuit: Circuit, n_digits: int,
     return math.sin(min(half_angle, math.pi / 2)) ** 2
 
 
-def keeping_session(*args, **kwargs) -> Session:
-    """A ``Session`` whose transcript keeps every ``Round``, as a
-    ``CheckpointedRun``'s does; a plain session keeps tags and wires."""
-    sess = Session(*args, **kwargs)
-    sess.transcript._rounds = []
-    return sess
+def trip(sess: Session, transmitted, tag: str, server_ops,
+         pad_labels=()) -> Round:
+    """One round trip of ``sess``, recorded as the run records it; the
+    round as a ``Round``."""
+    densities = sess.round_trip(transmitted, server_ops)
+    sess.transcript.record(tuple(transmitted), ((tag, tuple(pad_labels)),),
+                           densities)
+    return Round(tag, tuple(transmitted), *densities, tuple(pad_labels))
+
+
+class KeptRun:
+    """A checked run that keeps every round its check receives, with the
+    state the round started from and the round as a step, so a test can
+    read every round after the run (``rounds``) and replay any of them."""
+
+    def __init__(self, circuit: Circuit, epsilon: float, seed: int,
+                 extractor: str = "floor"):
+        self.checked = []
+
+        def keep(run, rounds):
+            self.run = run
+            self.checked += rounds
+
+        self.result = checked_run(circuit, epsilon, seed, keep, extractor)
+        self.rounds = [rnd for rnd, _, _ in self.checked]
+        self.keys = self.run.session.keys
+
+    def replay(self, index: int, label: str, pairs) -> list[Round]:
+        """Round ``index`` with ``label`` pinned to each pair in turn."""
+        rnd, state, step = self.checked[index]
+        return [rnd._replace(sent=sent, received=received) for sent, received
+                in protocol.replay(self.run, state, step, rnd, label, pairs)]
 
 
 def kept_run(circuit: Circuit, epsilon: float, seed: int,
-             extractor: str = "floor"):
-    """The result of ``run_protocol`` with every ``Round`` kept: the
-    checkpointed run, checked to be the plain run by its digest, its
+             extractor: str = "floor") -> KeptRun:
+    """The run ``run_protocol`` makes with every ``Round`` kept: a
+    ``KeptRun``, checked to be the plain run by its digest, its
     transcript's tags, wires, markers and op kinds, and its working state."""
     plain = run_protocol(circuit, epsilon, seed, extractor=extractor)
-    kept = CheckpointedRun(circuit, epsilon, seed, extractor).result
-    assert kept.transcript.digest() == plain.transcript.digest()
-    assert kept.transcript == plain.transcript
-    assert np.array_equal(kept.working_state.amps, plain.working_state.amps)
-    assert (kept.digits, kept.outcomes) == (plain.digits, plain.outcomes)
+    kept = KeptRun(circuit, epsilon, seed, extractor)
+    res = kept.result
+    assert res.transcript.digest() == plain.transcript.digest()
+    assert res.transcript == plain.transcript
+    assert np.array_equal(res.working_state.amps, plain.working_state.amps)
+    assert (res.digits, res.outcomes) == (plain.digits, plain.outcomes)
     return kept

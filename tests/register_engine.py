@@ -11,8 +11,9 @@ plans, and the statevec kernels, so the package's session, which keeps
 the slots off its register, is pinned against it.
 
 ``run_pinned`` runs the package's own engine from |0...0> with some pad
-labels pinned: the whole-circuit replay that checkpointed replays must
-match bit for bit.
+labels pinned: the whole-circuit replay that the audit's replays must
+match bit for bit.  Both results carry every round the run made
+(``rounds``).
 """
 
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from blindqc import paulis, protocol
 from blindqc import statevec as sv
 from blindqc.angles import digitize, precision_bits
 from blindqc.protocol import digit_block_plan, plan_round
-from blindqc.session import GateMarker, KeySource, Transcript
+from blindqc.session import GateMarker, KeySource, Round, Transcript
 import oracles
 
 
@@ -38,7 +39,7 @@ class RegisterSession:
         self.keys = KeySource(seed, overrides)
         self.transcript = Transcript(seed=int(seed), epsilon=epsilon,
                                      n_qubits=n_qubits)
-        self.transcript._rounds = []  # keep every Round, as the audit does
+        self.rounds = []  # every Round, as the audit reads them
 
     def client_apply(self, ops):
         for op in ops:
@@ -64,6 +65,8 @@ class RegisterSession:
         received = oracles.reduced_density(self.amps, keep)
         self.transcript.record(tuple(transmitted), ((tag, tuple(pad_labels)),),
                                np.array((sent, received)))
+        self.rounds.append(Round(tag, tuple(transmitted), sent, received,
+                                 tuple(pad_labels)))
 
     def ladder(self, transit, q, blocks, server):
         """Digit blocks m >= 2 op by op: pad, round trip, unpad, swap."""
@@ -92,6 +95,15 @@ class ReferenceResult(NamedTuple):
     transcript: Transcript
     digits: dict
     outcomes: dict
+    rounds: list
+
+
+class PinnedRun(NamedTuple):
+    working_state: sv.Statevector
+    transcript: Transcript
+    digits: dict
+    outcomes: dict
+    rounds: list
 
 
 class RegisterRun:
@@ -176,7 +188,7 @@ class RegisterRun:
         sess.transcript.hash_register(sess.amps)
         sess.transcript.complete = True
         return ReferenceResult(state, working, sess.transcript, self.digits,
-                               self.outcomes)
+                               self.outcomes, sess.rounds)
 
 
 def run_reference(circuit, epsilon, seed, overrides=None, *,
@@ -188,9 +200,13 @@ def run_reference(circuit, epsilon, seed, overrides=None, *,
 
 def run_pinned(circuit, epsilon, seed, overrides=None, *, extractor="floor"):
     """``protocol.run_protocol`` with the pad labels in ``overrides`` pinned:
-    a whole-circuit replay from |0...0>, whose transcript keeps every
-    ``Round``."""
+    a whole-circuit replay from |0...0>, with every ``Round`` its check
+    receives."""
     session = protocol._open_session(circuit, epsilon, seed)
     session.keys = KeySource(seed, overrides)
-    session.transcript._rounds = []
-    return protocol._Run(circuit, epsilon, session, extractor).run()
+    rounds = []
+    res = protocol._Run(circuit, epsilon, session, extractor,
+                        lambda run, checked: rounds.extend(
+                            rnd for rnd, _, _ in checked)).run()
+    return PinnedRun(res.working_state, res.transcript, res.digits,
+                     res.outcomes, rounds)

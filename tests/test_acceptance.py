@@ -20,14 +20,13 @@ from blindqc import statevec as sv
 from blindqc.angles import digitize, precision_bits
 from blindqc.audit import (
     classical_view,
-    negative_control,
     payload_mixedness,
     view_invariance,
 )
 from blindqc.circuits import Circuit
 from blindqc.cli import main as cli_main
 from blindqc.costs import critical_ratio
-from blindqc.protocol import CheckpointedRun, digit_block_plan, run_protocol
+from blindqc.protocol import digit_block_plan, run_protocol
 from blindqc.statevec import Gate
 from block_oracles import (
     block_rotation,
@@ -222,15 +221,14 @@ def test_criterion_08_blindness_audit():
         assert joined == other  # byte-identical, seed-independent
 
     mix_circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 1)))
-    mixed, _ = payload_mixedness(CheckpointedRun(mix_circ, eps, 5))
+    mixed, _, _ = payload_mixedness(mix_circ, eps, 5)
     assert mixed["pass"]
     assert mixed["worst_distance"] < 1e-10
     assert mixed["uncovered"] == [] and mixed["reused"] == []
 
     # the control reads each label's (0, 0) replay: the wire unpadded
     plus_circ = Circuit(1, (sv.h(0), sv.rz(1.1, 0)))
-    _, bare = payload_mixedness(CheckpointedRun(plus_circ, eps, 6))
-    control = negative_control(bare)
+    _, control, _ = payload_mixedness(plus_circ, eps, 6)
     assert control >= 0.4
     print(f"criterion 8: PASS (mixedness {mixed['worst_distance']:.2e}, "
           f"control {control:.3f})")

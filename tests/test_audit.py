@@ -1,8 +1,10 @@
 """Auditor behavior: view invariance, mixedness, negative control."""
 
 import collections
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +21,14 @@ from blindqc.audit import (
     circuit_skeleton,
     classical_view,
     count_rounds,
-    negative_control,
     payload_mixedness,
     view_digest,
     view_invariance,
 )
 from blindqc.circuits import Circuit
-from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import KeySource, Round, Session, Transcript
-from conftest import kept_run
+from blindqc.protocol import run_protocol
+from blindqc.session import KeySource, Round, Session
+from conftest import KeptRun, kept_run
 from register_engine import run_pinned
 
 PI = math.pi
@@ -106,20 +107,20 @@ class TestViewInvariance:
 class TestMixedness:
     def test_exhaustive_twirl_is_exact(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        res, bare = payload_mixedness(CheckpointedRun(circ, EPS_M2, 4))
+        res, control, _ = payload_mixedness(circ, EPS_M2, 4)
         assert res["pass"]
         assert res["worst_distance"] < 1e-10
         assert res["inbound_worst_distance"] < 1e-10
         assert res["uncovered"] == [] and res["reused"] == []
-        # one unpadded state beside each check, for the negative control
-        assert len(bare) == res["n_checks"]
+        # the unpadded states beside the checks feed the negative control
+        assert control >= audit.NEGATIVE_CONTROL_THRESHOLD
         # every transmitted wire of every round got checked
         assert res["n_checks"] == 4 + 4 + 4 + 1 + 1
 
     def test_exhaustive_covers_entangled_working_states(self):
         # working wires entangled before delegation; pads must still mix
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.h(1), sv.rz(2.2, 1)))
-        res, _ = payload_mixedness(CheckpointedRun(circ, EPS_M2, 5))
+        res, _, _ = payload_mixedness(circ, EPS_M2, 5)
         assert res["pass"] and res["worst_distance"] < 1e-10
 
     def test_signed_digits_are_audited(self):
@@ -128,8 +129,8 @@ class TestMixedness:
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1),
                            sv.rz(-2.2, 0)))
         for epsilon, n_checks in ((1e-1, 48), (1e-2, 108)):
-            base = CheckpointedRun(circ, epsilon, 0, "balanced")
-            assert any(-1 in d.digits for d in base.result.digits.values())
+            base = run_protocol(circ, epsilon, 0, extractor="balanced")
+            assert any(-1 in d.digits for d in base.digits.values())
             report = audit_circuit(circ, epsilon, 0, extractor="balanced")
             assert report["extractor"] == "balanced"
             assert report["mixedness"]["n_checks"] == n_checks
@@ -141,16 +142,15 @@ class TestMixedness:
     def test_a_wire_without_a_pad_label_is_uncovered(self, monkeypatch):
         # the first block round leaves slot 2 (wire 3) out of its pad labels
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        round_trip = Session.round_trip
+        record = protocol._Run._record
 
-        def dropping_round_trip(self, transmitted, tag, server_ops,
-                                pad_labels=()):
-            if not self.transcript.rounds:
-                pad_labels = tuple((w, lbl) for w, lbl in pad_labels
-                                   if w != 3)
-            round_trip(self, transmitted, tag, server_ops, pad_labels)
+        def dropping_record(self, transmitted, tags, densities, starts):
+            if not self.session.transcript.round_trips():
+                tags = [(tag, tuple((w, lbl) for w, lbl in pad_labels
+                                    if w != 3)) for tag, pad_labels in tags]
+            record(self, transmitted, tags, densities, starts)
 
-        monkeypatch.setattr(Session, "round_trip", dropping_round_trip)
+        monkeypatch.setattr(protocol._Run, "_record", dropping_record)
         report = audit_circuit(circ, EPS_M2, seed=4)
         assert report["mixedness"]["uncovered"] == ["round 0 wire 3"]
         # every label still checked twirls exactly: only the gap fails
@@ -174,7 +174,7 @@ class TestMixedness:
     def test_circuit_delegating_nothing_is_refused(self, monkeypatch, ops):
         # with no traffic the negative control reads 0 although nothing leaked
         built = []
-        monkeypatch.setattr(audit, "CheckpointedRun",
+        monkeypatch.setattr(audit, "checked_run",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match="delegates no gates"):
             audit_circuit(Circuit(2, ops), EPS_M2, seed=0)
@@ -187,7 +187,7 @@ class TestReplayReuse:
     def test_pinning_a_label_to_its_own_draw_reproduces_the_baseline(self):
         base = kept_run(self.CIRC, EPS_M2, seed=4)
         keys = KeySource(4)
-        labels = [label for rnd in base.transcript.rounds
+        labels = [label for rnd in base.rounds
                   for _, label in rnd.pad_labels]
         # three blocks, the rz block (three dummies and the transit), and
         # the two single-wire rounds of the m=2 digit block
@@ -195,22 +195,29 @@ class TestReplayReuse:
         for label in labels:
             pinned = run_pinned(self.CIRC, EPS_M2, 4,
                                 {label: keys.pad_pair(label)})
-            assert pinned.transcript.digest() == base.transcript.digest()
+            assert (pinned.transcript.digest()
+                    == base.result.transcript.digest())
 
     def test_exhaustive_report_matches_all_four_replays(self, monkeypatch):
-        forks = []
-        fork = Session.fork
+        forks, replayed = [], []
+        fork, replay = Session.fork, audit.replay
 
         def counting_fork(self):
             forks.append(fork(self))
             return forks[-1]
 
+        def counting_replay(*args):
+            replayed.append(len(got := replay(*args)))
+            return got
+
         monkeypatch.setattr(Session, "fork", counting_fork)
+        monkeypatch.setattr(audit, "replay", counting_replay)
         report = audit_circuit(self.CIRC, EPS_M2, seed=4)
-        # the seed's own pair is the baseline: one fork per label records
-        # the round under each of the other three pairs
+        # the seed's own pair is the baseline: one fork per label runs the
+        # round under each of the other three pairs, and records nothing
         assert len(forks) == report["mixedness"]["n_checks"]
-        assert all(len(f.transcript.rounds) == 3 for f in forks)
+        assert replayed == [3] * len(forks)
+        assert all(f.transcript.round_trips() == 0 for f in forks)
         assert json.dumps(report, sort_keys=True) == json.dumps(
             reference_audit(self.CIRC, EPS_M2, seed=4), sort_keys=True)
 
@@ -258,7 +265,7 @@ class TestReplayReuse:
         assert len(built) == 1
 
     def test_replay_refuses_a_label_that_does_not_pad_the_message(self):
-        base = CheckpointedRun(self.CIRC, EPS_M2, seed=4)
+        base = KeptRun(self.CIRC, EPS_M2, seed=4)
         with pytest.raises(ValueError):
             base.replay(0, "gate3:m2:k1", [(1, 1)])
         with pytest.raises(ValueError):
@@ -266,22 +273,10 @@ class TestReplayReuse:
         with pytest.raises(ValueError, match="at least one pair"):
             base.replay(0, "gate0:slot1", [])
 
-    def test_replay_refuses_an_index_outside_the_run(self):
-        # a negative index would count rounds from the end
-        circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
-        base = CheckpointedRun(circ, 1e-1, seed=0)
-        rounds = base.result.transcript.rounds
-        assert len(rounds) == 18
-        label = rounds[17].pad_labels[0][1]
-        assert len(base.replay(17, label, [(1, 1)])) == 1
-        for index in (-1, -18, 18):
-            with pytest.raises(ValueError, match="not in this run"):
-                base.replay(index, label, [(1, 1)])
-
 
 class TestLeanReplays:
     """A replayed pair runs its round and nothing else: the run's own pad,
-    round trip or ladder under the pinned key, and one record."""
+    round trip or ladder under the pinned key; it records nothing."""
 
     @pytest.mark.parametrize("circ, epsilon", [
         (Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1))), 1e-2),
@@ -290,7 +285,9 @@ class TestLeanReplays:
     ], ids=["h-cz-rz-h", "two-ladder-chunks"])
     def test_a_replayed_pair_runs_only_its_round(self, monkeypatch, circ,
                                                  epsilon):
-        run = CheckpointedRun(circ, epsilon, seed=0)
+        # the run's rounds, which the audit's own run makes again
+        replayed = [(rnd, label) for rnd in KeptRun(circ, epsilon, 0).rounds
+                    for _, label in rnd.pad_labels]
         forks, calls = [], collections.defaultdict(list)
 
         def watch(cls, name):
@@ -310,17 +307,13 @@ class TestLeanReplays:
         monkeypatch.setattr(Session, "fork",
                             lambda self: forks.append(fork(self)) or forks[-1])
         # every replay the audit makes, one fork per label
-        payload_mixedness(run)
-        replayed = [(rnd, label) for rnd in run.result.transcript.rounds
-                    for _, label in rnd.pad_labels]
+        payload_mixedness(circ, epsilon, 0)
         assert len(forks) == len(replayed)
         ms = set()
         for fork, (rnd, label) in zip(forks, replayed):
+            # the fork records no round, tag or wire
             t = fork.transcript
-            assert len(t.rounds) == 3
-            # no op kind, tag or wire is logged
-            assert not (t.client_op_kinds or t.server_op_kinds)
-            assert not (t.tags or t._wires)
+            assert t.round_trips() == 0 and not (t.tags or t._wires)
             # the client's swaps and pads alone touch the fork's state: no
             # server gate is applied after the reply
             assert {args[0].kind.value for name, args, _ in calls[fork]
@@ -346,8 +339,8 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed,
     one ``replay`` call, and require the baseline's rounds before the
     label's, then each replayed round, to equal a whole-circuit replay's,
     bit for bit; return the number of replayed rounds."""
-    base = CheckpointedRun(circ, epsilon, seed, extractor)
-    rounds = base.result.transcript.rounds
+    base = KeptRun(circ, epsilon, seed, extractor)
+    rounds = base.rounds
     n_replays = 0
     for i, rnd in enumerate(rounds):
         for _, label in rnd.pad_labels:
@@ -357,8 +350,7 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed,
                 # pinning a label changes no round before its own
                 got = rounds[:i] + [replay]
                 want = run_pinned(circ, epsilon, seed, {label: pair},
-                                  extractor=extractor).transcript.rounds
-                want = want[:i + 1]
+                                  extractor=extractor).rounds[:i + 1]
                 assert len(want) == i + 1
                 n_replays += 1
                 for a, b in zip(got, want):
@@ -375,8 +367,8 @@ def assert_replays_match_whole_circuit(circ, epsilon, seed,
 def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
     """Round trips of an exhaustive audit of ``n_rz`` rz gates, in closed form.
 
-    The baseline runs M(M+1)/2 rounds per rz.  Each label's one fork
-    records the one round its label pads once for each of the other three
+    The baseline runs M(M+1)/2 rounds per rz.  Each label's one replay
+    runs the one round its label pads once for each of the other three
     pairs: the three dummy slots of digit block 1 and all M(M+1)/2 digit
     rounds, 3 + M(M+1)/2 rounds.  The negative control runs nothing of its own: it
     reads each label's (0, 0) replay, so no second run of the circuit is
@@ -391,16 +383,21 @@ def rz_audit_round_trips(n_rz: int, epsilon: float) -> int:
 class TestAuditCost:
     @pytest.mark.parametrize("n_rz", [1, 2, 4, 8])
     def test_round_trips_grow_linearly(self, monkeypatch, n_rz):
-        # every session and fork records each round it runs, one at a time
-        # or a digit block at a time
+        # the run and every replay send each round they run through a
+        # round trip or a ladder step, one round or a digit block at a time
         sent = []
-        record = Transcript.record
+        round_trip, ladder = Session.round_trip, Session.ladder
 
-        def counting_record(self, transmitted, tags, densities):
-            sent.extend(True for _ in tags)
-            return record(self, transmitted, tags, densities)
+        def counting_round_trip(self, *args):
+            sent.append(len(densities := round_trip(self, *args)) // 2)
+            return densities
 
-        monkeypatch.setattr(Transcript, "record", counting_record)
+        def counting_ladder(self, *args):
+            sent.append(len((got := ladder(self, *args))[0]) // 2)
+            return got
+
+        monkeypatch.setattr(Session, "round_trip", counting_round_trip)
+        monkeypatch.setattr(Session, "ladder", counting_ladder)
         circ = Circuit(1, tuple(sv.rz(0.3 + 0.7 * g, 0) for g in range(n_rz)))
         report = audit_circuit(circ, 1e-1, seed=2)
         assert report["pass"] is True
@@ -412,6 +409,28 @@ class TestAuditCost:
         report = audit_circuit(circ, 1e-1, seed=3)
         assert report["pass"] is True
         assert report["mixedness"]["worst_distance"] < 1e-10
+
+
+class TestAuditMemory:
+    def test_peak_grows_at_most_half_a_kib_per_round_trip(self):
+        # each step is checked as the run makes it and dropped, so the
+        # audit's peak does not grow with the rounds it has checked
+        circ = Circuit(1, (sv.h(0), sv.rz(0.7, 0)))
+        audit_circuit(circ, 0.1, seed=1)  # fill the bounded caches
+        peaks, trips = {}, {}
+        for m_bits in (60, 100):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = audit_circuit(circ, PI / 2**m_bits, seed=1)
+                peaks[m_bits] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["pass"] is True
+            trips[m_bits] = report["round_trips"]
+        assert trips == {60: 1 + 60 * 61 // 2, 100: 1 + 100 * 101 // 2}
+        growth = (peaks[100] - peaks[60]) / (trips[100] - trips[60])
+        assert growth <= 512, f"{growth:.0f} B per round trip"
 
 
 def dist_from_mixed(rho) -> float:
@@ -433,13 +452,13 @@ def reference_audit(circuit, epsilon, seed):
     check passes within the exact twirl's 1e-10.
     """
     base = run_pinned(circuit, epsilon, seed)
-    rounds = base.transcript.rounds
+    rounds = base.rounds
     worst, worst_label, inbound_worst, n_checks = 0.0, None, 0.0, 0
     control = 0.0
     for i, rnd in enumerate(rounds):
         for wire, label in rnd.pad_labels:
             replays = [run_pinned(circuit, epsilon, seed,
-                                  {label: pair}).transcript.rounds[i]
+                                  {label: pair}).rounds[i]
                        for pair in ALL_PAIRS]
             avg_out = sum(r.wire_state(r.sent, wire) for r in replays) / 4.0
             avg_in = sum(r.wire_state(r.received, wire)
@@ -492,8 +511,8 @@ def reference_audit(circuit, epsilon, seed):
 class TestNegativeControl:
     def test_unpadded_traffic_is_far_from_mixed(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.9, 0)))
-        _, bare = payload_mixedness(CheckpointedRun(circ, EPS_M2, seed=7))
-        assert negative_control(bare) >= 0.4
+        _, control, _ = payload_mixedness(circ, EPS_M2, 7)
+        assert control >= 0.4
 
     def test_even_a_single_block_leaks_without_pads(self):
         report = audit_circuit(Circuit(1, (sv.h(0),)), EPS_M2, seed=8)

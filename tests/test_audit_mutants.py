@@ -7,10 +7,10 @@ one-time check (the mixedness section's ``reused``) must fail each one
 and name the labels it reuses.
 
 Such a mutant is an idempotent label map ``f``.  It is patched into both
-``KeySource.pad_pair``, which then draws the pad of ``f(label)``, and
-``Transcript.record``, which then records ``f(label)`` as the wire's pad
-label, so the protocol and its transcript agree on the broken keys and
-the package's own code stays as it is.
+``KeySource.pad_pair``, which then draws the pad of ``f(label)``, and the
+run's ``_record``, which then hands the audit's check ``f(label)`` as the
+wire's pad label, so the protocol and the rounds the audit reads agree on
+the broken keys and the package's own code stays as it is.
 
 Run-path mutants break the pads of the run ``run_protocol`` makes (a
 slot or the rz ladder) and leave its labels distinct.  The audit
@@ -40,12 +40,12 @@ import re
 
 import pytest
 
-from blindqc import protocol
+from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.audit import ViewMismatch, audit_circuit, view_invariance
 from blindqc.circuits import Circuit
-from blindqc.protocol import CheckpointedRun, run_protocol
-from blindqc.session import KeySource, Session, Transcript
+from blindqc.protocol import run_protocol
+from blindqc.session import KeySource, Session
 import oracles
 
 CIRCUIT = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.h(1)))
@@ -81,18 +81,18 @@ MUTANTS = {
 
 def patch_labels(monkeypatch, f) -> None:
     """Draw and record every pad under ``f(label)``."""
-    pad_pair, record = KeySource.pad_pair, Transcript.record
+    pad_pair, record = KeySource.pad_pair, protocol._Run._record
 
     def mapped_pad_pair(self, label):
         return pad_pair(self, f(label))
 
-    def mapped_record(self, transmitted, tags, densities):
+    def mapped_record(self, transmitted, tags, densities, starts):
         tags = [(tag, tuple((wire, f(label)) for wire, label in pad_labels))
                 for tag, pad_labels in tags]
-        return record(self, transmitted, tags, densities)
+        return record(self, transmitted, tags, densities, starts)
 
     monkeypatch.setattr(KeySource, "pad_pair", mapped_pad_pair)
-    monkeypatch.setattr(Transcript, "record", mapped_record)
+    monkeypatch.setattr(protocol._Run, "_record", mapped_record)
 
 
 def test_identity_map_leaves_the_report_as_it_is(monkeypatch):
@@ -221,10 +221,10 @@ def test_shared_keys_fail_the_audit(monkeypatch, name, seed):
 
 def first_pair_for_every_pair(monkeypatch) -> None:
     """A replay runs every pair of a label under the first one."""
-    replay = CheckpointedRun.replay
+    replay = audit.replay
     monkeypatch.setattr(
-        CheckpointedRun, "replay", lambda self, index, label, pairs: replay(
-            self, index, label, pairs[:1] * len(pairs)))
+        audit, "replay", lambda run, state, step, rnd, label, pairs: replay(
+            run, state, step, rnd, label, pairs[:1] * len(pairs)))
 
 
 def test_stacked_pads_under_one_pair_fail_the_audit(monkeypatch):
@@ -251,7 +251,7 @@ def skipped_zero_digit_blocks(monkeypatch) -> None:
 def test_skipped_zero_digit_blocks_fail_view_invariance(monkeypatch):
     plain = run_protocol(CIRCUIT, EPSILON, SEED)
     skipped_zero_digit_blocks(monkeypatch)
-    # through ``run_protocol`` only: a checkpointed run walks every block
+    # through ``run_protocol`` only: a checked run walks every block
     mutant = run_protocol(CIRCUIT, EPSILON, SEED)
     # a zero digit turns nothing, so the working state is the same ...
     assert oracles.fidelity(mutant.working_state,

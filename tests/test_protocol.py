@@ -1,6 +1,7 @@
 """Full delegated execution against direct simulation."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -15,15 +16,17 @@ from blindqc.protocol import (
     N_SLOTS,
     OPENING_TAG,
     BlindServer,
-    CheckpointedRun,
     RegisterCapacityError,
     UnsupportedGateError,
     _Run,
+    checked_run,
+    replay,
     round_tag,
     run_protocol,
 )
 from blindqc.session import KeySource, ProtocolError, Session
-from conftest import digitized_reference, random_lowered_circuit, rz_error_budget
+from conftest import (KeptRun, digitized_reference, random_lowered_circuit,
+                      rz_error_budget)
 import oracles
 from register_engine import run_reference
 
@@ -191,7 +194,7 @@ class TestHygiene:
             draws.append(label)
             return pad_pair(self, label)
 
-        rounds = CheckpointedRun(circ, 1e-2, seed=0).result.transcript.rounds
+        rounds = KeptRun(circ, 1e-2, seed=0).rounds
         labels = [label for rnd in rounds for _, label in rnd.pad_labels]
         monkeypatch.setattr(KeySource, "pad_pair", counted_pad_pair)
         run_protocol(circ, 1e-2, seed=0)
@@ -310,3 +313,79 @@ class TestTags:
         assert OPENING_TAG == canonical({"kind": "block", "k": 1})
         for k in range(1, 1024):
             assert round_tag(k) == canonical({"kind": "round", "k": k})
+
+
+class TestCheckedRun:
+    """``checked_run`` hands its check each step's rounds as it records
+    them, and ``replay`` re-runs any of them under pinned pairs."""
+
+    CIRC = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1), sv.measure(0),
+                       sv.rz(-2.2, 0)))
+    # at 5e-14 (M = 46) each rz ladder runs as two chunks
+    EPSILONS = (1e-1, 5e-14)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_the_check_gets_every_round_once_in_round_order(self, epsilon):
+        steps = []
+        checked_run(self.CIRC, epsilon, 3, lambda run, rounds: steps.append(
+            (run.session.transcript.round_trips(),
+             [rnd for rnd, _, _ in rounds])))
+        # each step arrives just after its own rounds are recorded
+        ends = itertools.accumulate(len(rounds) for _, rounds in steps)
+        assert [end for end, _ in steps] == list(ends)
+        ladders = [rounds for _, rounds in steps if len(rounds[0].transmitted) == 1]
+        assert len(ladders) == (4 if epsilon < 1e-13 else 2)
+        # the rounds the slot-ful engine makes, one by one
+        got = [rnd for _, rounds in steps for rnd in rounds]
+        want = run_reference(self.CIRC, epsilon, 3).rounds
+        assert [(r.tag, r.transmitted, r.pad_labels) for r in got] == [
+            (r.tag, r.transmitted, r.pad_labels) for r in want]
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_replay_under_the_runs_own_pair_is_the_round(self, epsilon):
+        replayed = []
+
+        def check(run, rounds):
+            for rnd, state, step in rounds:
+                for _, label in rnd.pad_labels:
+                    own = run.session.keys.pad_pair(label)
+                    (again,) = replay(run, state, step, rnd, label, [own])
+                    assert again.tobytes() == (rnd.sent.tobytes()
+                                               + rnd.received.tobytes())
+                    replayed.append(label)
+
+        res = checked_run(self.CIRC, epsilon, 3, check)
+        m_bits = precision_bits(epsilon)
+        assert len(replayed) == len(set(replayed)) == (
+            4 + 4 + 2 * (3 + m_bits * (m_bits + 1) // 2))
+        assert res.transcript.round_trips() == 2 + m_bits * (m_bits + 1)
+
+    def test_replay_refuses_a_label_off_the_round_and_no_pairs(self):
+        refused = []
+
+        def check(run, rounds):
+            rnd, state, step = rounds[0]
+            label = rnd.pad_labels[0][1]
+            other = (rounds[1][0].pad_labels[0][1] if len(rounds) > 1
+                     else "gate9:slot1")
+            with pytest.raises(ValueError, match="does not pad"):
+                replay(run, state, step, rnd, other, [(0, 1)])
+            with pytest.raises(ValueError, match="at least one pair"):
+                replay(run, state, step, rnd, label, [])
+            refused.append(other)
+
+        checked_run(self.CIRC, 1e-1, 3, check)
+        assert refused[:2] == ["gate9:slot1"] * 2
+        assert "gate2:m2:k1" in refused
+
+    @pytest.mark.parametrize("extractor", ["floor", "balanced"])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_a_checked_run_is_the_plain_run(self, epsilon, extractor):
+        plain = run_protocol(self.CIRC, epsilon, 3, extractor=extractor)
+        got = checked_run(self.CIRC, epsilon, 3, lambda run, rounds: None,
+                          extractor)
+        assert got.transcript == plain.transcript
+        assert got.transcript.digest() == plain.transcript.digest()
+        assert np.array_equal(got.working_state.amps,
+                              plain.working_state.amps)
+        assert (got.digits, got.outcomes) == (plain.digits, plain.outcomes)

@@ -12,9 +12,9 @@ import pytest
 from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
-from blindqc.protocol import N_SLOTS, CheckpointedRun, run_protocol
+from blindqc.protocol import N_SLOTS, run_protocol
 from blindqc.session import KeySource, ProtocolError, Round, Session
-from conftest import keeping_session
+from conftest import KeptRun, trip
 import oracles
 
 
@@ -89,12 +89,11 @@ class TestKeyDerivation:
 
 class TestSession:
     def test_round_trip_records_both_directions(self):
-        sess = keeping_session(1, seed=0)
+        sess = Session(1, seed=0)
         sess.amps[:] = [0.6, 0.8j]
-        sess.round_trip((0,), '{"angle":1.0,"kind":"rotate"}',
-                        [sv.rz(1.0, 0)])
+        rnd = trip(sess, (0,), '{"angle":1.0,"kind":"rotate"}',
+                   [sv.rz(1.0, 0)])
         t = sess.finish()
-        (rnd,) = t.rounds
         assert rnd.tag == '{"angle":1.0,"kind":"rotate"}'
         assert t.round_trips() == 1
         # the state on the way out, then after the server's rotation
@@ -103,16 +102,10 @@ class TestSession:
                                       [0.48j * np.exp(1j), 0.64]]).max() < 1e-12
 
     def test_stored_densities_are_frozen_copies(self):
-        sess = keeping_session(2, seed=0)
+        sess = Session(2, seed=0)
         sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
-        sess.round_trip((0, 1), '{"angle":0.5,"kind":"rotate"}',
-                        [sv.rz(0.5, 1)])
-        rnd = sess.transcript.rounds[0]
-        stored = (rnd.sent, rnd.received)
+        stored = sess.round_trip((0, 1), [sv.rz(0.5, 1)])
         before = [rho.copy() for rho in stored]
-        for rho in stored:
-            with pytest.raises(ValueError):
-                rho[0, 0] = 0.0
         sess.client_apply([sv.x(0), sv.h(1)])
         sess.client_measure(0, "m0")
         for rho, old in zip(stored, before):
@@ -138,8 +131,8 @@ class TestSession:
                 sess.client_apply([sv.z(0)])
             if a:
                 sess.client_apply([sv.x(0)])
-            sess.round_trip((0,), '{"angle":0.3,"kind":"rotate"}',
-                            [sv.rz(0.3, 0)], pad_labels=((0, "p"),))
+            trip(sess, (0,), '{"angle":0.3,"kind":"rotate"}',
+                 [sv.rz(0.3, 0)], pad_labels=((0, "p"),))
             return sess.finish().digest()
 
         assert run(4) == run(4)
@@ -155,21 +148,19 @@ class TestSession:
         assert outcomes == {0, 1}
 
     def test_payload_density_is_reduced_state_of_transmitted_wires(self):
-        sess = keeping_session(2, seed=1)
+        sess = Session(2, seed=1)
         sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
-        sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
-        rho = sess.transcript.rounds[0].sent
+        rho = trip(sess, (1,), '{"angle":0.0,"kind":"rotate"}', []).sent
         assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
 
     def test_payload_density_of_lower_wires_is_their_reduced_state(self):
         # wires below the top of the register take the transposing path
         state = oracles.random_state(3, np.random.default_rng(5))
         tensor = state.amps.reshape(2, 2, 2)  # axes: qubit 2, 1, 0
-        sess = keeping_session(3, seed=0)
+        sess = Session(3, seed=0)
         sess.amps = state.amps.copy()
-        sess.round_trip((1,), '{"angle":0.0,"kind":"rotate"}', [])
-        sess.round_trip((0, 2), '{"angle":0.0,"kind":"rotate"}', [])
-        one, two = sess.transcript.rounds
+        one = trip(sess, (1,), '{"angle":0.0,"kind":"rotate"}', [])
+        two = trip(sess, (0, 2), '{"angle":0.0,"kind":"rotate"}', [])
         rho_1 = np.einsum("aib,ajb->ij", tensor, tensor.conj())
         assert np.allclose(one.sent, rho_1, atol=1e-12)
         assert np.allclose(one.wire_state(one.sent, 1), rho_1, atol=1e-12)
@@ -184,35 +175,34 @@ class TestSession:
 
     def test_digest_covers_wires_off_the_channel(self):
         def run(working):
-            sess = keeping_session(3, seed=0)
+            sess = Session(3, seed=0)
             sess.amps = working.amps.copy()
-            sess.round_trip((2,), '{"angle":0.3,"kind":"rotate"}',
-                            [sv.rz(0.3, 2)])
-            return sess.finish()
+            rnd = trip(sess, (2,), '{"angle":0.3,"kind":"rotate"}',
+                       [sv.rz(0.3, 2)])
+            return sess.finish(), rnd
 
-        a = run(oracles.new_state(3))
-        b = run(oracles.apply(oracles.new_state(3), sv.x(0)))
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert np.array_equal(ra.sent, rb.sent)
-            assert np.array_equal(ra.received, rb.received)
+        (a, ra) = run(oracles.new_state(3))
+        (b, rb) = run(oracles.apply(oracles.new_state(3), sv.x(0)))
+        assert np.array_equal(ra.sent, rb.sent)
+        assert np.array_equal(ra.received, rb.received)
         assert a.digest() != b.digest()
 
     def test_digest_covers_off_channel_changes_inside_a_gate(self):
         # the x lands between two rounds of one gate and is undone after
         # the gate, so tags, op kinds, densities and final register all agree
         def run(wire):
-            sess = keeping_session(3, seed=0)
+            sess = Session(3, seed=0)
             tag = '{"angle":0.3,"kind":"rotate"}'
-            sess.round_trip((2,), tag, [sv.rz(0.3, 2)])
+            rounds = [trip(sess, (2,), tag, [sv.rz(0.3, 2)])]
             sess.client_apply([sv.x(wire)])
-            sess.round_trip((2,), tag, [sv.rz(0.3, 2)])
+            rounds.append(trip(sess, (2,), tag, [sv.rz(0.3, 2)]))
             sess.mark_gate(0, "rz", 0)
             sess.client_apply([sv.x(wire)])
-            return sess
+            return sess, rounds
 
-        a, b = run(0), run(1)
+        (a, rounds_a), (b, rounds_b) = run(0), run(1)
         assert np.array_equal(a.amps, b.amps)
-        for ra, rb in zip(a.transcript.rounds, b.transcript.rounds):
+        for ra, rb in zip(rounds_a, rounds_b, strict=True):
             assert np.array_equal(ra.sent, rb.sent)
             assert np.array_equal(ra.received, rb.received)
         assert a.finish().digest() != b.finish().digest()
@@ -220,22 +210,21 @@ class TestSession:
     def test_digest_covers_transmitted_densities(self):
         # same tags, op kinds and final register; only the channel differs
         def run(wire):
-            sess = keeping_session(2, seed=0)
+            sess = Session(2, seed=0)
             sess.client_apply([sv.x(wire)])
-            sess.round_trip((0,), '{"angle":0.0,"kind":"rotate"}', [])
+            rnd = trip(sess, (0,), '{"angle":0.0,"kind":"rotate"}', [])
             sess.client_apply([sv.x(wire)])
-            return sess
+            return sess, rnd
 
-        a, b = run(0), run(1)
+        (a, ra), (b, rb) = run(0), run(1)
         assert np.array_equal(a.amps, b.amps)
-        assert not np.array_equal(a.transcript.rounds[0].sent,
-                                  b.transcript.rounds[0].sent)
+        assert not np.array_equal(ra.sent, rb.sent)
         assert a.finish().digest() != b.finish().digest()
 
     def test_checkpointed_run_digest_matches_plain_run(self, monkeypatch):
         # the checkpointed run is the plain run, round by round; pad labels
         # are not in the digest.  At M = 60 the ladder's 1829 rounds run in
-        # two chunks, and the checkpoints are walked across both
+        # two chunks, and the run's check gets each chunk's rounds
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(0.7, 1),
                            sv.measure(0)))
         chunks = []
@@ -253,7 +242,7 @@ class TestSession:
             want = ([list(range(2, 46)), list(range(46, 61))] if m_bits > 45
                     else [list(range(2, m_bits + 1))])
             assert chunks == want
-            run = CheckpointedRun(circ, epsilon, 6)
+            run = KeptRun(circ, epsilon, 6)
             assert chunks == want * 2
             base = run.result
             assert base.transcript.digest() == plain.transcript.digest()
@@ -262,7 +251,7 @@ class TestSession:
             assert np.array_equal(base.working_state.amps,
                                   plain.working_state.amps)
             # each ladder chunk's first and last round replay to themselves
-            rounds = base.transcript.rounds
+            rounds = run.rounds
             starts = {f"gate2:m{c[0]}:k{c[0]}" for c in want}
             firsts = [i for i, rnd in enumerate(rounds)
                       if rnd.pad_labels[-1][1] in starts]
@@ -288,10 +277,10 @@ class TestSession:
         sess = Session(2, seed=0, epsilon=0.1)
         sess.keys = KeySource(0, {"q": (0, 1)})
         sess.client_apply([sv.h(0)])
-        sess.round_trip((0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
+        trip(sess, (0,), '{"kind":"block"}', [], pad_labels=((0, "q"),))
         fork = sess.fork()
         t = fork.transcript
-        assert t.rounds == t.markers == []
+        assert t.markers == []
         assert not (t.tags or t._wires or t.client_op_kinds
                     or t.server_op_kinds)
         # the same header and an empty running hash as a fresh session's
@@ -301,9 +290,8 @@ class TestSession:
         assert sess.keys.overrides == {"q": (0, 1)}
         # each replayed pair draws the label as pinned, all else as the run,
         # all on one key source that pins nothing but the round's labels
-        run = CheckpointedRun(Circuit(2, (sv.h(0), sv.rz(1.1, 1))), 0.1,
-                              seed=3)
-        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
+        run = KeptRun(Circuit(2, (sv.h(0), sv.rz(1.1, 1))), 0.1, seed=3)
+        saved = [copy.deepcopy(state) for _, state, _ in run.checked]
         draws = []
         pad_pair = KeySource.pad_pair
 
@@ -314,7 +302,7 @@ class TestSession:
 
         monkeypatch.setattr(KeySource, "pad_pair", logged_pad_pair)
         pairs = ((1, 0), (0, 0), (1, 1))
-        for i, rnd in enumerate(run.result.transcript.rounds):
+        for i, rnd in enumerate(run.rounds):
             own = {lbl: pad_pair(run.keys, lbl) for _, lbl in rnd.pad_labels}
             for _, label in rnd.pad_labels:
                 draws.clear()
@@ -330,19 +318,19 @@ class TestSession:
                         assert overrides[label] in pairs
                     if lbl != label:
                         assert got == own[lbl]
-        # no replay wrote to the states the checkpoints saved
-        for cp, state in zip(run._checkpoints, saved, strict=True):
+        # no replay wrote to the states the run handed its check
+        for (_, kept, _), state in zip(run.checked, saved, strict=True):
             if isinstance(state, sv.WirePair):
-                assert vars(cp.state) == vars(state)
+                assert vars(kept) == vars(state)
             else:
-                assert np.array_equal(cp.state, state)
+                assert np.array_equal(kept, state)
 
     def test_full_register_run_keeps_no_register_sized_arrays(self):
         # 8 working qubits and the four slots fill the cap
         circ = Circuit(8, (sv.h(0), sv.cz(3, 7), sv.rz(0.7, 5)))
-        t = CheckpointedRun(circ, 1e-2, seed=1).result.transcript
-        assert t.n_qubits + N_SLOTS == sv.MAX_QUBITS
-        for rnd in t.rounds:
+        run = KeptRun(circ, 1e-2, seed=1)
+        assert run.result.transcript.n_qubits + N_SLOTS == sv.MAX_QUBITS
+        for rnd in run.rounds:
             for value in rnd:
                 for item in (value if isinstance(value, tuple) else (value,)):
                     if isinstance(item, np.ndarray):
@@ -351,8 +339,7 @@ class TestSession:
     def test_gate_markers_track_round_spans(self):
         sess = Session(1, seed=0)
         start = sess.transcript.round_trips()
-        sess.round_trip((0,), '{"angle":0.2,"kind":"rotate"}',
-                        [sv.rz(0.2, 0)])
+        trip(sess, (0,), '{"angle":0.2,"kind":"rotate"}', [sv.rz(0.2, 0)])
         sess.mark_gate(0, "rz", start)
         t = sess.finish()
         assert t.markers[0].round_start == 0
@@ -360,7 +347,7 @@ class TestSession:
 
     def test_server_op_kinds_are_recorded(self):
         sess = Session(1, seed=0)
-        sess.round_trip((0,), '{"kind":"block"}', [sv.h(0)])
+        sess.round_trip((0,), [sv.h(0)])
         # the round trip leaves the state as sent; the server's gates follow
         t = sess.transcript
         assert t.server_op_kinds == [] and sess.amps[0] == 1.0
@@ -379,7 +366,7 @@ class TestSession:
             sess.client_apply([sv.x(1 + N_SLOTS)])
         for wires in ((1 + N_SLOTS,), (-1, 0)):
             with pytest.raises(ProtocolError, match="out of range"):
-                sess.round_trip(wires, '{"kind":"block"}', [])
+                sess.round_trip(wires, [])
         with pytest.raises(ValueError, match="negative"):
             sv.x(-1)
 
@@ -411,7 +398,6 @@ class TestPlainRunMemory:
         t = run_protocol(circ, 1e-2, seed=3).transcript
         held = list(reachable(t))
         assert not any(isinstance(x, (np.ndarray, Round)) for x in held)
-        assert t._unhashed == []
         assert t.round_trips() == 2 + 45
 
     def test_retained_memory_per_round_trip(self):
@@ -430,14 +416,16 @@ class TestPlainRunMemory:
         assert kept / res.transcript.round_trips() <= 200
 
     def test_rounds_of_a_plain_run_are_refused(self):
+        # a transcript keeps no rounds: the check reads them as they are made
         other = Circuit(1, (sv.h(0), sv.rz(-2.1, 0)))
         plain = run_protocol(self.CIRC, 1e-2, seed=4).transcript
-        kept = CheckpointedRun(self.CIRC, 1e-2, 4).result.transcript
-        with pytest.raises(ProtocolError, match="keeps no rounds"):
+        run = KeptRun(self.CIRC, 1e-2, 4)
+        kept = run.result.transcript
+        with pytest.raises(AttributeError):
             plain.rounds
-        assert plain.round_trips() == len(kept.rounds) == 1 + 45
+        assert plain.round_trips() == len(run.rounds) == 1 + 45
         assert plain.digest() == kept.digest()
-        assert audit.classical_view(plain) == tuple(r.tag for r in kept.rounds)
+        assert audit.classical_view(plain) == tuple(r.tag for r in run.rounds)
         assert audit.count_rounds(plain) == audit.count_rounds(kept)
         assert audit.view_invariance(self.CIRC, other, 1e-2, 4) == (
             audit.classical_view(plain))

@@ -27,10 +27,10 @@ from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import ALL_PAIRS
 from blindqc.circuits import Circuit
-from blindqc.protocol import (N_SLOTS, CheckpointedRun, digit_block_plan,
+from blindqc.protocol import (N_SLOTS, checked_run, digit_block_plan,
                               round_tag, run_protocol)
-from blindqc.session import ProtocolError, Session, Transcript
-from conftest import kept_run, keeping_session
+from blindqc.session import ProtocolError, Round, Session, Transcript
+from conftest import KeptRun, kept_run
 import oracles
 from register_engine import RegisterSession, run_reference
 
@@ -85,7 +85,8 @@ def assert_rounds_match(got, want):
 
 
 def assert_runs_match(got, want):
-    assert_rounds_match(got.transcript.rounds, want.transcript.rounds)
+    assert_rounds_match(got.rounds, want.rounds)
+    got = got.result
     assert got.transcript.client_op_kinds == want.transcript.client_op_kinds
     assert got.transcript.server_op_kinds == want.transcript.server_op_kinds
     assert got.transcript.markers == want.transcript.markers
@@ -121,9 +122,8 @@ class TestAgainstRegisterEngine:
                                        for c in range(4)]
         n_labels = 0
         for circ, seed in runs:
-            uses = Counter(label for rnd in kept_run(
-                circ, epsilon, seed).transcript.rounds
-                for _, label in rnd.pad_labels)
+            uses = Counter(label for rnd in kept_run(circ, epsilon, seed).rounds
+                           for _, label in rnd.pad_labels)
             assert all(n == 1 for n in uses.values()), uses.most_common(1)
             n_labels += len(uses)
         assert n_labels > 0
@@ -133,8 +133,8 @@ class TestAgainstRegisterEngine:
         # a fork in a digit block m >= 2 starts from the split pair
         circ = Circuit(8, (sv.h(7), sv.cz(7, 0), sv.rz(2.3, 7),
                            sv.rz(-0.8, 0)))
-        base = CheckpointedRun(circ, epsilon, seed=2)
-        rounds = base.result.transcript.rounds
+        base = KeptRun(circ, epsilon, seed=2)
+        rounds = base.rounds
         late = [(i, label) for i, rnd in enumerate(rounds)
                 for _, label in rnd.pad_labels if ":m1:" not in label
                 and ":slot" not in label]
@@ -147,7 +147,7 @@ class TestAgainstRegisterEngine:
                 want = run_reference(circ, epsilon, 2, {label: pair})
                 # pinning a label changes no round before its own
                 assert_rounds_match(rounds[:i] + [replay],
-                                    want.transcript.rounds[:i + 1])
+                                    want.rounds[:i + 1])
 
 
 class TestCheckpoints:
@@ -155,44 +155,41 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("epsilon", [2.0, 1.0, 1e-1, 1e-2, 1e-6])
     def test_register_copies_per_gate(self, epsilon):
-        run = CheckpointedRun(self.CIRC, epsilon, seed=5)
-        rounds = run.result.transcript.rounds
+        run = KeptRun(self.CIRC, epsilon, seed=5)
         registers = []
-        for cp, rnd in zip(run._checkpoints, rounds, strict=True):
-            if rnd.transmitted == (run._run.slots[3],):
+        for rnd, state, step in run.checked:
+            if rnd.transmitted == (run.run.slots[3],):
                 # a ladder round touches only the split pair
-                assert isinstance(cp.state, sv.WirePair)
+                assert isinstance(state, sv.WirePair)
             else:
-                assert cp.state.shape == (2 ** run._session.n_qubits,)
-                registers.append(id(cp.state))
+                assert state.shape == (2 ** run.run.session.n_qubits,)
+                registers.append(id(state))
             # the step holds no state of its own
             assert not any(isinstance(v, (np.ndarray, sv.WirePair))
-                           for v in cp.step.keywords.values())
+                           for v in step.keywords.values())
         # one register copy per block round: h, rz's opening, cz, rz's opening
         assert len(set(registers)) == len(registers) == 4
-        assert id(run._session.amps) not in registers
+        assert id(run.run.session.amps) not in registers
 
     @pytest.mark.parametrize("epsilon", [2.0, 1.0, 1e-1, 1e-2, 1e-6])
     def test_draw_points_per_gate(self, epsilon):
-        run = CheckpointedRun(self.CIRC, epsilon, seed=5)
-        m_bits = run._run.n_digits
-        rounds = run.result.transcript.rounds
+        run = KeptRun(self.CIRC, epsilon, seed=5)
+        m_bits = run.run.n_digits
         # a block round per gate, then every round of blocks m >= 2
-        assert len(run._checkpoints) == len(rounds) == 4 + 2 * (
-            m_bits * (m_bits + 1) // 2 - 1)
+        assert len(run.checked) == run.result.transcript.round_trips() == (
+            4 + 2 * (m_bits * (m_bits + 1) // 2 - 1))
         ladder = []
-        for i, (cp, rnd) in enumerate(zip(run._checkpoints, rounds)):
-            step = cp.step
+        for i, (rnd, _, step) in enumerate(run.checked):
             if step.func is protocol._Run._ladder_round:
                 # a ladder round is padded by its own label alone
                 label = step.keywords["labels"][step.keywords["r"].index - 1]
-                assert rnd.pad_labels == ((run._run.slots[3], label),)
+                assert rnd.pad_labels == ((run.run.slots[3], label),)
                 ladder.append(label)
             else:
                 assert step.func is protocol._Run._block_trip
                 assert step.keywords["tag"] == rnd.tag
-            # each checkpoint re-runs its own round: pinning a label to the
-            # pair the seed draws replays the round bit for bit
+            # each step re-runs its own round: pinning a label to the pair
+            # the seed draws replays the round bit for bit
             label = rnd.pad_labels[0][1]
             (again,) = run.replay(i, label, [run.keys.pad_pair(label)])
             assert again.pad_labels == rnd.pad_labels
@@ -215,13 +212,12 @@ class TestCheckpoints:
 
         # counts every decrypt, also those the cache answers
         monkeypatch.setattr(protocol, "_block_unpad", counting_unpad)
-        run = CheckpointedRun(self.CIRC, 1e-1, seed=5)
+        run = KeptRun(self.CIRC, 1e-1, seed=5)
         # the run itself decrypts once per delegated gate
         assert len(unpads) == len(self.CIRC.ops)
         unpads.clear()
-        blocks = [(i, label) for i, rnd
-                  in enumerate(run.result.transcript.rounds)
-                  if rnd.transmitted != (run._run.slots[3],)
+        blocks = [(i, label) for i, rnd in enumerate(run.rounds)
+                  if rnd.transmitted != (run.run.slots[3],)
                   for _, label in rnd.pad_labels]
         # h, cz: four slot labels each; each rz opening round: three + m1:k1
         assert len(blocks) == 16
@@ -231,9 +227,9 @@ class TestCheckpoints:
 
     def test_replaying_a_label_twice_returns_identical_messages(self):
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.2, 0)))
-        run = CheckpointedRun(circ, 1e-2, seed=3)
-        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
-        rounds = run.result.transcript.rounds
+        run = KeptRun(circ, 1e-2, seed=3)
+        saved = [copy.deepcopy(state) for _, state, _ in run.checked]
+        rounds = run.rounds
         labels = [(i, label) for i, rnd in enumerate(rounds)
                   for _, label in rnd.pad_labels]
         pairs = ((1, 0), (0, 1), (1, 1))
@@ -245,25 +241,24 @@ class TestCheckpoints:
                         == rounds[i].pad_labels)
                 assert np.array_equal(first.sent, second.sent)
                 assert np.array_equal(first.received, second.received)
-        # no fork wrote to the states the checkpoints saved
-        for cp, state in zip(run._checkpoints, saved, strict=True):
+        # no fork wrote to the states the run handed its check
+        for (_, kept, _), state in zip(run.checked, saved, strict=True):
             if isinstance(state, sv.WirePair):
-                assert vars(cp.state) == vars(state)
+                assert vars(kept) == vars(state)
             else:
-                assert np.array_equal(cp.state, state)
+                assert np.array_equal(kept, state)
 
     @pytest.mark.parametrize("circ", [
         FULL_REGISTER,
         Circuit(2, (sv.h(0), sv.rz(1.1, 1), sv.measure(0), sv.h(0))),
     ], ids=["full-register", "mid-measure"])
     def test_a_label_replays_its_pairs_together_as_one_by_one(self, circ):
-        # a block round runs once on a stack of three registers, a ladder
-        # round three times on one fork: each replayed round must be the
-        # one a replay of its pair alone records
-        run = CheckpointedRun(circ, 1e-2, seed=6)
-        saved = [copy.deepcopy(cp.state) for cp in run._checkpoints]
+        # each round runs once per pair on one fork: each replayed round
+        # must be the one a replay of its pair alone makes
+        run = KeptRun(circ, 1e-2, seed=6)
+        saved = [copy.deepcopy(state) for _, state, _ in run.checked]
         kinds = Counter()
-        for i, rnd in enumerate(run.result.transcript.rounds):
+        for i, rnd in enumerate(run.rounds):
             for _, label in rnd.pad_labels:
                 own = run.keys.pad_pair(label)
                 pairs = [p for p in itertools.product((0, 1), repeat=2)
@@ -277,18 +272,18 @@ class TestCheckpoints:
                         rnd.tag, rnd.transmitted, rnd.pad_labels)
                     assert a.sent.tobytes() == b.sent.tobytes()
                     assert a.received.tobytes() == b.received.tobytes()
-                kinds[type(run._checkpoints[i].state)] += 1
+                kinds[type(run.checked[i][1])] += 1
         assert kinds[np.ndarray] > 0 and kinds[sv.WirePair] > 0
-        # no replay wrote to the states the checkpoints saved
-        for cp, state in zip(run._checkpoints, saved, strict=True):
+        # no replay wrote to the states the run handed its check
+        for (_, kept, _), state in zip(run.checked, saved, strict=True):
             if isinstance(state, sv.WirePair):
-                assert vars(cp.state) == vars(state)
+                assert vars(kept) == vars(state)
             else:
-                assert np.array_equal(cp.state, state)
+                assert np.array_equal(kept, state)
 
     def test_replays_feed_no_running_hash(self, monkeypatch):
-        # a fork never reaches a gate boundary, so its stream takes nothing
-        run = CheckpointedRun(self.CIRC, 1e-2, seed=5)
+        # a fork records nothing, so its stream takes nothing
+        run = KeptRun(self.CIRC, 1e-2, seed=5)
         forks, updates = [], []
         fork = Session.fork
 
@@ -303,24 +298,28 @@ class TestCheckpoints:
 
         monkeypatch.setattr(Session, "fork", watched_fork)
         kinds = Counter()
-        for i, rnd in enumerate(run.result.transcript.rounds):
+        for i, rnd in enumerate(run.rounds):
             for _, label in rnd.pad_labels:
                 assert len(run.replay(i, label, ALL_PAIRS)) == 4
-                kinds[type(run._checkpoints[i].state)] += 1
+                kinds[type(run.checked[i][1])] += 1
         assert kinds[np.ndarray] > 0 and kinds[sv.WirePair] > 0
         assert len(forks) == sum(kinds.values())
         assert updates == []
 
     def test_a_run_and_its_checkpoints_form_no_cycle(self):
-        # a step bound to the run would tie the run to its own checkpoint
-        # list and keep every register copy until the cyclic collector ran
+        # a step bound to the run would tie the run to the rounds its check
+        # gets and keep their states until the cyclic collector ran
         enabled = gc.isenabled()
         gc.disable()
         try:
-            run = CheckpointedRun(self.CIRC, 1e-2, seed=5)
-            ref = weakref.ref(run._run)
-            del run
-            assert ref() is None
+            refs = []
+            res = checked_run(self.CIRC, 1e-2, 5, lambda run, rounds:
+                              refs.extend([weakref.ref(run)] + [
+                                  weakref.ref(state) for _, state, _ in rounds]))
+            # a run per step: four block rounds and two ladder chunks
+            assert len(refs) == 6 + res.transcript.round_trips()
+            # nothing outlives the run: not it, not a state it handed over
+            assert all(ref() is None for ref in refs)
         finally:
             if enabled:
                 gc.enable()
@@ -392,7 +391,7 @@ class TestWirePair:
         assert pair.perm == (0, 1, 2, 3)
         assert pair.phases == (1.0, 1.0, 1.0, 1.0)
         # two working wires and the transit slot 2 above them
-        sess = keeping_session(2, seed=0)
+        sess = Session(2, seed=0)
         sess.split_pair(0, 2)
         for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
                            [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
@@ -411,7 +410,6 @@ class TestWirePair:
                             (three, [f"gate0:m3:k{k}" for k in (1, 2, 3)])],
                         server)
         # a refused ladder leaves no trace
-        assert sess.transcript.rounds == []
         assert sess.transcript.client_op_kinds == []
         assert sess.transcript.server_op_kinds == []
         assert sess.wire_pair.perm == (0, 1, 2, 3)
@@ -467,18 +465,20 @@ class TestWirePair:
         # engine holds on its register in |0>
         state = oracles.random_state(2, np.random.default_rng(4))
         server = StubServer([sv.rz(math.pi / 4, 2)], 2)
-        pair = keeping_session(2, seed=0)
+        pair = Session(2, seed=0)
         pair.amps[:] = state.amps
         pair.split_pair(0, 2)
-        pair.ladder(2, [(BLOCK, LABELS)], server)
+        densities, tags, _ = pair.ladder(2, [(BLOCK, LABELS)], server)
+        views = iter(densities)
+        rounds = [Round(tag, (2,), sent, received, labels)
+                  for (tag, labels), sent, received in zip(tags, views, views)]
         register = RegisterSession(3, seed=0)
         register.amps[:4] = state.amps
         register.ladder(2, 0, [(BLOCK, LABELS)], server)
         # the register waits for the join
         assert np.array_equal(pair.amps, state.amps)
-        assert pair.transcript.rounds[0].pad_labels == ((2, LABELS[1]),)
-        assert_rounds_match(pair.transcript.rounds,
-                            register.transcript.rounds)
+        assert rounds[0].pad_labels == ((2, LABELS[1]),)
+        assert_rounds_match(rounds, register.rounds)
         for log in ("client_op_kinds", "server_op_kinds"):
             assert (getattr(pair.transcript, log)
                     == getattr(register.transcript, log))
@@ -520,32 +520,18 @@ class TestBlockStep:
         rng = np.random.default_rng(5)
         densities = np.array([random_density(rng) for _ in range(6)])
         tags = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
-        # a plain pair, which hashes each stack as it is recorded, and a
-        # pair that keeps every round and hashes at the gate boundary
-        one, block, plain_one, plain_block = (
-            Transcript(seed=1, epsilon=0.1, n_qubits=4) for _ in range(4))
-        one._rounds, block._rounds = [], []
+        # each transcript hashes each stack as it is recorded
+        one, block = (Transcript(seed=1, epsilon=0.1, n_qubits=4)
+                      for _ in range(2))
         for i, tag in enumerate(tags):
-            for t in (one, plain_one):
-                t.record((3,), (tag,), densities[2 * i:2 * i + 2].copy())
-        plain_block.record((3,), tags, densities.copy())
+            one.record((3,), (tag,), densities[2 * i:2 * i + 2].copy())
         block.record((3,), tags, densities)
-        for t in (one, block, plain_one, plain_block):
+        for t in (one, block):
             t.hash_register(np.ones(2))
-        assert (block.digest() == one.digest() == plain_one.digest()
-                == plain_block.digest())
-        assert block == one == plain_one == plain_block
-        assert len(block.rounds) == len(one.rounds) == 3
-        for a, b in zip(block.rounds, one.rounds):
-            assert (a.tag, a.transmitted, a.pad_labels) == (
-                b.tag, b.transmitted, b.pad_labels)
-            for half in ("sent", "received"):
-                x, y = getattr(a, half), getattr(b, half)
-                assert np.array_equal(x, y)
-                assert np.array_equal(a.wire_state(x, 3), b.wire_state(y, 3))
-                # a read-only view of the one stacked array
-                assert x.base is densities
-                assert not x.flags.writeable
+        assert block.digest() == one.digest()
+        assert block == one
+        assert block.tags == [tag for tag, _ in tags]
+        assert block.round_trips() == 3
 
     def test_a_plain_run_makes_one_ladder_step_per_rz(self, monkeypatch):
         steps, records = [], []
@@ -567,9 +553,9 @@ class TestBlockStep:
         monkeypatch.setattr(Transcript, "record", counting_record)
         circ = Circuit(2, (sv.rz(0.3, 0), sv.h(1), sv.rz(-1.9, 1),
                            sv.cz(0, 1), sv.rz(2.2, 0)))
-        # the checkpointed run takes the plain run's ladder step
+        # the checked run takes the plain run's ladder step
         for run, epsilon in itertools.product(
-                (run_protocol, CheckpointedRun), (2.0, 1e-1, 1e-6)):
+                (run_protocol, KeptRun), (2.0, 1e-1, 1e-6)):
             m_bits = precision_bits(epsilon)
             steps.clear()
             records.clear()
@@ -580,11 +566,11 @@ class TestBlockStep:
             assert records == [m_bits * (m_bits + 1) // 2 - 1] * len(steps)
 
     def test_block_densities_are_read_only(self):
-        res = CheckpointedRun(Circuit(1, (sv.h(0), sv.rz(0.9, 0))),
-                              math.pi / 2**5, seed=6).result
-        transit = res.working_state.n_qubits + N_SLOTS - 1
-        rounds = [r for r in res.transcript.rounds
-                  if r.transmitted == (transit,)]
+        # the rounds a check receives are read-only views of their stack
+        run = KeptRun(Circuit(1, (sv.h(0), sv.rz(0.9, 0))), math.pi / 2**5,
+                      seed=6)
+        transit = run.result.working_state.n_qubits + N_SLOTS - 1
+        rounds = [r for r in run.rounds if r.transmitted == (transit,)]
         # blocks 2..5 hold all 15 rounds but the opening one
         assert len(rounds) == 5 * 6 // 2 - 1
         for rnd in rounds:
@@ -602,8 +588,8 @@ class TestBlockStep:
         # at eps = pi/2^5 an rz runs digit blocks m = 1..5, rounds k = m..1
         circ = Circuit(2, (sv.h(0), sv.cz(0, 1), sv.rz(2.3, 0), sv.h(1)))
         epsilon = math.pi / 2**5
-        base = CheckpointedRun(circ, epsilon, seed=7)
-        rounds = base.result.transcript.rounds
+        base = KeptRun(circ, epsilon, seed=7)
+        rounds = base.rounds
         seen = set()
         for i, rnd in enumerate(rounds):
             for _, label in rnd.pad_labels:
@@ -617,7 +603,7 @@ class TestBlockStep:
                                         strict=True):
                     want = run_reference(circ, epsilon, 7, {label: pair})
                     assert_rounds_match(rounds[:i] + [replay],
-                                        want.transcript.rounds[:i + 1])
+                                        want.rounds[:i + 1])
         assert seen == {(m, k) for m in range(1, 6) for k in range(1, m + 1)}
 
     @staticmethod
