@@ -12,9 +12,10 @@ swap ops are drawn for many wire pairs.
 
 A third, eight-qubit circuit fills the register cap (8 working wires and
 the four slots) and at epsilon 1e-6 runs 22 digit blocks per `rz`, 511
-round trips in all, so the pins cover the full register and long ladders.  One more audit of
-the first circuit runs at epsilon 5e-14 (M = 46), where each rz ladder
-takes two chunks.
+round trips in all, so the pins cover the full register and long ladders.
+
+One more audit of the first circuit runs at epsilon 5e-14 (M = 46), where
+each rz ladder takes two chunks.
 """
 
 import hashlib

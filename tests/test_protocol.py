@@ -333,7 +333,7 @@ class TestCheckedRun:
         # each step arrives just after its own rounds are recorded
         ends = itertools.accumulate(len(rounds) for _, rounds in steps)
         assert [end for end, _ in steps] == list(ends)
-        ladders = [rounds for _, rounds in steps if len(rounds[0].transmitted) == 1]
+        ladders = [r for _, r in steps if len(r[0].transmitted) == 1]
         assert len(ladders) == (4 if epsilon < 1e-13 else 2)
         # the rounds the slot-ful engine makes, one by one
         got = [rnd for _, rounds in steps for rnd in rounds]

@@ -122,7 +122,8 @@ class TestAgainstRegisterEngine:
                                        for c in range(4)]
         n_labels = 0
         for circ, seed in runs:
-            uses = Counter(label for rnd in kept_run(circ, epsilon, seed).rounds
+            rounds = kept_run(circ, epsilon, seed).rounds
+            uses = Counter(label for rnd in rounds
                            for _, label in rnd.pad_labels)
             assert all(n == 1 for n in uses.values()), uses.most_common(1)
             n_labels += len(uses)
@@ -313,9 +314,9 @@ class TestCheckpoints:
         gc.disable()
         try:
             refs = []
-            res = checked_run(self.CIRC, 1e-2, 5, lambda run, rounds:
-                              refs.extend([weakref.ref(run)] + [
-                                  weakref.ref(state) for _, state, _ in rounds]))
+            res = checked_run(self.CIRC, 1e-2, 5, lambda run, rounds: (
+                refs.extend([weakref.ref(run)] + [
+                    weakref.ref(state) for _, state, _ in rounds])))
             # a run per step: four block rounds and two ladder chunks
             assert len(refs) == 6 + res.transcript.round_trips()
             # nothing outlives the run: not it, not a state it handed over
