@@ -135,23 +135,22 @@ def payload_mixedness(circuit: Circuit, epsilon: float, seed: int,
     uncovered, seen, reused = [], set(), set()
     n_checks, worst, worst_label, inbound, control = 0, 0.0, None, 0.0, 0.0
 
-    def check(run, rounds) -> None:
+    def check(run, first, rounds) -> None:
         nonlocal n_checks, worst, worst_label, inbound, control
         # per (transmitted, wire): a round that sends it, the indices of
         # the labels that pad it, and their twirls' densities, out then back
         labels, groups = [], {}
-        for i, (rnd, state, step) in enumerate(
-                rounds, run.session.transcript.round_trips() - len(rounds)):
+        for i, checked in enumerate(rounds, first):
+            rnd = checked[0]
             padded_wires = {w for w, _ in rnd.pad_labels}
             uncovered.extend(f"round {i} wire {wire}" for wire in
                              rnd.transmitted if wire not in padded_wires)
             for wire, label in rnd.pad_labels:
-                b = hashlib.blake2b(
-                    f"{run.session.keys.seed}/pad/{label}".encode(),
-                    digest_size=1).digest()[0]
+                b = hashlib.blake2b(f"{seed}/pad/{label}".encode(),
+                                    digest_size=1).digest()[0]
                 own = ALL_PAIRS.index((b & 1, (b >> 1) & 1))
                 # the round under each pair of the label, in ALL_PAIRS order
-                twirl = replay(run, state, step, rnd, label,
+                twirl = replay(run, checked, label,
                                ALL_PAIRS[:own] + ALL_PAIRS[own + 1:])
                 twirl.insert(own, (rnd.sent, rnd.received))
                 _, at, densities = groups.setdefault((rnd.transmitted, wire),

@@ -219,13 +219,14 @@ class _Run:
                 self.session.client_apply([sv.x(slot)])
 
     def _record(self, transmitted, tags, densities, starts) -> None:
-        """Record one step's rounds, (tag, pad_labels) each in ``tags``; a
-        check gets each as a ``Round`` with its (state, step) in ``starts``."""
+        """Record one step's rounds, (tag, pad_labels) each in ``tags``, and
+        hand them to the check with their (state, step) in ``starts``."""
+        first = self.session.transcript.round_trips()
         self.session.transcript.record(transmitted, tags, densities)
         if self.check is not None:
             densities.setflags(write=False)
             views = iter(densities)
-            self.check(self, [
+            self.check(self, first, [
                 (Round(tag, transmitted, sent, received, labels), *start)
                 for (tag, labels), sent, received, start
                 in zip(tags, views, views, starts)])
@@ -355,19 +356,19 @@ def run_protocol(circuit: Circuit, epsilon: float, seed: int, *,
 
 def checked_run(circuit: Circuit, epsilon: float, seed: int, check,
                 extractor: str = "floor") -> ProtocolResult:
-    """The run ``run_protocol`` makes, handing ``check(run, rounds)`` the
-    rounds of each step (a block round or a ladder chunk) as it records
-    them: per round the ``Round``, read-only, the state it started from and
-    the round as a step, for ``replay``.  The run keeps none of them."""
+    """``run_protocol``'s run, handing ``check(run, first, rounds)`` each
+    step's rounds (a block round or a ladder chunk; ``first`` the index of
+    the first) as it records them: per round the read-only ``Round``, its
+    start state and the round as a step, for ``replay``; none is kept."""
     session = _open_session(circuit, epsilon, seed)
     return _Run(circuit, epsilon, session, extractor, check).run()
 
 
-def replay(run: _Run, state, step, rnd: Round, label: str,
-           pairs) -> list[np.ndarray]:
-    """Round ``rnd`` of ``run``, which started from ``state`` as ``step``,
-    with ``label``, which must pad it, pinned to each pair in ``pairs`` in
-    turn: per pair, the round's (2, d, d) densities, sent then received.
+def replay(run: _Run, checked, label: str, pairs) -> list[np.ndarray]:
+    """The round of ``run`` in ``checked`` (as ``run``'s check got it:
+    ``Round``, state, step) with ``label``, which must pad it, pinned to
+    each pair in ``pairs`` in turn: per pair, the round's (2, d, d)
+    densities, sent then received.
 
     A block round (an h or cz gate's, or an rz gate's opening round, after
     the parity Z) starts from a register copy; its step swaps the riding
@@ -382,7 +383,7 @@ def replay(run: _Run, state, step, rnd: Round, label: str,
     that pins the round's other pads to the run's draws; per pair the fork
     takes a fresh copy of ``state`` and runs the step.
     """
-    keys = run.session.keys
+    (rnd, state, step), keys = checked, run.session.keys
     # the round's pads as the run drew them, each drawn once
     drawn = {lbl: keys.pad_pair(lbl) for _, lbl in rnd.pad_labels}
     if label not in drawn:

@@ -80,7 +80,8 @@ class KeptRun:
                  extractor: str = "floor"):
         self.checked = []
 
-        def keep(run, rounds):
+        def keep(run, first, rounds):
+            assert first == len(self.checked)
             self.run = run
             self.checked += rounds
 
@@ -90,9 +91,10 @@ class KeptRun:
 
     def replay(self, index: int, label: str, pairs) -> list[Round]:
         """Round ``index`` with ``label`` pinned to each pair in turn."""
-        rnd, state, step = self.checked[index]
+        rnd = self.checked[index][0]
         return [rnd._replace(sent=sent, received=received) for sent, received
-                in protocol.replay(self.run, state, step, rnd, label, pairs)]
+                in protocol.replay(self.run, self.checked[index], label,
+                                   pairs)]
 
 
 def kept_run(circuit: Circuit, epsilon: float, seed: int,

@@ -206,7 +206,7 @@ def run_pinned(circuit, epsilon, seed, overrides=None, *, extractor="floor"):
     session.keys = KeySource(seed, overrides)
     rounds = []
     res = protocol._Run(circuit, epsilon, session, extractor,
-                        lambda run, checked: rounds.extend(
+                        lambda run, first, checked: rounds.extend(
                             rnd for rnd, _, _ in checked)).run()
     return PinnedRun(res.working_state, res.transcript, res.digits,
                      res.outcomes, rounds)

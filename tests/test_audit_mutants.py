@@ -223,8 +223,8 @@ def first_pair_for_every_pair(monkeypatch) -> None:
     """A replay runs every pair of a label under the first one."""
     replay = audit.replay
     monkeypatch.setattr(
-        audit, "replay", lambda run, state, step, rnd, label, pairs: replay(
-            run, state, step, rnd, label, pairs[:1] * len(pairs)))
+        audit, "replay", lambda run, checked, label, pairs: replay(
+            run, checked, label, pairs[:1] * len(pairs)))
 
 
 def test_stacked_pads_under_one_pair_fail_the_audit(monkeypatch):

@@ -327,16 +327,19 @@ class TestCheckedRun:
     @pytest.mark.parametrize("epsilon", EPSILONS)
     def test_the_check_gets_every_round_once_in_round_order(self, epsilon):
         steps = []
-        checked_run(self.CIRC, epsilon, 3, lambda run, rounds: steps.append(
-            (run.session.transcript.round_trips(),
-             [rnd for rnd, _, _ in rounds])))
-        # each step arrives just after its own rounds are recorded
-        ends = itertools.accumulate(len(rounds) for _, rounds in steps)
-        assert [end for end, _ in steps] == list(ends)
-        ladders = [r for _, r in steps if len(r[0].transmitted) == 1]
+        checked_run(self.CIRC, epsilon, 3,
+                    lambda run, first, rounds: steps.append(
+                        (first, run.session.transcript.round_trips(),
+                         [rnd for rnd, _, _ in rounds])))
+        # each step arrives just after its own rounds are recorded, with
+        # the index of its first round
+        ends = list(itertools.accumulate(len(r) for _, _, r in steps))
+        assert [end for _, end, _ in steps] == ends
+        assert [first for first, _, _ in steps] == [0] + ends[:-1]
+        ladders = [r for _, _, r in steps if len(r[0].transmitted) == 1]
         assert len(ladders) == (4 if epsilon < 1e-13 else 2)
         # the rounds the slot-ful engine makes, one by one
-        got = [rnd for _, rounds in steps for rnd in rounds]
+        got = [rnd for _, _, rounds in steps for rnd in rounds]
         want = run_reference(self.CIRC, epsilon, 3).rounds
         assert [(r.tag, r.transmitted, r.pad_labels) for r in got] == [
             (r.tag, r.transmitted, r.pad_labels) for r in want]
@@ -345,11 +348,12 @@ class TestCheckedRun:
     def test_replay_under_the_runs_own_pair_is_the_round(self, epsilon):
         replayed = []
 
-        def check(run, rounds):
-            for rnd, state, step in rounds:
+        def check(run, first, rounds):
+            for checked in rounds:
+                rnd = checked[0]
                 for _, label in rnd.pad_labels:
                     own = run.session.keys.pad_pair(label)
-                    (again,) = replay(run, state, step, rnd, label, [own])
+                    (again,) = replay(run, checked, label, [own])
                     assert again.tobytes() == (rnd.sent.tobytes()
                                                + rnd.received.tobytes())
                     replayed.append(label)
@@ -363,15 +367,14 @@ class TestCheckedRun:
     def test_replay_refuses_a_label_off_the_round_and_no_pairs(self):
         refused = []
 
-        def check(run, rounds):
-            rnd, state, step = rounds[0]
-            label = rnd.pad_labels[0][1]
+        def check(run, first, rounds):
+            label = rounds[0][0].pad_labels[0][1]
             other = (rounds[1][0].pad_labels[0][1] if len(rounds) > 1
                      else "gate9:slot1")
             with pytest.raises(ValueError, match="does not pad"):
-                replay(run, state, step, rnd, other, [(0, 1)])
+                replay(run, rounds[0], other, [(0, 1)])
             with pytest.raises(ValueError, match="at least one pair"):
-                replay(run, state, step, rnd, label, [])
+                replay(run, rounds[0], label, [])
             refused.append(other)
 
         checked_run(self.CIRC, 1e-1, 3, check)
@@ -382,8 +385,8 @@ class TestCheckedRun:
     @pytest.mark.parametrize("epsilon", EPSILONS)
     def test_a_checked_run_is_the_plain_run(self, epsilon, extractor):
         plain = run_protocol(self.CIRC, epsilon, 3, extractor=extractor)
-        got = checked_run(self.CIRC, epsilon, 3, lambda run, rounds: None,
-                          extractor)
+        got = checked_run(self.CIRC, epsilon, 3,
+                          lambda run, first, rounds: None, extractor)
         assert got.transcript == plain.transcript
         assert got.transcript.digest() == plain.transcript.digest()
         assert np.array_equal(got.working_state.amps,

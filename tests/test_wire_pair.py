@@ -314,7 +314,7 @@ class TestCheckpoints:
         gc.disable()
         try:
             refs = []
-            res = checked_run(self.CIRC, 1e-2, 5, lambda run, rounds: (
+            res = checked_run(self.CIRC, 1e-2, 5, lambda run, _, rounds: (
                 refs.extend([weakref.ref(run)] + [
                     weakref.ref(state) for _, state, _ in rounds])))
             # a run per step: four block rounds and two ladder chunks
@@ -567,23 +567,31 @@ class TestBlockStep:
             assert records == [m_bits * (m_bits + 1) // 2 - 1] * len(steps)
 
     def test_block_densities_are_read_only(self):
-        # the rounds a check receives are read-only views of their stack
+        # every round a check receives, block round or ladder round, is a
+        # read-only view of its step's stack
         run = KeptRun(Circuit(1, (sv.h(0), sv.rz(0.9, 0))), math.pi / 2**5,
                       seed=6)
         transit = run.result.working_state.n_qubits + N_SLOTS - 1
-        rounds = [r for r in run.rounds if r.transmitted == (transit,)]
+        ladder = [r for r in run.rounds if r.transmitted == (transit,)]
         # blocks 2..5 hold all 15 rounds but the opening one
-        assert len(rounds) == 5 * 6 // 2 - 1
-        for rnd in rounds:
-            for rho in (rnd.sent, rnd.received,
-                        rnd.wire_state(rnd.sent, transit),
+        assert len(ladder) == 5 * 6 // 2 - 1
+        # the h round and the rz's opening round send all four slots
+        blocks = [r for r in run.rounds if len(r.transmitted) == N_SLOTS]
+        assert len(blocks) == 2
+        assert len(run.rounds) == len(ladder) + len(blocks)
+        for rnd in run.rounds:
+            for rho in (rnd.sent, rnd.received):
+                assert not rho.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    rho[0, 0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    rho.base[0, 0, 0] = 0.0
+        for rnd in ladder:
+            for rho in (rnd.wire_state(rnd.sent, transit),
                         rnd.wire_state(rnd.received, transit)):
                 assert not rho.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     rho[0, 0] = 0.0
-            for rho in (rnd.sent, rnd.received):
-                with pytest.raises(ValueError, match="read-only"):
-                    rho.base[0, 0, 0] = 0.0
 
     def test_every_round_replays_to_its_reply(self):
         # at eps = pi/2^5 an rz runs digit blocks m = 1..5, rounds k = m..1
