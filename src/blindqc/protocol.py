@@ -38,12 +38,12 @@ rho_q (x) |0><0| (``statevec.WirePair``) and applies the ladder's net op,
 which leaves transit in |0>, to the working wire once, after block M.
 That is exact: unitaries on two wires act on their reduced density by
 conjugation, and the other wires see no gate until the pair is joined
-back.  The client draws and plans the pads of whole blocks, at least
-``LADDER_ROUNDS`` rounds at a time, and each such chunk goes to the
-session as one step (``Session.ladder``).  The run records each step's
-rounds at once, keeping their tags and wires; an audit's check
-(``checked_run``) gets them with the state each started from, to re-run
-any under pinned pads (``replay``).
+back.  Whole blocks, at least ``LADDER_ROUNDS`` rounds at a time, go to
+the session as one pass (``Session.ladder``), which draws each round's
+pad and plans the round from a table of ``plan_round`` (``_SCHEDULES``).
+The run records each pass's rounds at once, keeping their tags and
+wires; an audit's check (``checked_run``) gets them with the state each
+started from, to re-run any under pinned pads (``replay``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .angles import AngleDigits, digitize, precision_bits
 from .circuits import Circuit
 from .lowering import first_undelegable
 from .session import (N_SLOTS, KeySource, ProtocolError, Round, Session,
-                      Transcript)
+                      Transcript, ops_matrix)
 from .statevec import Gate, GateOp
 
 PI = math.pi
@@ -128,6 +128,23 @@ def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
     return BlockPlan(nonzero, negative, nonzero, tuple(rounds))
 
 
+def _schedule(nonzero: int, negative: int):
+    """Digit (nonzero, negative) as ``Session.ladder`` reads it: the initial
+    swap, and at [k == 1][carry][x][z] the round's (unpad_z, swap_after)
+    and the next round's carry, as ``digit_block_plan`` plans them."""
+    def row(last, carry, x, z):
+        r = plan_round(2 - last, (x, z), nonzero, negative, carry)
+        return r.unpad_z, r.swap_after, carry * (x ^ negative)
+
+    return digit_block_plan(nonzero, negative, ()).initial_swap, tuple(
+        tuple(tuple(tuple(row(last, carry, x, z) for z in (0, 1))
+                    for x in (0, 1)) for carry in (0, 1)) for last in (0, 1))
+
+
+# each digit's schedule, built once
+_SCHEDULES = {digit: _schedule(*digit) for digit in ((0, 0), (1, 0), (1, 1))}
+
+
 class UnsupportedGateError(ProtocolError):
     """Circuit contains a gate outside {h, cz, rz, measure}."""
 
@@ -147,7 +164,9 @@ class BlindServer:
     """
 
     def __init__(self, n_working: int, n_digits: int):
-        s1, s2, s3, s4 = range(n_working, n_working + N_SLOTS)
+        self.slots = tuple(range(n_working, n_working + N_SLOTS))
+        s1, s2, s3, s4 = self.slots
+        self._matrices = {}
         # round_tags[k - 1] is round_tag(k)
         self.round_tags = tuple(round_tag(k) for k in range(1, n_digits + 1))
         self._ops = {tag: (sv.rz(PI / 2**k, s4),)
@@ -162,6 +181,12 @@ class BlindServer:
             return self._ops[tag]
         except KeyError:
             raise ProtocolError(f"server cannot satisfy tag {tag!r}") from None
+
+    def matrix_for(self, tag: str) -> np.ndarray:
+        """A block tag's ops as one matrix on the slots (``ops_matrix``)."""
+        if tag not in self._matrices:
+            self._matrices[tag] = ops_matrix(self.ops_for(tag), self.slots)
+        return self._matrices[tag]
 
 
 @dataclass(frozen=True)
@@ -219,16 +244,16 @@ class _Run:
                 self.session.client_apply([sv.x(slot)])
 
     def _record(self, transmitted, tags, densities, starts) -> None:
-        """Record one step's rounds, (tag, pad_labels) each in ``tags``, and
-        hand them to the check with their (state, step) in ``starts``."""
+        """Record one step's rounds, their tags in ``tags``, and hand them
+        to the check with their (pad_labels, state, step) in ``starts``."""
         first = self.session.transcript.round_trips()
         self.session.transcript.record(transmitted, tags, densities)
         if self.check is not None:
             densities.setflags(write=False)
             views = iter(densities)
             self.check(self, first, [
-                (Round(tag, transmitted, sent, received, labels), *start)
-                for (tag, labels), sent, received, start
+                (Round(tag, transmitted, sent, received, labels), state, step)
+                for tag, sent, received, (labels, state, step)
                 in zip(tags, views, views, starts)])
 
     # -- rounds as steps: each runs on the session given, densities first
@@ -240,46 +265,35 @@ class _Run:
         densities and the pairs drawn."""
         sess.client_apply(swaps)
         pairs = sess.pad(pad_labels)
-        return sess.round_trip(self.slots, self.server.ops_for(tag)), pairs
+        return sess.round_trip(self.slots, self.server.matrix_for(tag)), pairs
 
-    def _ladder_round(self, sess: Session, plan: BlockPlan,
-                      labels: list[str], r: RoundPlan):
-        """Round ``r`` of the baseline's digit block ``plan``, padded by
-        ``labels``, on the split pair: only this round is planned again,
-        under the pad ``sess`` draws for its label and the baseline's
-        carry.  A block's first round opens with the initial swap."""
-        one = BlockPlan(
-            plan.nonzero, plan.negative,
-            plan.initial_swap * (r.index == len(labels)),
-            (plan_round(r.index, sess.keys.pad_pair(labels[r.index - 1]),
-                        plan.nonzero, plan.negative, r.carry),))
-        return sess.ladder(self.slots[3], ((one, labels),), self.server)
+    def _ladder_round(self, sess: Session, block):
+        """The one-round ``block`` a ladder pass handed over, re-run."""
+        return sess.ladder(self.slots[3], [block], self.server)
 
     def _ladder(self, gate_index: int, q: int, digits) -> None:
         """Digit blocks 2..M on (q, transit), split off: ``Session.ladder``
-        steps of whole blocks, each of at least ``LADDER_ROUNDS`` rounds but
-        the last, their pads drawn and planned per step."""
-        sess, transit, plans = self.session, self.slots[3], []
+        passes of whole blocks, each of at least ``LADDER_ROUNDS`` rounds
+        but the last, handing a check each round's starting pair."""
+        sess, transit = self.session, self.slots[3]
         sess.split_pair(q, transit)
+        blocks, n_rounds = [], 0
         for m, digit in enumerate(digits[1:], start=2):
-            labels = [f"gate{gate_index}:m{m}:k{k}" for k in range(1, m + 1)]
-            plans.append((digit_block_plan(*digit, [sess.keys.pad_pair(lbl)
-                                                    for lbl in labels]),
-                          labels))
-            if (m < len(digits) and sum(len(p.rounds) for p, _ in plans)
-                    < LADDER_ROUNDS):
+            label = f"gate{gate_index}:m{m}:k"
+            blocks.append((_SCHEDULES[digit], [label + str(k) for k in
+                                               range(1, m + 1)],
+                           range(m, 0, -1), 1))
+            n_rounds += m
+            if m < len(digits) and n_rounds < LADDER_ROUNDS:
                 continue
-            pair = None if self.check is None else sess.wire_pair.copy()
-            densities, tags, folds = sess.ladder(transit, plans, self.server)
-            # the pair before each round, from the ladder's own folds
-            starts, folds = [], iter(folds)
-            for plan, labels in plans if pair is not None else ():
-                for r in plan.rounds:
-                    starts.append((pair.copy(), functools.partial(
-                        _Run._ladder_round, plan=plan, labels=labels, r=r)))
-                    pair.run_block(transit, [next(folds)])
+            starts = None if self.check is None else []
+            densities, tags = sess.ladder(transit, blocks, self.server, starts)
+            if starts is not None:
+                starts = [(labels, pair, functools.partial(
+                    _Run._ladder_round, block=block))
+                    for labels, pair, block in starts]
             self._record((transit,), tags, densities, starts)
-            plans = []
+            blocks, n_rounds = [], 0
         sess.join_pair()
 
     # -- gate delegation --------------------------------------------------
@@ -313,12 +327,12 @@ class _Run:
                                  pad_labels=pad_labels, tag=tag)
         state = None if self.check is None else sess.amps.copy()
         densities, pairs = step(self, sess)
-        self._record(self.slots, [(tag, pad_labels)], densities,
-                     [(state, step)])
+        self._record(self.slots, [tag], densities,
+                     [(pad_labels, state, step)])
         sess.server_apply(self.server.ops_for(tag))
         # decrypt: transit when digit 1 rode it, then the padded slots
         if digits:
-            r = plan_round(1, pairs.pop(), *digits[0], 1)
+            r = digit_block_plan(*digits[0], [pairs.pop()]).rounds[0]
             sess.client_apply(
                 paulis.unpad_ops(((r.pair[0], r.unpad_z),), (transit,)))
         sess.client_apply(_block_unpad(tuple(pairs), self.slots))
@@ -373,10 +387,9 @@ def replay(run: _Run, checked, label: str, pairs) -> list[np.ndarray]:
     A block round (an h or cz gate's, or an rz gate's opening round, after
     the parity Z) starts from a register copy; its step swaps the riding
     wires in, pads and ends at its round trip.  A ladder round of digit
-    block m >= 2 starts from the split pair, which the run gets by walking
-    the folds of its ``Session.ladder`` chunk on a copy; its step re-plans
-    only that round (``plan_round``) with the baseline's carry and runs it
-    as a one-round ``Session.ladder`` step.  A label's pair changes nothing
+    block m >= 2 starts from the split pair as the run's ladder pass
+    handed it over; its step runs the same pass on that one round, with
+    the baseline's carry.  A label's pair changes nothing
     before its own round, so each pair's densities are those a
     whole-circuit run with the label pinned records there, bit for bit.
     All pairs run on one fork, which records nothing, with one key source

@@ -10,26 +10,28 @@ The register holds the working wires only; every wire of the channel
 holds one of them or a dummy, a product state of two amplitudes (a swap
 with a dummy relabels the two).  A round trip returns the transmitted
 wires' joint densities as the client sends them and as the server's
-gates J send them back; ``server_apply`` then applies J.  An ``rz``
-gate's digit blocks m >= 2 fold on the ``WirePair`` split off the
-register, and a ``ladder`` step returns its rounds' densities as one
-stack.  The run records each stack (``Transcript.record``): the
-transcript keeps each round's tag and wires, and its running hash takes
-the stack then and there and, at every gate boundary and at the end, the
-whole register, renormalized.  The digest covers every transmitted
+gates J (one matrix, which the server builds once per tag) send them
+back; ``server_apply`` then applies J.  An ``rz`` gate's digit blocks
+m >= 2 run on the ``WirePair`` split off the register, whole blocks per
+``ladder`` pass: one loop draws each round's pad, looks up its schedule,
+moves the pair's net op through tables of the client's composed ops and
+returns the rounds' densities as one stack.  The run records each stack
+(``Transcript.record``): the transcript keeps each round's tag and
+wires, and its running hash takes the stack then and there and, at
+every gate boundary and at the end, the whole register, renormalized.  The digest covers every transmitted
 density and every amplitude at every gate boundary, not off-channel
 amplitudes between two rounds of one gate.
 
 A replay re-runs one round on a fork (``fork``), once per pair: the saved
 state, the client's swaps and pads and the round trip, or the ladder
-round.  A fork records nothing and applies no server gate.
+pass on the one round.  A fork records nothing and applies no server
+gate.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,12 +42,26 @@ from . import statevec as sv
 
 # the transcript's name of each gate kind, read without the Enum descriptor
 _KIND_NAMES = {kind: kind.value for kind in sv.Gate}
-# the kinds of one wire's pad and unpad for each (x, z) pair, in the order
-# paulis.pad_ops and paulis.unpad_ops apply them
-_PAD_KINDS, _UNPAD_KINDS = (
-    {pair: tuple(_KIND_NAMES[op.kind] for op in ops((pair,)))
-     for pair in itertools.product((0, 1), repeat=2)}
-    for ops in (paulis.pad_ops, paulis.unpad_ops))
+
+
+def _ladder_moves(bit: int):
+    """The client's ops around a ladder round on pair bit ``bit``, composed
+    (``sv.pair_moves``), with the kinds they log: before the send at
+    [initial swap][x][z], after the reply at [x][z][swap back]."""
+    def table(ops):
+        def entry(*key):
+            kinds = tuple(_KIND_NAMES[op.kind] for op in ops(*key))
+            return sv.pair_moves(kinds, bit), kinds
+        return tuple(tuple(tuple(entry(u, v, w) for w in (0, 1))
+                           for v in (0, 1)) for u in (0, 1))
+
+    swap = [sv.swap(0, 1)]
+    return (table(lambda s, x, z: swap * s + paulis.pad_ops(((x, z),))),
+            table(lambda x, z, s: paulis.unpad_ops(((x, z),)) + swap * s))
+
+
+# per pair bit of the wire the ladder sends
+_LADDER = {bit: _ladder_moves(bit) for bit in (1, 2)}
 
 
 class ProtocolError(Exception):
@@ -139,8 +155,7 @@ _DUMMY_GATES = {
 }
 
 
-@functools.lru_cache(maxsize=256)
-def _ops_matrix(server_ops, wires) -> np.ndarray:
+def ops_matrix(server_ops, wires) -> np.ndarray:
     """``server_ops``, on ``wires`` only, as one matrix J (bit j of a row for
     ``wires[j]``), made by applying them to the rows of the identity."""
     k = len(wires)
@@ -148,16 +163,6 @@ def _ops_matrix(server_ops, wires) -> np.ndarray:
     for op in server_ops:
         sv._apply_op(j, op, [k + wires.index(q) for q in op.qubits])
     return j.reshape(1 << k, 1 << k)
-
-
-@functools.lru_cache(maxsize=256)
-def _server_phases(server_ops, wire: int) -> tuple[complex, complex]:
-    """The phases of ``server_ops``, which must be one rz on ``wire``."""
-    if (len(server_ops) != 1 or server_ops[0].kind is not sv.Gate.RZ
-            or server_ops[0].qubits != (wire,)):
-        raise ValueError(f"the pair takes one rz on wire {wire} from the "
-                         f"server, not {[op.kind.value for op in server_ops]}")
-    return sv.rz_phases(server_ops[0].angle)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -197,10 +202,10 @@ class Transcript:
 
     def record(self, transmitted, tags, densities: np.ndarray) -> None:
         """Append r >= 1 rounds on the same wires: ``tags`` holds each
-        round's (tag, pad_labels), ``densities`` the wires' joint state as
-        each round goes out and comes back, (2r, d, d), the lowest wire as
-        the least significant bit, which the running hash takes now."""
-        self.tags += [tag for tag, _ in tags]
+        round's tag, ``densities`` the wires' joint state as each round
+        goes out and comes back, (2r, d, d), the lowest wire as the least
+        significant bit, which the running hash takes now."""
+        self.tags += tags
         self._wires += [transmitted] * len(tags)
         self._stream.update(densities)
 
@@ -314,11 +319,12 @@ class Session:
         self.client_apply(paulis.pad_ops(pairs, [w for w, _ in pad_labels]))
         return pairs
 
-    def round_trip(self, transmitted, server_ops) -> np.ndarray:
+    def round_trip(self, transmitted, j: np.ndarray) -> np.ndarray:
         """Send ``transmitted`` wires and return their joint densities, out
         then back, (2, d, d): the carried wires' register rows times the
-        dummies, then the server's gates J times them.  The state stays as
-        sent; ``server_apply`` applies J after the reply, and a replay
+        dummies, then the server's gates as one matrix ``j`` (``ops_matrix``
+        on the sorted wires) times them.  The state stays as sent;
+        ``server_apply`` applies the gates after the reply, and a replay
         stops before it."""
         wires = tuple(sorted(transmitted))
         if wires[0] < 0 or wires[-1] >= len(self.held):
@@ -337,7 +343,7 @@ class Session:
         np.multiply(np.array(state).reshape([3 - a for a in axes] + [1]),
                     sv._rows(self.amps, carried).reshape(axes + [-1]),
                     out=rows[0].reshape([2] * len(wires) + [-1]))
-        np.matmul(_ops_matrix(tuple(server_ops), wires), rows[0], out=rows[1])
+        np.matmul(j, rows[0], out=rows[1])
         return rows @ rows.conj().transpose(0, 2, 1)
 
     def server_apply(self, ops) -> None:
@@ -346,43 +352,93 @@ class Session:
             self._apply(op)
             self.transcript.server_op_kinds.append(_KIND_NAMES[op.kind])
 
-    def ladder(self, transit: int, blocks, server) -> tuple:
-        """Run digit blocks' rounds on the split pair in one step, and
-        return their densities as one stack, each round's (tag,
-        pad_labels), and the rounds as ``WirePair.run_block`` folded them.
+    def ladder(self, transit: int, blocks, server, starts=None) -> tuple:
+        """Run digit blocks' rounds on the split pair in one pass; return
+        their densities as one stack and their tags.
 
-        ``blocks`` lists (plan, labels) per block: a ``protocol.BlockPlan``
-        whose round k, padded by ``labels[k - 1]``, pads ``transit`` under
-        its pair, sends it with ``server.round_tags[k - 1]``, takes the
-        server's one rz on transit (``server.ops_for``, checked once per
-        server and tag) and unpads; the client swaps the pair where the
-        plan says.  The pair folds every op, and the op kinds logged are
-        the ones the same ops would log one by one.
+        A block is (schedule, labels, ks, carry), ``schedule`` (initial
+        swap, rows).  Round k, for k in ``ks``, pads ``transit`` under the
+        pair (x, z) drawn for ``labels[k - 1]``, sends it with
+        ``server.round_tags[k - 1]``, takes the server's one rz on transit
+        and runs rows[k == 1][carry][x][z] = (unpad z, swap back, next
+        carry); a block's top round opens with the initial swap.  The op
+        kinds logged are those of the ops one by one.  A list ``starts``
+        gets per round its pad labels, the pair as it starts and the round
+        as a one-round block, which a pass from that pair re-runs exactly.
         """
         pair = self.wire_pair
         if pair is None:
             raise ProtocolError("a digit block runs on a split wire pair")
-        steps, tags, client, rotations = [], [], [], {}
-        for plan, labels in blocks:
-            before = ("swap",) if plan.initial_swap else ()
-            for r in plan.rounds:
-                tag = server.round_tags[r.index - 1]
-                if tag not in rotations:
-                    rotations[tag] = _server_phases(server.ops_for(tag),
-                                                    transit)
-                before += _PAD_KINDS[r.pair]
-                after = _UNPAD_KINDS[r.pair[0], r.unpad_z]
-                if r.swap_after:
-                    after += ("swap",)
-                steps.append((before, rotations[tag], after))
-                tags.append((tag, ((transit, labels[r.index - 1]),)))
-                client += before
-                client += after
-                before = ()
-        densities = pair.run_block(transit, steps)
+        if transit not in pair.wires:
+            raise ValueError(f"wire {transit} is outside the pair "
+                             f"{pair.wires}")
+        before, after = _LADDER[1 if transit == pair.wires[0] else 2]
+        draw, rho, round_tags = self.keys.pad_pair, pair.rho, server.round_tags
+        s, ph = sv._PERMS.index(pair.perm), list(pair.phases)
+        flat, tags, client, rotations = [], [], [], {}
+        # per _PERMS index: the wire's populations and the two entries of
+        # rho its coherence reads, taken on first use
+        reads = [None] * len(sv._PERMS)
+        for schedule, labels, ks, carry in blocks:
+            swap, rows = schedule
+            if ks[0] != len(labels):
+                swap = 0
+            for k in ks:
+                rz, label = rotations.get(k), labels[k - 1]
+                if rz is None:
+                    ops = server.ops_for(round_tags[k - 1])
+                    if [(op.kind, op.qubits) for op in ops] != [
+                            (sv.Gate.RZ, (transit,))]:
+                        raise ValueError(
+                            f"the pair takes one rz on wire {transit} from "
+                            f"the server, not {[op.kind.value for op in ops]}")
+                    rz = rotations[k] = sv.rz_phases(ops[0].angle)
+                x, z = draw(label)
+                unpad_z, swap_after, next_carry = rows[k == 1][carry][x][z]
+                if starts is not None:
+                    starts.append((((transit, label),), pair.copy(
+                        perm=sv._PERMS[s], phases=tuple(ph)),
+                        (schedule, labels, (k,), carry)))
+                moves, kinds = before[swap][x][z]
+                s, negated, (a, b, c, d) = moves[s]
+                for j in negated:
+                    ph[j] = -ph[j]
+                client += kinds
+                # U sends a and b to the wire's 0 states and c and d to its
+                # 1 states; phases have modulus 1, so the rz leaves the
+                # diagonal as it is.  The <0|.|1> entry of U rho U^dagger
+                # sums ph[i] rho[i][j] conj(ph[j]); rho is hermitian, so
+                # <1|.|0> is its conjugate.
+                if reads[s] is None:
+                    reads[s] = (rho[a][a] + rho[b][b], rho[c][c] + rho[d][d],
+                                rho[a][c], rho[b][d])
+                zero, one, ac, bd = reads[s]
+                out = (ph[a] * ac * ph[c].conjugate()
+                       + ph[b] * bd * ph[d].conjugate())
+                down, up = rz
+                ph[a] *= down
+                ph[b] *= down
+                ph[c] *= up
+                ph[d] *= up
+                back = (ph[a] * ac * ph[c].conjugate()
+                        + ph[b] * bd * ph[d].conjugate())
+                flat += (zero, out, out.conjugate(), one,
+                         zero, back, back.conjugate(), one)
+                moves, kinds = after[x][unpad_z][swap_after]
+                s, negated, _ = moves[s]
+                for j in negated:
+                    ph[j] = -ph[j]
+                client += kinds
+                tags.append(round_tags[k - 1])
+                carry, swap = next_carry, 0
+        pair.perm, pair.phases = sv._PERMS[s], tuple(ph)
         self.transcript.client_op_kinds += client
-        self.transcript.server_op_kinds += ["rz"] * len(steps)
-        return densities, tags, steps
+        self.transcript.server_op_kinds += ["rz"] * len(tags)
+        # one array that owns its memory, so no round's density has a
+        # writable base
+        densities = np.empty((len(flat) >> 2, 2, 2), dtype=complex)
+        densities.reshape(-1)[:] = flat
+        return densities, tags
 
     def fork(self) -> Session:
         """A session with no register, pair or key source, for

@@ -17,6 +17,8 @@ factories return one shared op per qubit tuple (qubits normalised to plain
 buffer, and cover only the six kinds the protocol applies (the client's
 x, z and swap, the server's h, cz and rz), on an op's wires or on ones a
 caller names.  Lowering rewrites a circuit's gates into h, cz and rz.
+An rz ladder runs on a ``WirePair``, a density and a monomial net op U;
+``pair_moves`` tabulates how x, z and swap move U, for lookups.
 The reference simulator the tests compare against (``apply`` with its
 own gate matrices, random states, mixtures and distances) lives in
 ``tests/oracles.py``.
@@ -293,7 +295,8 @@ class WirePair:
     bit(q) + 2 bit(transit)).  The gates are monomial, so the net op since
     the split is U|j> = phases[j]|perm[j]>, and the pair's state is
     U rho U^dagger exactly, however entangled q is with the rest.
-    ``run_block`` rebinds U's tuples, so a shallow copy is a snapshot.
+    ``Session.ladder`` moves U through the tables ``pair_moves`` builds
+    and rebinds its tuples, so a snapshot (``copy``) shares ``rho``.
     """
 
     def __init__(self, amps: np.ndarray, q: int, transit: int):
@@ -303,54 +306,12 @@ class WirePair:
         self.rho = [[a, b, 0j, 0j], [c, d, 0j, 0j], [0j] * 4, [0j] * 4]
         self.perm, self.phases = (0, 1, 2, 3), (1.0, 1.0, 1.0, 1.0)
 
-    def copy(self) -> WirePair:
-        """A snapshot of the pair, sharing its (never mutated) values."""
+    def copy(self, **u) -> WirePair:
+        """A snapshot of the pair, sharing its (never mutated) values, with
+        U's ``perm`` and ``phases`` as given in ``u``."""
         twin = object.__new__(WirePair)
-        twin.__dict__.update(self.__dict__)
+        twin.__dict__.update(self.__dict__, **u)
         return twin
-
-    def run_block(self, wire: int, rounds) -> np.ndarray:
-        """U <- (the rounds' ops) U, and ``wire``'s 2x2 state as each of the
-        r >= 1 rounds sends it and gets it back: one (2r, 2, 2) array.
-
-        A round is (before, (down, up), after).  ``before`` and ``after``
-        name the x, z and swap ops applied before the send and after the
-        reply; x and z act on ``wire`` and swap exchanges the pair.
-        (down, up) is the received rz as ``rz_phases`` gives it.  U's
-        permutation moves through ``_PAIR_STEPS``, so no round searches
-        it.
-        """
-        if wire not in self.wires:
-            raise ValueError(f"wire {wire} is outside the pair {self.wires}")
-        steps = _PAIR_STEPS[1 if wire == self.wires[0] else 2]
-        s, ph, rho = _PERMS.index(self.perm), list(self.phases), self.rho
-        flat = []
-        for before, (down, up), after in rounds:
-            s = _fold(before, steps, s, ph)
-            # U sends a and b to the wire's 0 states and c and d to its 1
-            # states; phases have modulus 1, so the rz leaves the diagonal
-            # as it is.  The <0|.|1> entry of U rho U^dagger sums
-            # ph[i] rho[i][j] conj(ph[j]); rho is hermitian, so <1|.|0> is
-            # its conjugate.
-            _, _, a, b, c, d = steps[s]
-            zero, one = rho[a][a] + rho[b][b], rho[c][c] + rho[d][d]
-            out = (ph[a] * rho[a][c] * ph[c].conjugate()
-                   + ph[b] * rho[b][d] * ph[d].conjugate())
-            ph[a] *= down
-            ph[b] *= down
-            ph[c] *= up
-            ph[d] *= up
-            back = (ph[a] * rho[a][c] * ph[c].conjugate()
-                    + ph[b] * rho[b][d] * ph[d].conjugate())
-            flat += (zero, out, out.conjugate(), one,
-                     zero, back, back.conjugate(), one)
-            s = _fold(after, steps, s, ph)
-        self.perm, self.phases = _PERMS[s], tuple(ph)
-        # one array that owns its memory, so no round's density has a
-        # writable base
-        states = np.empty((len(flat) >> 2, 2, 2), dtype=complex)
-        states.reshape(-1)[:] = flat
-        return states
 
     def apply_to(self, amps: np.ndarray) -> None:
         """Apply U, which must keep transit in |0>, to wire q of ``amps``,
@@ -370,38 +331,27 @@ _PERMS = tuple(tuple(_SWAP[j] ^ f if swapped else j ^ f for j in range(4))
                for swapped in (0, 1) for f in range(4))
 
 
-def _pair_steps(bit: int) -> tuple[tuple[int, ...], ...]:
-    """Per permutation in ``_PERMS``: the index of its successor under x on
-    pair bit ``bit`` and under swap, then the states a, b, c, d it sends
-    to 0, 3 - bit, bit and 3.  The wire at ``bit`` is set exactly at the
-    images of c and d, the entries a z negates."""
+def pair_moves(kinds, bit: int) -> tuple:
+    """Per permutation in ``_PERMS``: its index after the x, z and swap
+    ops in ``kinds``, one at a time (x and z on pair bit ``bit``), the
+    phases their z's negate, and the states a, b, c, d it then sends to 0,
+    3 - bit, bit and 3: the wire reads 0 at a and b, 1 at c and d."""
     index = {perm: i for i, perm in enumerate(_PERMS)}
-    return tuple(
-        (index[tuple(k ^ bit for k in perm)],
-         index[tuple(_SWAP[k] for k in perm)],
-         *(perm.index(k) for k in (0, 3 - bit, bit, 3)))
-        for perm in _PERMS)
-
-
-_PAIR_STEPS = {bit: _pair_steps(bit) for bit in (1, 2)}
-
-
-def _fold(kinds, steps, s: int, ph: list) -> int:
-    """The ``_PERMS`` index after the named x, z and swap ops, from ``s``
-    through ``steps``; a z negates the phases ``ph`` in place where the
-    wire is set."""
-    for kind in kinds:
-        if kind == "x":
-            s = steps[s][0]
-        elif kind == "swap":
-            s = steps[s][1]
-        elif kind == "z":
-            c, d = steps[s][4:]
-            ph[c] = -ph[c]
-            ph[d] = -ph[d]
-        else:
-            raise ValueError(f"{kind} is not a monomial pair gate")
-    return s
+    moves = []
+    for perm in _PERMS:
+        negated = set()
+        for kind in kinds:
+            if kind == "x":
+                perm = tuple(k ^ bit for k in perm)
+            elif kind == "swap":
+                perm = tuple(_SWAP[k] for k in perm)
+            elif kind == "z":
+                negated ^= {j for j, k in enumerate(perm) if k & bit}
+            else:
+                raise ValueError(f"{kind} is not a monomial pair gate")
+        moves.append((index[perm], tuple(sorted(negated)),
+                      tuple(perm.index(k) for k in (0, 3 - bit, bit, 3))))
+    return tuple(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from blindqc.angles import digitize
 from blindqc.circuits import Circuit
 from blindqc import protocol
 from blindqc.protocol import checked_run, run_protocol
-from blindqc.session import Round, Session
+from blindqc.session import Round, Session, ops_matrix
 from blindqc.statevec import Gate
 import oracles
 
@@ -63,11 +63,11 @@ def rz_error_budget(circuit: Circuit, n_digits: int,
 
 def trip(sess: Session, transmitted, tag: str, server_ops,
          pad_labels=()) -> Round:
-    """One round trip of ``sess``, recorded as the run records it; the
-    round as a ``Round``."""
-    densities = sess.round_trip(transmitted, server_ops)
-    sess.transcript.record(tuple(transmitted), ((tag, tuple(pad_labels)),),
-                           densities)
+    """One round trip of ``sess`` under ``server_ops``, recorded as the run
+    records it; the round as a ``Round``."""
+    densities = sess.round_trip(
+        transmitted, ops_matrix(server_ops, tuple(sorted(transmitted))))
+    sess.transcript.record(tuple(transmitted), [tag], densities)
     return Round(tag, tuple(transmitted), *densities, tuple(pad_labels))
 
 

@@ -6,7 +6,8 @@ the engine it checks, the key-rule verifier for ``paulis.key_update``, the
 T-gate measurement gadget (the route to a non-Clifford gate that lowering
 ``t`` to an ``rz`` ladder replaces), angle reconstruction and the
 per-digit flags, lowering's equivalence check on random probe states, and
-the list-based fold of ``statevec.WirePair.run_block``.
+the list-based fold the ladder pass (``session.Session.ladder``) must
+match.
 """
 
 from __future__ import annotations
@@ -360,8 +361,11 @@ class ListPair:
 
 
 def pair_run_block(pair: ListPair, wire: int, rounds) -> np.ndarray:
-    """``pair.run_block`` as list rebuilds and index searches, one round at
-    a time: the reference the table-driven fold must match byte for byte.
+    """The ladder's fold as list rebuilds and index searches, one round at
+    a time: the reference the table-driven pass must match byte for byte.
+    A round is (before, (down, up), after): the x, z and swap ops before
+    the send, the received rz as ``rz_phases`` gives it, and the ops after
+    the reply.
 
     U|j> = phases[j]|perm[j]>; the wire reads 0 at basis states 0 and
     3 - bit, which U sends from a and b, and 1 at bit and 3, sent from c

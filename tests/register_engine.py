@@ -63,7 +63,7 @@ class RegisterSession:
             sv._apply_op(self.amps, op)
             self.transcript.server_op_kinds.append(op.kind.value)
         received = oracles.reduced_density(self.amps, keep)
-        self.transcript.record(tuple(transmitted), ((tag, tuple(pad_labels)),),
+        self.transcript.record(tuple(transmitted), [tag],
                                np.array((sent, received)))
         self.rounds.append(Round(tag, tuple(transmitted), sent, received,
                                  tuple(pad_labels)))

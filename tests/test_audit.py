@@ -146,8 +146,9 @@ class TestMixedness:
 
         def dropping_record(self, transmitted, tags, densities, starts):
             if not self.session.transcript.round_trips():
-                tags = [(tag, tuple((w, lbl) for w, lbl in pad_labels
-                                    if w != 3)) for tag, pad_labels in tags]
+                starts = [(tuple((w, lbl) for w, lbl in pad_labels
+                                 if w != 3), *start)
+                          for pad_labels, *start in starts]
             record(self, transmitted, tags, densities, starts)
 
         monkeypatch.setattr(protocol._Run, "_record", dropping_record)

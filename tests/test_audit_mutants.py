@@ -15,7 +15,9 @@ the broken keys and the package's own code stays as it is.
 Run-path mutants break the pads of the run ``run_protocol`` makes (a
 slot or the rz ladder) and leave its labels distinct.  The audit
 certifies that same run, so the twirl over each label's replays must
-see the broken pads.
+see the broken pads.  The ladder pads each round with the pair it draws
+for the round's label, so its mutants break the draw: a round's label
+goes unused, also where a replay pins it.
 
 Key-derivation mutants keep every label distinct but draw one key for
 several of them: a label's pad is the key the seed derives for another
@@ -87,8 +89,8 @@ def patch_labels(monkeypatch, f) -> None:
         return pad_pair(self, f(label))
 
     def mapped_record(self, transmitted, tags, densities, starts):
-        tags = [(tag, tuple((wire, f(label)) for wire, label in pad_labels))
-                for tag, pad_labels in tags]
+        starts = [(tuple((wire, f(label)) for wire, label in pad_labels),
+                   *start) for pad_labels, *start in starts]
         return record(self, transmitted, tags, densities, starts)
 
     monkeypatch.setattr(KeySource, "pad_pair", mapped_pad_pair)
@@ -117,27 +119,25 @@ def test_label_reuse_fails_the_audit(monkeypatch, name):
     assert report["pass"] is False
 
 
+# the label of a ladder round, ``gate{j}:m{m}:k{k}`` with m >= 2
+LADDER_LABEL = re.compile(r":m([2-9]|\d{2,}):k\d+$")
+
+
 def unpadded_ladder(monkeypatch) -> None:
-    """Every ladder round is planned with pad (0, 0): sent in the clear."""
-    plan = protocol.digit_block_plan
-    monkeypatch.setattr(protocol, "digit_block_plan",
-                        lambda nonzero, negative, pairs: plan(
-                            nonzero, negative, [(0, 0)] * len(pairs)))
+    """Every ladder round is padded and planned with (0, 0), whatever pair
+    its label holds, pinned or not: sent in the clear."""
+    pad_pair = KeySource.pad_pair
+    monkeypatch.setattr(KeySource, "pad_pair", lambda self, label: (
+        (0, 0) if LADDER_LABEL.search(label) else pad_pair(self, label)))
 
 
 def first_pad_per_block(monkeypatch) -> None:
-    """Every round of a ladder block is padded by the block's first pad."""
-    ladder = Session.ladder
-
-    def reusing_ladder(self, transit, blocks, server):
-        blocks = [(protocol.digit_block_plan(
-            plan.nonzero, plan.negative,
-            [self.keys.pad_pair(labels[0])] * len(labels))
-                   if len(plan.rounds) > 1 else plan, labels)
-                  for plan, labels in blocks]
-        return ladder(self, transit, blocks, server)
-
-    monkeypatch.setattr(Session, "ladder", reusing_ladder)
+    """Every round of a ladder block is padded by the block's first pad,
+    the pair of its ``k1`` label, whatever pair its own label holds."""
+    pad_pair = KeySource.pad_pair
+    monkeypatch.setattr(KeySource, "pad_pair", lambda self, label: pad_pair(
+        self, re.sub(r":k\d+$", ":k1", label) if LADDER_LABEL.search(label)
+        else label))
 
 
 def unpadded_slot(monkeypatch) -> None:
@@ -242,16 +242,17 @@ def test_stacked_pads_under_one_pair_fail_the_audit(monkeypatch):
 
 def skipped_zero_digit_blocks(monkeypatch) -> None:
     """The ladder leaves out every digit block m >= 2 whose digit is 0."""
-    ladder = Session.ladder
+    ladder, zero = Session.ladder, protocol._SCHEDULES[0, 0]
     monkeypatch.setattr(
-        Session, "ladder", lambda self, transit, blocks, server: ladder(
-            self, transit, [b for b in blocks if b[0].nonzero], server))
+        Session, "ladder", lambda self, transit, blocks, server, starts=None:
+        ladder(self, transit, [b for b in blocks if b[0] is not zero], server,
+               starts))
 
 
 def test_skipped_zero_digit_blocks_fail_view_invariance(monkeypatch):
     plain = run_protocol(CIRCUIT, EPSILON, SEED)
     skipped_zero_digit_blocks(monkeypatch)
-    # through ``run_protocol`` only: a checked run walks every block
+    # the plain run ``blindqc run`` makes
     mutant = run_protocol(CIRCUIT, EPSILON, SEED)
     # a zero digit turns nothing, so the working state is the same ...
     assert oracles.fidelity(mutant.working_state,

@@ -13,7 +13,8 @@ from blindqc import audit, protocol
 from blindqc import statevec as sv
 from blindqc.circuits import Circuit
 from blindqc.protocol import N_SLOTS, run_protocol
-from blindqc.session import KeySource, ProtocolError, Round, Session
+from blindqc.session import (KeySource, ProtocolError, Round, Session,
+                            ops_matrix)
 from conftest import KeptRun, trip
 import oracles
 
@@ -104,7 +105,7 @@ class TestSession:
     def test_stored_densities_are_frozen_copies(self):
         sess = Session(2, seed=0)
         sess.client_apply([sv.h(0), sv.h(1), sv.cz(0, 1), sv.h(1)])
-        stored = sess.round_trip((0, 1), [sv.rz(0.5, 1)])
+        stored = sess.round_trip((0, 1), ops_matrix([sv.rz(0.5, 1)], (0, 1)))
         before = [rho.copy() for rho in stored]
         sess.client_apply([sv.x(0), sv.h(1)])
         sess.client_measure(0, "m0")
@@ -230,9 +231,9 @@ class TestSession:
         chunks = []
         ladder = Session.ladder
 
-        def logged_ladder(self, transit, blocks, server):
-            chunks.append([len(plan.rounds) for plan, _ in blocks])
-            return ladder(self, transit, blocks, server)
+        def logged_ladder(self, transit, blocks, server, starts=None):
+            chunks.append([len(labels) for _, labels, _, _ in blocks])
+            return ladder(self, transit, blocks, server, starts)
 
         monkeypatch.setattr(Session, "ladder", logged_ladder)
         for epsilon, m_bits in ((0.1, 5), (1e-6, 22), (math.pi / 2**60, 60)):
@@ -347,7 +348,7 @@ class TestSession:
 
     def test_server_op_kinds_are_recorded(self):
         sess = Session(1, seed=0)
-        sess.round_trip((0,), [sv.h(0)])
+        sess.round_trip((0,), ops_matrix([sv.h(0)], (0,)))
         # the round trip leaves the state as sent; the server's gates follow
         t = sess.transcript
         assert t.server_op_kinds == [] and sess.amps[0] == 1.0
@@ -366,7 +367,7 @@ class TestSession:
             sess.client_apply([sv.x(1 + N_SLOTS)])
         for wires in ((1 + N_SLOTS,), (-1, 0)):
             with pytest.raises(ProtocolError, match="out of range"):
-                sess.round_trip(wires, [])
+                sess.round_trip(wires, np.eye(1 << len(wires)))
         with pytest.raises(ValueError, match="negative"):
             sv.x(-1)
 

@@ -2,13 +2,14 @@
 
 The package keeps the four block slots off its register: a carried slot
 is a relabelling of its working wire and a dummy slot a two-amplitude
-state, and digit blocks m >= 2 of an rz gate run as one step per gate on
-the working wire and transit, rho_q (x) |0><0| (``Session.ladder`` and
-``statevec.WirePair.run_block``).  ``register_engine.run_reference`` keeps
-the slots on the register and runs every round op by op.  Both must
-record the same rounds, within 1e-14 per density, and reach the same
-working state, within 1e-12.  The table-driven fold must match the
-list-based one in ``oracles`` byte for byte.
+state, and digit blocks m >= 2 of an rz gate run as one table-driven
+pass per gate on the working wire and transit, rho_q (x) |0><0|
+(``Session.ladder`` on a ``statevec.WirePair``).
+``register_engine.run_reference`` keeps the slots on the register and
+runs every round op by op.  Both must record the same rounds, within
+1e-14 per density, and reach the same working state, within 1e-12.  The
+pass must match the list-based fold in ``oracles``, fed the rounds
+``digit_block_plan`` plans, byte for byte.
 """
 
 import copy
@@ -22,7 +23,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blindqc import protocol
+from blindqc import paulis, protocol, session
 from blindqc import statevec as sv
 from blindqc.angles import precision_bits
 from blindqc.audit import ALL_PAIRS
@@ -183,7 +184,8 @@ class TestCheckpoints:
         for i, (rnd, _, step) in enumerate(run.checked):
             if step.func is protocol._Run._ladder_round:
                 # a ladder round is padded by its own label alone
-                label = step.keywords["labels"][step.keywords["r"].index - 1]
+                _, labels, (k,), _ = step.keywords["block"]
+                label = labels[k - 1]
                 assert rnd.pad_labels == ((run.run.slots[3], label),)
                 ladder.append(label)
             else:
@@ -337,101 +339,203 @@ class StubServer:
         return self.ops
 
 
+class AngleServer:
+    """A server that answers round tag k with Rz(angles[k - 1]) on
+    ``wire``."""
+
+    def __init__(self, wire, angles):
+        self.round_tags = tuple(round_tag(k)
+                                for k in range(1, len(angles) + 1))
+        self.ops = {tag: (sv.rz(theta, wire),)
+                    for tag, theta in zip(self.round_tags, angles)}
+
+    def ops_for(self, tag):
+        return self.ops[tag]
+
+
+def block_labels(m):
+    """The pad labels of digit block ``m``; ``[k - 1]`` pads round k."""
+    return [f"gate0:m{m}:k{k}" for k in range(1, m + 1)]
+
+
+def ladder_block(sess, digit, pairs, labels, ks=None, carry=1):
+    """A block for ``Session.ladder``: ``digit``'s schedule over ``labels``,
+    each pinned on ``sess``'s key source to its pair in ``pairs``."""
+    sess.keys.overrides.update(zip(labels, pairs))
+    ks = range(len(labels), 0, -1) if ks is None else ks
+    return (protocol._SCHEDULES[digit], labels, ks, carry)
+
+
+def plan_kinds(plan, angles):
+    """``digit_block_plan``'s ``plan`` as the (before, rz phases, after) op
+    kinds of each round, as the client applies them: the initial swap
+    opens the block, the pad comes before the send, the unpad and the swap
+    back follow the reply.  Round k takes Rz(angles[k - 1])."""
+    rounds, before = [], ("swap",) * plan.initial_swap
+    for r in plan.rounds:
+        (x, z) = r.pair
+        before += ("z",) * z + ("x",) * x
+        after = ("x",) * x + ("z",) * r.unpad_z + ("swap",) * r.swap_after
+        rounds.append((before, sv.rz_phases(angles[r.index - 1]), after))
+        before = ()
+    return rounds
+
+
 # a two-round digit block: both rounds carry an x pad, the first a z too
-BLOCK = digit_block_plan(1, 0, ((1, 0), (1, 1)))
-LABELS = ["gate0:m2:k1", "gate0:m2:k2"]
+PADS = ((1, 0), (1, 1))
+BLOCK = digit_block_plan(1, 0, PADS)
+LABELS = block_labels(2)
 
 
 class TestWirePair:
-    # (before, rz angle, after) per round; the last round brings the
-    # working qubit back, so transit ends in |0> under x on either wire
-    ROUNDS = ((("x", "z"), 0.7, ("swap",)), (("swap", "z"), -1.3, ("x", "z")),
-              ((), math.pi / 8, ("x",)), (("x", "swap"), 2.1, ("z", "swap")))
-
     def test_matches_the_register_kernels(self):
         # working wire 1 of three, transit wire 3 above them in |0>
         state = oracles.random_state(3, np.random.default_rng(8))
-        steps = [(before, sv.rz_phases(theta), after)
-                 for before, theta, after in self.ROUNDS]
+        angles = [0.7, -1.3, math.pi / 8]
+        blocks = [[((1, 0), PADS, block_labels(2))],
+                  [((1, 1), ((1, 0), (0, 1), (1, 1)), block_labels(3)),
+                   ((0, 0), ((0, 1), (1, 1)), ["gate1:m2:k1", "gate1:m2:k2"])]]
         for wire in (1, 3):
             amps = np.kron([1.0, 0.0], state.amps)
-            pair = sv.WirePair(state.amps, 1, 3)
-            # two blocks in a row continue from the first one's net op
-            got = np.concatenate([pair.run_block(wire, steps[:1]),
-                                  pair.run_block(wire, steps[1:])])
+            sess = Session(3, seed=0)
+            sess.amps[:] = state.amps
+            sess.split_pair(1, 3)
+            server = AngleServer(wire, angles)
+            # two passes in a row: the second continues from the first's U
+            got = np.concatenate([sess.ladder(wire, [
+                ladder_block(sess, *block) for block in chunk], server)[0]
+                for chunk in blocks])
             ops = {"x": sv.x(wire), "z": sv.z(wire), "swap": sv.swap(1, 3)}
-            want = []
-            for before, theta, after in self.ROUNDS:
-                for kind in before:
-                    sv._apply_op(amps, ops[kind])
-                want.append(oracles.reduced_density(amps, (wire,)))
-                sv._apply_op(amps, sv.rz(theta, wire))
-                want.append(oracles.reduced_density(amps, (wire,)))
-                for kind in after:
-                    sv._apply_op(amps, ops[kind])
-            assert got.shape == (2 * len(self.ROUNDS), 2, 2)
+            want, kinds = [], []
+            for digit, pairs, _ in (block for chunk in blocks
+                                    for block in chunk):
+                for before, (down, up), after in plan_kinds(
+                        digit_block_plan(*digit, pairs), angles):
+                    for kind in before:
+                        sv._apply_op(amps, ops[kind])
+                    want.append(oracles.reduced_density(amps, (wire,)))
+                    sv._apply_rz(amps, (down, up), wire)
+                    want.append(oracles.reduced_density(amps, (wire,)))
+                    for kind in after:
+                        sv._apply_op(amps, ops[kind])
+                    kinds += [*before, *after]
+            assert got.shape == (2 * 7, 2, 2)
             assert np.abs(got - np.array(want)).max() <= TOL
+            assert sess.transcript.client_op_kinds == kinds
             # transit is back in |0>, so U acts on the working wire alone
+            pair = sess.wire_pair
             assert not amps[8:].any() and max(pair.perm[:2]) <= 1
             landed = state.amps.copy()
             pair.apply_to(landed)
             assert np.abs(landed - amps[:8]).max() <= TOL
 
     def test_refuses_gates_it_cannot_fold(self):
-        amps = oracles.random_state(2, np.random.default_rng(2)).amps
-        pair = sv.WirePair(amps, 0, 2)
-        phases = sv.rz_phases(0.3)
+        # the client's tables compose x, z and swap alone
         with pytest.raises(ValueError, match="monomial"):
-            pair.run_block(2, [(("h",), phases, ())])
-        with pytest.raises(ValueError, match="outside the pair"):
-            pair.run_block(1, [((), phases, ())])
-        # a round refused after others have folded leaves U as it was
-        with pytest.raises(ValueError, match="monomial"):
-            pair.run_block(2, [(("x", "z"), phases, ("swap",)),
-                               (("z",), phases, ("h",))])
-        assert pair.perm == (0, 1, 2, 3)
-        assert pair.phases == (1.0, 1.0, 1.0, 1.0)
+            sv.pair_moves(("x", "h"), 2)
         # two working wires and the transit slot 2 above them
         sess = Session(2, seed=0)
         sess.split_pair(0, 2)
+        block = ladder_block(sess, (1, 0), PADS, LABELS)
         for server_ops in ([sv.h(2)], [sv.rz(0.3, 0)],
                            [sv.rz(0.3, 2), sv.rz(0.3, 2)]):
             with pytest.raises(ValueError, match="one rz on wire 2"):
-                sess.ladder(2, [(BLOCK, LABELS)], StubServer(server_ops, 2))
+                sess.ladder(2, [block], StubServer(server_ops, 2))
         with pytest.raises(ValueError, match="outside the pair"):
-            sess.ladder(1, [(BLOCK, LABELS)], StubServer([sv.rz(0.3, 1)], 2))
+            sess.ladder(1, [block], StubServer([sv.rz(0.3, 1)], 2))
         # a ladder refused in its last block, at the one tag the server
         # answers wrongly
         server = StubServer([sv.rz(0.3, 2)], 3)
         server.ops_for = lambda tag: ((sv.h(2),) if tag == round_tag(3)
                                       else server.ops)
-        three = digit_block_plan(1, 1, ((1, 0), (0, 1), (1, 1)))
+        three = ladder_block(sess, (1, 1), ((1, 0), (0, 1), (1, 1)),
+                             block_labels(3))
         with pytest.raises(ValueError, match="one rz on wire 2"):
-            sess.ladder(2, [(BLOCK, LABELS), (BLOCK, LABELS),
-                            (three, [f"gate0:m3:k{k}" for k in (1, 2, 3)])],
-                        server)
+            sess.ladder(2, [block, block, three], server)
         # a refused ladder leaves no trace
         assert sess.transcript.client_op_kinds == []
         assert sess.transcript.server_op_kinds == []
         assert sess.wire_pair.perm == (0, 1, 2, 3)
         assert sess.wire_pair.phases == (1.0, 1.0, 1.0, 1.0)
 
+    def test_composite_tables_apply_their_kinds_one_at_a_time(self):
+        # each entry is its op kinds, folded one by one by the list
+        # reference: the permutation it reaches, the phases it negates, and
+        # where the wire reads 0 (a, b) and 1 (c, d) after it
+        for bit in (1, 2):
+            before, after = session._LADDER[bit]
+            for u, v, w in itertools.product((0, 1), repeat=3):
+                pad = [op.kind.value for op in paulis.pad_ops(((v, w),))]
+                unpad = [op.kind.value for op in paulis.unpad_ops(((u, v),))]
+                for (moves, kinds), want in (
+                        (before[u][v][w], ["swap"] * u + pad),
+                        (after[u][v][w], unpad + ["swap"] * w)):
+                    assert list(kinds) == want
+                    for s, perm in enumerate(sv._PERMS):
+                        got, phases = oracles._pair_fold(
+                            kinds, bit, perm, (1.0, 2.0, 3.0, 4.0))
+                        a, b, c, d = (got.index(k) for k in (0, 3 - bit,
+                                                             bit, 3))
+                        assert moves[s] == (
+                            sv._PERMS.index(tuple(got)),
+                            tuple(j for j, p in enumerate(phases) if p < 0),
+                            (a, b, c, d))
+
     @staticmethod
-    def _random_rounds(rng, n_rounds):
-        """Rounds of random x, z and swap runs around an rz; angle 0 gives
-        phases with exact zero parts, the ladder's pi/2^k the rest."""
-        angles = [0.0, -math.pi / 2] + [math.pi / 2**k for k in range(1, 23)]
+    def _compare(sess, ref, wire, blocks, plans, angles):
+        """One ``Session.ladder`` pass of ``blocks`` against the list
+        reference fed the same rounds from ``plans``, byte for byte."""
+        pair = sess.wire_pair
+        rounds = [r for plan in plans for r in plan_kinds(plan, angles)]
+        kinds = len(sess.transcript.client_op_kinds)
+        got, tags = sess.ladder(wire, blocks, AngleServer(wire, angles))
+        want = oracles.pair_run_block(ref, wire, rounds)
+        assert got.shape == want.shape == (2 * len(rounds), 2, 2)
+        assert got.tobytes() == want.tobytes()
+        assert pair.perm == ref.perm
+        assert [type(v) for v in pair.phases] == [type(v) for v in ref.phases]
+        assert (np.array(pair.phases, dtype=complex).tobytes()
+                == np.array(ref.phases, dtype=complex).tobytes())
+        assert sess.transcript.client_op_kinds[kinds:] == [
+            kind for before, _, after in rounds for kind in before + after]
+        assert tags == [round_tag(k) for plan in plans
+                        for k, *_ in plan.rounds]
 
-        def kinds():
-            return tuple(("x", "z", "swap")[int(i)]
-                         for i in rng.integers(3, size=int(rng.integers(4))))
-
-        return [(kinds(), sv.rz_phases(angles[int(rng.integers(len(angles)))]),
-                 kinds()) for _ in range(n_rounds)]
+    def test_one_round_matches_the_list_reference_byte_for_byte(self):
+        # every start permutation, pad, digit and carry, a block's top round
+        # (with the initial swap) or a later one, its last round or not, on
+        # either wire of the pair
+        rng = np.random.default_rng(30)
+        amps = oracles.random_state(3, rng).amps
+        angles = [math.pi / 2**k for k in range(1, 4)]
+        n = 0
+        for wire, s, pad, digit, carry, (m, k) in itertools.product(
+                (0, 3), range(len(sv._PERMS)), ALL_PAIRS,
+                ((0, 0), (1, 0), (1, 1)), (0, 1),
+                ((1, 1), (2, 2), (2, 1), (3, 2))):
+            phases = tuple(complex(*rng.normal(size=2)) for _ in range(4))
+            sess = Session(3, seed=0)
+            sess.restore(sv.WirePair(amps, 0, 3).copy(perm=sv._PERMS[s],
+                                                     phases=phases))
+            ref = oracles.ListPair((0, 3), sess.wire_pair.rho, sv._PERMS[s],
+                                   phases)
+            labels = block_labels(m)
+            block = ladder_block(sess, digit, [pad] * m, labels, (k,), carry)
+            # the round as the block plans it, after the initial swap iff
+            # it is the block's top round
+            plan = protocol.BlockPlan(
+                *digit, digit[0] * (k == m),
+                (protocol.plan_round(k, pad, *digit, carry),))
+            self._compare(sess, ref, wire, [block], [plan], angles)
+            n += 1
+        assert n == 2 * 8 * 4 * 3 * 2 * 4
 
     @pytest.mark.parametrize("start", ["entangled", "product"])
     def test_fold_matches_the_list_reference_byte_for_byte(self, start):
+        # random chunks of whole digit blocks, planned by digit_block_plan
         rng = np.random.default_rng(31 if start == "product" else 32)
+        # rz angles with exact zero parts, and the ladder's pi/2^k
+        pool = [0.0, -math.pi / 2] + [math.pi / 2**k for k in range(1, 23)]
         for _ in range(12):
             if start == "product":
                 # the working wire beside a reset transit, as a run splits
@@ -439,27 +543,31 @@ class TestWirePair:
                 amps, wires = oracles.random_state(1, rng).amps, (0, 1)
             else:
                 amps, wires = oracles.random_state(3, rng).amps, (0, 3)
+            angles = [pool[int(i)] for i in rng.integers(len(pool), size=9)]
             for wire in wires:
-                pair = sv.WirePair(amps, *wires)
+                sess = Session(3, seed=int(rng.integers(100)))
+                sess.restore(sv.WirePair(amps, *wires))
                 if start == "entangled":
-                    # the fold takes any density at the split: here wires
+                    # the pass takes any density at the split: here wires
                     # 0 and 2 of a random register
-                    pair.rho = oracles.reduced_density(amps, (0, 2)).tolist()
-                # the fold's input, the density at the split, is handed
-                # over; test_statevec pins it against an einsum oracle
-                ref = oracles.ListPair(wires, pair.rho)
-                # blocks in a row continue from the last one's net op
-                for n_rounds in (1, 40, 7):
-                    rounds = self._random_rounds(rng, n_rounds)
-                    got = pair.run_block(wire, rounds)
-                    want = oracles.pair_run_block(ref, wire, rounds)
-                    assert got.shape == want.shape == (2 * n_rounds, 2, 2)
-                    assert got.tobytes() == want.tobytes()
-                    assert pair.perm == ref.perm
-                    assert ([type(v) for v in pair.phases]
-                            == [type(v) for v in ref.phases])
-                    assert (np.array(pair.phases, dtype=complex).tobytes()
-                            == np.array(ref.phases, dtype=complex).tobytes())
+                    sess.wire_pair.rho = oracles.reduced_density(
+                        amps, (0, 2)).tolist()
+                ref = oracles.ListPair(wires, sess.wire_pair.rho)
+                # chunks in a row continue from the last one's net op
+                for j, n_blocks in enumerate((1, 5, 2)):
+                    ms = [int(m) for m in rng.integers(1, 10, size=n_blocks)]
+                    digits = [((0, 0), (1, 0), (1, 1))[int(i)]
+                              for i in rng.integers(3, size=n_blocks)]
+                    # pads the session's seed draws, unpinned
+                    labels = [[f"gate{j}:b{i}:k{k}" for k in range(1, m + 1)]
+                              for i, m in enumerate(ms)]
+                    plans = [digit_block_plan(*digit, [
+                        sess.keys.pad_pair(label) for label in lbls])
+                        for digit, lbls in zip(digits, labels)]
+                    blocks = [(protocol._SCHEDULES[digit], lbls,
+                               range(len(lbls), 0, -1), 1)
+                              for digit, lbls in zip(digits, labels)]
+                    self._compare(sess, ref, wire, blocks, plans, angles)
 
     def test_session_routes_ops_to_the_split_pair(self):
         # two working wires and the transit slot 2, which the register
@@ -469,10 +577,13 @@ class TestWirePair:
         pair = Session(2, seed=0)
         pair.amps[:] = state.amps
         pair.split_pair(0, 2)
-        densities, tags, _ = pair.ladder(2, [(BLOCK, LABELS)], server)
+        densities, tags = pair.ladder(
+            2, [ladder_block(pair, (1, 0), PADS, LABELS)], server)
         views = iter(densities)
-        rounds = [Round(tag, (2,), sent, received, labels)
-                  for (tag, labels), sent, received in zip(tags, views, views)]
+        # the round k = 2, then k = 1, each padded by its own label
+        rounds = [Round(tag, (2,), sent, received, ((2, label),))
+                  for tag, sent, received, label
+                  in zip(tags, views, views, LABELS[::-1])]
         register = RegisterSession(3, seed=0)
         register.amps[:4] = state.amps
         register.ladder(2, 0, [(BLOCK, LABELS)], server)
@@ -496,18 +607,22 @@ class TestWirePair:
             sess.split_pair(0, 1)
         sess.client_apply([sv.x(1)])
         sess.split_pair(0, 1)
-        # the block's last round leaves the working qubit in transit
-        last = BLOCK.rounds[-1]
-        stuck = BLOCK._replace(rounds=(*BLOCK.rounds[:-1],
-                                       last._replace(swap_after=0)))
-        sess.ladder(1, [(stuck, LABELS)], server)
+        # a schedule whose last round leaves the working qubit in transit
+        swap, (rows, last) = protocol._SCHEDULES[1, 0]
+        stuck = (swap, (rows, tuple(tuple(tuple(
+            (unpad_z, 0, carry) for unpad_z, _, carry in zs)
+            for zs in xs) for xs in last)))
+        assert BLOCK.rounds[-1].swap_after
+        block = ladder_block(sess, (1, 0), PADS, LABELS)
+        sess.ladder(1, [(stuck, *block[1:])], server)
         with pytest.raises(ProtocolError, match="outside"):
             sess.join_pair()
 
     def test_a_block_needs_a_split_pair(self):
+        sess = Session(3, seed=0)
         with pytest.raises(ProtocolError, match="split"):
-            Session(3, seed=0).ladder(
-                2, [(BLOCK, LABELS)], StubServer([sv.rz(0.3, 2)], 2))
+            sess.ladder(2, [ladder_block(sess, (1, 0), PADS, LABELS)],
+                        StubServer([sv.rz(0.3, 2)], 2))
 
 
 def random_density(rng):
@@ -520,7 +635,7 @@ class TestBlockStep:
     def test_one_record_of_three_rounds_matches_three_records(self):
         rng = np.random.default_rng(5)
         densities = np.array([random_density(rng) for _ in range(6)])
-        tags = [(round_tag(k), ((3, f"gate0:m3:k{k}"),)) for k in (3, 2, 1)]
+        tags = [round_tag(k) for k in (3, 2, 1)]
         # each transcript hashes each stack as it is recorded
         one, block = (Transcript(seed=1, epsilon=0.1, n_qubits=4)
                       for _ in range(2))
@@ -531,17 +646,17 @@ class TestBlockStep:
             t.hash_register(np.ones(2))
         assert block.digest() == one.digest()
         assert block == one
-        assert block.tags == [tag for tag, _ in tags]
+        assert block.tags == tags
         assert block.round_trips() == 3
 
     def test_a_plain_run_makes_one_ladder_step_per_rz(self, monkeypatch):
         steps, records = [], []
         ladder, record = Session.ladder, Transcript.record
 
-        def counting_ladder(self, transit, blocks, server):
+        def counting_ladder(self, transit, blocks, server, starts=None):
             blocks = list(blocks)
             steps.append(len(blocks))
-            return ladder(self, transit, blocks, server)
+            return ladder(self, transit, blocks, server, starts)
 
         def counting_record(self, transmitted, tags, densities):
             # the ladder's rounds send the transit wire alone; the block
