@@ -130,8 +130,9 @@ def digit_block_plan(nonzero: int, negative: int, pairs) -> BlockPlan:
 
 def _schedule(nonzero: int, negative: int):
     """Digit (nonzero, negative) as ``Session.ladder`` reads it: the initial
-    swap, and at [k == 1][carry][x][z] the round's (unpad_z, swap_after)
-    and the next round's carry, as ``digit_block_plan`` plans them."""
+    swap, and at [k == 1][carry][x][z] the round's (unpad_z, swap_after),
+    which ``plan_round`` sets apart for k = 1 alone, and the next round's
+    carry, as ``digit_block_plan`` carries it."""
     def row(last, carry, x, z):
         r = plan_round(2 - last, (x, z), nonzero, negative, carry)
         return r.unpad_z, r.swap_after, carry * (x ^ negative)

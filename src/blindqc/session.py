@@ -18,9 +18,10 @@ moves the pair's net op through tables of the client's composed ops and
 returns the rounds' densities as one stack.  The run records each stack
 (``Transcript.record``): the transcript keeps each round's tag and
 wires, and its running hash takes the stack then and there and, at
-every gate boundary and at the end, the whole register, renormalized.  The digest covers every transmitted
-density and every amplitude at every gate boundary, not off-channel
-amplitudes between two rounds of one gate.
+every gate boundary and at the end, the whole register, renormalized.
+The digest covers every transmitted density and every amplitude at
+every gate boundary, not off-channel amplitudes between two rounds of
+one gate.
 
 A replay re-runs one round on a fork (``fork``), once per pair: the saved
 state, the client's swaps and pads and the round trip, or the ladder
@@ -381,8 +382,7 @@ class Session:
         reads = [None] * len(sv._PERMS)
         for schedule, labels, ks, carry in blocks:
             swap, rows = schedule
-            if ks[0] != len(labels):
-                swap = 0
+            swap *= ks[0] == len(labels)  # only the top round opens it
             for k in ks:
                 rz, label = rotations.get(k), labels[k - 1]
                 if rz is None:
