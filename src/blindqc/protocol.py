@@ -227,10 +227,10 @@ class _Run:
         self.circuit = circuit
         self.n = circuit.n_qubits
         self.n_digits = precision_bits(epsilon)
-        self.slots = tuple(range(self.n, self.n + N_SLOTS))
+        self.server = BlindServer(self.n, self.n_digits)
+        self.slots = self.server.slots
         self.extractor = extractor
         self.session = session
-        self.server = BlindServer(self.n, self.n_digits)
         self.check = check
         self.digits: dict[int, AngleDigits] = {}
         self.outcomes: dict[int, int] = {}
